@@ -11,7 +11,11 @@
 // so every figure carries its Table-1-style accounting next to the
 // throughput/latency numbers.
 //
-// Counting rules (documented here, asserted in tests/obs_test.cc):
+// Counting rules, documented here and applied in exactly one place: the
+// request/response exchange every transport op runs (rdma::Exchange in
+// src/rdma/exchange.h, DESIGN.md §5.11). Asserted for every verb, chain
+// deployment and RPC, completed, dropped and timed out, in
+// tests/exchange_test.cc:
 //  * messages / bytes_out   — counted when the request is handed to the
 //    fabric (logical messages: transport-level retransmissions are a
 //    fabric metric, not a protocol property).

@@ -29,12 +29,11 @@
 #include <vector>
 
 #include "src/net/fabric.h"
-#include "src/obs/timeline.h"
 #include "src/prism/executor.h"
 #include "src/prism/freelist.h"
 #include "src/prism/op.h"
 #include "src/prism/wire.h"
-#include "src/rdma/batch.h"
+#include "src/rdma/exchange.h"
 #include "src/rdma/memory.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -271,112 +270,28 @@ class PrismServer {
   std::deque<PendingPost> pending_posts_;
 };
 
-class PrismClient {
+// Chains ride the RDMA verb path (rdma::Exchange: tally(), set_batcher()).
+class PrismClient : public rdma::Exchange {
  public:
   PrismClient(net::Fabric* fabric, net::HostId self)
-      : fabric_(fabric), self_(self) {}
-
-  net::HostId host() const { return self_; }
-
-  static constexpr sim::Duration kOpTimeout = sim::Millis(5);
+      : Exchange(fabric, self, "prism") {}
 
   // Executes a chain in one round trip. The ChainResult has one entry per op
-  // (skipped conditional ops are marked executed=false).
-  // Protocol-complexity tally across every chain issued by this client
-  // (see src/obs/complexity.h for the counting rules).
-  const obs::TransportTally& tally() const { return tally_; }
-
-  // Routes chain submission/completion through a shared per-host verb
-  // batcher (doorbell batching + completion coalescing); null keeps the
-  // flat cost of one doorbell ring and one CQ drain per chain.
-  void set_batcher(rdma::VerbBatcher* b) { batcher_ = b; }
-
+  // (skipped conditional ops are marked executed=false). SW and BlueField
+  // chains burn a (server or SmartNIC) core; the projected ASIC does not.
   sim::Task<Result<ChainResult>> Execute(PrismServer* server, Chain chain) {
-    auto state = std::make_shared<OpState>(fabric_->sim(self_),
-                                           TimedOut("prism chain"));
-    state->span = fabric_->obs().StartSpan("prism.execute", "prism", self_,
-                                           fabric_->sim(self_)->Now());
-    // Capture the current-op register before the first suspension point
-    // (the span-register discipline); the post path is kBatchWait.
-    state->op = fabric_->obs().current_op();
-    if (state->op != nullptr) {
-      if (state->op->root_span() == 0 && state->span != 0 &&
-          fabric_->obs().tracer() != nullptr) {
-        state->op->set_root_span(fabric_->obs().tracer()->RootOf(state->span));
-      }
-      state->op->Switch(obs::Phase::kBatchWait, fabric_->sim(self_)->Now());
-    }
     auto chain_ptr = std::make_shared<const Chain>(std::move(chain));
-    if (batcher_ != nullptr) {
-      co_await batcher_->Post(&tally_);
-    } else {
-      tally_.doorbells++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().client_post);
-    }
-    const size_t req_payload = EncodedChainSize(*chain_ptr);
-    tally_.messages++;
-    tally_.bytes_out += req_payload;
-    // SW and BlueField chains burn a (server or SmartNIC) core; the
-    // projected-hardware ASIC is CPU-free like a one-sided verb.
-    if (server->deployment() != Deployment::kHardwareProjected) {
-      tally_.cpu_actions++;
-    }
-    obs::SwitchOp(state->op, obs::Phase::kWire, fabric_->sim(self_)->Now());
-    fabric_->obs().SetCurrentSpan(state->span);
-    fabric_->obs().SetCurrentOp(state->op);
-    fabric_->Send(
-        self_, server->host(), req_payload,
-        [this, server, chain_ptr = std::move(chain_ptr), state] {
-          fabric_->obs().SetCurrentSpan(state->span);
-          // CPU-involvement semantics: SW / BlueField chains burn a core
-          // ("responder"); the projected-hardware ASIC executes inside the
-          // NIC, indistinguishable from the wire to the client.
-          if (server->deployment() != Deployment::kHardwareProjected) {
-            obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(server->host())->Now());
-          }
-          sim::Spawn([this, server, chain_ptr, state]() -> sim::Task<void> {
-            auto results = std::make_shared<ChainResult>();
-            co_await server->RunChain(chain_ptr, results);
-            const size_t resp_bytes = ActualResponseSize(*chain_ptr,
-                                                         *results);
-            state->result = std::move(*results);
-            state->resp_bytes = resp_bytes;
-            obs::SwitchOp(state->op, obs::Phase::kWire,
-                          fabric_->sim(server->host())->Now());
-            fabric_->obs().SetCurrentSpan(state->span);
-            fabric_->obs().SetCurrentOp(state->op);
-            fabric_->Send(server->host(), self_, resp_bytes, [this, state] {
-              obs::SwitchOp(state->op, obs::Phase::kBatchWait,
-                            fabric_->sim(self_)->Now());
-              if (!state->done.is_set()) {
-                state->responded = true;
-                state->done.Set();
-              }
-            });
-          });
-        },
-        [state] { state->Finish(Unavailable("host down")); });
-    fabric_->sim(self_)->Schedule(kOpTimeout, [state] {
-      state->Finish(TimedOut("chain deadline"));
-    });
-    co_await state->done.Wait();
-    if (batcher_ != nullptr) {
-      co_await batcher_->Complete(&tally_);
-    } else {
-      tally_.cq_polls++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().completion);
-    }
-    if (state->responded) {
-      tally_.round_trips++;
-      tally_.bytes_in += state->resp_bytes;
-    }
-    obs::SwitchOp(state->op, obs::Phase::kApp, fabric_->sim(self_)->Now());
-    // Restore the register before returning: the caller resumes
-    // synchronously from here, so its next verb captures the right op.
-    fabric_->obs().SetCurrentOp(state->op);
-    fabric_->obs().FinishSpan(state->span, fabric_->sim(self_)->Now());
-    co_return std::move(state->result);
+    const size_t req_bytes = EncodedChainSize(*chain_ptr);
+    return Run<Result<ChainResult>>(
+        "prism.execute", server->host(), req_bytes,
+        server->deployment() != Deployment::kHardwareProjected,
+        [server, chain_ptr = std::move(chain_ptr)](
+            Reply<Result<ChainResult>> reply) -> sim::Task<void> {
+          auto results = std::make_shared<ChainResult>();
+          co_await server->RunChain(chain_ptr, results);
+          const size_t resp_bytes = ActualResponseSize(*chain_ptr, *results);
+          reply(std::move(*results), resp_bytes);
+        });
   }
 
   // Single-op conveniences.
@@ -388,29 +303,6 @@ class PrismClient {
     PRISM_CHECK_EQ(results->size(), 1u);
     co_return std::move((*results)[0]);
   }
-
- private:
-  struct OpState {
-    OpState(sim::Simulator* sim, Status pending)
-        : done(sim), result(std::move(pending)) {}
-    sim::Event done;
-    Result<ChainResult> result;
-    obs::SpanId span = 0;
-    obs::OpTimeline* op = nullptr;  // phase timeline (null when untimed)
-    size_t resp_bytes = 0;
-    bool responded = false;
-    void Finish(Status s) {
-      if (!done.is_set()) {
-        result = std::move(s);
-        done.Set();
-      }
-    }
-  };
-
-  net::Fabric* fabric_;
-  net::HostId self_;
-  rdma::VerbBatcher* batcher_ = nullptr;
-  obs::TransportTally tally_;
 };
 
 }  // namespace prism::core

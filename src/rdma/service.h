@@ -11,13 +11,10 @@
 //                     adding the paper's ~2.5 µs software premium. Used for
 //                     the "(software RDMA)" baseline variants in Figs. 3–10.
 //
-// RdmaClient provides awaitable verbs; each op is a coroutine that charges
-// client post/completion costs, ships the request across the fabric, and
-// suspends until the response (or drop/timeout) arrives.
-//
-// Implementation note: ServerPath only *charges time*; the memory effect runs
-// in the spawned server coroutine after the await. Closures are never passed
-// as coroutine parameters (see the warning in sim/task.h).
+// RdmaClient provides awaitable verbs. Implementation note: each verb is one
+// Exchange round trip (src/rdma/exchange.h) and supplies only its request
+// bytes, whether the backend burns a CPU, and a server body. ServerPath only
+// *charges time*; the body applies the memory effect after awaiting it.
 #ifndef PRISM_SRC_RDMA_SERVICE_H_
 #define PRISM_SRC_RDMA_SERVICE_H_
 
@@ -27,8 +24,7 @@
 
 #include "src/common/status.h"
 #include "src/net/fabric.h"
-#include "src/obs/timeline.h"
-#include "src/rdma/batch.h"
+#include "src/rdma/exchange.h"
 #include "src/rdma/memory.h"
 #include "src/rdma/verbs.h"
 #include "src/sim/sync.h"
@@ -130,171 +126,70 @@ class RdmaService {
   std::unordered_map<net::HostId, std::shared_ptr<sim::Event>> atomic_tail_;
 };
 
-class RdmaClient {
+class RdmaClient : public Exchange {
  public:
   RdmaClient(net::Fabric* fabric, net::HostId self)
-      : fabric_(fabric), self_(self) {}
-
-  net::HostId host() const { return self_; }
-
-  // Protocol-complexity tally across every verb issued by this client
-  // (see src/obs/complexity.h for the counting rules).
-  const obs::TransportTally& tally() const { return tally_; }
-
-  // Routes this client's post/poll path through a shared per-host batcher
-  // (doorbell batching + completion coalescing). Null (default) keeps the
-  // flat unbatched cost: one doorbell ring and one CQ drain per verb.
-  void set_batcher(VerbBatcher* b) { batcher_ = b; }
-
-  // Deadline for an op before it completes kTimedOut (models RC transport
-  // retry exhaustion, compressed to keep failure tests fast).
-  static constexpr sim::Duration kOpTimeout = sim::Millis(5);
+      : Exchange(fabric, self, "rdma") {}
 
   sim::Task<Result<Bytes>> Read(RdmaService* svc, RKey rkey, Addr addr,
                                 uint64_t len) {
-    auto state = std::make_shared<OpState<Bytes>>(fabric_->sim(self_),
-                                                  TimedOut("rdma read"));
-    state->span = fabric_->obs().StartSpan("rdma.read", "rdma", self_,
-                                           fabric_->sim(self_)->Now());
-    BeginOp(state);
-    co_await PostGate();
-    PreSend(svc, state, 16);
-    fabric_->Send(
-        self_, svc->host(), /*payload=*/16,
-        [this, svc, rkey, addr, len, state] {
-          fabric_->obs().SetCurrentSpan(state->span);
-          // CPU-involvement semantics: only the software stack's server
-          // time is "responder"; the hardware NIC path stays on the wire.
-          if (svc->backend() == Backend::kSoftwareStack) {
-            obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(svc->host())->Now());
-          }
-          sim::Spawn([this, svc, rkey, addr, len, state]() -> sim::Task<void> {
-            auto gate = svc->AtomicGate(self_);
-            if (gate != nullptr) co_await gate->Wait();
-            co_await svc->ServerPath(fabric_->cost().pcie_read_rtt);
-            state->result = Verbs::Read(svc->memory(), rkey, addr, len);
-            Respond(svc, state,
-                    state->result.ok() ? state->result.value().size() : 0);
-          });
-        },
-        [state] { state->Finish(Unavailable("host down")); });
-    auto result = co_await Complete(state);
-    co_return result;
+    return Run<Result<Bytes>>(
+        "rdma.read", svc->host(), /*req_bytes=*/16, OnCpu(svc),
+        [this, svc, rkey, addr,
+         len](Reply<Result<Bytes>> reply) -> sim::Task<void> {
+          auto gate = svc->AtomicGate(host());
+          if (gate != nullptr) co_await gate->Wait();
+          co_await svc->ServerPath(cost().pcie_read_rtt);
+          Result<Bytes> r = Verbs::Read(svc->memory(), rkey, addr, len);
+          const size_t n = r.ok() ? r.value().size() : 0;
+          reply(std::move(r), n);
+        });
   }
 
   sim::Task<Status> Write(RdmaService* svc, RKey rkey, Addr addr, Bytes data) {
-    auto state = std::make_shared<OpState<Bytes>>(fabric_->sim(self_),
-                                                  TimedOut("rdma write"));
-    state->span = fabric_->obs().StartSpan("rdma.write", "rdma", self_,
-                                           fabric_->sim(self_)->Now());
-    BeginOp(state);
-    co_await PostGate();
-    const size_t req_payload = 16 + data.size();
-    auto payload = std::make_shared<Bytes>(std::move(data));
-    PreSend(svc, state, req_payload);
-    fabric_->Send(
-        self_, svc->host(), req_payload,
-        [this, svc, rkey, addr, payload = std::move(payload), state] {
-          fabric_->obs().SetCurrentSpan(state->span);
-          // CPU-involvement semantics: only the software stack's server
-          // time is "responder"; the hardware NIC path stays on the wire.
-          if (svc->backend() == Backend::kSoftwareStack) {
-            obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(svc->host())->Now());
-          }
-          sim::Spawn([this, svc, rkey, addr, payload,
-                      state]() -> sim::Task<void> {
-            auto gate = svc->AtomicGate(self_);
-            if (gate != nullptr) co_await gate->Wait();
-            co_await svc->ServerPath(fabric_->cost().pcie_write);
-            Status s = Verbs::Write(svc->memory(), rkey, addr, *payload);
-            if (s.ok()) {
-              state->result = Bytes{};
-            } else {
-              state->result = s;
-            }
-            Respond(svc, state, /*payload=*/0);
-          });
-        },
-        [state] { state->Finish(Unavailable("host down")); });
-    Result<Bytes> r = co_await Complete(state);
-    co_return r.status();
+    const size_t req_bytes = 16 + data.size();
+    return Run<Status>(
+        "rdma.write", svc->host(), req_bytes, OnCpu(svc),
+        [this, svc, rkey, addr,
+         data = std::move(data)](Reply<Status> reply) -> sim::Task<void> {
+          auto gate = svc->AtomicGate(host());
+          if (gate != nullptr) co_await gate->Wait();
+          co_await svc->ServerPath(cost().pcie_write);
+          reply(Verbs::Write(svc->memory(), rkey, addr, data), /*bytes=*/0);
+        });
   }
 
   sim::Task<Result<uint64_t>> CompareSwap(RdmaService* svc, RKey rkey,
                                           Addr addr, uint64_t compare,
                                           uint64_t swap) {
-    auto state = std::make_shared<OpState<uint64_t>>(fabric_->sim(self_),
-                                                     TimedOut("rdma cas"));
-    state->span = fabric_->obs().StartSpan("rdma.cas", "rdma", self_,
-                                           fabric_->sim(self_)->Now());
-    BeginOp(state);
-    co_await PostGate();
-    PreSend(svc, state, 32);
-    fabric_->Send(
-        self_, svc->host(), /*payload=*/32,
-        [this, svc, rkey, addr, compare, swap, state] {
-          fabric_->obs().SetCurrentSpan(state->span);
-          // CPU-involvement semantics: only the software stack's server
-          // time is "responder"; the hardware NIC path stays on the wire.
-          if (svc->backend() == Backend::kSoftwareStack) {
-            obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(svc->host())->Now());
-          }
-          sim::Spawn([this, svc, rkey, addr, compare, swap,
-                      state]() -> sim::Task<void> {
-            auto ticket = svc->AtomicBegin(self_);
-            if (ticket.prev != nullptr) co_await ticket.prev->Wait();
-            const net::CostModel& cost = fabric_->cost();
-            co_await svc->ServerPath(cost.pcie_read_rtt +
-                                     cost.atomic_overhead);
-            state->result =
-                Verbs::CompareSwap(svc->memory(), rkey, addr, compare, swap);
-            ticket.mine->Set();
-            Respond(svc, state, /*payload=*/8);
-          });
-        },
-        [state] { state->Finish(Unavailable("host down")); });
-    auto result = co_await Complete(state);
-    co_return result;
+    return Run<Result<uint64_t>>(
+        "rdma.cas", svc->host(), /*req_bytes=*/32, OnCpu(svc),
+        [this, svc, rkey, addr, compare,
+         swap](Reply<Result<uint64_t>> reply) -> sim::Task<void> {
+          auto ticket = svc->AtomicBegin(host());
+          if (ticket.prev != nullptr) co_await ticket.prev->Wait();
+          co_await svc->ServerPath(AtomicCost());
+          Result<uint64_t> r =
+              Verbs::CompareSwap(svc->memory(), rkey, addr, compare, swap);
+          ticket.mine->Set();
+          reply(std::move(r), /*bytes=*/8);
+        });
   }
 
   sim::Task<Result<uint64_t>> FetchAdd(RdmaService* svc, RKey rkey, Addr addr,
                                        uint64_t delta) {
-    auto state = std::make_shared<OpState<uint64_t>>(fabric_->sim(self_),
-                                                     TimedOut("rdma faa"));
-    state->span = fabric_->obs().StartSpan("rdma.faa", "rdma", self_,
-                                           fabric_->sim(self_)->Now());
-    BeginOp(state);
-    co_await PostGate();
-    PreSend(svc, state, 24);
-    fabric_->Send(
-        self_, svc->host(), /*payload=*/24,
-        [this, svc, rkey, addr, delta, state] {
-          fabric_->obs().SetCurrentSpan(state->span);
-          // CPU-involvement semantics: only the software stack's server
-          // time is "responder"; the hardware NIC path stays on the wire.
-          if (svc->backend() == Backend::kSoftwareStack) {
-            obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(svc->host())->Now());
-          }
-          sim::Spawn(
-              [this, svc, rkey, addr, delta, state]() -> sim::Task<void> {
-                auto ticket = svc->AtomicBegin(self_);
-                if (ticket.prev != nullptr) co_await ticket.prev->Wait();
-                const net::CostModel& cost = fabric_->cost();
-                co_await svc->ServerPath(cost.pcie_read_rtt +
-                                         cost.atomic_overhead);
-                state->result =
-                    Verbs::FetchAdd(svc->memory(), rkey, addr, delta);
-                ticket.mine->Set();
-                Respond(svc, state, /*payload=*/8);
-              });
-        },
-        [state] { state->Finish(Unavailable("host down")); });
-    auto result = co_await Complete(state);
-    co_return result;
+    return Run<Result<uint64_t>>(
+        "rdma.faa", svc->host(), /*req_bytes=*/24, OnCpu(svc),
+        [this, svc, rkey, addr,
+         delta](Reply<Result<uint64_t>> reply) -> sim::Task<void> {
+          auto ticket = svc->AtomicBegin(host());
+          if (ticket.prev != nullptr) co_await ticket.prev->Wait();
+          co_await svc->ServerPath(AtomicCost());
+          Result<uint64_t> r =
+              Verbs::FetchAdd(svc->memory(), rkey, addr, delta);
+          ticket.mine->Set();
+          reply(std::move(r), /*bytes=*/8);
+        });
   }
 
   // Mellanox-style masked CAS (standard hardware feature, §3.3): exposed on
@@ -302,167 +197,30 @@ class RdmaClient {
   sim::Task<Result<CasOutcome>> MaskedCompareSwap(
       RdmaService* svc, RKey rkey, Addr addr, Bytes data, Bytes cmp_mask,
       Bytes swap_mask, CasCompare mode = CasCompare::kEqual) {
-    auto state = std::make_shared<OpState<CasOutcome>>(
-        fabric_->sim(self_), TimedOut("rdma masked cas"));
-    state->span = fabric_->obs().StartSpan("rdma.masked_cas", "rdma", self_,
-                                           fabric_->sim(self_)->Now());
-    BeginOp(state);
-    co_await PostGate();
-    const size_t req_payload = 16 + 3 * data.size();
-    const size_t width = data.size();
-    struct Args {
-      Bytes data, cmp_mask, swap_mask;
-    };
-    auto args = std::make_shared<Args>(Args{std::move(data),
-                                            std::move(cmp_mask),
-                                            std::move(swap_mask)});
-    PreSend(svc, state, req_payload);
-    fabric_->Send(
-        self_, svc->host(), req_payload,
-        [this, svc, rkey, addr, args = std::move(args), mode, state, width] {
-          fabric_->obs().SetCurrentSpan(state->span);
-          // CPU-involvement semantics: only the software stack's server
-          // time is "responder"; the hardware NIC path stays on the wire.
-          if (svc->backend() == Backend::kSoftwareStack) {
-            obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(svc->host())->Now());
-          }
-          sim::Spawn([this, svc, rkey, addr, args, mode, state,
-                      width]() -> sim::Task<void> {
-            auto ticket = svc->AtomicBegin(self_);
-            if (ticket.prev != nullptr) co_await ticket.prev->Wait();
-            const net::CostModel& cost = fabric_->cost();
-            co_await svc->ServerPath(cost.pcie_read_rtt +
-                                     cost.atomic_overhead);
-            state->result = Verbs::MaskedCompareSwap(
-                svc->memory(), rkey, addr, args->data, args->cmp_mask,
-                args->swap_mask, mode);
-            ticket.mine->Set();
-            Respond(svc, state, /*payload=*/width);
-          });
-        },
-        [state] { state->Finish(Unavailable("host down")); });
-    auto result = co_await Complete(state);
-    co_return result;
+    const size_t req_bytes = 16 + 3 * data.size();
+    return Run<Result<CasOutcome>>(
+        "rdma.masked_cas", svc->host(), req_bytes, OnCpu(svc),
+        [this, svc, rkey, addr, mode, data = std::move(data),
+         cmp_mask = std::move(cmp_mask), swap_mask = std::move(swap_mask)](
+            Reply<Result<CasOutcome>> reply) -> sim::Task<void> {
+          auto ticket = svc->AtomicBegin(host());
+          if (ticket.prev != nullptr) co_await ticket.prev->Wait();
+          co_await svc->ServerPath(AtomicCost());
+          Result<CasOutcome> r = Verbs::MaskedCompareSwap(
+              svc->memory(), rkey, addr, data, cmp_mask, swap_mask, mode);
+          ticket.mine->Set();
+          reply(std::move(r), /*bytes=*/data.size());
+        });
   }
 
  private:
-  template <typename T>
-  struct OpState {
-    OpState(sim::Simulator* sim, Status pending)
-        : done(sim), result(std::move(pending)) {}
-    sim::Event done;
-    Result<T> result;
-    obs::SpanId span = 0;
-    obs::OpTimeline* op = nullptr;  // phase timeline (null when untimed)
-    size_t resp_bytes = 0;
-    bool responded = false;
-    void Finish(Status s) {
-      if (!done.is_set()) {
-        result = std::move(s);
-        done.Set();
-      }
-    }
-  };
-
-  // Verb-entry attribution: captures the current-op register (armed by the
-  // caller with no suspension point in between — the span-register
-  // discipline) and enters kBatchWait, which covers the post path up to the
-  // wire handoff (flat client_post or the doorbell-batch flush wait).
-  template <typename T>
-  void BeginOp(const std::shared_ptr<OpState<T>>& state) {
-    obs::Hub& hub = fabric_->obs();
-    state->op = hub.current_op();
-    if (state->op == nullptr) return;
-    if (state->op->root_span() == 0 && state->span != 0 &&
-        hub.tracer() != nullptr) {
-      state->op->set_root_span(hub.tracer()->RootOf(state->span));
-    }
-    state->op->Switch(obs::Phase::kBatchWait, fabric_->sim(self_)->Now());
+  // Only the software stack's server time burns a core.
+  static bool OnCpu(const RdmaService* svc) {
+    return svc->backend() == Backend::kSoftwareStack;
   }
-
-  // Post-side gate every verb awaits before handing its WR to the fabric.
-  // Unbatched: a flat client_post and one doorbell ring per WR. Batched: the
-  // shared VerbBatcher delays the WR until its doorbell rings and charges
-  // the amortized cost (one `doorbells` tick per ring, on the batch opener).
-  sim::Task<void> PostGate() {
-    if (batcher_ != nullptr) {
-      co_await batcher_->Post(&tally_);
-    } else {
-      tally_.doorbells++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().client_post);
-    }
+  sim::Duration AtomicCost() const {
+    return cost().pcie_read_rtt + cost().atomic_overhead;
   }
-
-  // Completion-side gate: flat CQ drain per op, or the batcher's moderated
-  // drain (one `cq_polls` tick per drain).
-  sim::Task<void> CompletionGate() {
-    if (batcher_ != nullptr) {
-      co_await batcher_->Complete(&tally_);
-    } else {
-      tally_.cq_polls++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().completion);
-    }
-  }
-
-  // Request-side accounting shared by every verb, applied just before the
-  // fabric Send: one logical message out, a CPU action when the far side is
-  // software RDMA, and the current-span register primed for the flight span.
-  template <typename T>
-  void PreSend(RdmaService* svc, const std::shared_ptr<OpState<T>>& state,
-               size_t req_bytes) {
-    tally_.messages++;
-    tally_.bytes_out += req_bytes;
-    if (svc->backend() == Backend::kSoftwareStack) tally_.cpu_actions++;
-    obs::SwitchOp(state->op, obs::Phase::kWire, fabric_->sim(self_)->Now());
-    fabric_->obs().SetCurrentSpan(state->span);
-    fabric_->obs().SetCurrentOp(state->op);
-  }
-
-  template <typename T>
-  void Respond(RdmaService* svc, std::shared_ptr<OpState<T>> state,
-               size_t payload) {
-    state->resp_bytes = payload;
-    obs::SwitchOp(state->op, obs::Phase::kWire,
-                  fabric_->sim(svc->host())->Now());
-    fabric_->obs().SetCurrentSpan(state->span);
-    fabric_->obs().SetCurrentOp(state->op);
-    fabric_->Send(svc->host(), self_, payload, [this, state] {
-      // Response delivered: the client-side completion path (CQ poll or
-      // coalesced drain) starts here.
-      obs::SwitchOp(state->op, obs::Phase::kBatchWait,
-                    fabric_->sim(self_)->Now());
-      if (!state->done.is_set()) {
-        state->responded = true;
-        state->done.Set();
-      }
-    });
-  }
-
-  template <typename T>
-  sim::Task<Result<T>> Complete(std::shared_ptr<OpState<T>> state) {
-    // Timeout guard: fires only if neither response nor drop arrived.
-    fabric_->sim(self_)->Schedule(kOpTimeout, [state] {
-      state->Finish(TimedOut("op deadline"));
-    });
-    co_await state->done.Wait();
-    co_await CompletionGate();
-    if (state->responded) {
-      tally_.round_trips++;
-      tally_.bytes_in += state->resp_bytes;
-    }
-    obs::SwitchOp(state->op, obs::Phase::kApp, fabric_->sim(self_)->Now());
-    // Restore the register before returning: the caller resumes
-    // synchronously from here, so its next verb captures the right op.
-    fabric_->obs().SetCurrentOp(state->op);
-    fabric_->obs().FinishSpan(state->span, fabric_->sim(self_)->Now());
-    co_return std::move(state->result);
-  }
-
-  net::Fabric* fabric_;
-  net::HostId self_;
-  VerbBatcher* batcher_ = nullptr;
-  obs::TransportTally tally_;
 };
 
 }  // namespace prism::rdma

@@ -19,8 +19,7 @@
 
 #include "src/common/status.h"
 #include "src/net/fabric.h"
-#include "src/obs/timeline.h"
-#include "src/rdma/batch.h"
+#include "src/rdma/exchange.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 
@@ -130,125 +129,25 @@ class RpcServer {
   uint64_t calls_served_ = 0;
 };
 
-class RpcClient {
+// eRPC posts WRs and polls CQs too: a call is an rdma::Exchange round trip.
+class RpcClient : public rdma::Exchange {
  public:
   RpcClient(net::Fabric* fabric, net::HostId self)
-      : fabric_(fabric), self_(self) {}
+      : Exchange(fabric, self, "rpc") {}
 
-  net::HostId host() const { return self_; }
-
-  static constexpr sim::Duration kRpcTimeout = sim::Millis(5);
-
-  // Protocol-complexity tally across every Call issued by this client
-  // (see src/obs/complexity.h for the counting rules).
-  const obs::TransportTally& tally() const { return tally_; }
-
-  // eRPC's send path is itself posted WRs + CQ polls, so the same verb-layer
-  // batcher applies; null keeps one doorbell ring and one drain per call.
-  void set_batcher(rdma::VerbBatcher* b) { batcher_ = b; }
-
+  // Every RPC burns a server core: delivery-to-response is responder time.
   sim::Task<Result<MessagePtr>> Call(RpcServer* server, MethodId method,
                                      MessagePtr request_ptr) {
-    auto state = std::make_shared<CallState>(fabric_->sim(self_));
-    state->span = fabric_->obs().StartSpan("rpc.call", "rpc", self_,
-                                           fabric_->sim(self_)->Now());
-    // Capture the current-op register before the first suspension point
-    // (the span-register discipline); the post path is kBatchWait.
-    state->op = fabric_->obs().current_op();
-    if (state->op != nullptr) {
-      if (state->op->root_span() == 0 && state->span != 0 &&
-          fabric_->obs().tracer() != nullptr) {
-        state->op->set_root_span(fabric_->obs().tracer()->RootOf(state->span));
-      }
-      state->op->Switch(obs::Phase::kBatchWait, fabric_->sim(self_)->Now());
-    }
-    if (batcher_ != nullptr) {
-      co_await batcher_->Post(&tally_);
-    } else {
-      tally_.doorbells++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().client_post);
-    }
-    const size_t req_wire = request_ptr->wire_bytes();
-    tally_.messages++;
-    tally_.bytes_out += req_wire;
-    tally_.cpu_actions++;  // every RPC consumes a server core
-    obs::SwitchOp(state->op, obs::Phase::kWire, fabric_->sim(self_)->Now());
-    fabric_->obs().SetCurrentSpan(state->span);
-    fabric_->obs().SetCurrentOp(state->op);
-    fabric_->Send(
-        self_, server->host(), req_wire,
-        [this, server, method, request_ptr = std::move(request_ptr), state] {
-          fabric_->obs().SetCurrentSpan(state->span);
-          // Every RPC burns a server core: delivery-to-response is
-          // "responder" by definition.
-          obs::SwitchOp(state->op, obs::Phase::kResponder,
-                        fabric_->sim(server->host())->Now());
-          sim::Spawn([this, server, method, request_ptr,
-                      state]() -> sim::Task<void> {
-            MessagePtr response = co_await server->Serve(method, request_ptr);
-            const size_t resp_wire = response ? response->wire_bytes() : 0;
-            state->response = std::move(response);
-            state->resp_bytes = resp_wire;
-            obs::SwitchOp(state->op, obs::Phase::kWire,
-                          fabric_->sim(server->host())->Now());
-            fabric_->obs().SetCurrentSpan(state->span);
-            fabric_->obs().SetCurrentOp(state->op);
-            fabric_->Send(server->host(), self_, resp_wire, [this, state] {
-              obs::SwitchOp(state->op, obs::Phase::kBatchWait,
-                            fabric_->sim(self_)->Now());
-              if (!state->done.is_set()) {
-                state->responded = true;
-                state->done.Set();
-              }
-            });
-          });
-        },
-        [state] { state->Finish(Unavailable("host down")); });
-    fabric_->sim(self_)->Schedule(kRpcTimeout, [state] {
-      state->Finish(TimedOut("rpc deadline"));
-    });
-    co_await state->done.Wait();
-    if (batcher_ != nullptr) {
-      co_await batcher_->Complete(&tally_);
-    } else {
-      tally_.cq_polls++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().completion);
-    }
-    if (state->responded) {
-      tally_.round_trips++;
-      tally_.bytes_in += state->resp_bytes;
-    }
-    obs::SwitchOp(state->op, obs::Phase::kApp, fabric_->sim(self_)->Now());
-    // Restore the register before returning: the caller resumes
-    // synchronously from here, so its next call captures the right op.
-    fabric_->obs().SetCurrentOp(state->op);
-    fabric_->obs().FinishSpan(state->span, fabric_->sim(self_)->Now());
-    if (!state->error.ok()) co_return state->error;
-    co_return std::move(state->response);
+    const size_t req_bytes = request_ptr->wire_bytes();
+    return Run<Result<MessagePtr>>(
+        "rpc.call", server->host(), req_bytes, /*cpu_involved=*/true,
+        [server, method, request_ptr = std::move(request_ptr)](
+            Reply<Result<MessagePtr>> reply) -> sim::Task<void> {
+          MessagePtr response = co_await server->Serve(method, request_ptr);
+          const size_t resp_bytes = response ? response->wire_bytes() : 0;
+          reply(std::move(response), resp_bytes);
+        });
   }
-
- private:
-  struct CallState {
-    explicit CallState(sim::Simulator* sim) : done(sim) {}
-    sim::Event done;
-    MessagePtr response;
-    Status error;
-    obs::SpanId span = 0;
-    obs::OpTimeline* op = nullptr;  // phase timeline (null when untimed)
-    size_t resp_bytes = 0;
-    bool responded = false;
-    void Finish(Status s) {
-      if (!done.is_set()) {
-        error = std::move(s);
-        done.Set();
-      }
-    }
-  };
-
-  net::Fabric* fabric_;
-  net::HostId self_;
-  rdma::VerbBatcher* batcher_ = nullptr;
-  obs::TransportTally tally_;
 };
 
 }  // namespace prism::rpc

@@ -1,0 +1,273 @@
+// Characterisation of the request/response round trip every transport op
+// runs (src/rdma/exchange.h): each RDMA verb on both backends, a PRISM chain
+// on all three deployments, and an RPC call, each run four ways:
+//
+//   completed  — the response arrives;
+//   dropped    — the server host is down, so the request is dropped;
+//   timed out  — the server crash-restarts while the request is in flight,
+//                purging it, so only the 5 ms deadline ends the op;
+//   late       — propagation is stretched past the deadline and the CQ poll
+//                to 1 ms, so the server runs the op and replies while the
+//                client is already completing it as timed out.
+//
+// Every run pins the op's status, the exact TransportTally delta and the
+// sequence of latency phases the op's timeline passed through. The rows
+// assert the src/obs/complexity.h rule "a dropped or timed-out op
+// contributes its request but no round trip", and the late rows pin that a
+// server result arriving after the deadline never overrides kTimedOut.
+#include <gtest/gtest.h>
+
+#include <ostream>
+#include <string>
+#include <tuple>
+
+#include "src/net/fabric.h"
+#include "src/obs/timeline.h"
+#include "src/prism/service.h"
+#include "src/rdma/service.h"
+#include "src/rpc/rpc.h"
+#include "src/sim/task.h"
+
+namespace prism {
+namespace {
+
+using sim::Task;
+
+enum class Kind { kRead, kWrite, kCas, kFaa, kMaskedCas, kChain, kCall };
+enum class Mode { kCompleted, kDropped, kTimedOut, kLate };
+
+struct Row {
+  const char* name;
+  Kind kind;
+  rdma::Backend backend;        // RDMA verb rows
+  core::Deployment deployment;  // PRISM chain rows
+  uint64_t bytes_out;           // request payload
+  uint64_t bytes_in;            // response payload
+  bool cpu;                     // server (or SmartNIC) CPU involved
+};
+
+const char* const kModeNames[] = {"Completed", "Dropped", "TimedOut", "Late"};
+
+// Keeps test names and failure messages readable.
+void PrintTo(const Row& row, std::ostream* os) { *os << row.name; }
+void PrintTo(Mode mode, std::ostream* os) {
+  *os << kModeNames[static_cast<int>(mode)];
+}
+
+constexpr rdma::Backend kHw = rdma::Backend::kHardwareNic;
+constexpr rdma::Backend kSw = rdma::Backend::kSoftwareStack;
+constexpr core::Deployment kAnyDeployment = core::Deployment::kSoftware;
+
+// Request/response bytes: READ 16 / len; WRITE 16 + data / 0; CAS 32 / 8;
+// FAA 24 / 8; masked CAS 16 + 3 x width / width. The chain is WRITE 8 B +
+// READ 64 B: 2 + (28 + 8) + 28 out, (4) + (4 + 64) back. The RPC sends
+// 40 B and its handler answers 100 B.
+const Row kRows[] = {
+    {"ReadHw", Kind::kRead, kHw, kAnyDeployment, 16, 64, false},
+    {"ReadSw", Kind::kRead, kSw, kAnyDeployment, 16, 64, true},
+    {"WriteHw", Kind::kWrite, kHw, kAnyDeployment, 80, 0, false},
+    {"WriteSw", Kind::kWrite, kSw, kAnyDeployment, 80, 0, true},
+    {"CasHw", Kind::kCas, kHw, kAnyDeployment, 32, 8, false},
+    {"CasSw", Kind::kCas, kSw, kAnyDeployment, 32, 8, true},
+    {"FaaHw", Kind::kFaa, kHw, kAnyDeployment, 24, 8, false},
+    {"FaaSw", Kind::kFaa, kSw, kAnyDeployment, 24, 8, true},
+    {"MaskedCasHw", Kind::kMaskedCas, kHw, kAnyDeployment, 40, 8, false},
+    {"MaskedCasSw", Kind::kMaskedCas, kSw, kAnyDeployment, 40, 8, true},
+    {"ChainSoftware", Kind::kChain, kHw, core::Deployment::kSoftware, 66, 72,
+     true},
+    {"ChainHardwareProjected", Kind::kChain, kHw,
+     core::Deployment::kHardwareProjected, 66, 72, false},
+    {"ChainBlueField", Kind::kChain, kHw, core::Deployment::kBlueField, 66, 72,
+     true},
+    {"Call", Kind::kCall, kHw, kAnyDeployment, 40, 100, true},
+};
+
+// One server host offering every transport, one client host with one client
+// per transport, on the calibrated 40 GbE cluster.
+struct Env {
+  explicit Env(const Row& row)
+      : fabric(&sim, net::CostModel::EvalCluster40G()),
+        server(fabric.AddHost("server")),
+        client(fabric.AddHost("client")),
+        mem(1 << 20),
+        region(*mem.CarveAndRegister(4096, rdma::kRemoteAll)),
+        rdma_svc(&fabric, server, row.backend, &mem),
+        prism_svc(&fabric, server, row.deployment, &mem),
+        rpc_svc(&fabric, server),
+        rdma(&fabric, client),
+        prism(&fabric, client),
+        rpc(&fabric, client) {
+    rpc_svc.Register(1, [](const rpc::Message&) -> Task<rpc::MessagePtr> {
+      co_return rpc::Message::Empty(100);
+    });
+  }
+
+  const obs::TransportTally& tally(Kind kind) const {
+    if (kind == Kind::kChain) return prism.tally();
+    if (kind == Kind::kCall) return rpc.tally();
+    return rdma.tally();
+  }
+
+  sim::Simulator sim;
+  net::Fabric fabric;
+  net::HostId server;
+  net::HostId client;
+  rdma::AddressSpace mem;
+  rdma::MemoryRegion region;
+  rdma::RdmaService rdma_svc;
+  core::PrismServer prism_svc;
+  rpc::RpcServer rpc_svc;
+  rdma::RdmaClient rdma;
+  core::PrismClient prism;
+  rpc::RpcClient rpc;
+};
+
+// Issues the row's op and reduces its outcome to a status code.
+Task<Code> Issue(Env* env, const Row* row) {
+  const rdma::RKey rkey = env->region.rkey;
+  const rdma::Addr base = env->region.base;
+  switch (row->kind) {
+    case Kind::kRead: {
+      auto r = co_await env->rdma.Read(&env->rdma_svc, rkey, base, 64);
+      co_return r.code();
+    }
+    case Kind::kWrite: {
+      Bytes data(64, 0x5a);
+      Status s = co_await env->rdma.Write(&env->rdma_svc, rkey, base,
+                                          std::move(data));
+      co_return s.code();
+    }
+    case Kind::kCas: {
+      auto r = co_await env->rdma.CompareSwap(&env->rdma_svc, rkey, base, 0, 1);
+      co_return r.code();
+    }
+    case Kind::kFaa: {
+      auto r = co_await env->rdma.FetchAdd(&env->rdma_svc, rkey, base, 1);
+      co_return r.code();
+    }
+    case Kind::kMaskedCas: {
+      Bytes data(8, 0x01);
+      Bytes cmp_mask(8, 0x00);
+      Bytes swap_mask(8, 0xff);
+      auto r = co_await env->rdma.MaskedCompareSwap(
+          &env->rdma_svc, rkey, base, std::move(data), std::move(cmp_mask),
+          std::move(swap_mask));
+      co_return r.code();
+    }
+    case Kind::kChain: {
+      core::Chain chain;
+      chain.push_back(core::Op::Write(rkey, base + 128, Bytes(8, 0x07)));
+      chain.push_back(core::Op::Read(rkey, base, 64));
+      auto r = co_await env->prism.Execute(&env->prism_svc, std::move(chain));
+      co_return r.code();
+    }
+    case Kind::kCall: {
+      rpc::MessagePtr req = rpc::Message::Empty(40);
+      auto r = co_await env->rpc.Call(&env->rpc_svc, 1, req);
+      co_return r.code();
+    }
+  }
+  co_return Code::kInternal;
+}
+
+class ExchangeCharacterisationTest
+    : public ::testing::TestWithParam<std::tuple<Row, Mode>> {};
+
+TEST_P(ExchangeCharacterisationTest, StatusTallyAndPhases) {
+  const auto& [row, mode] = GetParam();
+  Env env(row);
+  if (mode == Mode::kDropped) env.fabric.SetHostUp(env.server, false);
+  if (mode == Mode::kTimedOut) {
+    // After the 350 ns client post, before the request's ~1 µs delivery.
+    env.sim.Schedule(sim::Nanos(500), [&env] {
+      env.fabric.SetHostUp(env.server, false);
+      env.fabric.SetHostUp(env.server, true);
+    });
+  }
+  if (mode == Mode::kLate) {
+    env.fabric.mutable_cost().completion = sim::Millis(1);
+    env.fabric.mutable_cost().propagation = sim::Micros(5200);
+  }
+
+  obs::TimelineStore store;
+  obs::OpTimeline* timeline = store.StartOp(store.EnsureClass("op"), 0);
+  Code code = Code::kInternal;
+  bool finished = false;
+  sim::Spawn([&]() -> Task<void> {
+    timeline->Switch(obs::Phase::kApp, env.sim.Now());
+    env.fabric.obs().SetCurrentOp(timeline);  // armed for the transport
+    const Code c = co_await Issue(&env, &row);
+    timeline->Finish(env.sim.Now());
+    code = c;
+    finished = true;
+  });
+
+  // A segment closes at its first stamp inside an event (later stamps in the
+  // same event add 0 ns), so diffing the per-phase totals after every event
+  // recovers the sequence of phases the op spent time in.
+  std::string phases;
+  int64_t seen[obs::kNumPhases] = {};
+  while (env.sim.Step()) {
+    for (int p = 0; p < obs::kNumPhases; ++p) {
+      if (timeline->phase_ns(p) == seen[p]) continue;
+      seen[p] = timeline->phase_ns(p);
+      if (!phases.empty()) phases += ' ';
+      phases += obs::PhaseName(p);
+    }
+  }
+  ASSERT_TRUE(finished);
+
+  const bool completed = mode == Mode::kCompleted;
+  switch (mode) {
+    case Mode::kCompleted: EXPECT_EQ(code, Code::kOk); break;
+    case Mode::kDropped: EXPECT_EQ(code, Code::kUnavailable); break;
+    case Mode::kTimedOut: EXPECT_EQ(code, Code::kTimedOut); break;
+    case Mode::kLate: EXPECT_EQ(code, Code::kTimedOut); break;
+  }
+
+  const obs::TransportTally& t = env.tally(row.kind);
+  EXPECT_EQ(t.messages, 1u);
+  EXPECT_EQ(t.bytes_out, row.bytes_out);
+  EXPECT_EQ(t.bytes_in, completed ? row.bytes_in : 0u);
+  EXPECT_EQ(t.round_trips, completed ? 1u : 0u);
+  EXPECT_EQ(t.cpu_actions, row.cpu ? 1u : 0u);
+  EXPECT_EQ(t.doorbells, 1u);
+  EXPECT_EQ(t.cq_polls, 1u);
+
+  // Post path and CQ poll are batch_wait; flight and NIC-resident server
+  // time are wire; CPU-involved server time is responder. A failed op has
+  // no response delivery to switch it back to batch_wait, so its CQ poll
+  // stays in wire; a late server reply still stamps the (unfinished)
+  // timeline, but its response lands after the op returned.
+  std::string want;
+  switch (mode) {
+    case Mode::kCompleted:
+      want = row.cpu ? "batch_wait wire responder wire batch_wait"
+                     : "batch_wait wire wire batch_wait";
+      break;
+    case Mode::kDropped:
+    case Mode::kTimedOut:
+      want = "batch_wait wire";
+      break;
+    case Mode::kLate:
+      want = row.cpu ? "batch_wait wire responder wire" : "batch_wait wire wire";
+      break;
+  }
+  EXPECT_EQ(phases, want);
+}
+
+std::string CaseName(
+    const ::testing::TestParamInfo<std::tuple<Row, Mode>>& info) {
+  return std::string(std::get<0>(info.param).name) + "_" +
+         kModeNames[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTransports, ExchangeCharacterisationTest,
+    ::testing::Combine(::testing::ValuesIn(kRows),
+                       ::testing::Values(Mode::kCompleted, Mode::kDropped,
+                                         Mode::kTimedOut, Mode::kLate)),
+    CaseName);
+
+}  // namespace
+}  // namespace prism

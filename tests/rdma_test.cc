@@ -379,7 +379,8 @@ TEST_F(RdmaFabricTest, DownHostYieldsUnavailable) {
 TEST_F(RdmaFabricTest, ServerCrashMidOpTimesOutInsteadOfHanging) {
   // The server crash/restarts while the READ request is on the wire: the
   // old incarnation's traffic is purged, no completion ever arrives, and
-  // the op must resolve kTimedOut at ≈ kOpTimeout instead of hanging.
+  // the op must resolve kTimedOut at ≈ Exchange::kDeadline instead of
+  // hanging.
   mem_.Store(region_.base, Bytes(64, 0xaa));
   bool checked = false;
   sim::Spawn([&]() -> Task<void> {
@@ -387,8 +388,8 @@ TEST_F(RdmaFabricTest, ServerCrashMidOpTimesOutInsteadOfHanging) {
     auto r =
         co_await client_.Read(&hw_service_, region_.rkey, region_.base, 64);
     EXPECT_EQ(r.code(), Code::kTimedOut);
-    EXPECT_GE(sim_.Now() - start, RdmaClient::kOpTimeout);
-    EXPECT_LT(sim_.Now() - start, RdmaClient::kOpTimeout + sim::Millis(1));
+    EXPECT_GE(sim_.Now() - start, Exchange::kDeadline);
+    EXPECT_LT(sim_.Now() - start, Exchange::kDeadline + sim::Millis(1));
     checked = true;
   });
   sim_.Schedule(sim::Nanos(500), [&] {  // post done, delivery pending

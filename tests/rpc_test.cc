@@ -124,8 +124,8 @@ TEST_F(RpcTest, DownServerUnavailable) {
 TEST_F(RpcTest, ServerCrashMidCallTimesOutInsteadOfHanging) {
   // The server crashes (and even restarts) while the request is in flight:
   // the request is purged with the dead incarnation, no response ever
-  // arrives, and the call must resolve kTimedOut at ≈ kRpcTimeout rather
-  // than blocking the client forever.
+  // arrives, and the call must resolve kTimedOut at ≈ the exchange deadline
+  // rather than blocking the client forever.
   server_.Register(1, [](const Message&) -> Task<MessagePtr> {
     co_return Message::Empty(8);
   });
@@ -134,8 +134,8 @@ TEST_F(RpcTest, ServerCrashMidCallTimesOutInsteadOfHanging) {
     sim::TimePoint start = sim_.Now();
     auto resp = co_await client_.Call(&server_, 1, Message::Empty(64));
     EXPECT_EQ(resp.code(), Code::kTimedOut);
-    EXPECT_GE(sim_.Now() - start, RpcClient::kRpcTimeout);
-    EXPECT_LT(sim_.Now() - start, RpcClient::kRpcTimeout + sim::Millis(1));
+    EXPECT_GE(sim_.Now() - start, rdma::Exchange::kDeadline);
+    EXPECT_LT(sim_.Now() - start, rdma::Exchange::kDeadline + sim::Millis(1));
     checked = true;
   });
   // After the 350 ns client post, before the ~1 µs delivery.
