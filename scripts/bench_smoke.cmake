@@ -519,72 +519,3 @@ endforeach()
 
 message(STATUS "fig_consensus OK: PMP-consensus/ABD-LOCK/failover series "
   "with positive throughput and round_trips_per_op rows")
-
-# ---- windowed parallel DES scaling (results/BENCH_psim.json) ----
-# Fast-mode run of the intra-simulation parallelism ablation: validates the
-# schema, that the parallel rows actually ran parallel (no serial_reason,
-# windows > 0), and that every cores value executed the identical schedule.
-if(NOT PSIM_BIN)
-  return()
-endif()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env PRISM_BENCH_FAST=1 ${PSIM_BIN}
-  WORKING_DIRECTORY ${WORK_DIR}
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err
-)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "abl_psim exited with ${rc}:\n${out}\n${err}")
-endif()
-
-set(psim_path ${WORK_DIR}/results/BENCH_psim.json)
-if(NOT EXISTS ${psim_path})
-  message(FATAL_ERROR "abl_psim did not write ${psim_path}")
-endif()
-file(READ ${psim_path} psim)
-
-string(JSON bench_name GET "${psim}" bench)
-if(NOT bench_name STREQUAL "abl_psim")
-  message(FATAL_ERROR "unexpected bench name '${bench_name}' in ${psim_path}")
-endif()
-string(JSON fast GET "${psim}" fast_mode)
-if(NOT fast STREQUAL "ON" AND NOT fast STREQUAL "true")
-  message(FATAL_ERROR "PRISM_BENCH_FAST=1 not honored (fast_mode=${fast})")
-endif()
-string(JSON ignored GET "${psim}" cost_model)
-
-string(JSON n_rows LENGTH "${psim}" rows)
-if(n_rows LESS 2)
-  message(FATAL_ERROR "expected >= 2 cores rows, got ${n_rows}")
-endif()
-string(JSON base_events GET "${psim}" rows 0 events)
-math(EXPR last_row "${n_rows} - 1")
-foreach(r RANGE ${last_row})
-  foreach(field hosts cores partitions events deliveries windows barriers
-                wire_messages wall_seconds events_per_sec speedup_vs_serial)
-    string(JSON ignored GET "${psim}" rows ${r} ${field})
-  endforeach()
-  string(JSON events GET "${psim}" rows ${r} events)
-  if(NOT events EQUAL base_events)
-    message(FATAL_ERROR
-      "row ${r}: events=${events} != serial baseline ${base_events} — "
-      "the parallel core executed a different schedule")
-  endif()
-  string(JSON cores GET "${psim}" rows ${r} cores)
-  if(cores GREATER 1)
-    string(JSON reason GET "${psim}" rows ${r} serial_reason)
-    if(NOT reason STREQUAL "")
-      message(FATAL_ERROR
-        "row ${r} (cores=${cores}) fell back to serial: ${reason}")
-    endif()
-    string(JSON windows GET "${psim}" rows ${r} windows)
-    if(windows LESS_EQUAL 0)
-      message(FATAL_ERROR "row ${r} (cores=${cores}): windows=${windows}")
-    endif()
-  endif()
-endforeach()
-
-message(STATUS "BENCH_psim.json OK: ${n_rows} cores rows, identical "
-  "schedules, parallel rows ran windowed")

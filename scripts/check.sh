@@ -105,9 +105,6 @@ ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L sync
 echo "==> tsan: permission-guarded consensus suite under TSan (label: consensus)"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L consensus
 
-echo "==> tsan: windowed parallel DES bit-identity suite under TSan (label: psim)"
-ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L psim
-
 echo "==> coverage: gcov line-coverage floor on src/check/ + src/explore/ + src/sync/ + src/consensus/"
 scripts/coverage.sh --jobs "$JOBS"
 

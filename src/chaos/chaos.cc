@@ -145,7 +145,7 @@ void ChaosMonkey::BuildSchedule() {
 }
 
 void ChaosMonkey::Arm() {
-  sim::Simulator* sim = fabric_->simulator();
+  sim::Simulator* sim = fabric_->sim();
   for (const FaultEvent& ev : schedule_) {
     if (IsWindowDisabled(ev.window)) continue;
     sim->ScheduleAt(ev.at, [this, ev]() { Apply(ev); });

@@ -8,6 +8,18 @@
 #include "src/common/logging.h"
 
 namespace prism {
+namespace {
+
+// Sums of non-negative samples saturate at INT64_MAX: a wrapped sum would be
+// undefined behaviour and turn the mean negative.
+int64_t SaturatingAdd(int64_t a, int64_t b) {
+  int64_t out;
+  return __builtin_add_overflow(a, b, &out)
+             ? std::numeric_limits<int64_t>::max()
+             : out;
+}
+
+}  // namespace
 
 LatencyHistogram::LatencyHistogram() : buckets_(kMaxBuckets, 0) {}
 
@@ -46,7 +58,7 @@ void LatencyHistogram::Record(int64_t nanos) {
     max_ = std::max(max_, nanos);
   }
   count_++;
-  sum_ += nanos < 0 ? 0 : nanos;
+  sum_ = SaturatingAdd(sum_, nanos < 0 ? 0 : nanos);
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
@@ -62,7 +74,7 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
     }
   }
   count_ += other.count_;
-  sum_ += other.sum_;
+  sum_ = SaturatingAdd(sum_, other.sum_);
 }
 
 void LatencyHistogram::Reset() {

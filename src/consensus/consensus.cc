@@ -179,7 +179,7 @@ ConsensusNode::ConsensusNode(net::Fabric* fabric, ConsensusCluster* cluster,
       host_(cluster->replica(id).host()),
       rpc_(fabric, host_),
       prism_(fabric, host_),
-      mu_(fabric->sim(host_)) {
+      mu_(fabric->sim()) {
   granted_.assign(static_cast<size_t>(cluster->n()), false);
   rkeys_.assign(static_cast<size_t>(cluster->n()), 0);
 }
@@ -289,7 +289,7 @@ sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::OpTimeline* op) {
     if (attempt > 0) {
       Arm(op);
       co_await sim::SleepFor(
-          fabric_->sim(host_),
+          fabric_->sim(),
           cluster_->options().election_backoff * attempt);
     }
     const ConsensusReplica& local = cluster_->replica(id_);
@@ -326,7 +326,7 @@ sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::OpTimeline* op) {
     const int need_remote = need - 1;
     const int n_remote = cluster_->n() - 1;
     if (need_remote > 0) {
-      st->q = std::make_shared<sim::Quorum>(fabric_->sim(host_), need_remote,
+      st->q = std::make_shared<sim::Quorum>(fabric_->sim(), need_remote,
                                             n_remote);
     }
     for (int r = 0; r < cluster_->n(); ++r) {
@@ -541,7 +541,7 @@ sim::Task<ConsensusNode::PutOutcome> ConsensusNode::SubmitPut(
   const int need_remote = CommitNeed() - 1;
   bool committed = true;
   if (need_remote > 0) {
-    auto q = std::make_shared<sim::Quorum>(fabric_->sim(host_), need_remote,
+    auto q = std::make_shared<sim::Quorum>(fabric_->sim(), need_remote,
                                            static_cast<int>(targets.size()));
     auto val = std::make_shared<Bytes>(std::move(value));
     for (int r : targets) {
@@ -635,7 +635,7 @@ sim::Task<Result<Bytes>> ConsensusNode::SubmitGet(core::PrismClient* pc,
   }
   const int need_remote = CommitNeed() - 1;
   if (need_remote > 0) {
-    auto q = std::make_shared<sim::Quorum>(fabric_->sim(host_), need_remote,
+    auto q = std::make_shared<sim::Quorum>(fabric_->sim(), need_remote,
                                            static_cast<int>(targets.size()));
     for (int r : targets) {
       sim::Spawn(ConfirmChain(pc, r, q, op), &cluster_->tracker());
@@ -777,7 +777,7 @@ sim::Task<void> ConsensusNode::TryRegrant(obs::OpTimeline* op) {
 ConsensusCluster::ConsensusCluster(net::Fabric* fabric,
                                    std::vector<net::HostId> hosts,
                                    ConsensusOptions opts)
-    : opts_(opts), fabric_(fabric), elect_mu_(fabric->sim(hosts.at(0))) {
+    : opts_(opts), fabric_(fabric), elect_mu_(fabric->sim()) {
   PRISM_CHECK_EQ(static_cast<int>(hosts.size()), opts_.n_replicas);
   PRISM_CHECK_GE(opts_.n_replicas, 1);
   for (net::HostId h : hosts) {

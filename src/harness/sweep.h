@@ -63,54 +63,6 @@ inline int JobsFromArgs(int argc, char** argv) {
   return DefaultJobs();
 }
 
-// Intra-simulation worker count (partitions of the windowed parallel DES
-// core, sim::ClusterSim). Resolution mirrors the --jobs chain — flag, then
-// PRISM_CORES — but the *default is 1*, not hardware_concurrency: one
-// simulation stays serial unless parallelism is asked for, keeping every
-// historical run byte-identical by default.
-inline int DefaultCores() {
-  if (const char* env = std::getenv("PRISM_CORES")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 1;
-}
-
-// Parses --cores=N out of argv; PRISM_CORES, then 1, when absent. Same
-// pass-through contract as JobsFromArgs.
-inline int CoresFromArgs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--cores=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 8);
-      if (n > 0) return n;
-    }
-  }
-  return DefaultCores();
-}
-
-// The two parallelism knobs compose multiplicatively: a sweep of J
-// concurrent points, each a cluster of C engine workers, occupies J×C
-// threads. PlanPool fits a requested (jobs, cores) into a fixed pool of
-// `pool_threads` (typically hardware_concurrency) without oversubscribing:
-// the explicit intra-simulation request wins (cores is clamped only to the
-// pool itself) and the sweep sheds jobs to make room.
-struct PoolPlan {
-  int jobs = 1;
-  int cores = 1;
-};
-
-inline PoolPlan PlanPool(int jobs, int cores, int pool_threads) {
-  PoolPlan plan;
-  const int pool = pool_threads < 1 ? 1 : pool_threads;
-  plan.cores = cores < 1 ? 1 : cores;
-  if (plan.cores > pool) plan.cores = pool;
-  plan.jobs = jobs < 1 ? 1 : jobs;
-  const int max_jobs = pool / plan.cores;
-  if (plan.jobs > max_jobs) plan.jobs = max_jobs < 1 ? 1 : max_jobs;
-  return plan;
-}
-
 struct SweepOptions {
   int jobs = 0;  // <= 0 resolves to DefaultJobs()
 

@@ -150,7 +150,7 @@ sim::Task<rpc::MessagePtr> PilafServer::HandlePut(
     uint8_t* extent = mem_->RawAt(entry.ptr, entry.klen + entry.vlen + 4);
     const size_t half = value.size() / 2;
     std::memcpy(extent + entry.klen, value.data(), half);
-    co_await sim::Yield(fabric_->sim(rpc_->host()));
+    co_await sim::Yield(fabric_->sim());
     std::memcpy(extent + entry.klen + half, value.data() + half,
                 value.size() - half);
     uint32_t crc = Crc32(extent, entry.klen + entry.vlen);
@@ -231,7 +231,7 @@ sim::Task<Result<Bytes>> PilafClient::Get(const std::string& key) {
           PilafServer::kBucketSize);
       reads_issued_++;
       if (!bucket_read.ok()) co_return bucket_read.status();
-      co_await sim::SleepFor(fabric_->sim(self_),
+      co_await sim::SleepFor(fabric_->sim(),
                              fabric_->cost().app_crc_check);
       PilafServer::Entry entry = PilafServer::ParseEntry(*bucket_read);
       if (!entry.crc_ok) {
@@ -247,7 +247,7 @@ sim::Task<Result<Bytes>> PilafClient::Get(const std::string& key) {
                                              extent_len);
       reads_issued_++;
       if (!extent_read.ok()) co_return extent_read.status();
-      co_await sim::SleepFor(fabric_->sim(self_),
+      co_await sim::SleepFor(fabric_->sim(),
                              fabric_->cost().app_crc_check);
       const Bytes& extent = *extent_read;
       const uint32_t stored_crc = LoadU32(extent.data() + entry.klen +

@@ -94,18 +94,6 @@ struct CostModel {
 
   size_t WireBytes(size_t payload) const { return payload + header_bytes; }
 
-  // The smallest latency any cross-host message can experience: propagation
-  // plus the wire time of an empty payload (headers still serialize). This
-  // is the conservative lookahead bound the time-windowed parallel core
-  // (src/sim/psim.h) relies on — a message sent at time t is never
-  // delivered before t + MinCrossHostLatency(), so partitions may execute
-  // [t, t + lookahead) without synchronizing. A degenerate model where this
-  // is zero (no propagation, free headers) forces the single-partition
-  // fallback instead of a deadlocked or busy-spinning barrier.
-  sim::Duration MinCrossHostLatency() const {
-    return propagation + SerializationDelay(0);
-  }
-
   // ---- presets ----
 
   // Two ConnectX-5 25 GbE NICs, direct cable (Fig. 1 / Fig. 2 testbed).

@@ -14,19 +14,9 @@
 // contended ingress (many clients hammering one server) or egress (one server
 // answering many clients) serializes at link bandwidth.
 //
-// Engines: a fabric is backed either by one serial sim::Simulator (the
-// historical mode — every code path below is unchanged) or by a
-// sim::ClusterSim that shards hosts across per-host engines on worker
-// threads (DESIGN.md §5.8). Host-bound components ask for their engine with
-// sim(host); in serial mode that is always the single shared simulator. In
-// parallel mode cross-host sends resolve egress timing on the source's
-// thread, travel as stamped sim::WireMsg records, and resolve ingress
-// timing on the destination's thread at the next window barrier — in the
-// canonical (send_when, src_host, send_seq) order, which is the serial
-// global send order for all cross-window traffic. Fault injection, wire
-// loss, tracing and exploration hooks all need the global serial order, so
-// requesting any of them downgrades the cluster to its serial fallback
-// before hosts are added.
+// Engine: a fabric is backed by exactly one sim::Simulator, shared by every
+// host. Host cores, protocol coroutines, completions and timeouts all
+// schedule on sim().
 #ifndef PRISM_SRC_NET_FABRIC_H_
 #define PRISM_SRC_NET_FABRIC_H_
 
@@ -43,7 +33,6 @@
 #include "src/net/cost_model.h"
 #include "src/obs/obs.h"
 #include "src/obs/timeline.h"
-#include "src/sim/psim.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 
@@ -61,52 +50,8 @@ class Fabric {
         [this](obs::MetricsSnapshot& out) { CollectMetrics(out); });
   }
 
-  // Cluster-backed fabric (intra-simulation parallelism). Degenerate cost
-  // models and wire loss cannot run conservatively parallel, so they
-  // downgrade the cluster here — before any host engine is handed out.
-  Fabric(sim::ClusterSim* cluster, CostModel model, uint64_t loss_seed = 0x10552)
-      : sim_(cluster->engine(0)),
-        model_(model),
-        loss_rng_(loss_seed),
-        cluster_(cluster) {
-    if (cluster_->parallel() && model_.loss_probability > 0.0) {
-      cluster_->DowngradeToSerial(
-          "loss_probability > 0 draws the shared loss RNG in global order");
-    }
-    if (cluster_->parallel()) {
-      cluster_->SetLookahead(model_.MinCrossHostLatency());
-    }
-    if (cluster_->parallel()) {
-      cluster_->SetDeliver(
-          [this](sim::WireMsg&& m) { DeliverWire(std::move(m)); });
-    } else {
-      sim_ = cluster_->engine(0);  // downgraded above: rebind to be safe
-    }
-    obs_.metrics().AddProvider(
-        [this](obs::MetricsSnapshot& out) { CollectMetrics(out); });
-  }
-
-  // The engine owning `host`'s events. Everything bound to one host — its
-  // core pool, coroutines running its protocol code, completion events of
-  // its clients, its RPC/op timeouts — must schedule here.
-  sim::Simulator* sim(HostId host) const {
-    return cluster_ != nullptr ? cluster_->engine(host) : sim_;
-  }
-
-  // The shared serial engine. Only meaningful when the fabric is serial
-  // (single-simulator mode or a downgraded cluster): global-order consumers
-  // (chaos schedules, exploration hooks, drivers) use this, host-bound code
-  // uses sim(host).
-  sim::Simulator* simulator() const {
-    PRISM_CHECK(!parallel())
-        << "Fabric::simulator() is serial-only; use sim(host)";
-    return sim_;
-  }
-
-  // True when this fabric shards hosts across per-host engines on worker
-  // threads (a ClusterSim backing that did not fall back to serial).
-  bool parallel() const { return cluster_ != nullptr && cluster_->parallel(); }
-  sim::ClusterSim* cluster() const { return cluster_; }
+  // The engine every host's events run on.
+  sim::Simulator* sim() const { return sim_; }
 
   const CostModel& cost() const { return model_; }
 
@@ -115,27 +60,8 @@ class Fabric {
   obs::Hub& obs() { return obs_; }
   const obs::Hub& obs() const { return obs_; }
 
-  // Span tracing and per-op phase timelines record in the global serial
-  // completion order, which a parallel cluster cannot provide; requesting
-  // either on a cluster-backed fabric downgrades it to the serial engine
-  // with a logged reason (metrics-only observation keeps the parallel
-  // path). Must run before AddHost — the same window in which loss/chaos
-  // downgrades happen.
-  void RequireSerialObservability(std::string why) {
-    if (cluster_ != nullptr && cluster_->parallel()) {
-      cluster_->DowngradeToSerial(std::move(why));
-      sim_ = cluster_->engine(0);
-    }
-  }
-
-  // Downgrading attach path for the tracer (see RequireSerialObservability).
-  void AttachTracer(obs::Tracer* t) {
-    if (t != nullptr) {
-      RequireSerialObservability(
-          "span tracing records in global completion order");
-    }
-    obs_.SetTracer(t);
-  }
+  // Span tracer for every layer on this fabric (nullptr detaches).
+  void AttachTracer(obs::Tracer* t) { obs_.SetTracer(t); }
 
   // Host names indexed by HostId, for trace process metadata.
   std::vector<std::string> HostNames() const {
@@ -148,18 +74,14 @@ class Fabric {
   // Fault injection (chaos schedules): changes apply to messages sent after
   // the mutation; frames already on the wire keep the costs they were
   // charged at send time.
-  CostModel& mutable_cost() {
-    PRISM_CHECK(!parallel())
-        << "cost mutation needs the serial engine (global event order)";
-    return model_;
-  }
+  CostModel& mutable_cost() { return model_; }
 
   HostId AddHost(std::string name) {
     HostId id = static_cast<HostId>(hosts_.size());
     auto host = std::make_unique<Host>();
     host->name = std::move(name);
     host->cores =
-        std::make_unique<sim::ServiceQueue>(sim(id), model_.server_cores);
+        std::make_unique<sim::ServiceQueue>(sim_, model_.server_cores);
     hosts_.push_back(std::move(host));
     return id;
   }
@@ -176,8 +98,6 @@ class Fabric {
   // the host restarts before their delivery time, so a crashed host never
   // receives traffic addressed to its previous life.
   void SetHostUp(HostId id, bool up) {
-    PRISM_CHECK(!parallel())
-        << "fault injection needs the serial engine (global event order)";
     Host& h = At(id);
     if (h.up && !up) ++h.epoch;
     h.up = up;
@@ -189,8 +109,6 @@ class Fabric {
   // (the transport retransmits until exhaustion, then reports a drop).
   // Asymmetric partitions block one direction only.
   void SetLinkBlocked(HostId src, HostId dst, bool blocked) {
-    PRISM_CHECK(!parallel())
-        << "fault injection needs the serial engine (global event order)";
     const uint64_t key = LinkKey(src, dst);
     if (blocked) {
       blocked_links_.insert(key);
@@ -214,26 +132,16 @@ class Fabric {
   // type-erased PendingSend record is allocated only when a frame is lost
   // and the retransmit machinery needs to re-arm, and from then on the
   // callbacks are moved — never copied — between retransmit hops.
-  //
-  // Parallel mode: loss, partitions and crashes are all serial-only, so a
-  // cross-host send always delivers — it is stamped with the canonical
-  // (send_when, src_host, send_seq) key and posted to the cluster's inbox
-  // lanes; on_dropped is destroyed unfired (exactly the serial outcome).
-  // Loopback never touches another host's state and stays on this engine.
   template <typename Delivery, typename Dropped>
   void Send(HostId src, HostId dst, size_t payload_bytes, Delivery on_delivery,
             Dropped on_dropped) {
-    if (parallel() && src != dst) {
-      SendParallel(src, dst, payload_bytes, std::move(on_delivery));
-      return;
-    }
     if (!TryAttempt(src, dst, payload_bytes, on_delivery, on_dropped,
                     /*attempt=*/0)) {
       // The frame was lost: from this instant until a successful re-attempt
       // the op is in loss recovery. The current-op register is still valid
       // here (Send is entered synchronously from the arming client).
       obs::OpTimeline* const op = obs_.current_op();
-      obs::SwitchOp(op, obs::Phase::kRetransmit, sim(src)->Now());
+      obs::SwitchOp(op, obs::Phase::kRetransmit, sim_->Now());
       auto pending = std::make_unique<PendingSend>(
           PendingSend{src, dst, payload_bytes, std::move(on_delivery),
                       std::move(on_dropped), /*attempt=*/0,
@@ -281,41 +189,6 @@ class Fabric {
     }
   }
 
-  // Parallel cross-host send: egress timing is final here (this host's own
-  // sends are its only egress contenders, and they execute in time order on
-  // its engine); ingress timing is resolved by DeliverWire on the
-  // destination's thread, in canonical order across all sources.
-  template <typename Delivery>
-  void SendParallel(HostId src, HostId dst, size_t payload_bytes,
-                    Delivery on_delivery) {
-    Host& s = At(src);
-    s.wire.total_messages++;
-    s.wire.total_wire_bytes += model_.WireBytes(payload_bytes);
-    const sim::Duration ser = model_.SerializationDelay(payload_bytes);
-    const sim::TimePoint now = sim(src)->Now();
-    const sim::TimePoint depart = std::max(now, s.egress_free);
-    s.egress_free = depart + ser;
-    sim::WireMsg m;
-    m.send_when = now;
-    m.send_seq = s.send_seq++;
-    m.src_host = src;
-    m.dst_host = dst;
-    m.arrival = depart + ser + model_.propagation;
-    m.ser = ser;
-    m.deliver = std::move(on_delivery);
-    cluster_->PostWire(std::move(m));
-  }
-
-  // Ingress half of a parallel cross-host delivery: called on the
-  // destination's owning worker at a window barrier (or ahead of the first
-  // window for setup-time sends), in (send_when, src_host, send_seq) order.
-  void DeliverWire(sim::WireMsg&& m) {
-    Host& d = At(m.dst_host);
-    const sim::TimePoint ready = std::max(m.arrival, d.ingress_free + m.ser);
-    d.ingress_free = ready;
-    sim(m.dst_host)->ScheduleAt(ready, std::move(m.deliver));
-  }
-
   // Performs one wire attempt. Returns false iff the frame was lost and a
   // retransmission should be armed; every other outcome schedules exactly
   // one of the callbacks (consuming it by move).
@@ -324,12 +197,12 @@ class Fabric {
                   Delivery& on_delivery, Dropped& on_dropped, int attempt) {
     constexpr bool kHasDropped = !std::is_same_v<Dropped, std::nullptr_t>;
     obs::Tracer* const tracer = obs_.tracer();
-    sim::Simulator* const eng = sim(src);
+    sim::Simulator* const eng = sim_;
     if (!At(src).up || !At(dst).up) {
       if constexpr (kHasDropped) {
         if (HasCallback(on_dropped)) eng->Schedule(0, std::move(on_dropped));
       }
-      At(src).wire.dropped_messages++;
+      wire_.dropped_messages++;
       if (tracer != nullptr) {
         tracer->Instant("net.drop", "net", src, eng->Now(),
                         obs_.current_span());
@@ -340,27 +213,27 @@ class Fabric {
     // transport keeps retransmitting until exhaustion, then reports a drop —
     // exactly the failure signature of a real partition.
     if (IsLinkBlocked(src, dst)) {
-      At(src).wire.partitioned_messages++;
+      wire_.partitioned_messages++;
       if (attempt >= model_.max_retransmits) {
         if constexpr (kHasDropped) {
           if (HasCallback(on_dropped)) {
             eng->Schedule(0, std::move(on_dropped));
           }
         }
-        At(src).wire.dropped_messages++;
+        wire_.dropped_messages++;
         return true;
       }
-      At(src).wire.retransmissions++;
+      wire_.retransmissions++;
       return false;
     }
-    At(src).wire.total_messages++;
-    At(src).wire.total_wire_bytes += model_.WireBytes(payload_bytes);
+    wire_.total_messages++;
+    wire_.total_wire_bytes += model_.WireBytes(payload_bytes);
     // Wire loss: the transport retransmits after a timeout (the §4.2
     // NIC machinery). Ops above never observe duplicates — a frame either
     // arrives once or the attempt is repeated.
     if (model_.loss_probability > 0.0 &&
         loss_rng_.NextDouble() < model_.loss_probability) {
-      At(src).wire.lost_messages++;
+      wire_.lost_messages++;
       if (tracer != nullptr) {
         tracer->Instant("net.loss", "net", src, eng->Now(),
                         obs_.current_span());
@@ -371,10 +244,10 @@ class Fabric {
             eng->Schedule(0, std::move(on_dropped));
           }
         }
-        At(src).wire.dropped_messages++;
+        wire_.dropped_messages++;
         return true;
       }
-      At(src).wire.retransmissions++;
+      wire_.retransmissions++;
       return false;
     }
     const uint32_t dst_epoch = At(dst).epoch;
@@ -424,13 +297,12 @@ class Fabric {
     if (d.up && d.epoch == dst_epoch) {
       cb();
     } else {
-      At(dst).wire.purged_messages++;
+      wire_.purged_messages++;
     }
   }
 
   void ScheduleRetransmit(std::unique_ptr<PendingSend> pending) {
-    sim(pending->src)
-        ->Schedule(model_.retransmit_timeout,
+    sim_->Schedule(model_.retransmit_timeout,
                    [this, p = std::move(pending)]() mutable {
                      Retry(std::move(p));
                    });
@@ -448,50 +320,32 @@ class Fabric {
     // destination crashed since the send was issued (even if it has since
     // restarted), the chain stops and the drop verdict fires.
     if (At(p->dst).epoch != p->dst_epoch) {
-      At(p->dst).wire.purged_messages++;
-      At(p->src).wire.dropped_messages++;
-      if (p->on_dropped) sim(p->src)->Schedule(0, std::move(p->on_dropped));
+      wire_.purged_messages++;
+      wire_.dropped_messages++;
+      if (p->on_dropped) sim_->Schedule(0, std::move(p->on_dropped));
       return;
     }
     ++p->attempt;
     // Optimistically back on the wire as of now; a repeated loss flips the
     // op straight back to kRetransmit at the same timestamp (zero wire ns).
-    obs::SwitchOp(p->op, obs::Phase::kWire, sim(p->src)->Now());
+    obs::SwitchOp(p->op, obs::Phase::kWire, sim_->Now());
     if (!TryAttempt(p->src, p->dst, p->payload_bytes, p->on_delivery,
                     p->on_dropped, p->attempt)) {
-      obs::SwitchOp(p->op, obs::Phase::kRetransmit, sim(p->src)->Now());
+      obs::SwitchOp(p->op, obs::Phase::kRetransmit, sim_->Now());
       ScheduleRetransmit(std::move(p));
     }
   }
 
  public:
-
   // ---- instrumentation ----
-  //
-  // Wire counters live per host so the parallel mode's send (source thread)
-  // and purge (destination thread) accounting never share a cache line with
-  // another worker; the getters report the cluster-wide sums the serial
-  // fabric always reported.
-  uint64_t total_messages() const { return SumWire(&WireStats::total_messages); }
-  uint64_t dropped_messages() const {
-    return SumWire(&WireStats::dropped_messages);
-  }
-  uint64_t lost_messages() const { return SumWire(&WireStats::lost_messages); }
-  uint64_t retransmissions() const {
-    return SumWire(&WireStats::retransmissions);
-  }
-  uint64_t total_wire_bytes() const {
-    return SumWire(&WireStats::total_wire_bytes);
-  }
-  uint64_t purged_messages() const {
-    return SumWire(&WireStats::purged_messages);
-  }
-  uint64_t partitioned_messages() const {
-    return SumWire(&WireStats::partitioned_messages);
-  }
-  void ResetStats() {
-    for (const auto& h : hosts_) h->wire = WireStats{};
-  }
+  uint64_t total_messages() const { return wire_.total_messages; }
+  uint64_t dropped_messages() const { return wire_.dropped_messages; }
+  uint64_t lost_messages() const { return wire_.lost_messages; }
+  uint64_t retransmissions() const { return wire_.retransmissions; }
+  uint64_t total_wire_bytes() const { return wire_.total_wire_bytes; }
+  uint64_t purged_messages() const { return wire_.purged_messages; }
+  uint64_t partitioned_messages() const { return wire_.partitioned_messages; }
+  void ResetStats() { wire_ = WireStats{}; }
 
  private:
   struct WireStats {
@@ -511,8 +365,6 @@ class Fabric {
     sim::TimePoint ingress_free = 0;
     bool up = true;
     uint32_t epoch = 0;  // bumped on crash; identifies the incarnation
-    uint64_t send_seq = 0;  // parallel mode: canonical per-source send count
-    WireStats wire;
   };
 
   Host& At(HostId id) {
@@ -524,21 +376,9 @@ class Fabric {
     return *hosts_[id];
   }
 
-  uint64_t SumWire(uint64_t WireStats::*field) const {
-    uint64_t total = 0;
-    for (const auto& h : hosts_) total += h->wire.*field;
-    return total;
-  }
-
   // Snapshot provider: fabric wire counters, per-host core-pool usage, and
   // the engine's own event statistics (the hub is the one registry every
   // layer can reach, so the simulator reports through it as well).
-  //
-  // Parallel mode reports the summed executed-event count (identical to the
-  // serial count for the same schedule) plus the window/barrier counters,
-  // but not the per-engine lane classification: zero-delay/timer/overflow
-  // routing depends on each engine's private wheel horizon, which is a
-  // per-host implementation detail rather than a schedule observable.
   void CollectMetrics(obs::MetricsSnapshot& out) const {
     out.AddCounterValue("net", "total_messages", "", total_messages());
     out.AddCounterValue("net", "dropped_messages", "", dropped_messages());
@@ -561,15 +401,6 @@ class Fabric {
       out.AddGaugeValue("net", "core_queue_depth", h->name,
                         static_cast<int64_t>(h->cores->queue_length()));
     }
-    if (parallel()) {
-      out.AddCounterValue("sim", "executed_events", "",
-                          cluster_->executed_events());
-      const sim::ClusterSim::Stats& ps = cluster_->stats();
-      out.AddCounterValue("psim", "windows", "", ps.windows);
-      out.AddCounterValue("psim", "barriers", "", ps.barriers);
-      out.AddCounterValue("psim", "wire_messages", "", ps.wire_messages);
-      return;
-    }
     const sim::Simulator::Stats& st = sim_->stats();
     out.AddCounterValue("sim", "executed_events", "", sim_->executed_events());
     out.AddCounterValue("sim", "zero_delay_events", "", st.zero_delay_events);
@@ -583,7 +414,7 @@ class Fabric {
   CostModel model_;
   Rng loss_rng_;
   obs::Hub obs_;
-  sim::ClusterSim* cluster_ = nullptr;
+  WireStats wire_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::unordered_set<uint64_t> blocked_links_;  // directed src→dst pairs
 };

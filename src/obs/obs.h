@@ -58,16 +58,9 @@ class Hub {
 
   // Current-op register: same write-before-handoff / read-at-entry
   // discipline as the span register, but for the per-op phase timeline
-  // (timeline.h). The same-value check is not an optimization: untimed runs
-  // only ever pass nullptr, and skipping the redundant store keeps the
-  // shared register write-free under a parallel (metrics-only) ClusterSim,
-  // where host engines run services on worker threads concurrently. Timed
-  // runs always hold the serial engine (Fabric::AttachTracer downgrades),
-  // so the real writes stay single-threaded.
+  // (timeline.h).
   OpTimeline* current_op() const { return op_; }
-  void SetCurrentOp(OpTimeline* t) {
-    if (t != op_) op_ = t;
-  }
+  void SetCurrentOp(OpTimeline* t) { op_ = t; }
 
   // Opens a span parented to the current span and makes it current.
   // No-op (returns 0) without a tracer.

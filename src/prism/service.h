@@ -66,8 +66,8 @@ class PrismServer {
         deployment_(deployment),
         mem_(mem),
         executor_(mem, &freelists_),
-        nic_pipeline_(fabric->sim(host), fabric->cost().nic_pipeline_units),
-        bf_cores_(fabric->sim(host), fabric->cost().bf_cores) {
+        nic_pipeline_(fabric->sim(), fabric->cost().nic_pipeline_units),
+        bf_cores_(fabric->sim(), fabric->cost().bf_cores) {
     obs::MetricsRegistry& m = fabric->obs().metrics();
     const std::string& hn = fabric->HostName(host);
     chains_metric_ = m.AddCounter("prism", "chains_executed", hn);
@@ -169,36 +169,36 @@ class PrismServer {
     // Entered synchronously from the request-delivery event; the register
     // still holds the issuing client's prism.execute span.
     const obs::SpanId span = fabric_->obs().StartSpan(
-        "prism.chain", "prism", host_, fabric_->sim(host_)->Now());
+        "prism.chain", "prism", host_, fabric_->sim()->Now());
     const net::CostModel& c = fabric_->cost();
     ++in_flight_;
     const uint64_t chain_id = next_chain_id_++;
     active_chains_.insert(chain_id);
     switch (deployment_) {
       case Deployment::kSoftware: {
-        co_await sim::SleepFor(fabric_->sim(host_),
+        co_await sim::SleepFor(fabric_->sim(),
                                c.sw_ring_dma + c.sw_queue_delay);
         co_await fabric_->Cores(host_).Acquire();
-        co_await sim::SleepFor(fabric_->sim(host_), c.sw_dispatch);
+        co_await sim::SleepFor(fabric_->sim(), c.sw_dispatch);
         co_await ExecuteOps(chain, results);
         fabric_->Cores(host_).Release();
-        co_await sim::SleepFor(fabric_->sim(host_), c.sw_tx);
+        co_await sim::SleepFor(fabric_->sim(), c.sw_tx);
         break;
       }
       case Deployment::kHardwareProjected: {
         co_await nic_pipeline_.Acquire();
-        co_await sim::SleepFor(fabric_->sim(host_), c.nic_process);
+        co_await sim::SleepFor(fabric_->sim(), c.nic_process);
         co_await ExecuteOps(chain, results);
         nic_pipeline_.Release();
         break;
       }
       case Deployment::kBlueField: {
-        co_await sim::SleepFor(fabric_->sim(host_), c.sw_ring_dma);
+        co_await sim::SleepFor(fabric_->sim(), c.sw_ring_dma);
         co_await bf_cores_.Acquire();
-        co_await sim::SleepFor(fabric_->sim(host_), c.bf_dispatch);
+        co_await sim::SleepFor(fabric_->sim(), c.bf_dispatch);
         co_await ExecuteOps(chain, results);
         bf_cores_.Release();
-        co_await sim::SleepFor(fabric_->sim(host_), c.sw_tx);
+        co_await sim::SleepFor(fabric_->sim(), c.sw_tx);
         break;
       }
     }
@@ -207,7 +207,7 @@ class PrismServer {
     --in_flight_;
     active_chains_.erase(chain_id);
     FlushPendingPosts();
-    fabric_->obs().FinishSpan(span, fabric_->sim(host_)->Now());
+    fabric_->obs().FinishSpan(span, fabric_->sim()->Now());
   }
 
   sim::Task<void> ExecuteOps(std::shared_ptr<const Chain> chain,
@@ -216,7 +216,7 @@ class PrismServer {
     for (const Op& op : *chain) {
       // Charge the op's cost first, then apply its effect in this event —
       // concurrent chains interleave between ops, never inside one.
-      co_await sim::SleepFor(fabric_->sim(host_), OpCost(op));
+      co_await sim::SleepFor(fabric_->sim(), OpCost(op));
       results->push_back(executor_.ExecuteOne(op, ctx));
       ops_executed_++;
       ops_metric_->Add();

@@ -54,10 +54,10 @@ class Exchange {
       if (!op->done) op->result = std::move(result);
       op->resp_bytes = bytes;
       obs::SwitchOp(op->timeline, obs::Phase::kWire,
-                    ex->fabric_->sim(server)->Now());
+                    ex->fabric_->sim()->Now());
       ex->fabric_->obs().SetCurrentSpan(op->span);
       ex->fabric_->obs().SetCurrentOp(op->timeline);
-      sim::Simulator* eng = ex->fabric_->sim(ex->self_);
+      sim::Simulator* eng = ex->fabric_->sim();
       ex->fabric_->Send(server, ex->self_, bytes, [eng, op = op] {
         // Delivered: the client's CQ poll or coalesced drain starts here.
         obs::SwitchOp(op->timeline, obs::Phase::kBatchWait, eng->Now());
@@ -120,7 +120,7 @@ class Exchange {
                          std::string_view span, net::HostId server,
                          size_t req_bytes, bool cpu_involved) {
     obs::Hub& hub = fabric_->obs();
-    sim::Simulator* eng = fabric_->sim(self_);
+    sim::Simulator* eng = fabric_->sim();
     // Capture the current-op register before the first suspension point
     // (the span-register discipline); the post path is batch_wait.
     op->span = hub.StartSpan(span, category_, self_, eng->Now());
@@ -153,7 +153,7 @@ class Exchange {
           // (hardware verbs, the projected PRISM ASIC) stays on the wire.
           if (cpu_involved) {
             obs::SwitchOp(op->timeline, obs::Phase::kResponder,
-                          fabric_->sim(server)->Now());
+                          fabric_->sim()->Now());
           }
           sim::Spawn([reply = Reply<R>{this, op, server},
                       body = std::move(op->body)] { return body(reply); });

@@ -103,7 +103,10 @@ Bytes AddressSpace::Load(Addr addr, uint64_t len) const {
 }
 
 void AddressSpace::Store(Addr addr, ByteView data) {
-  std::memcpy(RawAt(addr, data.size()), data.data(), data.size());
+  uint8_t* dst = RawAt(addr, data.size());
+  // An empty view may carry a null pointer, and memcpy from null is
+  // undefined even for zero bytes: bounds-check, then skip the copy.
+  if (!data.empty()) std::memcpy(dst, data.data(), data.size());
 }
 
 }  // namespace prism::rdma

@@ -5,9 +5,9 @@ namespace prism::rdma {
 sim::Task<Status> QueuePair::Send(Bytes data) {
   PRISM_CHECK(peer_ != nullptr) << "QP not connected";
   const net::CostModel& cost = fabric_->cost();
-  co_await sim::SleepFor(fabric_->sim(host_), cost.client_post);
+  co_await sim::SleepFor(fabric_->sim(), cost.client_post);
 
-  auto state = std::make_shared<SendState>(fabric_->sim(host_));
+  auto state = std::make_shared<SendState>(fabric_->sim());
   state->sender = host_;
   auto payload = std::make_shared<Bytes>(std::move(data));
   for (int attempt = 0; attempt <= kRnrRetries; ++attempt) {
@@ -29,7 +29,7 @@ sim::Task<Status> QueuePair::Send(Bytes data) {
           const Addr landed = *buffer;
           sim::Spawn([fabric, peer, payload, state, landed,
                       src_qp]() -> sim::Task<void> {
-            co_await sim::SleepFor(fabric->sim(peer->host()),
+            co_await sim::SleepFor(fabric->sim(),
                                    fabric->cost().nic_process +
                                        fabric->cost().pcie_write);
             peer->rq_->memory().Store(landed, *payload);
@@ -48,7 +48,7 @@ sim::Task<Status> QueuePair::Send(Bytes data) {
     rnr_metric_->Add();
     // RNR: wait for the receiver to post buffers, then retry (the standard
     // RNR-retry flow; ALLOCATE inherits exactly this behaviour, §4.2).
-    co_await sim::SleepFor(fabric_->sim(host_), kRnrDelay);
+    co_await sim::SleepFor(fabric_->sim(), kRnrDelay);
   }
   co_return ResourceExhausted("RNR retries exhausted");
 }

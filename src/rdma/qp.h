@@ -94,7 +94,7 @@ class QueuePair {
         host_(host),
         qp_number_(qp_number),
         rq_(rq),
-        completions_(fabric->sim(host)),
+        completions_(fabric->sim()),
         sends_metric_(fabric->obs().metrics().AddCounter(
             "qp", "sends", fabric->HostName(host))),
         rnr_metric_(fabric->obs().metrics().AddCounter(

@@ -45,7 +45,7 @@ class RdmaService {
         host_(host),
         backend_(backend),
         mem_(mem),
-        nic_pipeline_(fabric->sim(host), fabric->cost().nic_pipeline_units),
+        nic_pipeline_(fabric->sim(), fabric->cost().nic_pipeline_units),
         ops_metric_(fabric->obs().metrics().AddCounter(
             "rdma", "server_ops", fabric->HostName(host))) {}
 
@@ -61,20 +61,20 @@ class RdmaService {
     // Entered synchronously from the request-delivery event; the register
     // still holds the issuing client's verb span.
     const obs::SpanId span = fabric_->obs().StartSpan(
-        "rdma.server", "rdma", host_, fabric_->sim(host_)->Now());
+        "rdma.server", "rdma", host_, fabric_->sim()->Now());
     const net::CostModel& c = fabric_->cost();
     if (backend_ == Backend::kHardwareNic) {
       co_await nic_pipeline_.Use(c.nic_process);
-      co_await sim::SleepFor(fabric_->sim(host_), memory_cost);
+      co_await sim::SleepFor(fabric_->sim(), memory_cost);
     } else {
-      co_await sim::SleepFor(fabric_->sim(host_),
+      co_await sim::SleepFor(fabric_->sim(),
                              c.sw_ring_dma + c.sw_queue_delay);
       co_await fabric_->Cores(host_).Use(c.sw_dispatch + c.sw_primitive);
-      co_await sim::SleepFor(fabric_->sim(host_), c.sw_tx);
+      co_await sim::SleepFor(fabric_->sim(), c.sw_tx);
     }
     ops_executed_++;
     ops_metric_->Add();
-    fabric_->obs().FinishSpan(span, fabric_->sim(host_)->Now());
+    fabric_->obs().FinishSpan(span, fabric_->sim()->Now());
   }
 
   // ---- Same-QP ordering around atomics ---------------------------------
@@ -102,7 +102,7 @@ class RdmaService {
     AtomicTicket t;
     std::shared_ptr<sim::Event>& tail = atomic_tail_[src];
     t.prev = tail;
-    t.mine = std::make_shared<sim::Event>(fabric_->sim(host_));
+    t.mine = std::make_shared<sim::Event>(fabric_->sim());
     tail = t.mine;
     return t;
   }

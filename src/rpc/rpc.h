@@ -100,12 +100,12 @@ class RpcServer {
     // Entered synchronously from the request-delivery event, so the hub's
     // current-span register still holds the caller's rpc.call span.
     const obs::SpanId span = fabric_->obs().StartSpan(
-        "rpc.serve", "rpc", host_, fabric_->sim(host_)->Now());
+        "rpc.serve", "rpc", host_, fabric_->sim()->Now());
     const net::CostModel& c = fabric_->cost();
-    co_await sim::SleepFor(fabric_->sim(host_), c.sw_ring_dma);
+    co_await sim::SleepFor(fabric_->sim(), c.sw_ring_dma);
     sim::ServiceQueue& cores = fabric_->Cores(host_);
     co_await cores.Acquire();
-    co_await sim::SleepFor(fabric_->sim(host_),
+    co_await sim::SleepFor(fabric_->sim(),
                            c.rpc_dispatch + c.rpc_handler);
     auto it = handlers_.find(method);
     MessagePtr response;
@@ -115,10 +115,10 @@ class RpcServer {
       response = Message::Empty();
     }
     cores.Release();
-    co_await sim::SleepFor(fabric_->sim(host_), c.sw_tx);
+    co_await sim::SleepFor(fabric_->sim(), c.sw_tx);
     calls_served_++;
     served_metric_->Add();
-    fabric_->obs().FinishSpan(span, fabric_->sim(host_)->Now());
+    fabric_->obs().FinishSpan(span, fabric_->sim()->Now());
     co_return response;
   }
 

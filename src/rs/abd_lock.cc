@@ -46,7 +46,7 @@ sim::Task<Status> AbdLockClient::AcquireLocks(uint64_t block,
     // waits for ALL responses (they are parallel, so latency is one round
     // trip): proceeding on the first f+1 would leak locks that complete
     // late, wedging the block for everyone else.
-    auto all = std::make_shared<sim::Quorum>(fabric_->sim(self_),
+    auto all = std::make_shared<sim::Quorum>(fabric_->sim(),
                                              cluster_->n(), cluster_->n());
     auto won = std::make_shared<std::vector<bool>>(
         static_cast<size_t>(cluster_->n()), false);
@@ -78,7 +78,7 @@ sim::Task<Status> AbdLockClient::AcquireLocks(uint64_t block,
         opts.backoff_base << std::min(attempt, 7));
     backoff += static_cast<sim::Duration>(
         rng_.NextBelow(static_cast<uint64_t>(backoff) / 2 + 1));
-    co_await sim::SleepFor(fabric_->sim(self_), backoff);
+    co_await sim::SleepFor(fabric_->sim(), backoff);
   }
   co_return Aborted("could not acquire majority of locks");
 }
@@ -88,7 +88,7 @@ sim::Task<void> AbdLockClient::ReleaseLocks(uint64_t block,
   int pending = 0;
   for (bool b : locked) pending += b ? 1 : 0;
   if (pending == 0) co_return;
-  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(self_), pending,
+  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(), pending,
                                               pending);
   for (int i = 0; i < cluster_->n(); ++i) {
     if (!locked[static_cast<size_t>(i)]) continue;
@@ -109,7 +109,7 @@ sim::Task<Result<std::pair<Tag, Bytes>>> AbdLockClient::ReadLocked(
   const uint64_t read_len = 8 + cluster_->options().block_size;
   int holders = 0;
   for (bool b : locked) holders += b ? 1 : 0;
-  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(self_),
+  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
                                               cluster_->quorum(), holders);
   struct Shared {
     Tag max_tag;
@@ -153,7 +153,7 @@ sim::Task<Status> AbdLockClient::WriteLocked(
     std::shared_ptr<const Bytes> value) {
   int holders = 0;
   for (bool b : locked) holders += b ? 1 : 0;
-  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(self_),
+  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
                                               cluster_->quorum(), holders);
   auto payload = std::make_shared<Bytes>();
   Bytes tag_bytes = BytesOfU64(tag.Packed());

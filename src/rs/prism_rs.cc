@@ -90,7 +90,7 @@ sim::Task<PrismRsClient::ReadPhaseResult> PrismRsClient::ReadPhase(
     uint64_t block) {
   const bool variable = cluster_->options().variable_block_size;
   const uint64_t read_len = 8 + cluster_->options().block_size;
-  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(self_),
+  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
                                               cluster_->quorum(),
                                               cluster_->n());
   struct Shared {
@@ -155,7 +155,7 @@ sim::Task<Status> PrismRsClient::WritePhase(
   } else {
     PRISM_CHECK_EQ(value->size(), cluster_->options().block_size);
   }
-  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(self_),
+  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
                                               cluster_->quorum(),
                                               cluster_->n());
   // Buffer payload: [tag | value].

@@ -326,24 +326,6 @@ class Simulator {
   size_t pending_events() const { return pending_; }
   uint64_t executed_events() const { return next_seq_ - pending_; }
 
-  // Timestamp of the earliest pending event without firing it, or kNoEvent
-  // when the queue is empty. The parallel cluster coordinator (psim.h) uses
-  // this to compute the global minimum next-event time between windows.
-  static constexpr TimePoint kNoEvent = INT64_MAX;
-  TimePoint NextTime() {
-    if (hook_ != nullptr) {
-      return hooked_.empty() ? kNoEvent : hooked_.front().when;
-    }
-    const internal::EventRef* e = PeekNext();
-    return e == nullptr ? kNoEvent : e->when;
-  }
-
-  // Optional execution log: while set, every fired event appends its
-  // (when, seq) key in execution order. psim_determinism_test compares
-  // per-host logs across --cores counts; null (the default) costs one
-  // predictable branch per event.
-  void set_exec_log(std::vector<EnabledEvent>* log) { exec_log_ = log; }
-
   const Stats& stats() const {
     stats_.pool_blocks = pool_.blocks();
     return stats_;
@@ -379,7 +361,6 @@ class Simulator {
     hooked_.erase(hooked_.begin() + static_cast<ptrdiff_t>(pick));
     --pending_;
     if (e.when > now_) now_ = e.when;
-    if (exec_log_ != nullptr) exec_log_->push_back({e.when, e.seq});
     e.rec->op(e.rec, /*run=*/true);
     pool_.Free(e.rec);
     return true;
@@ -583,7 +564,6 @@ class Simulator {
     --pending_;
     PRISM_CHECK_GE(e.when, now_);
     now_ = e.when;
-    if (exec_log_ != nullptr) exec_log_->push_back({e.when, e.seq});
     // Hide the cold-record miss of the *next* event behind this callable.
     if (due_idx_ < due_.size()) __builtin_prefetch(due_[due_idx_].rec);
     if (!ring_.empty()) __builtin_prefetch(ring_.Front().rec);
@@ -595,7 +575,6 @@ class Simulator {
   uint64_t next_seq_ = 0;
   size_t pending_ = 0;
   mutable Stats stats_;
-  std::vector<EnabledEvent>* exec_log_ = nullptr;
 
   internal::EventPool pool_;
   internal::EventRing ring_;

@@ -177,9 +177,9 @@ sim::Task<void> SyncClient::Backoff(int attempt, obs::OpTimeline* op) {
       server_->options().backoff_base << std::min(attempt, 6));
   d += static_cast<sim::Duration>(
       rng_.NextBelow(static_cast<uint64_t>(d) / 2 + 1));
-  obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim(self_)->Now());
-  co_await sim::SleepFor(fabric_->sim(self_), d);
-  obs::SwitchOp(op, obs::Phase::kApp, fabric_->sim(self_)->Now());
+  obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
+  co_await sim::SleepFor(fabric_->sim(), d);
+  obs::SwitchOp(op, obs::Phase::kApp, fabric_->sim()->Now());
 }
 
 sim::Task<Result<uint64_t>> SyncClient::LocateSlot(uint64_t key,
@@ -257,7 +257,7 @@ sim::Task<Result<uint64_t>> SyncClient::AcquireSpin(rdma::Addr slot,
     if (attempt == 0) {
       Arm(op);
     } else {
-      obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim(self_)->Now());
+      obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
       Arm(nullptr);
     }
     auto old = co_await rdma_.CompareSwap(&server_->rdma(), server_->rkey(),
@@ -285,14 +285,14 @@ sim::Task<Result<uint64_t>> SyncClient::AcquireLease(rdma::Addr slot,
       static_cast<uint64_t>(opts.lease_term) / 1000;
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
     const uint64_t now_us =
-        static_cast<uint64_t>(fabric_->sim(self_)->Now()) / 1000;
+        static_cast<uint64_t>(fabric_->sim()->Now()) / 1000;
     const uint64_t mine = PackLease(id_, now_us + term_us);
     // Same attribution rule as AcquireSpin: first attempt is wire, retries
     // (including their steal CASes) are lock polling billed to sync_spin.
     if (attempt == 0) {
       Arm(op);
     } else {
-      obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim(self_)->Now());
+      obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
       Arm(nullptr);
     }
     auto old = co_await rdma_.CompareSwap(&server_->rdma(), server_->rkey(),
@@ -301,7 +301,7 @@ sim::Task<Result<uint64_t>> SyncClient::AcquireLease(rdma::Addr slot,
     if (old.ok() && *old == 0) co_return mine;
     if (old.ok() && *old != 0) {
       const uint64_t seen = *old;
-      if (fabric_->sim(self_)->Now() > LeaseExpiryNs(seen)) {
+      if (fabric_->sim()->Now() > LeaseExpiryNs(seen)) {
         // Expired: steal with a CAS conditioned on the exact stale word, so
         // concurrent stealers can't both win.
         if (attempt == 0) Arm(op);
@@ -337,7 +337,7 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateLocked(
   Status acq = (co_await AcquireSpin(slot, op)).status();
   if (!acq.ok()) co_return UpdateOutcome{acq, Applied::kNo};
   if (critical_stall_ > 0) {
-    co_await sim::SleepFor(fabric_->sim(self_), critical_stall_);
+    co_await sim::SleepFor(fabric_->sim(), critical_stall_);
   }
   Arm(op);
   Status s = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
@@ -358,12 +358,12 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateLease(
     auto lease = co_await AcquireLease(slot, op);
     if (!lease.ok()) co_return UpdateOutcome{lease.status(), Applied::kNo};
     if (critical_stall_ > 0) {
-      co_await sim::SleepFor(fabric_->sim(self_), critical_stall_);
+      co_await sim::SleepFor(fabric_->sim(), critical_stall_);
     }
     // Self-fencing: only post the value write while safely inside the
     // lease. A holder that stalled past (expiry - guard) must assume a
     // successor stole the lease and may already be writing.
-    if (fabric_->sim(self_)->Now() + opts.lease_guard >=
+    if (fabric_->sim()->Now() + opts.lease_guard >=
         LeaseExpiryNs(*lease)) {
       fencing_aborts_++;
       co_await ReleaseLease(slot, *lease, op);
@@ -414,7 +414,7 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateOptimistic(
       continue;
     }
     if (critical_stall_ > 0) {
-      co_await sim::SleepFor(fabric_->sim(self_), critical_stall_);
+      co_await sim::SleepFor(fabric_->sim(), critical_stall_);
     }
     Arm(op);
     Status s = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
@@ -473,13 +473,13 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateUnfenced(
   Status acq = (co_await AcquireSpin(slot, op)).status();
   if (!acq.ok()) co_return UpdateOutcome{acq, Applied::kNo};
   if (critical_stall_ > 0) {
-    co_await sim::SleepFor(fabric_->sim(self_), critical_stall_);
+    co_await sim::SleepFor(fabric_->sim(), critical_stall_);
   }
   struct Pipelined {
     Status lo, hi;
   };
   auto st = std::make_shared<Pipelined>();
-  auto all = std::make_shared<sim::Quorum>(fabric_->sim(self_), 3, 3);
+  auto all = std::make_shared<sim::Quorum>(fabric_->sim(), 3, 3);
   const uint64_t lo = LoadU64(value.data());
   const uint64_t hi = LoadU64(value.data() + 8);
   // The pipelined verbs run concurrently against ONE op timeline: each
@@ -492,7 +492,7 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateUnfenced(
     round_trips_++;
     all->Arrive(true);
   });
-  co_await sim::SleepFor(fabric_->sim(self_), sim::Nanos(80));
+  co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
   sim::Spawn([this, slot, hi, st, all, op]() -> sim::Task<void> {
     Arm(op);
     st->hi = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
@@ -500,7 +500,7 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateUnfenced(
     round_trips_++;
     all->Arrive(true);
   });
-  co_await sim::SleepFor(fabric_->sim(self_), sim::Nanos(80));
+  co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
   sim::Spawn([this, slot, all, op]() -> sim::Task<void> {
     Arm(op);
     (void)co_await rdma_.Write(&server_->rdma(), server_->rkey(),
@@ -525,7 +525,7 @@ sim::Task<Result<Bytes>> SyncClient::ReadLocked(rdma::Addr slot,
   Status acq = (co_await AcquireSpin(slot, op)).status();
   if (!acq.ok()) co_return acq;
   if (critical_stall_ > 0) {
-    co_await sim::SleepFor(fabric_->sim(self_), critical_stall_);
+    co_await sim::SleepFor(fabric_->sim(), critical_stall_);
   }
   Arm(op);
   auto r = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
@@ -540,7 +540,7 @@ sim::Task<Result<Bytes>> SyncClient::ReadLease(rdma::Addr slot,
   auto lease = co_await AcquireLease(slot, op);
   if (!lease.ok()) co_return lease.status();
   if (critical_stall_ > 0) {
-    co_await sim::SleepFor(fabric_->sim(self_), critical_stall_);
+    co_await sim::SleepFor(fabric_->sim(), critical_stall_);
   }
   Arm(op);
   auto r = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
@@ -569,7 +569,7 @@ sim::Task<Result<Bytes>> SyncClient::ReadOptimistic(rdma::Addr slot,
       continue;
     }
     if (critical_stall_ > 0) {
-      co_await sim::SleepFor(fabric_->sim(self_), critical_stall_);
+      co_await sim::SleepFor(fabric_->sim(), critical_stall_);
     }
     Arm(op);
     auto val = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
@@ -634,7 +634,7 @@ sim::Task<Result<Bytes>> SyncClient::ReadUnfenced(rdma::Addr slot,
       Result<Bytes> hi = Aborted("pending");
     };
     auto st = std::make_shared<Pipelined>();
-    auto all = std::make_shared<sim::Quorum>(fabric_->sim(self_), 3, 3);
+    auto all = std::make_shared<sim::Quorum>(fabric_->sim(), 3, 3);
     sim::Spawn([this, slot, st, all, op]() -> sim::Task<void> {
       Arm(op);
       st->cas = co_await rdma_.CompareSwap(&server_->rdma(), server_->rkey(),
@@ -642,7 +642,7 @@ sim::Task<Result<Bytes>> SyncClient::ReadUnfenced(rdma::Addr slot,
       round_trips_++;
       all->Arrive(true);
     });
-    co_await sim::SleepFor(fabric_->sim(self_), sim::Nanos(80));
+    co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
     sim::Spawn([this, slot, st, all, op]() -> sim::Task<void> {
       Arm(op);
       st->lo = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
@@ -650,7 +650,7 @@ sim::Task<Result<Bytes>> SyncClient::ReadUnfenced(rdma::Addr slot,
       round_trips_++;
       all->Arrive(true);
     });
-    co_await sim::SleepFor(fabric_->sim(self_), sim::Nanos(80));
+    co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
     sim::Spawn([this, slot, st, all, op]() -> sim::Task<void> {
       Arm(op);
       st->hi = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
@@ -673,11 +673,11 @@ sim::Task<Result<Bytes>> SyncClient::ReadUnfenced(rdma::Addr slot,
     // Aggressive retry (part of the scheme's "optimization"): a short
     // jittered pause instead of the exponential backoff the fenced
     // schemes use. Still acquisition spin for attribution purposes.
-    obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim(self_)->Now());
+    obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
     co_await sim::SleepFor(
-        fabric_->sim(self_),
+        fabric_->sim(),
         sim::Nanos(500 + static_cast<sim::Duration>(rng_.NextBelow(1500))));
-    obs::SwitchOp(op, obs::Phase::kApp, fabric_->sim(self_)->Now());
+    obs::SwitchOp(op, obs::Phase::kApp, fabric_->sim()->Now());
   }
   co_return Aborted("unfenced: could not acquire");
 }

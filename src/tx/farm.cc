@@ -95,7 +95,7 @@ sim::Task<rpc::MessagePtr> FarmShard::HandleUpdate(
     // happen in separate events — execution-phase readers may observe the
     // torn state and must retry via the version check.
     mem_->Store(obj + 16, req->values[i]);
-    co_await sim::Yield(fabric_->sim(rpc_->host()));
+    co_await sim::Yield(fabric_->sim());
     mem_->StoreWord(obj, version + 1);  // bump + unlock
     lock_holder_[slot] = 0;
   }
@@ -169,7 +169,7 @@ sim::Task<Result<Bytes>> FarmClient::Read(Transaction& txn, uint64_t key) {
     const uint64_t version = LoadU64(obj_read->data());
     if ((version & FarmShard::kLockBit) != 0) {
       // Locked by a committing writer: back off briefly and retry.
-      co_await sim::SleepFor(fabric_->sim(self_), sim::Micros(2));
+      co_await sim::SleepFor(fabric_->sim(), sim::Micros(2));
       continue;
     }
     if (LoadU64(obj_read->data() + 8) != key) {

@@ -167,7 +167,7 @@ sim::Task<Status> PrismTxClient::AbortCleanup(
   int pending = 0;
   for (const auto& p : preps) pending += p.valid ? 1 : 0;
   if (pending == 0) co_return OkStatus();
-  auto done = std::make_shared<sim::Quorum>(fabric_->sim(self_), pending,
+  auto done = std::make_shared<sim::Quorum>(fabric_->sim(), pending,
                                             pending);
   for (const auto& p : preps) {
     if (!p.valid) continue;
@@ -230,7 +230,7 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
   }
   if (!read_only.empty()) {
     const int n_reads = static_cast<int>(read_only.size());
-    auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(self_), n_reads,
+    auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(), n_reads,
                                                 n_reads);
     auto ok_flag = std::make_shared<bool>(true);
     for (const auto& entry : read_only) {
@@ -278,7 +278,7 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
   for (const auto& w : txn.write_set) preps->push_back({w.key, false, false});
   if (!txn.write_set.empty()) {
     const int n_writes = static_cast<int>(txn.write_set.size());
-    auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(self_),
+    auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
                                                 n_writes, n_writes);
     for (size_t i = 0; i < txn.write_set.size(); ++i) {
       auto [shard_idx, slot] = cluster_->Locate(txn.write_set[i].key);
@@ -341,7 +341,7 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
   // ---- commit: install every write with the PRISM-RS chain ----
   if (!txn.write_set.empty()) {
     const int n_writes = static_cast<int>(txn.write_set.size());
-    auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(self_),
+    auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
                                                 n_writes, n_writes);
     auto ok_flag = std::make_shared<bool>(true);
     std::map<int, uint64_t> scratch_used;  // per-shard slot cursor

@@ -324,6 +324,8 @@ TEST(HistogramTest, HugeSamplesSaturateInsteadOfWrappingNegative) {
     EXPECT_LE(v, h.MaxNanos()) << "q=" << q;
   }
   EXPECT_EQ(h.QuantileNanos(1.0), std::numeric_limits<int64_t>::max());
+  // The sum saturates rather than wrapping negative.
+  EXPECT_GT(h.MeanNanos(), 0.0);
 }
 
 TEST(HistogramTest, ConstantStreamHasZeroWidthQuantiles) {

@@ -69,7 +69,9 @@ TEST(WorkloadTest, IdentityHookMatchesProductionEngine) {
   // schedule — for every workload.
   for (Workload w :
        {Workload::kToy, Workload::kRs, Workload::kKv, Workload::kTx,
-        Workload::kConsensus, Workload::kConsensusBuggy}) {
+        Workload::kSyncSpin, Workload::kSyncOpt, Workload::kSyncLease,
+        Workload::kSyncPrism, Workload::kConsensus,
+        Workload::kConsensusBuggy}) {
     for (uint64_t seed : {1ull, 7ull, 23ull}) {
       WorkloadOptions plain;
       plain.kind = w;

@@ -283,50 +283,5 @@ TEST(SweepHarnessTest, JobsResolutionPrecedence) {
   EXPECT_GE(harness::DefaultJobs(), 1);
 }
 
-TEST(SweepHarnessTest, CoresResolutionPrecedence) {
-  // Explicit --cores=N beats everything.
-  {
-    const char* argv[] = {"bench", "--cores=4", "--jobs=2"};
-    EXPECT_EQ(harness::CoresFromArgs(3, const_cast<char**>(argv)), 4);
-  }
-  // Then PRISM_CORES; unlike --jobs the final fallback is 1 (serial), not
-  // hardware_concurrency — one simulation is serial unless asked otherwise.
-  ::setenv("PRISM_CORES", "6", 1);
-  EXPECT_EQ(harness::DefaultCores(), 6);
-  {
-    const char* argv[] = {"bench"};
-    EXPECT_EQ(harness::CoresFromArgs(1, const_cast<char**>(argv)), 6);
-  }
-  ::unsetenv("PRISM_CORES");
-  EXPECT_EQ(harness::DefaultCores(), 1);
-  {
-    const char* argv[] = {"bench", "--cores=0", "--cores=-3"};
-    EXPECT_EQ(harness::CoresFromArgs(3, const_cast<char**>(argv)), 1);
-  }
-}
-
-TEST(SweepHarnessTest, PlanPoolNeverOversubscribes) {
-  // Exhaustive grid: jobs × cores of the resulting plan must fit the pool,
-  // the intra-sim request wins (cores only clamps to the pool itself), and
-  // both knobs stay >= 1.
-  for (int pool = 1; pool <= 12; ++pool) {
-    for (int jobs = 0; jobs <= 16; ++jobs) {
-      for (int cores = 0; cores <= 16; ++cores) {
-        const harness::PoolPlan plan = harness::PlanPool(jobs, cores, pool);
-        EXPECT_GE(plan.jobs, 1);
-        EXPECT_GE(plan.cores, 1);
-        EXPECT_LE(plan.jobs * plan.cores, pool)
-            << "jobs=" << jobs << " cores=" << cores << " pool=" << pool;
-        // The cores request is honored up to the pool size.
-        EXPECT_EQ(plan.cores, std::min(std::max(cores, 1), pool));
-      }
-    }
-  }
-  // Degenerate pool still yields a runnable serial plan.
-  const harness::PoolPlan plan = harness::PlanPool(8, 8, 0);
-  EXPECT_EQ(plan.jobs, 1);
-  EXPECT_EQ(plan.cores, 1);
-}
-
 }  // namespace
 }  // namespace prism

@@ -17,17 +17,11 @@
 #include <vector>
 
 #include "bench/kv_bench_lib.h"
-#include "src/common/bytes.h"
-#include "src/common/rng.h"
 #include "src/consensus/consensus.h"
 #include "src/explore/hooks.h"
 #include "src/explore/workloads.h"
-#include "src/kv/prism_kv.h"
 #include "src/net/fabric.h"
-#include "src/obs/timeline.h"
 #include "src/obs/trace.h"
-#include "src/sim/psim.h"
-#include "src/workload/open_loop.h"
 
 namespace prism::bench {
 namespace {
@@ -167,149 +161,7 @@ TEST_F(ObsDeterminismTest, IdentityScheduleHookIsBitIdentical) {
   }
 }
 
-// ---- ClusterSim: observability artifacts across worker counts ----
-//
-// The attribution layer's determinism contract extended to the parallel DES
-// core: requesting a tracer on a cluster-backed fabric downgrades it to the
-// serial engine (global completion order), so the trace JSON, the per-op
-// phase timelines, and the metrics snapshot are bit-identical no matter how
-// many cores were asked for. Metrics-only observation must keep the
-// parallel path — and still agree on every counter across worker counts.
-
-// Canonical text form of everything a TimelineStore aggregates: per-class
-// exact phase sums, the latency digest, and the full exemplar reservoir
-// (order, phase breakdown, pinned span counts).
-std::string TimelineFingerprint(const obs::TimelineStore& st) {
-  std::string fp = "started=" + std::to_string(st.started_ops()) +
-                   " measured=" + std::to_string(st.measured_ops()) + "\n";
-  for (size_t c = 0; c < st.n_classes(); ++c) {
-    const LatencyHistogram::Summary sum = st.total_hist(c).Summarize();
-    fp += st.class_name(c) + " n=" + std::to_string(sum.count) +
-          " p999=" + std::to_string(sum.p999_us);
-    for (int ph = 0; ph < obs::kNumPhases; ++ph) {
-      fp += " " + std::to_string(st.phase_total_ns(c, ph));
-    }
-    for (const obs::TimelineStore::Exemplar& e : st.exemplars(c)) {
-      fp += " | seq=" + std::to_string(e.seq) + " " +
-            std::to_string(e.start_ns) + ".." + std::to_string(e.end_ns) +
-            " spans=" + std::to_string(e.spans.size());
-      for (int ph = 0; ph < obs::kNumPhases; ++ph) {
-        fp += "," + std::to_string(e.phase_ns[ph]);
-      }
-    }
-    fp += "\n";
-  }
-  return fp;
-}
-
-struct ClusterObsRun {
-  std::string serial_reason;
-  bool parallel = false;
-  uint64_t executed = 0;
-  std::string trace_json;   // empty when untraced
-  std::string timeline_fp;  // empty when untraced
-  obs::MetricsSnapshot snapshot;
-};
-
-ClusterObsRun RunClusterKvObs(int cores, bool traced) {
-  ClusterObsRun out;
-  sim::ClusterSim cluster(cores);
-  net::Fabric fabric(&cluster, net::CostModel::EvalCluster40G());
-  obs::Tracer tracer;
-  obs::TimelineStore store;
-  if (traced) {
-    fabric.AttachTracer(&tracer);
-    store.SetTracer(&tracer);
-  }
-  net::HostId server_host = fabric.AddHost("kv-server");
-  kv::PrismKvOptions kopts;
-  kopts.n_buckets = 256;
-  kopts.n_buffers = 512;
-  kv::PrismKvServer server(&fabric, server_host, kopts);
-  net::HostId ch = fabric.AddHost("kvc");
-  kv::PrismKvClient get_client(&fabric, ch, &server);
-  kv::PrismKvClient put_client(&fabric, ch, &server);
-
-  workload::PoolOptions popts;
-  popts.workers = 8;
-  workload::OpenLoopPool pool(fabric.sim(ch),
-                              workload::ArrivalSpec::Poisson(4e5), 16,
-                              Rng(515), popts);
-  if (traced) pool.set_timelines(&store, &fabric.obs(), ch);
-  pool.AddClass("kv.get", 0.5,
-                [&](uint64_t draw, obs::OpTimeline*) -> sim::Task<void> {
-                  auto r =
-                      co_await get_client.Get("k" + std::to_string(draw % 8));
-                  (void)r;  // misses are expected: gets race the puts
-                });
-  pool.AddClass("kv.put", 0.5,
-                [&](uint64_t draw, obs::OpTimeline*) -> sim::Task<void> {
-                  Status s = co_await put_client.Put(
-                      "k" + std::to_string(draw % 8),
-                      BytesOfString("v" + std::to_string(draw % 4)));
-                  PRISM_CHECK(s.ok()) << s;
-                });
-  pool.Start(sim::Micros(50), sim::Micros(550));
-  cluster.Run();
-  pool.CheckDrained();
-
-  out.serial_reason = cluster.serial_reason();
-  out.parallel = fabric.parallel();
-  out.executed = cluster.executed_events();
-  out.snapshot = fabric.obs().metrics().Snapshot();
-  if (traced) {
-    out.trace_json = tracer.ToChromeJson(fabric.HostNames());
-    out.timeline_fp = TimelineFingerprint(store);
-  }
-  return out;
-}
-
-TEST_F(ObsDeterminismTest, ClusterObsArtifactsBitIdenticalAcrossCores) {
-  const ClusterObsRun t1 = RunClusterKvObs(1, true);
-  const ClusterObsRun t2 = RunClusterKvObs(2, true);
-  const ClusterObsRun t8 = RunClusterKvObs(8, true);
-
-  // The tracer request downgraded the cores>1 clusters with a logged
-  // reason; nothing ran parallel under observation.
-  EXPECT_NE(t2.serial_reason.find("tracing"), std::string::npos)
-      << "reason: " << t2.serial_reason;
-  EXPECT_NE(t8.serial_reason.find("tracing"), std::string::npos)
-      << "reason: " << t8.serial_reason;
-  EXPECT_FALSE(t2.parallel);
-  EXPECT_FALSE(t8.parallel);
-
-  // Every artifact — executed schedule, Chrome trace, timeline aggregate,
-  // metrics snapshot — is byte-identical to the cores=1 run.
-  for (const ClusterObsRun* r : {&t2, &t8}) {
-    EXPECT_EQ(t1.executed, r->executed);
-    EXPECT_EQ(t1.trace_json, r->trace_json);
-    EXPECT_EQ(t1.timeline_fp, r->timeline_fp);
-    EXPECT_TRUE(t1.snapshot == r->snapshot)
-        << "--- cores=1 ---\n" << t1.snapshot.ToText()
-        << "--- cores=N ---\n" << r->snapshot.ToText();
-  }
-  // And the serial runs actually recorded: spans exist and both client
-  // classes aggregated phase time.
-  EXPECT_NE(t1.trace_json.find("kv.get"), std::string::npos);
-  EXPECT_NE(t1.timeline_fp.find("kv.get"), std::string::npos);
-  EXPECT_NE(t1.timeline_fp.find("kv.put"), std::string::npos);
-
-  // Metrics-only observation keeps the parallel fast path, and the
-  // counters still cannot depend on the worker count.
-  const ClusterObsRun m2 = RunClusterKvObs(2, false);
-  const ClusterObsRun m8 = RunClusterKvObs(8, false);
-  EXPECT_TRUE(m2.serial_reason.empty()) << m2.serial_reason;
-  EXPECT_TRUE(m8.serial_reason.empty()) << m8.serial_reason;
-  EXPECT_TRUE(m2.parallel);
-  EXPECT_TRUE(m8.parallel);
-  EXPECT_EQ(t1.executed, m2.executed);  // same schedule as the traced run
-  EXPECT_EQ(m2.executed, m8.executed);
-  EXPECT_TRUE(m2.snapshot == m8.snapshot)
-      << "--- cores=2 ---\n" << m2.snapshot.ToText()
-      << "--- cores=8 ---\n" << m8.snapshot.ToText();
-}
-
-// ---- consensus: complexity accounting and parallel-obs artifacts ----
+// ---- consensus: complexity accounting ----
 
 // The §5.10 accountant: with the leader elected and every replica granted,
 // a consensus commit at n=3 is exactly two round trips (one PRISM chain per
@@ -359,110 +211,6 @@ TEST_F(ObsDeterminismTest, ConsensusCommitIsTwoRoundTripsAtNThree) {
   EXPECT_EQ(session.tally().messages, static_cast<uint64_t>(2 * 2 * kOps));
   EXPECT_GT(cluster.node(0).control_tally().round_trips, 0u)
       << "election control plane should have done work";
-}
-
-// The ATTRIB/TS contract extended to the consensus stack: tracing a
-// cluster-backed run downgrades to the serial engine and every artifact
-// (Chrome trace JSON, per-class phase-timeline aggregate, metrics snapshot,
-// executed-event count) is byte-identical no matter how many cores were
-// requested; metrics-only runs keep the parallel path and agree on every
-// counter.
-ClusterObsRun RunClusterConsensusObs(int cores, bool traced) {
-  ClusterObsRun out;
-  sim::ClusterSim cluster_sim(cores);
-  net::Fabric fabric(&cluster_sim, net::CostModel::EvalCluster40G());
-  obs::Tracer tracer;
-  obs::TimelineStore store;
-  if (traced) {
-    fabric.AttachTracer(&tracer);
-    store.SetTracer(&tracer);
-  }
-  std::vector<net::HostId> hosts;
-  for (int r = 0; r < 3; ++r) {
-    hosts.push_back(fabric.AddHost("cons-r" + std::to_string(r)));
-  }
-  consensus::ConsensusCluster cluster(&fabric, hosts,
-                                      consensus::ConsensusOptions{});
-  // Parallel-safety discipline (see psim_determinism_test): the leader is
-  // fixed at node 0 and the open-loop pool lives on replica 0's simulator,
-  // so every leadership-state touch happens on host 0's engine and the
-  // remote replicas participate purely via fabric messages.
-  consensus::ConsensusSession put_session(&cluster);
-  consensus::ConsensusSession get_session(&cluster);
-  sim::TaskTracker tracker;
-  sim::Spawn(
-      [&]() -> sim::Task<void> {
-        auto won = co_await cluster.Failover(0, nullptr);
-        PRISM_CHECK(won.ok()) << won.status();
-      },
-      &tracker);
-
-  workload::PoolOptions popts;
-  popts.workers = 8;
-  workload::OpenLoopPool pool(fabric.sim(hosts[0]),
-                              workload::ArrivalSpec::Poisson(2e5), 16,
-                              Rng(606), popts);
-  if (traced) pool.set_timelines(&store, &fabric.obs(), hosts[0]);
-  pool.AddClass("cons.put", 0.5,
-                [&](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
-                  auto put = co_await put_session.PutOn(
-                      0, 1 + (draw % 4),
-                      consensus::MakeValue(6, static_cast<int>(draw % 3),
-                                           static_cast<int>(draw % 16)),
-                      op);
-                  PRISM_CHECK(put.status.ok()) << put.status;
-                });
-  pool.AddClass("cons.get", 0.5,
-                [&](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
-                  auto r = co_await get_session.GetOn(0, 1 + (draw % 4), op);
-                  (void)r;  // kNotFound races the first puts — expected
-                });
-  pool.Start(sim::Micros(50), sim::Micros(550));
-  cluster_sim.Run();
-  pool.CheckDrained();
-  PRISM_CHECK_EQ(tracker.live(), 0u);
-  PRISM_CHECK_EQ(cluster.tracker().live(), 0u);
-
-  out.serial_reason = cluster_sim.serial_reason();
-  out.parallel = fabric.parallel();
-  out.executed = cluster_sim.executed_events();
-  out.snapshot = fabric.obs().metrics().Snapshot();
-  if (traced) {
-    out.trace_json = tracer.ToChromeJson(fabric.HostNames());
-    out.timeline_fp = TimelineFingerprint(store);
-  }
-  return out;
-}
-
-TEST_F(ObsDeterminismTest, ClusterConsensusObsArtifactsBitIdenticalAcrossCores) {
-  const ClusterObsRun t1 = RunClusterConsensusObs(1, true);
-  const ClusterObsRun t8 = RunClusterConsensusObs(8, true);
-  EXPECT_NE(t8.serial_reason.find("tracing"), std::string::npos)
-      << "reason: " << t8.serial_reason;
-  EXPECT_FALSE(t8.parallel);
-  EXPECT_EQ(t1.executed, t8.executed);
-  EXPECT_EQ(t1.trace_json, t8.trace_json);
-  EXPECT_EQ(t1.timeline_fp, t8.timeline_fp);
-  EXPECT_TRUE(t1.snapshot == t8.snapshot)
-      << "--- cores=1 ---\n" << t1.snapshot.ToText()
-      << "--- cores=8 ---\n" << t8.snapshot.ToText();
-  // The serial traced run actually attributed consensus work.
-  EXPECT_NE(t1.trace_json.find("cons.put"), std::string::npos);
-  EXPECT_NE(t1.timeline_fp.find("cons.put"), std::string::npos);
-  EXPECT_NE(t1.timeline_fp.find("cons.get"), std::string::npos);
-
-  // Metrics-only keeps the parallel fast path and the same schedule.
-  const ClusterObsRun m2 = RunClusterConsensusObs(2, false);
-  const ClusterObsRun m8 = RunClusterConsensusObs(8, false);
-  EXPECT_TRUE(m2.serial_reason.empty()) << m2.serial_reason;
-  EXPECT_TRUE(m8.serial_reason.empty()) << m8.serial_reason;
-  EXPECT_TRUE(m2.parallel);
-  EXPECT_TRUE(m8.parallel);
-  EXPECT_EQ(t1.executed, m2.executed);
-  EXPECT_EQ(m2.executed, m8.executed);
-  EXPECT_TRUE(m2.snapshot == m8.snapshot)
-      << "--- cores=2 ---\n" << m2.snapshot.ToText()
-      << "--- cores=8 ---\n" << m8.snapshot.ToText();
 }
 
 TEST_F(ObsDeterminismTest, Table1RoundTripsPrismVsPilaf) {
