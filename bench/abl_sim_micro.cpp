@@ -2,9 +2,10 @@
 // (google-benchmark, real wall-clock time). Documents the event-queue and
 // coroutine costs that bound how big a simulated experiment can be.
 //
-// Besides the google-benchmark suite, main() runs three fixed-size
+// Besides the google-benchmark suite, main() runs four fixed-size
 // throughput probes over the engine's lanes — zero-delay FIFO ring,
-// calendar-queue timers, and a mixed workload — and emits the results as
+// calendar-queue timers, a mixed workload, and cancel churn (the deadline of
+// every transport op) — and emits the results as
 // results/BENCH_sim.json (events/sec, wall seconds, simulated time, and the
 // engine's lane/allocation counters) for machine consumption.
 #include <benchmark/benchmark.h>
@@ -168,6 +169,7 @@ void EmitProbe(bench::JsonWriter& json, const char* name,
       .Field("overflow_events", r.stats.overflow_events)
       .Field("heap_callables", r.stats.heap_callables)
       .Field("pool_blocks", r.stats.pool_blocks)
+      .Field("cancelled_timers", r.stats.cancelled_timers)
       .EndObject()
       .EndObject();
   std::printf("  %-12s %8.0f k events/s  (%llu events, %.3f s wall)\n", name,
@@ -237,6 +239,31 @@ void WriteSimThroughputJson() {
     }
   });
 
+  // Cancel churn: the transport-op shape. 1024 concurrent op chains; each
+  // op arms a 5 ms deadline (an overflow-heap timer), completes 1-4 µs later,
+  // cancels the deadline and issues the next op. Only completions fire.
+  ProbeResult cancel = RunProbe([&](sim::Simulator& sim) {
+    struct Complete {
+      sim::Simulator* sim;
+      sim::TimerId deadline;
+      uint64_t salt;
+      int remaining;
+      void operator()() {
+        sim->Cancel(deadline);
+        if (--remaining > 0) Issue(sim, salt, remaining);
+      }
+      static void Issue(sim::Simulator* sim, uint64_t salt, int remaining) {
+        salt = salt * 6364136223846793005ull + 1442695040888963407ull;
+        const sim::TimerId deadline = sim->Schedule(sim::Millis(5), [] {});
+        sim->Schedule(1000 + (salt >> 33) % 3000,
+                      Complete{sim, deadline, salt, remaining});
+      }
+    };
+    for (int i = 0; i < 1024; ++i) {
+      Complete::Issue(&sim, 0x2545F491u * (i + 1), 250 * scale);
+    }
+  });
+
   bench::JsonWriter json;
   json.BeginObject()
       .Field("bench", "abl_sim_micro")
@@ -244,6 +271,7 @@ void WriteSimThroughputJson() {
   EmitProbe(json, "zero_delay", zero);
   EmitProbe(json, "timer_wheel", timer);
   EmitProbe(json, "mixed", mixed);
+  EmitProbe(json, "cancel_churn", cancel);
   json.EndObject();
   const char* path = "results/BENCH_sim.json";
   if (json.WriteFile(path)) {

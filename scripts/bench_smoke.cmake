@@ -38,7 +38,7 @@ if(NOT fast STREQUAL "ON" AND NOT fast STREQUAL "true")
   message(FATAL_ERROR "PRISM_BENCH_FAST=1 not honored (fast_mode=${fast})")
 endif()
 
-foreach(probe zero_delay timer_wheel mixed)
+foreach(probe zero_delay timer_wheel mixed cancel_churn)
   string(JSON events GET "${doc}" ${probe} events)
   if(events LESS_EQUAL 0)
     message(FATAL_ERROR "probe ${probe}: events=${events}, expected > 0")
@@ -51,10 +51,18 @@ foreach(probe zero_delay timer_wheel mixed)
   string(JSON ignored GET "${doc}" ${probe} wall_seconds)
   string(JSON ignored GET "${doc}" ${probe} simulated_ns)
   foreach(stat zero_delay_events timer_events overflow_events heap_callables
-               pool_blocks)
+               pool_blocks cancelled_timers)
     string(JSON ignored GET "${doc}" ${probe} engine_stats ${stat})
   endforeach()
 endforeach()
+
+# The cancel-churn probe must actually cancel: one deadline per op.
+string(JSON cancelled GET "${doc}" cancel_churn engine_stats cancelled_timers)
+string(JSON churn_events GET "${doc}" cancel_churn events)
+if(NOT cancelled EQUAL churn_events)
+  message(FATAL_ERROR "cancel_churn: cancelled_timers=${cancelled}, expected "
+                      "one per op (${churn_events})")
+endif()
 
 message(STATUS "BENCH_sim.json OK: all probes present with positive rates")
 

@@ -408,6 +408,7 @@ class Fabric {
     out.AddCounterValue("sim", "overflow_events", "", st.overflow_events);
     out.AddCounterValue("sim", "heap_callables", "", st.heap_callables);
     out.AddCounterValue("sim", "pool_blocks", "", st.pool_blocks);
+    out.AddCounterValue("sim", "cancelled_timers", "", st.cancelled_timers);
   }
 
   sim::Simulator* sim_;

@@ -5,12 +5,12 @@
 // so the Table-1 counting rules (src/obs/complexity.h) and the phase rules
 // (src/obs/phase.h) live here only. The first of response delivery, drop and
 // deadline decides an op, and a server result reaches the caller only if its
-// response is delivered to a still-pending op.
+// response is delivered to a still-pending op. The deadline is cancelled as
+// soon as the op is decided, so no timer or op state outlives the op.
 //
 // sim/task.h rule 1: the body is never a coroutine parameter. Run() moves it
 // into the op state and request delivery moves it on into the Spawn
-// callable, so its captures die with the server work, not 5 ms later with
-// the (uncancelled) deadline.
+// callable, so its captures die with the server work, not with the op.
 #ifndef PRISM_SRC_RDMA_EXCHANGE_H_
 #define PRISM_SRC_RDMA_EXCHANGE_H_
 
@@ -159,9 +159,12 @@ class Exchange {
                       body = std::move(op->body)] { return body(reply); });
         },
         [eng, op] { Decide(eng, *op, Unavailable("host down")); });
-    eng->Schedule(kDeadline,
-                  [eng, op] { Decide(eng, *op, TimedOut("op deadline")); });
+    const sim::TimerId deadline = eng->Schedule(
+        kDeadline, [eng, op] { Decide(eng, *op, TimedOut("op deadline")); });
     co_await Decided<R>{op.get()};
+    // Whatever decided the op, its deadline is no longer needed; a fired one
+    // makes this a no-op.
+    eng->Cancel(deadline);
     if (batcher_ != nullptr) {
       co_await batcher_->Complete(&tally_);
     } else {

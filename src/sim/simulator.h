@@ -25,6 +25,9 @@
 //    merged by comparing sequence numbers at equal timestamps, so the
 //    determinism contract is bit-identical to the reference binary-heap
 //    engine.
+//  * Schedule returns a TimerId; Cancel(id) destroys the callable at once and
+//    leaves a dead ref that the queues drop unfired when they reach it. The
+//    overflow heap is compacted once dead refs are over half of it.
 #ifndef PRISM_SRC_SIM_SIMULATOR_H_
 #define PRISM_SRC_SIM_SIMULATOR_H_
 
@@ -81,8 +84,10 @@ class ScheduleHook {
 
   // Picks the event to fire next from `enabled` (size >= 1, sorted by
   // (when, seq)). Out-of-range returns fall back to index 0. Called exactly
-  // once per fired event, so implementations may count invocations to
-  // address decisions by step index.
+  // once per step, so implementations may count invocations to address
+  // decisions by step index. A step fires one event, or drops one cancelled
+  // event: the enabled set still lists cancelled events (with no way to
+  // tell them apart), so cancellation never renumbers steps.
   virtual size_t Pick(const std::vector<EnabledEvent>& enabled) = 0;
 };
 
@@ -90,11 +95,17 @@ namespace internal {
 
 // A pooled, type-erased event callable. It lives in `storage` (or, for
 // oversized captures, on the heap with its pointer in `storage`). `op`
-// invokes and/or destroys it; `next` links the pool freelist.
+// invokes and/or destroys it, and is null whenever no callable is stored:
+// free, firing or cancelled. A free record's `next` links the pool freelist;
+// a pending one's `seq` is its event's sequence number, the stamp Cancel
+// checks to tell the event from a later reuse of the record.
 struct EventRecord {
   static constexpr size_t kInlineBytes = 64;
 
-  EventRecord* next;
+  union {
+    EventRecord* next;
+    uint64_t seq;
+  };
   void (*op)(EventRecord*, bool run);
   alignas(std::max_align_t) unsigned char storage[kInlineBytes];
 };
@@ -155,6 +166,7 @@ class EventPool {
     EventRecord* block = blocks_.back().get();
     for (size_t i = 0; i < kBlockSize; ++i) {
       block[i].next = (i + 1 < kBlockSize) ? &block[i + 1] : nullptr;
+      block[i].op = nullptr;
     }
     free_ = block;
   }
@@ -199,6 +211,15 @@ class EventRing {
 
 }  // namespace internal
 
+// Names one scheduled event for Simulator::Cancel. An id outlives its event
+// harmlessly: cancelling one that already fired, was already cancelled, or
+// whose record now holds a later event does nothing.
+struct TimerId {
+  internal::EventRecord* rec = nullptr;
+  uint64_t seq = 0;
+  TimePoint when = 0;
+};
+
 class Simulator {
  public:
   // Engine instrumentation, exposed for benches and allocation tests.
@@ -208,6 +229,7 @@ class Simulator {
     uint64_t overflow_events = 0;    // beyond the wheel horizon at insert
     uint64_t heap_callables = 0;     // capture too big for inline storage
     uint64_t pool_blocks = 0;        // event-record slabs allocated
+    uint64_t cancelled_timers = 0;   // pending events removed by Cancel
   };
 
   Simulator() = default;
@@ -215,7 +237,8 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   ~Simulator() {
-    // Dispose (without running) every pending callable.
+    // Dispose (without running) every pending callable; DisposeOnly skips
+    // the dead refs of cancelled events, whose callables are already gone.
     for (const internal::EventRef& e : hooked_) DisposeOnly(e);
     while (!ring_.empty()) {
       DisposeOnly(ring_.Front());
@@ -238,6 +261,9 @@ class Simulator {
   void SetScheduleHook(ScheduleHook* hook) {
     PRISM_CHECK_EQ(pending_, size_t{0})
         << "ScheduleHook must be installed before any event is scheduled";
+    // Only dead refs of cancelled events can be left in the hooked lane.
+    for (const internal::EventRef& e : hooked_) pool_.Free(e.rec);
+    hooked_.clear();
     hook_ = hook;
   }
 
@@ -245,20 +271,23 @@ class Simulator {
 
   // Schedules `fn` to run at Now() + delay. delay may be zero; FIFO order
   // among equal timestamps is guaranteed. Accepts any callable, including
-  // move-only ones; it is move-constructed into pooled inline storage.
+  // move-only ones; it is move-constructed into pooled inline storage. The
+  // returned id may be passed to Cancel.
   template <typename F>
-  void Schedule(Duration delay, F&& fn) {
+  TimerId Schedule(Duration delay, F&& fn) {
     PRISM_CHECK_GE(delay, 0);
-    ScheduleAt(now_ + delay, std::forward<F>(fn));
+    return ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
   template <typename F>
-  void ScheduleAt(TimePoint when, F&& fn) {
+  TimerId ScheduleAt(TimePoint when, F&& fn) {
     PRISM_CHECK_GE(when, now_);
     internal::EventRecord* rec = pool_.Alloc();
     Bind(rec, std::forward<F>(fn));
     const internal::EventRef e{when, next_seq_++, rec};
+    rec->seq = e.seq;
     ++pending_;
+    const TimerId id{rec, e.seq, when};
     if (hook_ != nullptr) {
       // Exploration lane: one sorted vector, kept ordered by (when, seq) at
       // insert. Engine stats are not maintained here — perturbed runs are
@@ -266,7 +295,7 @@ class Simulator {
       hooked_.insert(std::upper_bound(hooked_.begin(), hooked_.end(), e,
                                       internal::EarlierThan),
                      e);
-      return;
+      return id;
     }
     if (when == now_) {
       ++stats_.zero_delay_events;
@@ -278,6 +307,31 @@ class Simulator {
         ++stats_.timer_events;
       }
       InsertTimer(e);
+    }
+    return id;
+  }
+
+  // Removes a pending event without running it: its callable (and whatever
+  // it captures) is destroyed now, it never fires, never moves Now() and
+  // never counts in executed_events(). Every other event keeps its
+  // (when, seq). A no-op on an id that fired, was cancelled, or whose record
+  // has been reused — including an event cancelling itself while it runs.
+  void Cancel(const TimerId& id) {
+    internal::EventRecord* rec = id.rec;
+    if (rec == nullptr || rec->op == nullptr || rec->seq != id.seq) return;
+    rec->op(rec, /*run=*/false);
+    rec->op = nullptr;
+    --pending_;
+    ++stats_.cancelled_timers;
+    // Every lane keeps the dead ref (and its record) until it reaches it;
+    // the hooked lane still shows it to Pick (see StepHooked). Only the
+    // overflow heap holds refs long enough to matter; an event is in it iff
+    // it is a timer (when > now_; a ring event has when == now_) beyond the
+    // horizon of the open slot.
+    if (hook_ == nullptr && id.when > now_ &&
+        SlotOf(id.when) > opened_slot_ + kSlots &&
+        ++overflow_cancelled_ * 2 > overflow_.size()) {
+      CompactOverflow();
     }
   }
 
@@ -313,18 +367,24 @@ class Simulator {
 
   void RunFor(Duration d) { RunUntil(now_ + d); }
 
-  // Executes the next event. Returns false if the queue is empty.
+  // Executes the next event, dropping cancelled ones on the way (under a
+  // hook, one step, which may only drop a cancelled event). Returns false
+  // if the queue is empty.
   bool Step() {
     if (hook_ != nullptr) return StepHooked(nullptr);
-    const internal::EventRef* e = PeekNext();
-    if (e == nullptr) return false;
-    PopAndFire(*e);
-    return true;
+    for (;;) {
+      const internal::EventRef* e = PeekNext();
+      if (e == nullptr) return false;
+      if (PopAndFire(*e)) return true;
+    }
   }
 
   bool idle() const { return pending_ == 0; }
   size_t pending_events() const { return pending_; }
-  uint64_t executed_events() const { return next_seq_ - pending_; }
+  // Events that fired; cancelled events are not counted.
+  uint64_t executed_events() const {
+    return next_seq_ - pending_ - stats_.cancelled_timers;
+  }
 
   const Stats& stats() const {
     stats_.pool_blocks = pool_.blocks();
@@ -359,10 +419,16 @@ class Simulator {
     if (pick >= n) pick = 0;
     const internal::EventRef e = hooked_[pick];
     hooked_.erase(hooked_.begin() + static_cast<ptrdiff_t>(pick));
+    if (e.rec->op == nullptr) {
+      // A cancelled event is still a step for the hook, so explorer step
+      // numbers, windows and burst horizons match a run in which it fired
+      // as a no-op; it fires nothing and leaves the clock alone.
+      pool_.Free(e.rec);
+      return true;
+    }
     --pending_;
     if (e.when > now_) now_ = e.when;
-    e.rec->op(e.rec, /*run=*/true);
-    pool_.Free(e.rec);
+    Fire(e.rec);
     return true;
   }
 
@@ -384,7 +450,16 @@ class Simulator {
   }
 
   static void DisposeOnly(const internal::EventRef& e) {
-    e.rec->op(e.rec, /*run=*/false);
+    if (e.rec->op != nullptr) e.rec->op(e.rec, /*run=*/false);
+  }
+
+  // Runs and frees a popped record. `op` is cleared first so that a Cancel
+  // of this event from inside its own callable is a no-op.
+  void Fire(internal::EventRecord* rec) {
+    void (*op)(internal::EventRecord*, bool) = rec->op;
+    rec->op = nullptr;
+    op(rec, /*run=*/true);
+    pool_.Free(rec);
   }
 
   // ---- calendar queue (timing wheel + overflow heap) ----
@@ -483,14 +558,41 @@ class Simulator {
     }
     // Pull far-future timers that the advanced horizon now covers. They
     // re-enter through InsertTimer, which routes them to their wheel slot
-    // (or sorted into due_ when they belong to the slot just opened).
+    // (or sorted into due_ when they belong to the slot just opened);
+    // cancelled ones are dropped here.
     while (!overflow_.empty() &&
            SlotOf(overflow_.front().when) <= slot + kSlots) {
       std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
       const internal::EventRef e = overflow_.back();
       overflow_.pop_back();
-      InsertTimer(e);
+      if (e.rec->op == nullptr) {
+        DropCancelledOverflow(e.rec);
+      } else {
+        InsertTimer(e);
+      }
     }
+  }
+
+  void DropCancelledOverflow(internal::EventRecord* rec) {
+    --overflow_cancelled_;
+    pool_.Free(rec);
+  }
+
+  // Drops every cancelled ref from the overflow heap and re-heapifies. The
+  // heap order is the strict (when, seq) order, so the survivors pop in the
+  // same sequence as before.
+  void CompactOverflow() {
+    size_t kept = 0;
+    for (const internal::EventRef& e : overflow_) {
+      if (e.rec->op == nullptr) {
+        DropCancelledOverflow(e.rec);
+      } else {
+        overflow_[kept++] = e;
+      }
+    }
+    PRISM_DCHECK(overflow_cancelled_ == 0);
+    overflow_.resize(kept);
+    std::make_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
   }
 
   // Appends the contents of a wheel slot to due_ in (when, seq) order.
@@ -534,15 +636,27 @@ class Simulator {
       OpenSlot(ws);
       return &due_[due_idx_];
     }
-    if (!overflow_.empty()) {
-      OpenSlot(SlotOf(overflow_.front().when));
-      return &due_[due_idx_];
+    if (overflow_.empty()) return nullptr;
+    return OpenOverflowSlot();
+  }
+
+  // Opens the slot of the earliest live overflow timer, or returns nullptr
+  // if none is left. Cancelled heap fronts are dropped first: opening a far
+  // slot for one would only move the horizon.
+  const internal::EventRef* OpenOverflowSlot() {
+    while (overflow_.front().rec->op == nullptr) {
+      std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
+      DropCancelledOverflow(overflow_.back().rec);
+      overflow_.pop_back();
+      if (overflow_.empty()) return nullptr;
     }
-    return nullptr;
+    OpenSlot(SlotOf(overflow_.front().when));
+    return &due_[due_idx_];
   }
 
   // ---- merged pop across the ring lane and the calendar queue ----
 
+  // The earliest pending ref, live or cancelled, or nullptr.
   const internal::EventRef* PeekNext() {
     const internal::EventRef* timer = PeekTimer();
     if (ring_.empty()) return timer;
@@ -554,12 +668,17 @@ class Simulator {
   }
 
   // `e` must be a copy of the ref PeekNext() just returned (firing the
-  // callable can grow due_/ring_ and invalidate the pointer).
-  void PopAndFire(internal::EventRef e) {
+  // callable can grow due_/ring_ and invalidate the pointer). A cancelled
+  // event is dropped without touching now_; returns whether one fired.
+  bool PopAndFire(internal::EventRef e) {
     if (!ring_.empty() && ring_.Front().rec == e.rec) {
       ring_.Pop();
     } else {
       ++due_idx_;
+    }
+    if (e.rec->op == nullptr) {
+      pool_.Free(e.rec);
+      return false;
     }
     --pending_;
     PRISM_CHECK_GE(e.when, now_);
@@ -567,8 +686,8 @@ class Simulator {
     // Hide the cold-record miss of the *next* event behind this callable.
     if (due_idx_ < due_.size()) __builtin_prefetch(due_[due_idx_].rec);
     if (!ring_.empty()) __builtin_prefetch(ring_.Front().rec);
-    e.rec->op(e.rec, /*run=*/true);
-    pool_.Free(e.rec);
+    Fire(e.rec);
+    return true;
   }
 
   TimePoint now_ = 0;
@@ -592,6 +711,7 @@ class Simulator {
   uint64_t opened_slot_ = 0;
   std::unique_ptr<Wheel> wheel_;
   std::vector<internal::EventRef> overflow_;  // min-heap by (when, seq)
+  size_t overflow_cancelled_ = 0;  // cancelled refs still in overflow_
 };
 
 }  // namespace prism::sim

@@ -126,6 +126,32 @@ TEST(HashTest, Crc32DetectsSingleBitFlips) {
   }
 }
 
+// The textbook bitwise CRC-32, one bit per step.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t len) {
+  uint32_t c = 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(HashTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-64 cover the 8-byte steps and every tail length; offsets 0-7
+  // cover every alignment of the 8-byte loads.
+  Bytes buf(4096 + 8);
+  Rng rng(7);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len),
+                BitwiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  EXPECT_EQ(Crc32(buf.data() + 3, 4096), BitwiseCrc32(buf.data() + 3, 4096));
+}
+
 TEST(HashTest, MixU64IsInjectiveOnSample) {
   std::set<uint64_t> seen;
   for (uint64_t i = 0; i < 10000; ++i) {

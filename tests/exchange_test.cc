@@ -17,6 +17,7 @@
 // server result arriving after the deadline never overrides kTimedOut.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -268,6 +269,102 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Mode::kCompleted, Mode::kDropped,
                                          Mode::kTimedOut, Mode::kLate)),
     CaseName);
+
+// ---------- no deadline work outlives its op ----------
+
+// One row per client type: an RDMA read, a PRISM chain and an RPC call.
+const Row* const kOneRowPerClient[] = {&kRows[0], &kRows[10], &kRows[13]};
+
+TEST(ExchangeLifetimeTest, CompletedOpLeavesNothingPending) {
+  for (const Row* row : kOneRowPerClient) {
+    SCOPED_TRACE(row->name);
+    Env env(*row);
+    Code code = Code::kInternal;
+    bool idle_at_return = false;
+    sim::TimePoint returned_at = -1;
+    sim::Spawn([&]() -> Task<void> {
+      code = co_await Issue(&env, row);
+      idle_at_return = env.sim.idle();
+      returned_at = env.sim.Now();
+    });
+    env.sim.Run();
+    EXPECT_EQ(code, Code::kOk);
+    // The op's deadline was cancelled when the response decided it: no event
+    // is left behind, and Run() ends where the op did, not 5 ms later.
+    EXPECT_TRUE(idle_at_return);
+    EXPECT_EQ(env.sim.Now(), returned_at);
+    EXPECT_EQ(env.sim.stats().cancelled_timers, 1u);
+  }
+}
+
+TEST(ExchangeLifetimeTest, TimedOutOpIsDecidedExactlyAtItsDeadline) {
+  for (const Row* row : kOneRowPerClient) {
+    SCOPED_TRACE(row->name);
+    Env env(*row);
+    // The kTimedOut recipe: purge the in-flight request by crash-restart.
+    env.sim.Schedule(sim::Nanos(500), [&env] {
+      env.fabric.SetHostUp(env.server, false);
+      env.fabric.SetHostUp(env.server, true);
+    });
+    Code code = Code::kInternal;
+    sim::TimePoint returned_at = -1;
+    sim::Spawn([&]() -> Task<void> {
+      code = co_await Issue(&env, row);
+      returned_at = env.sim.Now();
+    });
+    env.sim.Run();
+    EXPECT_EQ(code, Code::kTimedOut);
+    // The deadline is armed once the post completes and fires at exactly
+    // that time + 5 ms; the CQ poll follows.
+    const net::CostModel& cost = env.fabric.cost();
+    EXPECT_EQ(returned_at,
+              cost.client_post + rdma::Exchange::kDeadline + cost.completion);
+    EXPECT_EQ(env.sim.Now(), returned_at);
+    EXPECT_EQ(env.sim.stats().cancelled_timers, 0u);  // it fired instead
+  }
+}
+
+// An Exchange whose one op hands the test a weak_ptr to its op state.
+class ProbeClient : public rdma::Exchange {
+ public:
+  ProbeClient(net::Fabric* fabric, net::HostId self)
+      : Exchange(fabric, self, "probe") {}
+
+  Task<Status> Ping(net::HostId server, std::weak_ptr<void>* state) {
+    return Run<Status>("probe.ping", server, 8, /*cpu_involved=*/false,
+                       [state](Reply<Status> reply) -> Task<void> {
+                         *state = reply.op;
+                         reply(OkStatus(), 8);
+                         co_return;
+                       });
+  }
+};
+
+TEST(ExchangeLifetimeTest, OpStateIsReleasedWhenTheOpReturns) {
+  sim::Simulator sim;
+  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
+  const net::HostId server = fabric.AddHost("server");
+  ProbeClient probe(&fabric, fabric.AddHost("client"));
+  std::weak_ptr<void> state;
+  bool held_during_op = false;
+  bool expired_at_return = false;
+  Status status = Internal("unset");
+  sim::Spawn([&]() -> Task<void> {
+    status = co_await probe.Ping(server, &state);
+    expired_at_return = state.expired();
+  });
+  // Step until the server body has run: the op state is alive mid-op.
+  while (state.expired() && sim.Step()) {
+  }
+  held_during_op = !state.expired();
+  sim.Run();
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_TRUE(held_during_op);
+  // Nothing (least of all a pending deadline) holds the op state past the
+  // op's return.
+  EXPECT_TRUE(expired_at_return);
+  EXPECT_TRUE(sim.idle());
+}
 
 }  // namespace
 }  // namespace prism

@@ -441,6 +441,199 @@ TEST(SimulatorTest, ZeroDelayFastPathAllocatesNothing) {
   EXPECT_EQ(fired, kWidth * 1000);
 }
 
+// ---------- timer cancellation ----------
+
+// Counts live copies of itself, so a double destruction shows as a negative
+// count and a leak as a positive one.
+struct Counted {
+  explicit Counted(int* live) : live(live) { ++*live; }
+  Counted(const Counted& o) : live(o.live) { ++*live; }
+  Counted(Counted&& o) noexcept : live(o.live) { ++*live; }
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { --*live; }
+  int* live;
+};
+
+TEST(CancelTest, CancelledEventNeverFiresNorMovesTheClock) {
+  Simulator sim;
+  std::vector<int> fired;
+  sim.Schedule(Micros(1), [&] { fired.push_back(1); });
+  const TimerId wheel = sim.Schedule(Micros(2), [&] { fired.push_back(2); });
+  const TimerId ring = sim.Schedule(0, [&] { fired.push_back(0); });
+  const TimerId far = sim.Schedule(Millis(5), [&] { fired.push_back(5); });
+  sim.Schedule(Micros(3), [&] { fired.push_back(3); });
+  EXPECT_EQ(sim.pending_events(), 5u);
+  sim.Cancel(wheel);
+  sim.Cancel(ring);
+  sim.Cancel(far);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.Run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.Now(), Micros(3));  // not 5 ms: the far timer is gone
+  EXPECT_EQ(sim.executed_events(), 2u);
+  EXPECT_EQ(sim.stats().cancelled_timers, 3u);
+  EXPECT_EQ(sim.stats().overflow_events, 1u);  // counted at insert
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(CancelTest, CancelFromAnotherEventBeforeItFires) {
+  // The Exchange shape: the op completes first and cancels its deadline.
+  Simulator sim;
+  int deadline_fired = 0;
+  const TimerId deadline =
+      sim.Schedule(Millis(5), [&] { deadline_fired++; });
+  sim.Schedule(Micros(4), [&] { sim.Cancel(deadline); });
+  sim.Run();
+  EXPECT_EQ(deadline_fired, 0);
+  EXPECT_EQ(sim.Now(), Micros(4));
+  EXPECT_EQ(sim.executed_events(), 1u);
+}
+
+TEST(CancelTest, CancelAfterFireOrOnReusedRecordIsNoOp) {
+  Simulator sim;
+  int a = 0;
+  int b = 0;
+  const TimerId first = sim.Schedule(Micros(1), [&] { a++; });
+  sim.Run();
+  sim.Cancel(first);  // already fired
+  EXPECT_EQ(sim.stats().cancelled_timers, 0u);
+
+  // The pool's freelist is LIFO, so the next event reuses first's record.
+  const TimerId second = sim.Schedule(Micros(1), [&] { b++; });
+  ASSERT_EQ(second.rec, first.rec);
+  sim.Cancel(first);  // stale stamp: must not touch the new event
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(b, 1);
+
+  const TimerId third = sim.Schedule(Micros(1), [&] { b++; });
+  sim.Cancel(third);
+  sim.Cancel(third);  // already cancelled
+  sim.Cancel(TimerId{});  // never scheduled
+  EXPECT_EQ(sim.stats().cancelled_timers, 1u);
+  sim.Run();
+  EXPECT_EQ(b, 1);
+  EXPECT_EQ(sim.executed_events(), 2u);
+}
+
+TEST(CancelTest, TimerCancellingItselfIsNoOp) {
+  Simulator sim;
+  int live = 0;
+  int fired = 0;
+  TimerId self;
+  self = sim.Schedule(Micros(1), [&sim, &self, &fired, c = Counted(&live)] {
+    sim.Cancel(self);  // while running: the callable must survive the call
+    EXPECT_EQ(*c.live, 1);
+    fired++;
+  });
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(sim.stats().cancelled_timers, 0u);
+  EXPECT_EQ(sim.executed_events(), 1u);
+}
+
+TEST(CancelTest, CancelDestroysCapturesImmediately) {
+  struct Big {
+    char bytes[96] = {};  // > EventRecord::kInlineBytes
+  };
+  Simulator sim;
+  auto token = std::make_shared<int>(1);
+  const TimerId ring = sim.Schedule(0, [t = token] {});
+  const TimerId wheel = sim.Schedule(Micros(5), [t = token] {});
+  const TimerId far = sim.Schedule(Millis(5), [t = token] {});
+  const TimerId heap = sim.Schedule(Micros(5), [t = token, big = Big{}] {});
+  EXPECT_EQ(sim.stats().heap_callables, 1u);
+  EXPECT_EQ(token.use_count(), 5);
+  sim.Cancel(far);
+  EXPECT_EQ(token.use_count(), 4);
+  sim.Cancel(wheel);
+  sim.Cancel(heap);
+  sim.Cancel(ring);
+  EXPECT_EQ(token.use_count(), 1);
+  sim.Run();
+  EXPECT_EQ(sim.executed_events(), 0u);
+}
+
+TEST(CancelTest, CancelledEventsDisposedOnDestruction) {
+  // Dead refs of cancelled events still sit in the ring, the wheel and the
+  // overflow heap when the simulator dies: their callables must not be
+  // destroyed a second time, and the live ones must not leak.
+  int live = 0;
+  {
+    Simulator sim;
+    std::vector<TimerId> ids;
+    for (Duration d : {Duration{0}, Micros(5), Millis(5)}) {
+      ids.push_back(sim.Schedule(d, [c = Counted(&live)] {}));
+      sim.Schedule(d, [c = Counted(&live)] {});
+    }
+    // Four live far timers keep the heap under half cancelled: no
+    // compaction, so the dead overflow refs survive to the destructor.
+    for (int i = 0; i < 4; ++i) sim.Schedule(Millis(5), [] {});
+    EXPECT_EQ(live, 6);
+    for (const TimerId& id : ids) sim.Cancel(id);
+    EXPECT_EQ(live, 3);
+  }
+  EXPECT_EQ(live, 0);
+}
+
+// Exchange-shaped churn: every 100 ns an op arms a 5 ms deadline and
+// completes 1-4 µs later, except every 16th op, whose deadline fires. With
+// `cancel` completion cancels the deadline; without it the deadline fires
+// and finds the op done, as before cancellation existed. `log` records every
+// event that does real work as (label, time).
+struct DeadlineChurn {
+  static constexpr int kOps = 100'000;
+
+  explicit DeadlineChurn(bool cancel) : cancel(cancel) {
+    deadline.resize(kOps);
+    done.resize(kOps);
+    sim.Schedule(0, [this] { Issue(0); });
+  }
+
+  void Issue(int i) {
+    log.push_back({i, sim.Now()});
+    if (i + 1 < kOps) sim.Schedule(Nanos(100), [this, i] { Issue(i + 1); });
+    deadline[i] = sim.Schedule(Millis(5), [this, i] {
+      if (!done[i]) log.push_back({-i, sim.Now()});
+    });
+    if (i % 16 == 0) return;
+    sim.Schedule(Micros(1 + i % 4), [this, i] {
+      done[i] = true;
+      log.push_back({kOps + i, sim.Now()});
+      if (cancel) sim.Cancel(deadline[i]);
+    });
+  }
+
+  bool cancel;
+  Simulator sim;
+  std::vector<TimerId> deadline;
+  std::vector<bool> done;
+  std::vector<std::pair<int, TimePoint>> log;
+};
+
+TEST(CancelTest, ChurnKeepsOrderAndCompactsOverflow) {
+  DeadlineChurn plain(/*cancel=*/false);
+  plain.sim.Run();
+  DeadlineChurn churn(/*cancel=*/true);
+  // Sliced runs move the horizon in uneven steps between cancellations.
+  while (!churn.sim.idle()) churn.sim.RunFor(Micros(37));
+
+  ASSERT_EQ(churn.log.size(), plain.log.size());
+  EXPECT_EQ(churn.log, plain.log);
+  const uint64_t cancelled = churn.sim.stats().cancelled_timers;
+  constexpr int kOps = DeadlineChurn::kOps;
+  EXPECT_EQ(cancelled, uint64_t{kOps - kOps / 16});
+  EXPECT_EQ(churn.sim.executed_events() + cancelled,
+            plain.sim.executed_events());
+  EXPECT_EQ(churn.sim.stats().overflow_events,
+            plain.sim.stats().overflow_events);
+  // Cancelled deadlines are freed (compaction), so the record pool tracks
+  // the ~1/16 of deadlines that stay live, not every deadline ever armed.
+  EXPECT_LT(churn.sim.stats().pool_blocks * 4, plain.sim.stats().pool_blocks);
+}
+
 // ---------- schedule-space exploration hook ----------
 
 // Records every enabled window it is shown and picks a scripted index.
@@ -584,6 +777,54 @@ TEST(ScheduleHookTest, HookedEventsDisposedOnDestruction) {
   }
   // The undrained hooked event was destroyed, not leaked.
   EXPECT_EQ(guard.use_count(), 1);
+}
+
+// Runs the Exchange shape in the hooked lane: an early timer, an op at
+// 100 ns that (with `cancel`) cancels its 5 ms deadline, and one at 120 ns.
+struct HookedDeadline {
+  explicit HookedDeadline(bool cancel) : hook(Nanos(1000), {}) {
+    sim.SetScheduleHook(&hook);
+    const TimerId early =
+        sim.Schedule(Nanos(50), [this] { fired.push_back(9); });
+    sim.Schedule(Nanos(100), [this, cancel] {
+      fired.push_back(0);
+      if (cancel) sim.Cancel(deadline);
+    });
+    deadline = sim.Schedule(Millis(5), [this] { fired.push_back(5); });
+    sim.Schedule(Nanos(120), [this] { fired.push_back(1); });
+    if (cancel) sim.Cancel(early);
+    sim.Run();
+  }
+
+  Simulator sim;
+  ScriptedHook hook;
+  TimerId deadline;
+  std::vector<int> fired;
+};
+
+TEST(ScheduleHookTest, CancelledTimersNeitherFireNorMoveTheClock) {
+  const HookedDeadline plain(/*cancel=*/false);
+  const HookedDeadline cancelled(/*cancel=*/true);
+  EXPECT_EQ(plain.fired, (std::vector<int>{9, 0, 1, 5}));
+  EXPECT_EQ(plain.sim.Now(), Millis(5));
+  // Cancelled events never fire, never count and never move the clock.
+  EXPECT_EQ(cancelled.fired, (std::vector<int>{0, 1}));
+  EXPECT_EQ(cancelled.sim.Now(), Nanos(120));
+  EXPECT_EQ(cancelled.sim.executed_events(), 2u);
+  EXPECT_EQ(cancelled.sim.stats().cancelled_timers, 2u);
+  EXPECT_TRUE(cancelled.sim.idle());
+  // But the hook sees the same steps and windows as without cancellation,
+  // so explorer step numbers and burst horizons do not move.
+  ASSERT_EQ(cancelled.hook.windows().size(), plain.hook.windows().size());
+  for (size_t i = 0; i < plain.hook.windows().size(); ++i) {
+    const auto& a = cancelled.hook.windows()[i];
+    const auto& b = plain.hook.windows()[i];
+    ASSERT_EQ(a.size(), b.size()) << "step " << i;
+    for (size_t j = 0; j < a.size(); ++j) {
+      EXPECT_EQ(a[j].when, b[j].when) << "step " << i;
+      EXPECT_EQ(a[j].seq, b[j].seq) << "step " << i;
+    }
+  }
 }
 
 TEST(SleepTest, ZeroSleepYields) {
