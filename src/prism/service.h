@@ -23,8 +23,6 @@
 #define PRISM_SRC_PRISM_SERVICE_H_
 
 #include <deque>
-#include <set>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -110,9 +108,10 @@ class PrismServer {
   // lock: it waits for the chains in flight *at post time* (which might
   // still hold a stale pointer to the buffer) to finish, not for the NIC to
   // go idle. Implemented as an epoch barrier: the post flushes once every
-  // chain with an id below the barrier has completed.
+  // chain with an id below the barrier has completed, i.e. once the oldest
+  // unfinished chain id reaches it.
   void PostBuffers(uint32_t queue, std::vector<rdma::Addr> buffers) {
-    if (active_chains_.empty()) {
+    if (oldest_chain_id_ == next_chain_id_) {
       for (rdma::Addr b : buffers) {
         PRISM_CHECK(freelists_.Post(queue, b).ok());
       }
@@ -130,10 +129,10 @@ class PrismServer {
  private:
   friend class PrismClient;
 
-  // Per-op server-side processing cost under the current deployment.
-  sim::Duration OpCost(const Op& op) const {
+  // Per-op server-side processing cost under the current deployment, given
+  // the op's access profile.
+  sim::Duration OpCost(const Op& op, const AccessProfile& p) const {
     const net::CostModel& c = fabric_->cost();
-    const AccessProfile p = executor_.Profile(op);
     switch (deployment_) {
       case Deployment::kSoftware:
         if (op.code == OpCode::kSearch) {
@@ -164,8 +163,9 @@ class PrismServer {
   }
 
   // Executes the chain with deployment-specific timing; fills *results.
-  sim::Task<void> RunChain(std::shared_ptr<const Chain> chain,
-                           std::shared_ptr<ChainResult> results) {
+  // The chain lives in the server body's closure and the results in its
+  // frame; the body awaits this task, so both outlive it.
+  sim::Task<void> RunChain(const Chain& chain, ChainResult* results) {
     // Entered synchronously from the request-delivery event; the register
     // still holds the issuing client's prism.execute span.
     const obs::SpanId span = fabric_->obs().StartSpan(
@@ -173,7 +173,7 @@ class PrismServer {
     const net::CostModel& c = fabric_->cost();
     ++in_flight_;
     const uint64_t chain_id = next_chain_id_++;
-    active_chains_.insert(chain_id);
+    chain_done_.push_back(false);
     switch (deployment_) {
       case Deployment::kSoftware: {
         co_await sim::SleepFor(fabric_->sim(),
@@ -205,22 +205,27 @@ class PrismServer {
     chains_executed_++;
     chains_metric_->Add();
     --in_flight_;
-    active_chains_.erase(chain_id);
+    chain_done_[chain_id - oldest_chain_id_] = true;
+    while (!chain_done_.empty() && chain_done_.front()) {
+      chain_done_.pop_front();
+      ++oldest_chain_id_;
+    }
     FlushPendingPosts();
     fabric_->obs().FinishSpan(span, fabric_->sim()->Now());
   }
 
-  sim::Task<void> ExecuteOps(std::shared_ptr<const Chain> chain,
-                             std::shared_ptr<ChainResult> results) {
+  sim::Task<void> ExecuteOps(const Chain& chain, ChainResult* results) {
     ChainContext ctx;
-    for (const Op& op : *chain) {
+    for (const Op& op : chain) {
       // Charge the op's cost first, then apply its effect in this event —
-      // concurrent chains interleave between ops, never inside one.
-      co_await sim::SleepFor(fabric_->sim(), OpCost(op));
+      // concurrent chains interleave between ops, never inside one. The
+      // profile depends only on the op and the on-NIC region, which never
+      // moves, so one serves both the cost and the metrics.
+      const AccessProfile p = executor_.Profile(op);
+      co_await sim::SleepFor(fabric_->sim(), OpCost(op, p));
       results->push_back(executor_.ExecuteOne(op, ctx));
       ops_executed_++;
       ops_metric_->Add();
-      const AccessProfile p = executor_.Profile(op);
       host_reads_metric_->Add(p.host_reads);
       host_writes_metric_->Add(p.host_writes);
       on_nic_metric_->Add(p.on_nic);
@@ -228,10 +233,8 @@ class PrismServer {
   }
 
   void FlushPendingPosts() {
-    const uint64_t min_active =
-        active_chains_.empty() ? next_chain_id_ : *active_chains_.begin();
     while (!pending_posts_.empty() &&
-           pending_posts_.front().barrier <= min_active) {
+           pending_posts_.front().barrier <= oldest_chain_id_) {
       for (rdma::Addr b : pending_posts_.front().buffers) {
         PRISM_CHECK(freelists_.Post(pending_posts_.front().queue, b).ok());
       }
@@ -263,8 +266,12 @@ class PrismServer {
   obs::Counter* on_nic_metric_ = nullptr;
 
   int in_flight_ = 0;
+  // Chain ids are issued in order; chain_done_[i] says whether chain
+  // oldest_chain_id_ + i has finished. The window starts at the oldest
+  // unfinished chain, so every chain below oldest_chain_id_ is done.
   uint64_t next_chain_id_ = 0;
-  std::set<uint64_t> active_chains_;
+  uint64_t oldest_chain_id_ = 0;
+  std::deque<bool> chain_done_;
   uint64_t chains_executed_ = 0;
   uint64_t ops_executed_ = 0;
   std::deque<PendingPost> pending_posts_;
@@ -279,18 +286,20 @@ class PrismClient : public rdma::Exchange {
   // Executes a chain in one round trip. The ChainResult has one entry per op
   // (skipped conditional ops are marked executed=false). SW and BlueField
   // chains burn a (server or SmartNIC) core; the projected ASIC does not.
+  // The chain rides in the server body's closure, inside the exchange's op
+  // state, and its results in the body's frame.
   sim::Task<Result<ChainResult>> Execute(PrismServer* server, Chain chain) {
-    auto chain_ptr = std::make_shared<const Chain>(std::move(chain));
-    const size_t req_bytes = EncodedChainSize(*chain_ptr);
+    const size_t req_bytes = EncodedChainSize(chain);
     return Run<Result<ChainResult>>(
         "prism.execute", server->host(), req_bytes,
         server->deployment() != Deployment::kHardwareProjected,
-        [server, chain_ptr = std::move(chain_ptr)](
+        [server, chain = std::move(chain)](
             Reply<Result<ChainResult>> reply) -> sim::Task<void> {
-          auto results = std::make_shared<ChainResult>();
-          co_await server->RunChain(chain_ptr, results);
-          const size_t resp_bytes = ActualResponseSize(*chain_ptr, *results);
-          reply(std::move(*results), resp_bytes);
+          ChainResult results;
+          results.reserve(chain.size());
+          co_await server->RunChain(chain, &results);
+          const size_t resp_bytes = ActualResponseSize(chain, results);
+          reply(std::move(results), resp_bytes);
         });
   }
 

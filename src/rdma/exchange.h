@@ -6,7 +6,9 @@
 // (src/obs/phase.h) live here only. The first of response delivery, drop and
 // deadline decides an op, and a server result reaches the caller only if its
 // response is delivered to a still-pending op. The deadline is cancelled as
-// soon as the op is decided, so no timer or op state outlives the op.
+// soon as the op is decided, so no timer or op state outlives the op. The
+// op state and the body's closure share one block from the thread's
+// coroutine-frame pool (sim::PoolAllocator).
 //
 // sim/task.h rule 1: the body is never a coroutine parameter. Run() moves it
 // into the op state and request delivery moves it on into the Spawn
@@ -95,7 +97,9 @@ class Exchange {
   template <typename R, typename Body>
   sim::Task<R> Run(std::string_view span, net::HostId server,
                    size_t req_bytes, bool cpu_involved, Body body) {
-    auto op = std::make_shared<WithBody<R, Body>>(std::move(body));
+    using State = WithBody<R, Body>;
+    auto op = std::allocate_shared<State>(sim::PoolAllocator<State>(),
+                                          std::move(body));
     return Roundtrip(std::move(op), span, server, req_bytes, cpu_involved);
   }
 

@@ -28,6 +28,8 @@
 //  * Schedule returns a TimerId; Cancel(id) destroys the callable at once and
 //    leaves a dead ref that the queues drop unfired when they reach it. The
 //    overflow heap is compacted once dead refs are over half of it.
+//  * Coroutine frames and exchange op state come from a thread_local
+//    size-classed block pool (BlockPool), emptied when a Simulator dies.
 #ifndef PRISM_SRC_SIM_SIMULATOR_H_
 #define PRISM_SRC_SIM_SIMULATOR_H_
 
@@ -41,6 +43,8 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include <sanitizer/asan_interface.h>
 
 #include "src/common/logging.h"
 #include "src/sim/time.h"
@@ -175,6 +179,99 @@ class EventPool {
   EventRecord* free_ = nullptr;
 };
 
+// This thread's cache of freed small blocks, in 16 B size classes up to
+// 1 KiB: every coroutine frame (task.h) and every exchange's op state
+// (PoolAllocator) is served from it, so a steady stream of transport ops
+// stops calling malloc. Larger requests go straight to ::operator new. A
+// miss allocates one block of the class from ::operator new, so each block
+// stays a heap object of its own to ASan and LSan; a cached block is
+// poisoned until reuse, so a use after free is still reported. It is
+// thread_local because sweep points run on worker threads, and a frame is
+// created and destroyed by the simulator of one point. The cache is
+// emptied when a Simulator is destroyed and at thread exit, so memory held
+// tracks the live frames of the running point.
+class BlockPool {
+ public:
+  static BlockPool& Local() {
+    thread_local BlockPool pool;
+    return pool;
+  }
+
+  BlockPool() = default;
+  BlockPool(const BlockPool&) = delete;
+  BlockPool& operator=(const BlockPool&) = delete;
+  ~BlockPool() { Release(); }
+
+  void* Allocate(size_t bytes) {
+    if (bytes <= kMaxBytes) {
+      const size_t c = ClassOf(bytes);
+      if (FreeBlock* b = free_[c]) {
+        ASAN_UNPOISON_MEMORY_REGION(b, BytesOf(c));
+        free_[c] = b->next;
+        --cached_;
+        return b;
+      }
+    }
+    return HeapAllocate(bytes);
+  }
+
+  void Deallocate(void* p, size_t bytes) noexcept {
+    if (bytes > kMaxBytes) {
+      HeapDeallocate(p, bytes);
+      return;
+    }
+    const size_t c = ClassOf(bytes);
+    auto* b = static_cast<FreeBlock*>(p);
+    b->next = free_[c];
+    free_[c] = b;
+    ++cached_;
+    ASAN_POISON_MEMORY_REGION(b, BytesOf(c));
+  }
+
+  // Returns every cached block to ::operator delete.
+  void Release() noexcept {
+    for (size_t c = 0; c < kClasses; ++c) {
+      while (FreeBlock* b = free_[c]) {
+        ASAN_UNPOISON_MEMORY_REGION(b, BytesOf(c));
+        free_[c] = b->next;
+        HeapDeallocate(b, BytesOf(c));
+      }
+    }
+    cached_ = 0;
+  }
+
+  size_t cached_blocks() const { return cached_; }
+
+ private:
+  static constexpr size_t kGrain = 16;
+  static constexpr size_t kMaxBytes = 1024;
+  static constexpr size_t kClasses = kMaxBytes / kGrain;
+
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+
+  static size_t ClassOf(size_t bytes) {
+    return bytes == 0 ? 0 : (bytes - 1) / kGrain;
+  }
+  static size_t BytesOf(size_t c) { return (c + 1) * kGrain; }
+
+  // The heap side, out of line: the hot path stays small, and GCC 12 does
+  // not pair a frame's ::operator new with its class operator delete and
+  // warn (-Wmismatched-new-delete).
+  [[gnu::noinline]] static void* HeapAllocate(size_t bytes) {
+    return ::operator new(bytes <= kMaxBytes ? BytesOf(ClassOf(bytes))
+                                             : bytes);
+  }
+  [[gnu::noinline]] static void HeapDeallocate(void* p,
+                                               size_t bytes) noexcept {
+    ::operator delete(p, bytes);
+  }
+
+  FreeBlock* free_[kClasses] = {};
+  size_t cached_ = 0;
+};
+
 // Growable power-of-two ring buffer of EventRefs: the zero-delay FIFO lane.
 class EventRing {
  public:
@@ -210,6 +307,30 @@ class EventRing {
 };
 
 }  // namespace internal
+
+// A std allocator over this thread's BlockPool, for std::allocate_shared.
+template <typename T>
+struct PoolAllocator {
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  using value_type = T;
+
+  PoolAllocator() = default;
+  template <typename U>
+  PoolAllocator(const PoolAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(
+        internal::BlockPool::Local().Allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, size_t n) noexcept {
+    internal::BlockPool::Local().Deallocate(p, n * sizeof(T));
+  }
+
+  template <typename U>
+  bool operator==(const PoolAllocator<U>&) const noexcept {
+    return true;
+  }
+};
 
 // Names one scheduled event for Simulator::Cancel. An id outlives its event
 // harmlessly: cancelling one that already fired, was already cancelled, or
@@ -251,6 +372,9 @@ class Simulator {
       }
     }
     for (const internal::EventRef& e : overflow_) DisposeOnly(e);
+    // The disposed callables returned their op state to the block pool;
+    // hand the cached blocks back to the heap before the next point.
+    internal::BlockPool::Local().Release();
   }
 
   TimePoint Now() const { return now_; }

@@ -19,6 +19,11 @@
 //  * Exceptions terminate: error flow uses Status/Result<T> (see status.h).
 //  * Spawn() runs a Task<void> as a detached root; the simulator can report
 //    how many spawned roots are still live (RunUntilIdle diagnostics).
+//  * Every frame, a Task's and a Spawn driver's alike, comes from this
+//    thread's size-classed block pool (simulator.h BlockPool): after
+//    warm-up, awaiting and spawning tasks makes no heap allocation. Freed
+//    frames are poisoned under ASan, so a use of a destroyed frame (the
+//    failure mode of the bugs below) is still reported.
 //
 // WARNING — GCC 12 coroutine lowering bugs, and the conventions this
 // codebase uses to stay clear of them (each was bisected to a minimal
@@ -56,8 +61,19 @@ namespace prism::sim {
 
 namespace internal {
 
+// Routes a promise's coroutine frame through this thread's BlockPool; the
+// compiler passes the frame size to both functions.
+struct PooledFrame {
+  static void* operator new(size_t bytes) {
+    return BlockPool::Local().Allocate(bytes);
+  }
+  static void operator delete(void* p, size_t bytes) noexcept {
+    BlockPool::Local().Deallocate(p, bytes);
+  }
+};
+
 // Shared continuation plumbing for Task<T> promises.
-struct PromiseBase {
+struct PromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
 
   struct FinalAwaiter {
@@ -192,7 +208,7 @@ namespace internal {
 // Fire-and-forget driver coroutine: starts immediately, self-destroys at
 // final_suspend (suspend_never), and owns the driven Task in its frame.
 struct Detached {
-  struct promise_type {
+  struct promise_type : PooledFrame {
     Detached get_return_object() { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

@@ -3,6 +3,9 @@
 // wire encoding round-trips.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "src/net/fabric.h"
 #include "src/prism/reclaim.h"
 #include "src/prism/service.h"
@@ -48,6 +51,25 @@ class PrismServiceTest : public ::testing::Test {
     });
     sim_.Run();
     return us;
+  }
+
+  // A chain of `n` 8 B WRITEs: n × 0.2 µs of server time on sw_.
+  Chain Writes(int n) const {
+    Chain chain;
+    for (int i = 0; i < n; ++i) {
+      chain.push_back(Op::Write(region_.rkey, region_.base, Bytes(8)));
+    }
+    return chain;
+  }
+
+  // Spawns a client issuing `chain` on sw_; sets *done when it returns.
+  void Issue(Chain chain, bool* done) {
+    auto chain_ptr = std::make_shared<Chain>(std::move(chain));
+    sim::Spawn([this, chain_ptr, done]() -> Task<void> {
+      auto r = co_await client_.Execute(&sw_, std::move(*chain_ptr));
+      EXPECT_TRUE(r.ok());
+      *done = true;
+    });
   }
 
   sim::Simulator sim_;
@@ -165,6 +187,68 @@ TEST_F(PrismServiceTest, PostDeferredWhileChainInFlight) {
   EXPECT_TRUE(observed_deferred);
   EXPECT_EQ(sw_.deferred_posts(), 0u);  // flushed at drain
   EXPECT_EQ(sw_.freelists().available(queue_), before + 1);
+}
+
+// The drain rule under out-of-order completion. Chains A (long) and B
+// (short) are in flight together and B finishes first: a post made while
+// both were in flight still waits for A.
+TEST_F(PrismServiceTest, PostWaitsForEveryChainInFlightAtPostTime) {
+  const size_t before = sw_.freelists().available(queue_);
+  bool a_done = false;
+  bool b_done = false;
+  Issue(Writes(48), &a_done);
+  Issue(Writes(1), &b_done);
+  bool posted = false;
+  bool saw_b_done_a_running = false;
+  while (sim_.Step()) {
+    if (!posted && sw_.in_flight() == 2) {
+      sw_.PostBuffers(queue_, {region_.base + 200000});
+      posted = true;
+    }
+    if (!posted) continue;
+    if (sw_.in_flight() > 0) {
+      EXPECT_EQ(sw_.deferred_posts(), 1u);
+      EXPECT_EQ(sw_.freelists().available(queue_), before);
+    }
+    if (b_done && !a_done && sw_.in_flight() == 1) {
+      saw_b_done_a_running = true;
+    }
+  }
+  EXPECT_TRUE(posted);
+  EXPECT_TRUE(saw_b_done_a_running);
+  EXPECT_TRUE(a_done);
+  EXPECT_EQ(sw_.deferred_posts(), 0u);
+  EXPECT_EQ(sw_.freelists().available(queue_), before + 1);
+}
+
+// A post made while only A is in flight does not wait for B, which starts
+// after the post: it flushes when A finishes, while B is still running.
+TEST_F(PrismServiceTest, PostIgnoresChainsStartedAfterIt) {
+  const size_t before = sw_.freelists().available(queue_);
+  bool a_done = false;
+  bool b_done = false;
+  Issue(Writes(16), &a_done);
+  bool posted = false;
+  bool flushed = false;
+  while (sim_.Step()) {
+    if (!posted && sw_.in_flight() == 1) {
+      sw_.PostBuffers(queue_, {region_.base + 200000});
+      posted = true;
+      EXPECT_EQ(sw_.deferred_posts(), 1u);
+      Issue(Writes(48), &b_done);
+    }
+    if (posted && !flushed && sw_.deferred_posts() == 0) {
+      flushed = true;
+      // A just finished; B is the one chain still on the server.
+      EXPECT_EQ(sw_.chains_executed(), 1u);
+      EXPECT_EQ(sw_.in_flight(), 1);
+      EXPECT_EQ(sw_.freelists().available(queue_), before + 1);
+    }
+  }
+  EXPECT_TRUE(flushed);
+  EXPECT_TRUE(a_done);
+  EXPECT_TRUE(b_done);
+  EXPECT_EQ(sw_.chains_executed(), 2u);
 }
 
 TEST_F(PrismServiceTest, ScratchAllocationsAreDisjointAndBounded) {

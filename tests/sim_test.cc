@@ -1,6 +1,7 @@
 // Tests for the discrete-event simulator and coroutine framework.
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -12,19 +13,23 @@
 #include "src/sim/task.h"
 #include "src/sim/time.h"
 
-// Global allocation counter used by ZeroDelayFastPathAllocatesNothing. The
+// Global allocation counter for the zero-allocation and block-pool tests. The
 // default operator new[] forwards here, so scalar overrides cover both forms.
 namespace {
 uint64_t g_new_calls = 0;
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Kept out of line: inlined, GCC 12 pairs these malloc/free calls with the
+// pool's ::operator new/delete and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_new_calls;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace prism::sim {
 namespace {
@@ -440,6 +445,117 @@ TEST(SimulatorTest, ZeroDelayFastPathAllocatesNothing) {
   EXPECT_EQ(allocs_during, 0u);
   EXPECT_EQ(fired, kWidth * 1000);
 }
+
+// ---------- coroutine-frame block pool ----------
+
+Task<int> PoolLeaf(Simulator* sim, int v) {
+  co_await Yield(sim);
+  co_return v + 1;
+}
+
+Task<int> PoolMid(Simulator* sim, int v) {
+  const int a = co_await PoolLeaf(sim, v);
+  co_await Yield(sim);
+  const int b = co_await PoolLeaf(sim, a);
+  co_return b;
+}
+
+// One round: `width` spawned roots, each awaiting a small tree of tasks.
+// Every suspension is a zero-delay ring event, so the only allocations left
+// to count are the frames (timed events would grow fresh wheel slots).
+void PoolRound(Simulator* sim, int width, int* sum) {
+  for (int i = 0; i < width; ++i) {
+    Spawn([sim, sum, i]() -> Task<void> {
+      const int v = co_await PoolMid(sim, i);
+      *sum += v;
+    });
+  }
+  sim->Run();
+}
+
+TEST(BlockPoolTest, SteadyTaskCascadeAllocatesNothing) {
+  Simulator sim;
+  constexpr int kWidth = 64;
+  int sum = 0;
+  // Warm-up: the first round fills the frame cache, the event pool and the
+  // ring.
+  PoolRound(&sim, kWidth, &sum);
+  PoolRound(&sim, kWidth, &sum);
+  const uint64_t allocs_before = g_new_calls;
+  for (int round = 0; round < 10; ++round) PoolRound(&sim, kWidth, &sum);
+  EXPECT_EQ(g_new_calls - allocs_before, 0u);
+  // Each root returns i + 2; twelve rounds of sum(i) + 2 * kWidth.
+  EXPECT_EQ(sum, 12 * (kWidth * (kWidth - 1) / 2 + 2 * kWidth));
+}
+
+TEST(BlockPoolTest, SimulatorDestructionReleasesCachedBlocks) {
+  internal::BlockPool& pool = internal::BlockPool::Local();
+  {
+    Simulator sim;
+    int sum = 0;
+    PoolRound(&sim, 16, &sum);
+    // Every frame of the round has been freed into this thread's cache.
+    EXPECT_GT(pool.cached_blocks(), 0u);
+  }
+  EXPECT_EQ(pool.cached_blocks(), 0u);
+}
+
+TEST(BlockPoolTest, PoolAllocatorRecyclesBlocksBySizeClass) {
+  Simulator sim;  // empties the cache when the test ends
+  PoolAllocator<uint64_t> alloc;
+  uint64_t* a = alloc.allocate(5);  // 40 B: the 48 B class
+  alloc.deallocate(a, 5);
+  const uint64_t allocs_before = g_new_calls;
+  uint64_t* b = alloc.allocate(6);  // 48 B: same class, same block
+  EXPECT_EQ(b, a);
+  EXPECT_EQ(g_new_calls - allocs_before, 0u);
+  uint64_t* c = alloc.allocate(7);  // 56 B: the next class, a new block
+  EXPECT_NE(c, a);
+  EXPECT_EQ(g_new_calls - allocs_before, 1u);
+  alloc.deallocate(b, 6);
+  alloc.deallocate(c, 7);
+  EXPECT_EQ(internal::BlockPool::Local().cached_blocks(), 2u);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Records the address of the awaiting coroutine's frame.
+struct FrameAddress {
+  void** out;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const noexcept {
+    *out = h.address();
+    return false;  // resume at once
+  }
+  void await_resume() const noexcept {}
+};
+
+Task<int> RecordFrame(void** out) {
+  co_await FrameAddress{out};
+  co_return 1;
+}
+
+// A destroyed frame sits poisoned in the cache, so ASan still reports a use
+// of it; a block is unpoisoned when it is handed out again.
+TEST(BlockPoolTest, CachedBlocksArePoisonedUntilReused) {
+  Simulator sim;  // empties the cache when the test ends
+  void* frame = nullptr;
+  int got = 0;
+  Spawn([&]() -> Task<void> { got = co_await RecordFrame(&frame); });
+  ASSERT_EQ(got, 1);
+  ASSERT_NE(frame, nullptr);
+  EXPECT_TRUE(__asan_address_is_poisoned(frame));
+
+  internal::BlockPool& pool = internal::BlockPool::Local();
+  void* p = pool.Allocate(48);
+  pool.Deallocate(p, 48);
+  EXPECT_TRUE(__asan_address_is_poisoned(p));
+  void* q = pool.Allocate(48);
+  EXPECT_EQ(q, p);
+  EXPECT_FALSE(__asan_address_is_poisoned(q));
+  EXPECT_FALSE(__asan_address_is_poisoned(static_cast<char*>(q) + 47));
+  pool.Deallocate(q, 48);
+}
+#endif
 
 // ---------- timer cancellation ----------
 
