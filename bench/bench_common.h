@@ -96,6 +96,15 @@ inline workload::LoadPoint RunClosedLoop(sim::Simulator& sim,
   return workload::MakeLoadPoint(n_clients, *recorder);
 }
 
+// Fills a point's observability slot once the point has run: the host
+// labels for the trace writer when a tracer is attached, and the metrics
+// snapshot when asked for.
+inline void HarvestPointObs(net::Fabric& fabric, obs::PointObs* pobs) {
+  if (pobs == nullptr) return;
+  if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
+  if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
+}
+
 // Observability flags shared by every figure driver (and the chaos
 // harness): --trace=PATH attaches a span tracer to one sweep cell and
 // writes Chrome trace-event JSON there; --metrics dumps a per-point

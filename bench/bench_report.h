@@ -491,6 +491,45 @@ inline std::vector<workload::LoadPoint> RunFigureSweep(
   return rows;
 }
 
+// One series of a throughput-vs-clients figure: `run(n, pobs)` is its point
+// at n closed-loop clients.
+struct ClientSeries {
+  const char* name;
+  std::function<workload::LoadPoint(int n_clients, obs::PointObs* pobs)> run;
+};
+
+// Runs every series at every DefaultClientSweep() client count through the
+// parallel sweep runner (each cell is a self-contained simulation, so any
+// --jobs count yields bit-identical rows) and prints one table, with an
+// abort% column when `abort_column` is set.
+inline void RunClientSweepFigure(const char* bench_name, const char* title,
+                                 const std::vector<ClientSeries>& series,
+                                 int jobs, const ObsOptions& obs_opts,
+                                 bool abort_column = false) {
+  const std::vector<int> sweep = DefaultClientSweep();
+  ObsRig rig(obs_opts, series.size() * sweep.size());
+  std::vector<SweepCell> cells;
+  for (const ClientSeries& s : series) {
+    for (int n : sweep) {
+      obs::PointObs* po = rig.at(cells.size());
+      cells.push_back({s.name, [run = s.run, n, po] { return run(n, po); }});
+    }
+  }
+  FigureReporter reporter(bench_name, title);
+  std::vector<workload::LoadPoint> rows =
+      RunFigureSweep(reporter, cells, jobs);
+  workload::PrintHeader(title, abort_column ? "abort%" : "");
+  for (size_t i = 0; i < cells.size(); ++i) {
+    char abort[32] = "";
+    if (abort_column) {
+      std::snprintf(abort, sizeof(abort), "%5.2f%%", rows[i].abort_rate * 100);
+    }
+    workload::PrintRow(cells[i].series, rows[i], abort);
+  }
+  reporter.WriteUnified();
+  rig.Finish(bench_name, cells);
+}
+
 }  // namespace prism::bench
 
 #endif  // PRISM_BENCH_BENCH_REPORT_H_

@@ -88,10 +88,7 @@ workload::LoadPoint MeasureRdma2Reads(const net::CostModel& model,
   sim.Run();
   workload::LoadPoint pt = PointOf(us, sim);
   pt.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
+  bench::HarvestPointObs(fabric, pobs);
   return pt;
 }
 
@@ -137,10 +134,7 @@ workload::LoadPoint MeasurePrismIndirect(const net::CostModel& model,
   sim.Run();
   workload::LoadPoint pt = PointOf(us, sim);
   pt.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
+  bench::HarvestPointObs(fabric, pobs);
   return pt;
 }
 

@@ -170,10 +170,7 @@ workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
   p.p999_us = s.p999_us;
   p.sim_events = sim.executed_events();
   p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
+  HarvestPointObs(fabric, pobs);
   return p;
 }
 
@@ -297,10 +294,7 @@ workload::LoadPoint RunAbdPoint(const PointCfg& cfg,
   p.p999_us = s.p999_us;
   p.sim_events = sim.executed_events();
   p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
+  HarvestPointObs(fabric, pobs);
   return p;
 }
 
@@ -398,10 +392,7 @@ workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
   p.p999_us = s.p999_us;
   p.sim_events = sim.executed_events();
   p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
+  HarvestPointObs(fabric, pobs);
   return p;
 }
 

@@ -228,65 +228,37 @@ workload::LoadPoint DriveOverload(sim::Simulator& sim, net::Fabric& fabric,
   return p;
 }
 
-workload::LoadPoint RunPrismOverloadPoint(const OverloadConfig& cfg,
-                                          obs::PointObs* pobs = nullptr) {
+// One open-loop point against the store `load_server(fabric)` builds,
+// driven through `Client`s.
+template <typename Client, typename LoadServer>
+workload::LoadPoint RunOverloadPoint(LoadServer load_server,
+                                     const OverloadConfig& cfg,
+                                     obs::PointObs* pobs) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
   if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
-  net::HostId server_host = fabric.AddHost("kv-server");
-  kv::PrismKvOptions opts;
-  const uint64_t keys = BenchKeyCount();
-  opts.n_buckets = keys;
-  opts.n_buffers = keys + 4096;
-  opts.dense_key_hash = true;
-  kv::PrismKvServer server(&fabric, server_host, opts);
-  for (uint64_t k = 0; k < keys; ++k) {
-    PRISM_CHECK(server
-                    .LoadKey(BytesOfString(KeyOf(k)),
-                             Bytes(kBenchValueSize, 0x11))
-                    .ok());
-  }
+  auto server = load_server(fabric);
   auto make_client = [&](net::HostId host) {
-    return std::make_unique<kv::PrismKvClient>(&fabric, host, &server);
+    return std::make_unique<Client>(&fabric, host, server.get());
   };
   workload::LoadPoint p =
-      DriveOverload<kv::PrismKvClient>(sim, fabric, cfg, make_client, pobs);
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
+      DriveOverload<Client>(sim, fabric, cfg, make_client, pobs);
+  HarvestPointObs(fabric, pobs);
   return p;
+}
+
+workload::LoadPoint RunPrismOverloadPoint(const OverloadConfig& cfg,
+                                          obs::PointObs* pobs = nullptr) {
+  return RunOverloadPoint<kv::PrismKvClient>(LoadPrismKvServer, cfg, pobs);
 }
 
 workload::LoadPoint RunPilafOverloadPoint(const OverloadConfig& cfg,
                                           obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
-  net::HostId server_host = fabric.AddHost("pilaf-server");
-  kv::PilafOptions opts;
-  const uint64_t keys = BenchKeyCount();
-  opts.n_buckets = keys;
-  opts.n_extents = keys + 4096;
-  opts.backend = rdma::Backend::kHardwareNic;
-  opts.dense_key_hash = true;
-  kv::PilafServer server(&fabric, server_host, opts);
-  for (uint64_t k = 0; k < keys; ++k) {
-    PRISM_CHECK(server
-                    .LoadKey(BytesOfString(KeyOf(k)),
-                             Bytes(kBenchValueSize, 0x11))
-                    .ok());
-  }
-  auto make_client = [&](net::HostId host) {
-    return std::make_unique<kv::PilafClient>(&fabric, host, &server);
-  };
-  workload::LoadPoint p =
-      DriveOverload<kv::PilafClient>(sim, fabric, cfg, make_client, pobs);
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
-  return p;
+  return RunOverloadPoint<kv::PilafClient>(
+      [](net::Fabric& fabric) {
+        return LoadPilafServer(fabric, rdma::Backend::kHardwareNic);
+      },
+      cfg, pobs);
 }
 
 const obs::OpStats* FindOp(const workload::LoadPoint& p,

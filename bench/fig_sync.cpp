@@ -199,10 +199,7 @@ workload::LoadPoint RunSyncPoint(const SyncConfig& cfg,
   p.p999_us = s.p999_us;
   p.sim_events = sim.executed_events();
   p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
+  HarvestPointObs(fabric, pobs);
   return p;
 }
 

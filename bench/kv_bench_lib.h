@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -19,44 +20,64 @@ namespace prism::bench {
 inline uint64_t BenchKeyCount() { return FastMode() ? 8192 : 65536; }
 constexpr uint64_t kBenchValueSize = 512;
 
-struct KvWorkloadResult {
-  workload::LoadPoint point;
-};
+// The figures' stores, each on a server host of its own and loaded with
+// BenchKeyCount() dense keys of kBenchValueSize bytes.
+template <typename Server, typename Opts>
+std::unique_ptr<Server> LoadKvServer(net::Fabric& fabric,
+                                     const char* host_name, Opts opts) {
+  const uint64_t keys = BenchKeyCount();
+  opts.n_buckets = keys;
+  opts.dense_key_hash = true;
+  auto server =
+      std::make_unique<Server>(&fabric, fabric.AddHost(host_name), opts);
+  for (uint64_t k = 0; k < keys; ++k) {
+    PRISM_CHECK(server
+                    ->LoadKey(BytesOfString(KeyOf(k)),
+                              Bytes(kBenchValueSize, 0x11))
+                    .ok());
+  }
+  return server;
+}
 
-// Runs a YCSB-style closed-loop sweep against PRISM-KV. `pobs`, when given,
+inline std::unique_ptr<kv::PrismKvServer> LoadPrismKvServer(
+    net::Fabric& fabric) {
+  kv::PrismKvOptions opts;
+  opts.n_buffers = BenchKeyCount() + 4096;
+  return LoadKvServer<kv::PrismKvServer>(fabric, "kv-server", opts);
+}
+
+inline std::unique_ptr<kv::PilafServer> LoadPilafServer(
+    net::Fabric& fabric, rdma::Backend backend) {
+  kv::PilafOptions opts;
+  opts.n_extents = BenchKeyCount() + 4096;
+  opts.backend = backend;
+  return LoadKvServer<kv::PilafServer>(fabric, "pilaf-server", opts);
+}
+
+// One YCSB-style closed-loop point against the store `load_server(fabric)`
+// builds, driven through `Client`s: PRISM-KV or Pilaf. `pobs`, when given,
 // attaches this point's tracer / collects its metrics snapshot.
-inline workload::LoadPoint RunPrismKvPoint(int n_clients, double read_frac,
-                                           const BenchWindows& windows,
-                                           uint64_t seed,
-                                           obs::PointObs* pobs = nullptr) {
+template <typename Client, typename LoadServer>
+workload::LoadPoint RunKvPoint(LoadServer load_server, int n_clients,
+                               double read_frac, const BenchWindows& windows,
+                               uint64_t seed, obs::PointObs* pobs) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
   if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
-  net::HostId server_host = fabric.AddHost("kv-server");
-  kv::PrismKvOptions opts;
+  auto server = load_server(fabric);
   const uint64_t keys = BenchKeyCount();
-  opts.n_buckets = keys;
-  opts.n_buffers = keys + 4096;
-  opts.dense_key_hash = true;
-  kv::PrismKvServer server(&fabric, server_host, opts);
-  for (uint64_t k = 0; k < keys; ++k) {
-    PRISM_CHECK(server
-                    .LoadKey(BytesOfString(KeyOf(k)),
-                             Bytes(kBenchValueSize, 0x11))
-                    .ok());
-  }
   auto client_hosts = AddClientHosts(fabric);
-  std::vector<std::unique_ptr<kv::PrismKvClient>> clients;
+  std::vector<std::unique_ptr<Client>> clients;
   for (int c = 0; c < n_clients; ++c) {
-    clients.push_back(std::make_unique<kv::PrismKvClient>(
+    clients.push_back(std::make_unique<Client>(
         &fabric, client_hosts[static_cast<size_t>(c) % client_hosts.size()],
-        &server));
+        server.get()));
   }
   Rng master(seed);
   std::vector<Rng> rngs;
   for (int c = 0; c < n_clients; ++c) rngs.push_back(master.Fork());
   auto loop = [&](int c, workload::Recorder* recorder) -> sim::Task<void> {
-    kv::PrismKvClient* client = clients[static_cast<size_t>(c)].get();
+    Client* client = clients[static_cast<size_t>(c)].get();
     const net::HostId host =
         client_hosts[static_cast<size_t>(c) % client_hosts.size()];
     Rng* rng = &rngs[static_cast<size_t>(c)];
@@ -80,135 +101,59 @@ inline workload::LoadPoint RunPrismKvPoint(int n_clients, double read_frac,
                                 client->TransportTally() - before);
       recorder->Record(op_start);
     }
-    client->FlushReclaim();
+    if constexpr (std::is_same_v<Client, kv::PrismKvClient>) {
+      client->FlushReclaim();
+    }
   };
   workload::LoadPoint p = RunClosedLoop(sim, n_clients, windows, loop);
   p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
+  HarvestPointObs(fabric, pobs);
   return p;
 }
 
-// Runs the same sweep against Pilaf with the given RDMA backend.
+inline workload::LoadPoint RunPrismKvPoint(int n_clients, double read_frac,
+                                           const BenchWindows& windows,
+                                           uint64_t seed,
+                                           obs::PointObs* pobs = nullptr) {
+  return RunKvPoint<kv::PrismKvClient>(LoadPrismKvServer, n_clients,
+                                       read_frac, windows, seed, pobs);
+}
+
 inline workload::LoadPoint RunPilafPoint(int n_clients, double read_frac,
                                          rdma::Backend backend,
                                          const BenchWindows& windows,
                                          uint64_t seed,
                                          obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
-  net::HostId server_host = fabric.AddHost("pilaf-server");
-  kv::PilafOptions opts;
-  const uint64_t keys = BenchKeyCount();
-  opts.n_buckets = keys;
-  opts.n_extents = keys + 4096;
-  opts.backend = backend;
-  opts.dense_key_hash = true;
-  kv::PilafServer server(&fabric, server_host, opts);
-  for (uint64_t k = 0; k < keys; ++k) {
-    PRISM_CHECK(server
-                    .LoadKey(BytesOfString(KeyOf(k)),
-                             Bytes(kBenchValueSize, 0x11))
-                    .ok());
-  }
-  auto client_hosts = AddClientHosts(fabric);
-  std::vector<std::unique_ptr<kv::PilafClient>> clients;
-  for (int c = 0; c < n_clients; ++c) {
-    clients.push_back(std::make_unique<kv::PilafClient>(
-        &fabric, client_hosts[static_cast<size_t>(c) % client_hosts.size()],
-        &server));
-  }
-  Rng master(seed);
-  std::vector<Rng> rngs;
-  for (int c = 0; c < n_clients; ++c) rngs.push_back(master.Fork());
-  auto loop = [&](int c, workload::Recorder* recorder) -> sim::Task<void> {
-    kv::PilafClient* client = clients[static_cast<size_t>(c)].get();
-    const net::HostId host =
-        client_hosts[static_cast<size_t>(c) % client_hosts.size()];
-    Rng* rng = &rngs[static_cast<size_t>(c)];
-    while (sim.Now() < recorder->measure_end()) {
-      const uint64_t key = rng->NextBelow(keys);
-      const bool is_get = rng->NextDouble() < read_frac;
-      const sim::TimePoint op_start = sim.Now();
-      const obs::TransportTally before = client->TransportTally();
-      const obs::SpanId span = fabric.obs().StartSpan(
-          is_get ? "kv.get" : "kv.put", "app", host, sim.Now());
-      if (is_get) {
-        auto r = co_await client->Get(KeyOf(key));
-        PRISM_CHECK(r.ok()) << r.status();
-      } else {
-        Status s = co_await client->Put(KeyOf(key),
-                                        Bytes(kBenchValueSize, 0x22));
-        PRISM_CHECK(s.ok()) << s;
-      }
-      fabric.obs().FinishSpan(span, sim.Now());
-      fabric.obs().ops().Record(is_get ? "kv.get" : "kv.put",
-                                client->TransportTally() - before);
-      recorder->Record(op_start);
-    }
-  };
-  workload::LoadPoint p = RunClosedLoop(sim, n_clients, windows, loop);
-  p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
-  return p;
+  return RunKvPoint<kv::PilafClient>(
+      [backend](net::Fabric& fabric) {
+        return LoadPilafServer(fabric, backend);
+      },
+      n_clients, read_frac, windows, seed, pobs);
 }
 
-// Fans the full three-series client sweep through the parallel sweep
-// runner; each cell is a self-contained simulation (own Simulator, Fabric,
-// RNGs), so any --jobs count yields bit-identical rows and stdout.
+// The full three-series client sweep of Figures 3 and 4.
 inline void RunKvFigure(const char* bench_name, const char* title,
                         double read_frac, int jobs,
                         const ObsOptions& obs_opts = {}) {
-  using workload::PrintHeader;
-  using workload::PrintRow;
-  BenchWindows windows = BenchWindows::Default();
-  const std::vector<int> sweep = DefaultClientSweep();
-  ObsRig rig(obs_opts, 3 * sweep.size());
-  std::vector<SweepCell> cells;
-  size_t slot = 0;
-  for (int n : sweep) {
-    obs::PointObs* po = rig.at(slot++);
-    cells.push_back({"Pilaf", [=] {
-                       return RunPilafPoint(n, read_frac,
-                                            rdma::Backend::kHardwareNic,
-                                            windows,
-                                            1000 + static_cast<uint64_t>(n),
-                                            po);
-                     }});
-  }
-  for (int n : sweep) {
-    obs::PointObs* po = rig.at(slot++);
-    cells.push_back({"Pilaf (software RDMA)", [=] {
-                       return RunPilafPoint(n, read_frac,
-                                            rdma::Backend::kSoftwareStack,
-                                            windows,
-                                            2000 + static_cast<uint64_t>(n),
-                                            po);
-                     }});
-  }
-  for (int n : sweep) {
-    obs::PointObs* po = rig.at(slot++);
-    cells.push_back({"PRISM-KV", [=] {
-                       return RunPrismKvPoint(
-                           n, read_frac, windows,
-                           3000 + static_cast<uint64_t>(n), po);
-                     }});
-  }
-  FigureReporter reporter(bench_name, title);
-  std::vector<workload::LoadPoint> rows =
-      RunFigureSweep(reporter, cells, jobs);
-  PrintHeader(title);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    PrintRow(cells[i].series, rows[i]);
-  }
-  reporter.WriteUnified();
-  rig.Finish(bench_name, cells);
+  const BenchWindows windows = BenchWindows::Default();
+  RunClientSweepFigure(
+      bench_name, title,
+      {{"Pilaf",
+        [=](int n, obs::PointObs* po) {
+          return RunPilafPoint(n, read_frac, rdma::Backend::kHardwareNic,
+                               windows, 1000 + static_cast<uint64_t>(n), po);
+        }},
+       {"Pilaf (software RDMA)",
+        [=](int n, obs::PointObs* po) {
+          return RunPilafPoint(n, read_frac, rdma::Backend::kSoftwareStack,
+                               windows, 2000 + static_cast<uint64_t>(n), po);
+        }},
+       {"PRISM-KV",
+        [=](int n, obs::PointObs* po) {
+          return RunPrismKvPoint(n, read_frac, windows,
+                                 3000 + static_cast<uint64_t>(n), po);
+        }}},
+      jobs, obs_opts);
 }
 
 }  // namespace prism::bench

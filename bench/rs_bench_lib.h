@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -19,32 +20,42 @@ inline uint64_t RsBlockCount() { return FastMode() ? 2048 : 16384; }
 constexpr uint64_t kRsBlockSize = 512;
 constexpr int kRsReplicas = 3;
 
-inline workload::LoadPoint RunPrismRsPoint(int n_clients, double write_frac,
-                                           double zipf_theta,
-                                           const BenchWindows& windows,
-                                           uint64_t seed,
-                                           obs::PointObs* pobs = nullptr) {
+// One closed-loop block-store point against the PRISM-RS or ABD-LOCK
+// Cluster/Client pair, built from `opts`. ABD-LOCK gives up on an op after
+// max_lock_attempts; that is recorded as an abort, and any other failure
+// stops the run.
+template <typename Cluster, typename Client, typename Opts>
+workload::LoadPoint RunRsPoint(Opts opts, int n_clients, double write_frac,
+                               double zipf_theta, const BenchWindows& windows,
+                               uint64_t seed, obs::PointObs* pobs) {
+  constexpr bool kAbd = std::is_same_v<Client, rs::AbdLockClient>;
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
   if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
-  rs::PrismRsOptions opts;
   opts.n_blocks = RsBlockCount();
   opts.block_size = kRsBlockSize;
-  opts.buffers_per_replica = RsBlockCount() + 8192;
-  rs::PrismRsCluster cluster(&fabric, kRsReplicas, opts);
+  Cluster cluster(&fabric, kRsReplicas, opts);
   auto client_hosts = AddClientHosts(fabric);
-  std::vector<std::unique_ptr<rs::PrismRsClient>> clients;
+  std::vector<std::unique_ptr<Client>> clients;
   for (int c = 0; c < n_clients; ++c) {
-    clients.push_back(std::make_unique<rs::PrismRsClient>(
-        &fabric, client_hosts[static_cast<size_t>(c) % client_hosts.size()],
-        &cluster, static_cast<uint16_t>(c + 1)));
+    const net::HostId h =
+        client_hosts[static_cast<size_t>(c) % client_hosts.size()];
+    const uint16_t id = static_cast<uint16_t>(c + 1);
+    if constexpr (kAbd) {
+      clients.push_back(
+          std::make_unique<Client>(&fabric, h, &cluster, id, seed * 31 + 7));
+    } else {
+      clients.push_back(std::make_unique<Client>(&fabric, h, &cluster, id));
+    }
   }
   Rng master(seed);
   std::vector<Rng> rngs;
   for (int c = 0; c < n_clients; ++c) rngs.push_back(master.Fork());
   workload::KeyChooser chooser(RsBlockCount(), zipf_theta);
+  const char* put_op = kAbd ? "abd.put" : "rs.put";
+  const char* get_op = kAbd ? "abd.get" : "rs.get";
   auto loop = [&](int c, workload::Recorder* recorder) -> sim::Task<void> {
-    rs::PrismRsClient* client = clients[static_cast<size_t>(c)].get();
+    Client* client = clients[static_cast<size_t>(c)].get();
     const net::HostId host =
         client_hosts[static_cast<size_t>(c) % client_hosts.size()];
     Rng* rng = &rngs[static_cast<size_t>(c)];
@@ -54,29 +65,42 @@ inline workload::LoadPoint RunPrismRsPoint(int n_clients, double write_frac,
       const sim::TimePoint op_start = sim.Now();
       const obs::TransportTally before = client->TransportTally();
       const obs::SpanId span = fabric.obs().StartSpan(
-          is_put ? "rs.put" : "rs.get", "app", host, sim.Now());
+          is_put ? put_op : get_op, "app", host, sim.Now());
+      Status s;
       if (is_put) {
-        Status s = co_await client->Put(
+        s = co_await client->Put(
             block, Bytes(kRsBlockSize, static_cast<uint8_t>(c)));
-        PRISM_CHECK(s.ok()) << s;
       } else {
         auto r = co_await client->Get(block);
-        PRISM_CHECK(r.ok()) << r.status();
+        s = r.status();
       }
       fabric.obs().FinishSpan(span, sim.Now());
-      fabric.obs().ops().Record(is_put ? "rs.put" : "rs.get",
+      fabric.obs().ops().Record(is_put ? put_op : get_op,
                                 client->TransportTally() - before);
+      if (!s.ok()) {
+        PRISM_CHECK(kAbd) << s;
+        recorder->RecordAbort();  // lock-acquisition exhaustion
+        continue;
+      }
       recorder->Record(op_start);
     }
-    client->FlushReclaim();
+    if constexpr (!kAbd) client->FlushReclaim();
   };
   workload::LoadPoint p = RunClosedLoop(sim, n_clients, windows, loop);
   p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
+  HarvestPointObs(fabric, pobs);
   return p;
+}
+
+inline workload::LoadPoint RunPrismRsPoint(int n_clients, double write_frac,
+                                           double zipf_theta,
+                                           const BenchWindows& windows,
+                                           uint64_t seed,
+                                           obs::PointObs* pobs = nullptr) {
+  rs::PrismRsOptions opts;
+  opts.buffers_per_replica = RsBlockCount() + 8192;
+  return RunRsPoint<rs::PrismRsCluster, rs::PrismRsClient>(
+      opts, n_clients, write_frac, zipf_theta, windows, seed, pobs);
 }
 
 inline workload::LoadPoint RunAbdLockPoint(int n_clients, double write_frac,
@@ -85,109 +109,35 @@ inline workload::LoadPoint RunAbdLockPoint(int n_clients, double write_frac,
                                            const BenchWindows& windows,
                                            uint64_t seed,
                                            obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
   rs::AbdLockOptions opts;
-  opts.n_blocks = RsBlockCount();
-  opts.block_size = kRsBlockSize;
   opts.backend = backend;
-  rs::AbdLockCluster cluster(&fabric, kRsReplicas, opts);
-  auto client_hosts = AddClientHosts(fabric);
-  std::vector<std::unique_ptr<rs::AbdLockClient>> clients;
-  for (int c = 0; c < n_clients; ++c) {
-    clients.push_back(std::make_unique<rs::AbdLockClient>(
-        &fabric, client_hosts[static_cast<size_t>(c) % client_hosts.size()],
-        &cluster, static_cast<uint16_t>(c + 1), seed * 31 + 7));
-  }
-  Rng master(seed);
-  std::vector<Rng> rngs;
-  for (int c = 0; c < n_clients; ++c) rngs.push_back(master.Fork());
-  workload::KeyChooser chooser(RsBlockCount(), zipf_theta);
-  auto loop = [&](int c, workload::Recorder* recorder) -> sim::Task<void> {
-    rs::AbdLockClient* client = clients[static_cast<size_t>(c)].get();
-    const net::HostId host =
-        client_hosts[static_cast<size_t>(c) % client_hosts.size()];
-    Rng* rng = &rngs[static_cast<size_t>(c)];
-    while (sim.Now() < recorder->measure_end()) {
-      const uint64_t block = chooser.Next(*rng);
-      const bool is_put = rng->NextDouble() < write_frac;
-      const sim::TimePoint op_start = sim.Now();
-      const obs::TransportTally before = client->TransportTally();
-      const obs::SpanId span = fabric.obs().StartSpan(
-          is_put ? "abd.put" : "abd.get", "app", host, sim.Now());
-      bool ok = true;
-      if (is_put) {
-        Status s = co_await client->Put(
-            block, Bytes(kRsBlockSize, static_cast<uint8_t>(c)));
-        ok = s.ok();
-      } else {
-        auto r = co_await client->Get(block);
-        ok = r.ok();
-      }
-      fabric.obs().FinishSpan(span, sim.Now());
-      fabric.obs().ops().Record(is_put ? "abd.put" : "abd.get",
-                                client->TransportTally() - before);
-      if (!ok) {
-        recorder->RecordAbort();  // lock-acquisition exhaustion
-        continue;
-      }
-      recorder->Record(op_start);
-    }
-  };
-  workload::LoadPoint p = RunClosedLoop(sim, n_clients, windows, loop);
-  p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
-  return p;
+  return RunRsPoint<rs::AbdLockCluster, rs::AbdLockClient>(
+      opts, n_clients, write_frac, zipf_theta, windows, seed, pobs);
 }
 
-// Figure 6: the full three-series client sweep, fanned out through the
-// parallel sweep runner (each cell is a self-contained simulation).
+// Figure 6: the full three-series client sweep.
 inline void RunRsTputFigure(const char* bench_name, int jobs,
                             const ObsOptions& obs_opts = {}) {
-  const char* title =
-      "Figure 6: replicated block store, 3 replicas, 50% writes, uniform";
-  BenchWindows windows = BenchWindows::Default();
-  const std::vector<int> sweep = DefaultClientSweep();
-  ObsRig rig(obs_opts, 3 * sweep.size());
-  std::vector<SweepCell> cells;
-  size_t slot = 0;
-  for (int n : sweep) {
-    obs::PointObs* po = rig.at(slot++);
-    cells.push_back({"ABDLOCK", [=] {
-                       return RunAbdLockPoint(
-                           n, 0.5, 0.0, rdma::Backend::kHardwareNic, windows,
-                           600 + static_cast<uint64_t>(n), po);
-                     }});
-  }
-  for (int n : sweep) {
-    obs::PointObs* po = rig.at(slot++);
-    cells.push_back({"ABDLOCK (software RDMA)", [=] {
-                       return RunAbdLockPoint(
-                           n, 0.5, 0.0, rdma::Backend::kSoftwareStack,
-                           windows, 700 + static_cast<uint64_t>(n), po);
-                     }});
-  }
-  for (int n : sweep) {
-    obs::PointObs* po = rig.at(slot++);
-    cells.push_back({"PRISM-RS", [=] {
-                       return RunPrismRsPoint(n, 0.5, 0.0, windows,
-                                              800 + static_cast<uint64_t>(n),
-                                              po);
-                     }});
-  }
-  FigureReporter reporter(bench_name, title);
-  std::vector<workload::LoadPoint> rows =
-      RunFigureSweep(reporter, cells, jobs);
-  workload::PrintHeader(title);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    workload::PrintRow(cells[i].series, rows[i]);
-  }
-  reporter.WriteUnified();
-  rig.Finish(bench_name, cells);
+  const BenchWindows windows = BenchWindows::Default();
+  RunClientSweepFigure(
+      bench_name,
+      "Figure 6: replicated block store, 3 replicas, 50% writes, uniform",
+      {{"ABDLOCK",
+        [=](int n, obs::PointObs* po) {
+          return RunAbdLockPoint(n, 0.5, 0.0, rdma::Backend::kHardwareNic,
+                                 windows, 600 + static_cast<uint64_t>(n), po);
+        }},
+       {"ABDLOCK (software RDMA)",
+        [=](int n, obs::PointObs* po) {
+          return RunAbdLockPoint(n, 0.5, 0.0, rdma::Backend::kSoftwareStack,
+                                 windows, 700 + static_cast<uint64_t>(n), po);
+        }},
+       {"PRISM-RS",
+        [=](int n, obs::PointObs* po) {
+          return RunPrismRsPoint(n, 0.5, 0.0, windows,
+                                 800 + static_cast<uint64_t>(n), po);
+        }}},
+      jobs, obs_opts);
 }
 
 // Figure 7: latency vs Zipf coefficient at fixed load, ABD-LOCK vs

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -21,25 +22,27 @@ namespace prism::bench {
 inline uint64_t TxKeyCount() { return FastMode() ? 4096 : 32768; }
 constexpr uint64_t kTxValueSize = 512;
 
-inline workload::LoadPoint RunPrismTxPoint(int n_clients, double zipf_theta,
-                                           const BenchWindows& windows,
-                                           uint64_t seed,
-                                           obs::PointObs* pobs = nullptr) {
+// One YCSB-T read-modify-write closed-loop point against the PRISM-TX or
+// FaRM Cluster/Client pair, built from `opts` on a single shard. A failed
+// read or commit (OCC conflict) is an abort; YCSB-T retries it as a new
+// transaction.
+template <typename Cluster, typename Client, typename Opts>
+workload::LoadPoint RunTxPoint(Opts opts, int n_clients, double zipf_theta,
+                               const BenchWindows& windows, uint64_t seed,
+                               obs::PointObs* pobs) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
   if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
-  tx::PrismTxOptions opts;
   opts.keys_per_shard = TxKeyCount();
   opts.value_size = kTxValueSize;
-  opts.buffers_per_shard = TxKeyCount() + 8192;
-  tx::PrismTxCluster cluster(&fabric, /*n_shards=*/1, opts);
+  Cluster cluster(&fabric, /*n_shards=*/1, opts);
   for (uint64_t k = 0; k < TxKeyCount(); ++k) {
     PRISM_CHECK(cluster.LoadKey(k, Bytes(kTxValueSize, 0x11)).ok());
   }
   auto client_hosts = AddClientHosts(fabric);
-  std::vector<std::unique_ptr<tx::PrismTxClient>> clients;
+  std::vector<std::unique_ptr<Client>> clients;
   for (int c = 0; c < n_clients; ++c) {
-    clients.push_back(std::make_unique<tx::PrismTxClient>(
+    clients.push_back(std::make_unique<Client>(
         &fabric, client_hosts[static_cast<size_t>(c) % client_hosts.size()],
         &cluster, static_cast<uint16_t>(c + 1)));
   }
@@ -48,7 +51,7 @@ inline workload::LoadPoint RunPrismTxPoint(int n_clients, double zipf_theta,
   for (int c = 0; c < n_clients; ++c) rngs.push_back(master.Fork());
   workload::KeyChooser chooser(TxKeyCount(), zipf_theta);
   auto loop = [&](int c, workload::Recorder* recorder) -> sim::Task<void> {
-    tx::PrismTxClient* client = clients[static_cast<size_t>(c)].get();
+    Client* client = clients[static_cast<size_t>(c)].get();
     const net::HostId host =
         client_hosts[static_cast<size_t>(c) % client_hosts.size()];
     Rng* rng = &rngs[static_cast<size_t>(c)];
@@ -60,34 +63,39 @@ inline workload::LoadPoint RunPrismTxPoint(int n_clients, double zipf_theta,
           fabric.obs().StartSpan("tx.rmw", "app", host, sim.Now());
       tx::Transaction txn = client->Begin();
       auto v = co_await client->Read(txn, key);
-      if (!v.ok()) {
-        fabric.obs().FinishSpan(span, sim.Now());
-        fabric.obs().ops().Record("tx.rmw",
-                                  client->TransportTally() - before);
-        recorder->RecordAbort();
-        continue;
+      Status s = v.status();
+      if (v.ok()) {
+        Bytes updated = std::move(*v);
+        updated[0] = static_cast<uint8_t>(updated[0] + 1);
+        client->Write(txn, key, std::move(updated));
+        s = co_await client->Commit(txn);
       }
-      Bytes updated = std::move(*v);
-      updated[0] = static_cast<uint8_t>(updated[0] + 1);
-      client->Write(txn, key, std::move(updated));
-      Status s = co_await client->Commit(txn);
       fabric.obs().FinishSpan(span, sim.Now());
       fabric.obs().ops().Record("tx.rmw", client->TransportTally() - before);
       if (s.ok()) {
         recorder->Record(op_start);
       } else {
-        recorder->RecordAbort();  // OCC conflict; YCSB-T retries as new txn
+        recorder->RecordAbort();
       }
     }
-    client->FlushReclaim();
+    if constexpr (std::is_same_v<Client, tx::PrismTxClient>) {
+      client->FlushReclaim();
+    }
   };
   workload::LoadPoint p = RunClosedLoop(sim, n_clients, windows, loop);
   p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
+  HarvestPointObs(fabric, pobs);
   return p;
+}
+
+inline workload::LoadPoint RunPrismTxPoint(int n_clients, double zipf_theta,
+                                           const BenchWindows& windows,
+                                           uint64_t seed,
+                                           obs::PointObs* pobs = nullptr) {
+  tx::PrismTxOptions opts;
+  opts.buffers_per_shard = TxKeyCount() + 8192;
+  return RunTxPoint<tx::PrismTxCluster, tx::PrismTxClient>(
+      opts, n_clients, zipf_theta, windows, seed, pobs);
 }
 
 inline workload::LoadPoint RunFarmPoint(int n_clients, double zipf_theta,
@@ -95,116 +103,35 @@ inline workload::LoadPoint RunFarmPoint(int n_clients, double zipf_theta,
                                         const BenchWindows& windows,
                                         uint64_t seed,
                                         obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
   tx::FarmOptions opts;
-  opts.keys_per_shard = TxKeyCount();
-  opts.value_size = kTxValueSize;
   opts.backend = backend;
-  tx::FarmCluster cluster(&fabric, /*n_shards=*/1, opts);
-  for (uint64_t k = 0; k < TxKeyCount(); ++k) {
-    PRISM_CHECK(cluster.LoadKey(k, Bytes(kTxValueSize, 0x11)).ok());
-  }
-  auto client_hosts = AddClientHosts(fabric);
-  std::vector<std::unique_ptr<tx::FarmClient>> clients;
-  for (int c = 0; c < n_clients; ++c) {
-    clients.push_back(std::make_unique<tx::FarmClient>(
-        &fabric, client_hosts[static_cast<size_t>(c) % client_hosts.size()],
-        &cluster, static_cast<uint16_t>(c + 1)));
-  }
-  Rng master(seed);
-  std::vector<Rng> rngs;
-  for (int c = 0; c < n_clients; ++c) rngs.push_back(master.Fork());
-  workload::KeyChooser chooser(TxKeyCount(), zipf_theta);
-  auto loop = [&](int c, workload::Recorder* recorder) -> sim::Task<void> {
-    tx::FarmClient* client = clients[static_cast<size_t>(c)].get();
-    const net::HostId host =
-        client_hosts[static_cast<size_t>(c) % client_hosts.size()];
-    Rng* rng = &rngs[static_cast<size_t>(c)];
-    while (sim.Now() < recorder->measure_end()) {
-      const uint64_t key = chooser.Next(*rng);
-      const sim::TimePoint op_start = sim.Now();
-      const obs::TransportTally before = client->TransportTally();
-      const obs::SpanId span =
-          fabric.obs().StartSpan("tx.rmw", "app", host, sim.Now());
-      tx::Transaction txn = client->Begin();
-      auto v = co_await client->Read(txn, key);
-      if (!v.ok()) {
-        fabric.obs().FinishSpan(span, sim.Now());
-        fabric.obs().ops().Record("tx.rmw",
-                                  client->TransportTally() - before);
-        recorder->RecordAbort();
-        continue;
-      }
-      Bytes updated = std::move(*v);
-      updated[0] = static_cast<uint8_t>(updated[0] + 1);
-      client->Write(txn, key, std::move(updated));
-      Status s = co_await client->Commit(txn);
-      fabric.obs().FinishSpan(span, sim.Now());
-      fabric.obs().ops().Record("tx.rmw", client->TransportTally() - before);
-      if (s.ok()) {
-        recorder->Record(op_start);
-      } else {
-        recorder->RecordAbort();
-      }
-    }
-  };
-  workload::LoadPoint p = RunClosedLoop(sim, n_clients, windows, loop);
-  p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
-  return p;
+  return RunTxPoint<tx::FarmCluster, tx::FarmClient>(
+      opts, n_clients, zipf_theta, windows, seed, pobs);
 }
 
 // Figure 9: the full three-series client sweep (FaRM hw / FaRM sw /
-// PRISM-TX) through the parallel sweep runner.
+// PRISM-TX).
 inline void RunTxTputFigure(const char* bench_name, int jobs,
                             const ObsOptions& obs_opts = {}) {
-  const char* title =
-      "Figure 9: transactions, YCSB-T RMW, uniform, single shard";
-  BenchWindows windows = BenchWindows::Default();
-  const std::vector<int> sweep = DefaultClientSweep();
-  ObsRig rig(obs_opts, 3 * sweep.size());
-  std::vector<SweepCell> cells;
-  size_t slot = 0;
-  for (int n : sweep) {
-    obs::PointObs* po = rig.at(slot++);
-    cells.push_back({"FaRM", [=] {
-                       return RunFarmPoint(
-                           n, 0.0, rdma::Backend::kHardwareNic, windows,
-                           900 + static_cast<uint64_t>(n), po);
-                     }});
-  }
-  for (int n : sweep) {
-    obs::PointObs* po = rig.at(slot++);
-    cells.push_back({"FaRM (software RDMA)", [=] {
-                       return RunFarmPoint(
-                           n, 0.0, rdma::Backend::kSoftwareStack, windows,
-                           910 + static_cast<uint64_t>(n), po);
-                     }});
-  }
-  for (int n : sweep) {
-    obs::PointObs* po = rig.at(slot++);
-    cells.push_back({"PRISM-TX", [=] {
-                       return RunPrismTxPoint(
-                           n, 0.0, windows, 920 + static_cast<uint64_t>(n),
-                           po);
-                     }});
-  }
-  FigureReporter reporter(bench_name, title);
-  std::vector<workload::LoadPoint> rows =
-      RunFigureSweep(reporter, cells, jobs);
-  workload::PrintHeader(title, "abort%");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%5.2f%%", rows[i].abort_rate * 100);
-    workload::PrintRow(cells[i].series, rows[i], buf);
-  }
-  reporter.WriteUnified();
-  rig.Finish(bench_name, cells);
+  const BenchWindows windows = BenchWindows::Default();
+  RunClientSweepFigure(
+      bench_name, "Figure 9: transactions, YCSB-T RMW, uniform, single shard",
+      {{"FaRM",
+        [=](int n, obs::PointObs* po) {
+          return RunFarmPoint(n, 0.0, rdma::Backend::kHardwareNic, windows,
+                              900 + static_cast<uint64_t>(n), po);
+        }},
+       {"FaRM (software RDMA)",
+        [=](int n, obs::PointObs* po) {
+          return RunFarmPoint(n, 0.0, rdma::Backend::kSoftwareStack, windows,
+                              910 + static_cast<uint64_t>(n), po);
+        }},
+       {"PRISM-TX",
+        [=](int n, obs::PointObs* po) {
+          return RunPrismTxPoint(n, 0.0, windows,
+                                 920 + static_cast<uint64_t>(n), po);
+        }}},
+      jobs, obs_opts, /*abort_column=*/true);
 }
 
 // Figure 10: peak throughput vs Zipf coefficient, one cell per

@@ -814,6 +814,28 @@ sim::Task<Result<uint64_t>> ConsensusCluster::Failover(int candidate,
   co_return won;
 }
 
+bool ConsensusCluster::CommittedPrefixesAgree(std::string* error) const {
+  for (int a = 0; a < n(); ++a) {
+    for (int b = a + 1; b < n(); ++b) {
+      const uint64_t upto =
+          std::min(replica(a).commit_seq(), replica(b).commit_seq());
+      for (uint64_t s = 1; s <= upto; ++s) {
+        LogEntryWire ea, eb;
+        if (!replica(a).EntryAt(s, &ea) || !replica(b).EntryAt(s, &eb)) {
+          continue;
+        }
+        if (ea.key != eb.key || ea.v_lo != eb.v_lo || ea.v_hi != eb.v_hi) {
+          *error = "replicas " + std::to_string(a) + " and " +
+                   std::to_string(b) + " diverge at committed seq " +
+                   std::to_string(s);
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
 // ---- session ----
 
 ConsensusSession::ConsensusSession(ConsensusCluster* cluster)

@@ -51,6 +51,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -351,6 +352,12 @@ class ConsensusCluster {
   // here so runs can assert a clean drain.
   sim::TaskTracker& tracker() { return tracker_; }
   uint64_t failovers() const { return failovers_; }
+
+  // Cross-replica log safety: below both commit words, two replicas that
+  // both hold a slot hold the same key/value. Holes are legal (indeterminate
+  // ops that never landed), and header epochs may lag until healing rewrites
+  // them. On divergence returns false and names the slot in `error`.
+  bool CommittedPrefixesAgree(std::string* error) const;
 
  private:
   ConsensusOptions opts_;

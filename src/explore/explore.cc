@@ -131,11 +131,7 @@ SeedReport ExploreSeed(Workload kind, uint64_t seed,
     }
     PerturbHook hook(MixSeed(opts.explore_seed, seed, static_cast<uint64_t>(r)),
                      opts.delta, opts.budget, opts.rate, offset);
-    WorkloadOptions wo;
-    wo.kind = kind;
-    wo.seed = seed;
-    wo.hook = &hook;
-    RunOutcome o = RunWorkload(wo);
+    RunOutcome o = RunWorkload({.kind = kind, .seed = seed, .hook = &hook});
     ++rep.runs;
     if (r == 0) horizon = hook.steps();
     if (!o.ok) {
@@ -153,12 +149,10 @@ SeedReport ExploreSeed(Workload kind, uint64_t seed,
     auto runner = [&](const std::vector<Perturbation>& p,
                       const std::vector<int>& disabled) {
       ReplayHook hook(opts.delta, p);
-      WorkloadOptions wo;
-      wo.kind = kind;
-      wo.seed = seed;
-      wo.hook = &hook;
-      wo.disabled_windows = &disabled;
-      return RunWorkload(wo);
+      return RunWorkload({.kind = kind,
+                          .seed = seed,
+                          .hook = &hook,
+                          .disabled_windows = &disabled});
     };
     ShrinkResult s = Shrink(runner, *first_fail, fault_windows);
     rep.shrink_runs = s.runs;
@@ -197,12 +191,10 @@ SweepReport ExploreSweep(Workload kind, const std::vector<uint64_t>& seeds,
 
 RunOutcome ReplayReproducer(const Reproducer& repro) {
   ReplayHook hook(repro.delta, repro.perturbations);
-  WorkloadOptions wo;
-  wo.kind = repro.kind;
-  wo.seed = repro.seed;
-  wo.hook = &hook;
-  wo.disabled_windows = &repro.disabled_windows;
-  return RunWorkload(wo);
+  return RunWorkload({.kind = repro.kind,
+                      .seed = repro.seed,
+                      .hook = &hook,
+                      .disabled_windows = &repro.disabled_windows});
 }
 
 std::string FormatReproducer(const Reproducer& repro) {

@@ -1,12 +1,12 @@
 #include "src/explore/workloads.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "src/chaos/chaos.h"
 #include "src/check/checker.h"
 #include "src/check/history.h"
-#include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/consensus/consensus.h"
@@ -24,19 +24,6 @@ namespace prism::explore {
 namespace {
 
 using sim::Task;
-
-const char* kWorkloadNames[] = {"toy",        "rs",         "kv",
-                                "tx",         "sync_spin",  "sync_opt",
-                                "sync_lease", "sync_prism", "sync_buggy",
-                                "consensus",  "consensus_buggy"};
-constexpr int kWorkloadCount =
-    static_cast<int>(sizeof(kWorkloadNames) / sizeof(kWorkloadNames[0]));
-
-// Explorer workloads are small cousins of the chaos_test sweeps: the
-// explorer runs each (workload, seed) point N times and the shrinker dozens
-// more, so ops counts and think times are scaled down, and the chaos
-// schedule is compressed to overlap the shorter run.
-constexpr int kClients = 2;
 
 uint64_t HashCombine(uint64_t h, uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
@@ -76,25 +63,14 @@ uint64_t TxFingerprint(const std::vector<check::TxnRecord>& txns) {
   return h;
 }
 
-// Globally unique value bytes, as in chaos_test (requires size >= 11).
-Bytes UniqueValue(size_t size, uint64_t seed, int client, int op) {
-  Bytes v(size, 0);
-  for (int i = 0; i < 8; ++i) v[i] = static_cast<uint8_t>(seed >> (8 * i));
-  v[8] = static_cast<uint8_t>(client);
-  v[9] = static_cast<uint8_t>(op);
-  v[10] = static_cast<uint8_t>(op >> 8);
-  return v;
-}
-
 check::ValueId KvKeyId(const std::string& key) {
   return check::IdOf(ByteView(
       reinterpret_cast<const uint8_t*>(key.data()), key.size()));
 }
 
-// Chaos schedule compressed to the explorer workloads' shorter runtime.
-chaos::ChaosOptions ExploreChaosOptions(uint64_t seed) {
+// Chaos schedule compressed to the explorer row's shorter runtime.
+chaos::ChaosOptions ExploreChaosOptions() {
   chaos::ChaosOptions copts;
-  copts.seed = seed;
   copts.start = sim::Micros(20);
   copts.horizon = sim::Millis(1);
   copts.min_downtime = sim::Micros(50);
@@ -104,21 +80,549 @@ chaos::ChaosOptions ExploreChaosOptions(uint64_t seed) {
   return copts;
 }
 
-void ApplyDisabledWindows(chaos::ChaosMonkey* monkey,
-                          const std::vector<int>* disabled) {
-  if (disabled == nullptr) return;
-  for (int w : *disabled) {
-    if (w >= 0 && w < monkey->window_count()) {
-      monkey->SetWindowDisabled(w, true);
-    }
-  }
-}
-
 void Fail(RunOutcome* out, const char* check_name, std::string error) {
   out->ok = false;
   out->check_name = check_name;
   out->error = std::move(error);
 }
+
+// ---- the stacks ----
+
+struct StackEnv {
+  sim::Simulator* sim;
+  net::Fabric* fabric;
+  uint64_t seed;
+  uint64_t keys;  // from the size row
+  Workload kind;
+};
+
+// One system stack built on a fabric for one seeded run. The runner adds
+// the client hosts, arms chaos, drives every client's ops, then runs the
+// final probe and the checks.
+class Stack {
+ public:
+  explicit Stack(const StackEnv& env) : env_(env) {}
+  virtual ~Stack() = default;
+
+  // Builds client `c` on `host`, recording into this stack's history.
+  virtual void AddClient(net::HostId host, int c) = 0;
+  // Issues op `i` of client `c`'s seeded mix; true if it returned ok.
+  virtual Task<bool> Op(int c, int i, Rng& rng) = 0;
+  // Quiescent final probe, once the workload drained and every fault has
+  // healed by the chaos horizon.
+  virtual Task<void> FinalProbe() = 0;
+  // Protocol tasks the stack spawns on its own (consensus heals, re-grants).
+  virtual bool BackgroundLive() { return false; }
+  virtual uint64_t Failovers() const { return 0; }
+  virtual uint64_t Fingerprint() const = 0;
+  // Runs the stack's checkers; records the first failure in `out`.
+  virtual void Check(RunOutcome* out) const = 0;
+
+  // The server hosts chaos may crash and partition.
+  const std::vector<net::HostId>& servers() const { return servers_; }
+
+ protected:
+  net::HostId AddServer(const std::string& name) {
+    servers_.push_back(env_.fabric->AddHost(name));
+    return servers_.back();
+  }
+
+  StackEnv env_;
+  std::vector<net::HostId> servers_;
+};
+
+// A key-value register stack: linearizability, then (for consensus) log
+// safety, then the differential final-state oracle over the probe's reads.
+class RegisterStack : public Stack {
+ public:
+  uint64_t Fingerprint() const override {
+    return HistoryFingerprint(history_.ops());
+  }
+
+  void Check(RunOutcome* out) const override {
+    check::CheckResult lin = check::CheckLinearizable(history_.ops(), initial_);
+    if (!lin.ok) return Fail(out, "linearizability", std::move(lin.error));
+    std::string log_error;
+    if (!LogSafe(&log_error)) {
+      return Fail(out, "log-safety", std::move(log_error));
+    }
+    check::CheckResult diff = DiffFinalState(history_.ops(), finals_, initial_);
+    if (!diff.ok) Fail(out, "final-state", std::move(diff.error));
+  }
+
+ protected:
+  RegisterStack(const StackEnv& env, check::ValueId initial)
+      : Stack(env), history_(env.sim), initial_(initial) {}
+
+  virtual bool LogSafe(std::string*) const { return true; }
+
+  check::HistoryRecorder history_;
+  const check::ValueId initial_;
+  // Filled by the final probe. The probe's own reads are not recorded, so
+  // the checkers see exactly the workload's history.
+  std::vector<FinalRead> finals_;
+};
+
+// PRISM-RS: 3-replica ABD (f = 1). Chaos never wipes memory, matching
+// ABD's fault model.
+class RsStack : public RegisterStack {
+ public:
+  static constexpr uint64_t kBlockSize = 64;
+
+  explicit RsStack(const StackEnv& env)
+      : RegisterStack(env, check::IdOf(Bytes(kBlockSize, 0))),
+        cluster_(env.fabric, 3,
+                 {.n_blocks = env.keys,
+                  .block_size = kBlockSize,
+                  .buffers_per_replica = 512}) {
+    servers_ = {0, 1, 2};
+  }
+
+  void AddClient(net::HostId host, int c) override {
+    clients_.push_back(std::make_unique<rs::PrismRsClient>(
+        env_.fabric, host, &cluster_, static_cast<uint16_t>(c + 1)));
+    clients_.back()->set_history(&history_);
+  }
+
+  Task<bool> Op(int c, int i, Rng& rng) override {
+    const uint64_t block = rng.NextBelow(env_.keys);
+    if (rng.NextBool(0.5)) {
+      Status s = co_await clients_[c]->Put(
+          block, UniqueValue(kBlockSize, env_.seed, c, i));
+      co_return s.ok();
+    }
+    auto got = co_await clients_[c]->Get(block);
+    co_return got.ok();
+  }
+
+  Task<void> FinalProbe() override {
+    clients_[0]->set_history(nullptr);
+    for (uint64_t b = 0; b < env_.keys; ++b) {
+      auto got = co_await clients_[0]->Get(b);
+      if (got.ok()) finals_.push_back({b, check::IdOf(got.value())});
+    }
+  }
+
+ private:
+  rs::PrismRsCluster cluster_;
+  std::vector<std::unique_ptr<rs::PrismRsClient>> clients_;
+};
+
+// PRISM-KV: a single server that crash/restarts (durable DRAM), plus
+// partitions and wire trouble between it and the clients.
+class KvStack : public RegisterStack {
+ public:
+  static constexpr size_t kValueSize = 32;
+
+  explicit KvStack(const StackEnv& env)
+      : RegisterStack(env, check::kAbsent),
+        server_(env.fabric, AddServer("server"), Options()) {}
+
+  void AddClient(net::HostId host, int c) override {
+    clients_.push_back(
+        std::make_unique<kv::PrismKvClient>(env_.fabric, host, &server_));
+    clients_.back()->set_history(&history_, c + 1);
+  }
+
+  Task<bool> Op(int c, int i, Rng& rng) override {
+    std::string key = "key-" + std::to_string(rng.NextBelow(env_.keys));
+    const double dice = rng.NextDouble();
+    Status s;
+    if (dice < 0.45) {
+      s = co_await clients_[c]->Put(key,
+                                    UniqueValue(kValueSize, env_.seed, c, i));
+    } else if (dice < 0.85) {
+      auto got = co_await clients_[c]->Get(key);
+      s = got.status();
+    } else {
+      s = co_await clients_[c]->Delete(key);
+    }
+    co_return s.ok();
+  }
+
+  Task<void> FinalProbe() override {
+    clients_[0]->set_history(nullptr, 0);
+    for (uint64_t k = 0; k < env_.keys; ++k) {
+      std::string key = "key-" + std::to_string(k);
+      auto got = co_await clients_[0]->Get(key);
+      if (got.ok()) {
+        finals_.push_back({KvKeyId(key), check::IdOf(got.value())});
+      } else if (got.code() == Code::kNotFound) {
+        finals_.push_back({KvKeyId(key), check::kAbsent});
+      }  // other errors: no conclusion about this key
+    }
+  }
+
+ private:
+  static kv::PrismKvOptions Options() {
+    kv::PrismKvOptions opts;
+    opts.n_buckets = 64;
+    opts.n_buffers = 256;
+    return opts;
+  }
+
+  kv::PrismKvServer server_;
+  std::vector<std::unique_ptr<kv::PrismKvClient>> clients_;
+};
+
+// PRISM-TX: 2 shards, durable crash/restart, read-committed. Transactions
+// that straddle a fault abort or time out; every read a transaction DID
+// observe must be explainable by a committed (or indeterminately-committed)
+// write.
+class TxStack : public Stack {
+ public:
+  static constexpr size_t kValueSize = 32;
+
+  explicit TxStack(const StackEnv& env)
+      : Stack(env),
+        cluster_(env.fabric, 2,
+                 {.keys_per_shard = 16,
+                  .value_size = kValueSize,
+                  .buffers_per_shard = 256}),
+        history_(env.sim) {
+    servers_ = {0, 1};
+    for (uint64_t k = 0; k < env.keys; ++k) {
+      Bytes v(kValueSize, 0);
+      v[0] = static_cast<uint8_t>(0xB0 + k);  // distinct, nonzero values
+      PRISM_CHECK(cluster_.LoadKey(k, v).ok());
+      initial_.emplace_back(k, check::IdOf(v));
+    }
+  }
+
+  void AddClient(net::HostId host, int c) override {
+    clients_.push_back(std::make_unique<tx::PrismTxClient>(
+        env_.fabric, host, &cluster_, static_cast<uint16_t>(c + 1)));
+    clients_.back()->set_history(&history_);
+  }
+
+  Task<bool> Op(int c, int i, Rng& rng) override {
+    tx::PrismTxClient& client = *clients_[c];
+    tx::Transaction txn = client.Begin();
+    const uint64_t rk = rng.NextBelow(env_.keys);
+    const uint64_t wk = rng.NextBelow(env_.keys);
+    auto read = co_await client.Read(txn, rk);
+    (void)read;
+    // Writes are full-size: IndirectRead is unbounded in fixed mode, so a
+    // shorter value would expose stale tail bytes.
+    client.Write(txn, wk, UniqueValue(kValueSize, env_.seed, c, i));
+    Status s = co_await client.Commit(txn);
+    co_return s.ok();
+  }
+
+  // One more read-only transaction over every key. It is a real transaction
+  // recorded in the same history, so CheckReadCommitted validates the final
+  // state for free.
+  Task<void> FinalProbe() override {
+    tx::Transaction txn = clients_[0]->Begin();
+    for (uint64_t k = 0; k < env_.keys; ++k) {
+      auto read = co_await clients_[0]->Read(txn, k);
+      (void)read;
+    }
+    (void)co_await clients_[0]->Commit(txn);
+  }
+
+  uint64_t Fingerprint() const override {
+    return TxFingerprint(history_.txns());
+  }
+
+  void Check(RunOutcome* out) const override {
+    check::CheckResult rc =
+        check::CheckReadCommitted(history_.txns(), initial_);
+    if (!rc.ok) Fail(out, "read-committed", std::move(rc.error));
+  }
+
+ private:
+  tx::PrismTxCluster cluster_;
+  check::TxHistoryRecorder history_;
+  std::vector<std::pair<uint64_t, check::ValueId>> initial_;
+  std::vector<std::unique_ptr<tx::PrismTxClient>> clients_;
+};
+
+// The one-sided synchronization schemes over the remote hash index.
+// Chaos-free: the failure surface under study is schedule reordering.
+class SyncStack : public RegisterStack {
+ public:
+  explicit SyncStack(const StackEnv& env)
+      : RegisterStack(env, check::IdOf(sync::InitialValue())),
+        server_(env.fabric, env.fabric->AddHost("index"), {.n_slots = 16}) {
+    for (uint64_t k = 1; k <= env.keys; ++k) {
+      PRISM_CHECK(server_.LoadKey(k, sync::InitialValue()).ok());
+    }
+  }
+
+  void AddClient(net::HostId host, int c) override {
+    // In Workload order, kSyncSpin..kSyncBuggy.
+    static constexpr sync::SyncScheme kSchemes[] = {
+        sync::SyncScheme::kSpinlock, sync::SyncScheme::kOptimistic,
+        sync::SyncScheme::kLease, sync::SyncScheme::kPrismNative,
+        sync::SyncScheme::kUnfencedBuggy};
+    const sync::SyncScheme scheme =
+        kSchemes[static_cast<int>(env_.kind) -
+                 static_cast<int>(Workload::kSyncSpin)];
+    clients_.push_back(std::make_unique<sync::SyncClient>(
+        env_.fabric, host, &server_, scheme,
+        static_cast<uint16_t>(c + 1),
+        env_.seed * 131 + static_cast<uint64_t>(c)));
+    clients_.back()->set_history(&history_, c + 1);
+    // Steady-state geometry (probe paths are covered by sync_test and the
+    // bench): every perturbation-budget step lands on the contended path.
+    for (uint64_t k = 1; k <= env_.keys; ++k) clients_.back()->Prewarm(k);
+  }
+
+  Task<bool> Op(int c, int i, Rng& rng) override {
+    // Skewed contention: most ops collide on key 1, immediately.
+    const uint64_t key = rng.NextBool(0.75) ? 1 : 1 + rng.NextBelow(env_.keys);
+    Status s;
+    if (rng.NextBool(0.6)) {
+      s = co_await clients_[c]->Update(key, sync::MakeValue(env_.seed, c, i));
+    } else {
+      auto got = co_await clients_[c]->Read(key);
+      s = got.status();
+    }
+    co_return s.ok();
+  }
+
+  // The index lives in one AddressSpace and the sim has drained, so
+  // server-local loads ARE the quiescent final state — no extra reads.
+  Task<void> FinalProbe() override {
+    for (uint64_t k = 1; k <= env_.keys; ++k) {
+      finals_.push_back({k, server_.FinalValue(k)});
+    }
+    co_return;
+  }
+
+ private:
+  sync::SyncIndexServer server_;
+  std::vector<std::unique_ptr<sync::SyncClient>> clients_;
+};
+
+// The permission-guarded leader log: 3 replicas (f = 1) whose memory
+// survives crashes — the PMP memory-server model — and clients retrying
+// with client-triggered failovers.
+class ConsensusStack : public RegisterStack {
+ public:
+  explicit ConsensusStack(const StackEnv& env)
+      : RegisterStack(env, check::kAbsent),
+        cluster_(env.fabric, AddReplicas(), consensus::ConsensusOptions{}) {}
+
+  void AddClient(net::HostId host, int c) override {
+    clients_.push_back(std::make_unique<consensus::ConsensusClient>(
+        &cluster_, static_cast<uint16_t>(c + 1),
+        env_.seed * 131 + static_cast<uint64_t>(c)));
+    clients_.back()->set_history(&history_, c + 1);
+  }
+
+  Task<bool> Op(int c, int i, Rng& rng) override {
+    const uint64_t key = 1 + rng.NextBelow(env_.keys);
+    if (rng.NextBool(0.5)) {
+      Status s = co_await clients_[c]->Put(
+          key, consensus::MakeValue(env_.seed, c, i));
+      co_return s.ok();
+    }
+    auto got = co_await clients_[c]->Get(key);
+    co_return got.ok();
+  }
+
+  // Reads through the linearizable Get path.
+  Task<void> FinalProbe() override {
+    clients_[0]->set_history(nullptr, 0);
+    for (uint64_t k = 1; k <= env_.keys; ++k) {
+      auto got = co_await clients_[0]->Get(k);
+      if (got.ok()) {
+        finals_.push_back({k, check::IdOf(*got)});
+      } else if (got.code() == Code::kNotFound) {
+        finals_.push_back({k, check::kAbsent});
+      }  // other errors: no conclusion about this key
+    }
+  }
+
+  bool BackgroundLive() override { return cluster_.tracker().live() > 0; }
+  uint64_t Failovers() const override { return cluster_.failovers(); }
+
+ private:
+  std::vector<net::HostId> AddReplicas() {
+    for (int i = 0; i < consensus::ConsensusOptions{}.n_replicas; ++i) {
+      AddServer("replica" + std::to_string(i));
+    }
+    return servers_;
+  }
+
+  bool LogSafe(std::string* error) const override {
+    return cluster_.CommittedPrefixesAgree(error);
+  }
+
+  consensus::ConsensusCluster cluster_;
+  std::vector<std::unique_ptr<consensus::ConsensusClient>> clients_;
+};
+
+// ---- the registry ----
+
+// One size row of a stack.
+struct Row {
+  uint64_t keys;
+  int ops;  // per client
+  uint64_t think_min_us;
+  uint64_t think_max_us;
+};
+
+template <typename S>
+std::unique_ptr<Stack> Make(const StackEnv& env) {
+  return std::make_unique<S>(env);
+}
+
+struct Entry {
+  const char* name;
+  sim::Duration delta;  // DefaultDelta
+  int runs;             // DefaultRuns
+  // The stack; nullptr for the bespoke toy and consensus_buggy scripts.
+  std::unique_ptr<Stack> (*make)(const StackEnv&);
+  Row explore;
+  // Chaos stacks run under a chaos schedule in both rows and carry a sweep
+  // row; chaos-free stacks (sync) have ops == 0 here.
+  Row sweep;
+};
+
+// Sync races span a few fabric hops (post → deliver → NIC → effect), each a
+// distinct event: a ~µs window lets a handful of reorder decisions compound
+// across one critical-section handoff. Each run's perturbation burst probes
+// one position in the schedule (see ExploreSeed); critical-section handoffs
+// are narrow, so the burst gets more positions per seed. Think times are
+// near zero so ops collide immediately.
+constexpr sim::Duration kSyncDelta = sim::Micros(2);
+constexpr int kSyncRuns = 32;
+constexpr Row kSyncRow{2, 6, 0, 6};
+constexpr Row kNoSweep{0, 0, 0, 0};
+
+const Entry kRegistry[] = {
+    {"toy", sim::Nanos(1000), 8, nullptr, {}, kNoSweep},
+    {"rs", sim::Nanos(1000), 8, Make<RsStack>, {3, 6, 20, 120},
+     {4, 10, 100, 600}},
+    {"kv", sim::Nanos(1000), 8, Make<KvStack>, {3, 8, 20, 120},
+     {4, 12, 100, 600}},
+    {"tx", sim::Nanos(1000), 8, Make<TxStack>, {6, 6, 20, 120},
+     {8, 8, 100, 600}},
+    {"sync_spin", kSyncDelta, kSyncRuns, Make<SyncStack>, kSyncRow, kNoSweep},
+    {"sync_opt", kSyncDelta, kSyncRuns, Make<SyncStack>, kSyncRow, kNoSweep},
+    {"sync_lease", kSyncDelta, kSyncRuns, Make<SyncStack>, kSyncRow,
+     kNoSweep},
+    {"sync_prism", kSyncDelta, kSyncRuns, Make<SyncStack>, kSyncRow,
+     kNoSweep},
+    {"sync_buggy", kSyncDelta, kSyncRuns, Make<SyncStack>, kSyncRow,
+     kNoSweep},
+    {"consensus", sim::Nanos(1000), 8, Make<ConsensusStack>, {2, 5, 20, 120},
+     {3, 10, 100, 600}},
+    // The revoke-vs-chain delivery race at the shared replica: the two
+    // deliveries sit ~0.5 µs apart, so a 2 µs window can swap them. The
+    // split-brain window is one delivery swap near the end of the scripted
+    // schedule — a narrower target than the sync races (tuned with
+    // tools/explore_main: 128 sliding-burst runs find it on every seed in
+    // [1, 100]; 32 miss ~3 in 10).
+    {"consensus_buggy", sim::Micros(2), 128, nullptr, {}, kNoSweep},
+};
+constexpr int kWorkloadCount =
+    static_cast<int>(sizeof(kRegistry) / sizeof(kRegistry[0]));
+
+const Entry& EntryOf(Workload kind) {
+  return kRegistry[static_cast<int>(kind)];
+}
+
+// The one seeded runner for every registered stack.
+RunOutcome RunStack(const Entry& entry, const WorkloadOptions& o) {
+  const bool sweep = o.size == Size::kSweep;
+  PRISM_CHECK(!sweep || entry.sweep.ops > 0)
+      << entry.name << " has no sweep row";
+  const Row& row = sweep ? entry.sweep : entry.explore;
+  const int n_clients = sweep ? 3 : 2;
+  const bool chaos = entry.sweep.ops > 0;
+
+  sim::Simulator sim;
+  if (o.hook != nullptr) sim.SetScheduleHook(o.hook);
+  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G(),
+                     /*loss_seed=*/o.seed);
+  if (o.obs != nullptr) fabric.AttachTracer(o.obs->tracer);
+  std::unique_ptr<Stack> stack =
+      entry.make(StackEnv{&sim, &fabric, o.seed, row.keys, o.kind});
+
+  std::vector<net::HostId> client_hosts;
+  for (int c = 0; c < n_clients; ++c) {
+    client_hosts.push_back(fabric.AddHost("client" + std::to_string(c)));
+    stack->AddClient(client_hosts.back(), c);
+  }
+  std::optional<chaos::ChaosMonkey> monkey;
+  if (chaos) {
+    chaos::ChaosOptions copts =
+        sweep ? chaos::ChaosOptions{} : ExploreChaosOptions();
+    copts.seed = o.seed;
+    // max_concurrent_crashes stays 1 = f: quorums stay live.
+    copts.crashable = stack->servers();
+    copts.partition_hosts = stack->servers();
+    copts.partition_hosts.insert(copts.partition_hosts.end(),
+                                 client_hosts.begin(), client_hosts.end());
+    monkey.emplace(&fabric, copts);
+    if (o.disabled_windows != nullptr) {
+      for (int w : *o.disabled_windows) {
+        if (w >= 0 && w < monkey->window_count()) {
+          monkey->SetWindowDisabled(w, true);
+        }
+      }
+    }
+    monkey->Arm();
+  }
+
+  RunOutcome out;
+  sim::TaskTracker tracker;
+  for (int c = 0; c < n_clients; ++c) {
+    sim::Spawn(
+        [&, c]() -> Task<void> {
+          Rng rng(o.seed * 977 + static_cast<uint64_t>(c));
+          for (int i = 0; i < row.ops; ++i) {
+            const bool ok = co_await stack->Op(c, i, rng);
+            if (ok) ++out.ok_ops;
+            co_await sim::SleepFor(
+                &sim, sim::Micros(rng.NextInRange(row.think_min_us,
+                                                  row.think_max_us)));
+          }
+        },
+        &tracker);
+  }
+  sim.Run();
+
+  if (monkey.has_value()) {
+    out.fault_windows = monkey->window_count();
+    out.fault_schedule = monkey->Describe();
+    out.faults_injected =
+        monkey->crashes_injected() + monkey->partitions_injected() +
+        monkey->loss_bursts_injected() + monkey->latency_spikes_injected();
+  }
+  out.failovers = stack->Failovers();
+  if (tracker.live() > 0 || stack->BackgroundLive()) {
+    Fail(&out, "hang",
+         std::string(entry.name) + " clients still live after the sim drained");
+  } else {
+    sim::TaskTracker probe_tracker;
+    sim::Spawn([&]() -> Task<void> { co_await stack->FinalProbe(); },
+               &probe_tracker);
+    sim.Run();
+    out.history_fingerprint = stack->Fingerprint();
+    if (probe_tracker.live() > 0 || stack->BackgroundLive()) {
+      Fail(&out, "hang",
+           std::string(entry.name) +
+               " final probe still live after the sim drained");
+    } else {
+      stack->Check(&out);
+    }
+  }
+  out.executed_events = sim.executed_events();
+  if (o.obs != nullptr) {
+    o.obs->host_names = fabric.HostNames();
+    if (o.obs->want_metrics) {
+      o.obs->snapshot = fabric.obs().metrics().Snapshot();
+    }
+  }
+  return out;
+}
+
+// ---- bespoke scripts ----
 
 // ---- toy: buggy primary/backup register, no chaos ----
 
@@ -150,548 +654,6 @@ RunOutcome RunToy(uint64_t seed, sim::ScheduleHook* hook) {
   }
   check::CheckResult diff =
       DiffFinalState(history.ops(), finals, ToyReplica::kInitial);
-  if (!diff.ok) Fail(&out, "final-state", std::move(diff.error));
-  return out;
-}
-
-// ---- PRISM-RS: 3-replica ABD under chaos ----
-
-RunOutcome RunRs(uint64_t seed, sim::ScheduleHook* hook,
-                 const std::vector<int>* disabled) {
-  constexpr uint64_t kBlocks = 3;
-  constexpr uint64_t kBlockSize = 64;
-  constexpr int kOpsPerClient = 6;
-
-  sim::Simulator sim;
-  if (hook != nullptr) sim.SetScheduleHook(hook);
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G(),
-                     /*loss_seed=*/seed);
-  rs::PrismRsOptions opts;
-  opts.n_blocks = kBlocks;
-  opts.block_size = kBlockSize;
-  opts.buffers_per_replica = 512;
-  rs::PrismRsCluster cluster(&fabric, 3, opts);  // replica hosts 0..2
-
-  check::HistoryRecorder history(&sim);
-  std::vector<net::HostId> client_hosts;
-  std::vector<std::unique_ptr<rs::PrismRsClient>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    client_hosts.push_back(fabric.AddHost("client" + std::to_string(c)));
-    clients.push_back(std::make_unique<rs::PrismRsClient>(
-        &fabric, client_hosts[c], &cluster, static_cast<uint16_t>(c + 1)));
-    clients[c]->set_history(&history);
-  }
-
-  chaos::ChaosOptions copts = ExploreChaosOptions(seed);
-  copts.crashable = {0, 1, 2};
-  copts.max_concurrent_crashes = 1;  // = f: quorums stay live
-  copts.partition_hosts = {0, 1, 2};
-  for (net::HostId h : client_hosts) copts.partition_hosts.push_back(h);
-  chaos::ChaosMonkey monkey(&fabric, copts);
-  ApplyDisabledWindows(&monkey, disabled);
-  monkey.Arm();
-
-  sim::TaskTracker tracker;
-  for (int c = 0; c < kClients; ++c) {
-    sim::Spawn(
-        [&, c]() -> Task<void> {
-          Rng rng(seed * 977 + static_cast<uint64_t>(c));
-          for (int i = 0; i < kOpsPerClient; ++i) {
-            uint64_t block = rng.NextBelow(kBlocks);
-            if (rng.NextBool(0.5)) {
-              (void)co_await clients[c]->Put(
-                  block, UniqueValue(kBlockSize, seed, c, i));
-            } else {
-              (void)co_await clients[c]->Get(block);
-            }
-            co_await sim::SleepFor(&sim,
-                                   sim::Micros(rng.NextInRange(20, 120)));
-          }
-        },
-        &tracker);
-  }
-  sim.Run();
-
-  RunOutcome out;
-  out.fault_windows = monkey.window_count();
-  out.fault_schedule = monkey.Describe();
-  if (tracker.live() > 0) {
-    out.executed_events = sim.executed_events();
-    Fail(&out, "hang", "RS clients still live after the sim drained");
-    return out;
-  }
-
-  // Quiescent final reads: every fault healed by the chaos horizon, so a
-  // fresh read of each block probes the system's final state. They run
-  // detached from the history (the checker sees the workload snapshot).
-  const std::vector<check::Op> snapshot = history.ops();
-  for (int c = 0; c < kClients; ++c) clients[c]->set_history(nullptr);
-  std::vector<FinalRead> finals;
-  sim::TaskTracker final_tracker;
-  sim::Spawn(
-      [&]() -> Task<void> {
-        for (uint64_t b = 0; b < kBlocks; ++b) {
-          auto got = co_await clients[0]->Get(b);
-          if (got.ok()) finals.push_back({b, check::IdOf(got.value())});
-        }
-      },
-      &final_tracker);
-  sim.Run();
-
-  out.executed_events = sim.executed_events();
-  out.history_fingerprint = HistoryFingerprint(snapshot);
-  if (final_tracker.live() > 0) {
-    Fail(&out, "hang", "RS final reads still live after the sim drained");
-    return out;
-  }
-  const check::ValueId initial = check::IdOf(Bytes(kBlockSize, 0));
-  check::CheckResult lin = check::CheckLinearizable(snapshot, initial);
-  if (!lin.ok) {
-    Fail(&out, "linearizability", std::move(lin.error));
-    return out;
-  }
-  check::CheckResult diff = DiffFinalState(snapshot, finals, initial);
-  if (!diff.ok) Fail(&out, "final-state", std::move(diff.error));
-  return out;
-}
-
-// ---- PRISM-KV: single server under chaos ----
-
-RunOutcome RunKv(uint64_t seed, sim::ScheduleHook* hook,
-                 const std::vector<int>* disabled) {
-  constexpr uint64_t kKeys = 3;
-  constexpr size_t kValueSize = 32;
-  constexpr int kOpsPerClient = 8;
-
-  sim::Simulator sim;
-  if (hook != nullptr) sim.SetScheduleHook(hook);
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G(),
-                     /*loss_seed=*/seed);
-  net::HostId server_host = fabric.AddHost("server");  // host 0
-  kv::PrismKvOptions opts;
-  opts.n_buckets = 64;
-  opts.n_buffers = 256;
-  kv::PrismKvServer server(&fabric, server_host, opts);
-
-  check::HistoryRecorder history(&sim);
-  std::vector<net::HostId> client_hosts;
-  std::vector<std::unique_ptr<kv::PrismKvClient>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    client_hosts.push_back(fabric.AddHost("client" + std::to_string(c)));
-    clients.push_back(std::make_unique<kv::PrismKvClient>(
-        &fabric, client_hosts[c], &server));
-    clients[c]->set_history(&history, c + 1);
-  }
-
-  chaos::ChaosOptions copts = ExploreChaosOptions(seed);
-  copts.crashable = {server_host};
-  copts.partition_hosts = {server_host};
-  for (net::HostId h : client_hosts) copts.partition_hosts.push_back(h);
-  chaos::ChaosMonkey monkey(&fabric, copts);
-  ApplyDisabledWindows(&monkey, disabled);
-  monkey.Arm();
-
-  sim::TaskTracker tracker;
-  for (int c = 0; c < kClients; ++c) {
-    sim::Spawn(
-        [&, c]() -> Task<void> {
-          Rng rng(seed * 977 + static_cast<uint64_t>(c));
-          for (int i = 0; i < kOpsPerClient; ++i) {
-            std::string key = "key-" + std::to_string(rng.NextBelow(kKeys));
-            const double dice = rng.NextDouble();
-            if (dice < 0.45) {
-              (void)co_await clients[c]->Put(
-                  key, UniqueValue(kValueSize, seed, c, i));
-            } else if (dice < 0.85) {
-              (void)co_await clients[c]->Get(key);
-            } else {
-              (void)co_await clients[c]->Delete(key);
-            }
-            co_await sim::SleepFor(&sim,
-                                   sim::Micros(rng.NextInRange(20, 120)));
-          }
-        },
-        &tracker);
-  }
-  sim.Run();
-
-  RunOutcome out;
-  out.fault_windows = monkey.window_count();
-  out.fault_schedule = monkey.Describe();
-  if (tracker.live() > 0) {
-    out.executed_events = sim.executed_events();
-    Fail(&out, "hang", "KV clients still live after the sim drained");
-    return out;
-  }
-
-  const std::vector<check::Op> snapshot = history.ops();
-  for (int c = 0; c < kClients; ++c) clients[c]->set_history(nullptr, 0);
-  std::vector<FinalRead> finals;
-  sim::TaskTracker final_tracker;
-  sim::Spawn(
-      [&]() -> Task<void> {
-        for (uint64_t k = 0; k < kKeys; ++k) {
-          std::string key = "key-" + std::to_string(k);
-          auto got = co_await clients[0]->Get(key);
-          if (got.ok()) {
-            finals.push_back({KvKeyId(key), check::IdOf(got.value())});
-          } else if (got.code() == Code::kNotFound) {
-            finals.push_back({KvKeyId(key), check::kAbsent});
-          }  // other errors: no conclusion about this key
-        }
-      },
-      &final_tracker);
-  sim.Run();
-
-  out.executed_events = sim.executed_events();
-  out.history_fingerprint = HistoryFingerprint(snapshot);
-  if (final_tracker.live() > 0) {
-    Fail(&out, "hang", "KV final reads still live after the sim drained");
-    return out;
-  }
-  check::CheckResult lin = check::CheckLinearizable(snapshot, check::kAbsent);
-  if (!lin.ok) {
-    Fail(&out, "linearizability", std::move(lin.error));
-    return out;
-  }
-  check::CheckResult diff = DiffFinalState(snapshot, finals, check::kAbsent);
-  if (!diff.ok) Fail(&out, "final-state", std::move(diff.error));
-  return out;
-}
-
-// ---- PRISM-TX: 2 shards under chaos, read-committed ----
-
-RunOutcome RunTx(uint64_t seed, sim::ScheduleHook* hook,
-                 const std::vector<int>* disabled) {
-  constexpr uint64_t kKeys = 6;
-  constexpr size_t kValueSize = 32;
-  constexpr int kTxPerClient = 6;
-
-  sim::Simulator sim;
-  if (hook != nullptr) sim.SetScheduleHook(hook);
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G(),
-                     /*loss_seed=*/seed);
-  tx::PrismTxOptions opts;
-  opts.keys_per_shard = 16;
-  opts.value_size = kValueSize;
-  opts.buffers_per_shard = 256;
-  tx::PrismTxCluster cluster(&fabric, 2, opts);  // shard hosts 0..1
-
-  std::vector<std::pair<uint64_t, check::ValueId>> initial;
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    Bytes v(kValueSize, 0);
-    v[0] = static_cast<uint8_t>(0xB0 + k);  // distinct, nonzero values
-    PRISM_CHECK(cluster.LoadKey(k, v).ok());
-    initial.emplace_back(k, check::IdOf(v));
-  }
-
-  check::TxHistoryRecorder history(&sim);
-  std::vector<net::HostId> client_hosts;
-  std::vector<std::unique_ptr<tx::PrismTxClient>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    client_hosts.push_back(fabric.AddHost("client" + std::to_string(c)));
-    clients.push_back(std::make_unique<tx::PrismTxClient>(
-        &fabric, client_hosts[c], &cluster, static_cast<uint16_t>(c + 1)));
-    clients[c]->set_history(&history);
-  }
-
-  chaos::ChaosOptions copts = ExploreChaosOptions(seed);
-  copts.crashable = {0, 1};
-  copts.max_concurrent_crashes = 1;
-  copts.partition_hosts = {0, 1};
-  for (net::HostId h : client_hosts) copts.partition_hosts.push_back(h);
-  chaos::ChaosMonkey monkey(&fabric, copts);
-  ApplyDisabledWindows(&monkey, disabled);
-  monkey.Arm();
-
-  sim::TaskTracker tracker;
-  for (int c = 0; c < kClients; ++c) {
-    sim::Spawn(
-        [&, c]() -> Task<void> {
-          Rng rng(seed * 977 + static_cast<uint64_t>(c));
-          for (int t = 0; t < kTxPerClient; ++t) {
-            tx::Transaction txn = clients[c]->Begin();
-            const uint64_t rk = rng.NextBelow(kKeys);
-            const uint64_t wk = rng.NextBelow(kKeys);
-            auto read = co_await clients[c]->Read(txn, rk);
-            (void)read;
-            clients[c]->Write(txn, wk, UniqueValue(kValueSize, seed, c, t));
-            (void)co_await clients[c]->Commit(txn);
-            co_await sim::SleepFor(&sim,
-                                   sim::Micros(rng.NextInRange(20, 120)));
-          }
-        },
-        &tracker);
-  }
-  sim.Run();
-
-  RunOutcome out;
-  out.fault_windows = monkey.window_count();
-  out.fault_schedule = monkey.Describe();
-  if (tracker.live() > 0) {
-    out.executed_events = sim.executed_events();
-    Fail(&out, "hang", "TX clients still live after the sim drained");
-    return out;
-  }
-
-  // Quiescent probe: one more read-only transaction over every key. It is a
-  // real transaction recorded in the same history, so CheckReadCommitted
-  // validates the final state for free — every value it observes must trace
-  // to a committed (or indeterminately-committed) write.
-  sim::TaskTracker final_tracker;
-  sim::Spawn(
-      [&]() -> Task<void> {
-        tx::Transaction txn = clients[0]->Begin();
-        for (uint64_t k = 0; k < kKeys; ++k) {
-          auto read = co_await clients[0]->Read(txn, k);
-          (void)read;
-        }
-        (void)co_await clients[0]->Commit(txn);
-      },
-      &final_tracker);
-  sim.Run();
-
-  out.executed_events = sim.executed_events();
-  out.history_fingerprint = TxFingerprint(history.txns());
-  if (final_tracker.live() > 0) {
-    Fail(&out, "hang", "TX final probe still live after the sim drained");
-    return out;
-  }
-  check::CheckResult rc = check::CheckReadCommitted(history.txns(), initial);
-  if (!rc.ok) Fail(&out, "read-committed", std::move(rc.error));
-  return out;
-}
-
-// ---- sync: one-sided synchronization schemes over the remote hash index.
-// Chaos-free: the failure surface under study is schedule reordering. ----
-
-sync::SyncScheme SchemeFor(Workload kind) {
-  switch (kind) {
-    case Workload::kSyncSpin:
-      return sync::SyncScheme::kSpinlock;
-    case Workload::kSyncOpt:
-      return sync::SyncScheme::kOptimistic;
-    case Workload::kSyncLease:
-      return sync::SyncScheme::kLease;
-    case Workload::kSyncPrism:
-      return sync::SyncScheme::kPrismNative;
-    default:
-      return sync::SyncScheme::kUnfencedBuggy;
-  }
-}
-
-RunOutcome RunSync(Workload kind, uint64_t seed, sim::ScheduleHook* hook) {
-  constexpr uint64_t kKeys = 2;
-  constexpr int kOpsPerClient = 6;
-
-  sim::Simulator sim;
-  if (hook != nullptr) sim.SetScheduleHook(hook);
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G(),
-                     /*loss_seed=*/seed);
-  net::HostId server_host = fabric.AddHost("index");
-  sync::SyncOptions opts;
-  opts.n_slots = 16;
-  sync::SyncIndexServer server(&fabric, server_host, opts);
-  const check::ValueId initial = check::IdOf(sync::InitialValue());
-  for (uint64_t k = 1; k <= kKeys; ++k) {
-    PRISM_CHECK(server.LoadKey(k, sync::InitialValue()).ok());
-  }
-
-  check::HistoryRecorder history(&sim);
-  std::vector<std::unique_ptr<sync::SyncClient>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    net::HostId h = fabric.AddHost("client" + std::to_string(c));
-    clients.push_back(std::make_unique<sync::SyncClient>(
-        &fabric, h, &server, SchemeFor(kind), static_cast<uint16_t>(c + 1),
-        seed * 131 + static_cast<uint64_t>(c)));
-    clients[c]->set_history(&history, c + 1);
-    // Steady-state geometry (probe paths are covered by sync_test and the
-    // bench): every perturbation-budget step lands on the contended path.
-    for (uint64_t k = 1; k <= kKeys; ++k) clients[c]->Prewarm(k);
-  }
-
-  sim::TaskTracker tracker;
-  for (int c = 0; c < kClients; ++c) {
-    sim::Spawn(
-        [&, c]() -> Task<void> {
-          Rng rng(seed * 977 + static_cast<uint64_t>(c));
-          for (int i = 0; i < kOpsPerClient; ++i) {
-            // Skewed contention: most ops collide on key 1, immediately.
-            const uint64_t key =
-                rng.NextBool(0.75) ? 1 : 1 + rng.NextBelow(kKeys);
-            if (rng.NextBool(0.6)) {
-              (void)co_await clients[c]->Update(
-                  key, sync::MakeValue(seed, c, i));
-            } else {
-              (void)co_await clients[c]->Read(key);
-            }
-            co_await sim::SleepFor(&sim, sim::Micros(rng.NextInRange(0, 6)));
-          }
-        },
-        &tracker);
-  }
-  sim.Run();
-
-  RunOutcome out;
-  out.executed_events = sim.executed_events();
-  out.history_fingerprint = HistoryFingerprint(history.ops());
-  if (tracker.live() > 0) {
-    Fail(&out, "hang", "sync clients still live after the sim drained");
-    return out;
-  }
-  check::CheckResult lin = check::CheckLinearizable(history.ops(), initial);
-  if (!lin.ok) {
-    Fail(&out, "linearizability", std::move(lin.error));
-    return out;
-  }
-  // The index lives in one AddressSpace and the sim has drained, so
-  // server-local loads ARE the quiescent final state — no extra reads.
-  std::vector<FinalRead> finals;
-  for (uint64_t k = 1; k <= kKeys; ++k) {
-    finals.push_back({k, server.FinalValue(k)});
-  }
-  check::CheckResult diff = DiffFinalState(history.ops(), finals, initial);
-  if (!diff.ok) Fail(&out, "final-state", std::move(diff.error));
-  return out;
-}
-
-// ---- consensus: permission-guarded leader log (src/consensus) ----
-
-// Pairwise cross-replica log safety, the same oracle consensus_test's chaos
-// sweep applies: below both commit words, two replicas that both hold a
-// slot must hold the same key/value (holes are legal — indeterminate ops
-// that never landed; header epochs may lag until healing rewrites them).
-bool CommittedPrefixesAgree(consensus::ConsensusCluster& cluster,
-                            std::string* error) {
-  for (int a = 0; a < cluster.n(); ++a) {
-    for (int b = a + 1; b < cluster.n(); ++b) {
-      const uint64_t upto = std::min(cluster.replica(a).commit_seq(),
-                                     cluster.replica(b).commit_seq());
-      for (uint64_t s = 1; s <= upto; ++s) {
-        consensus::LogEntryWire ea, eb;
-        if (!cluster.replica(a).EntryAt(s, &ea) ||
-            !cluster.replica(b).EntryAt(s, &eb)) {
-          continue;
-        }
-        if (ea.key != eb.key || ea.v_lo != eb.v_lo || ea.v_hi != eb.v_hi) {
-          *error = "replicas " + std::to_string(a) + " and " +
-                   std::to_string(b) + " diverge at committed seq " +
-                   std::to_string(s);
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-// The correct protocol under compressed chaos: replica crashes (f = 1, so
-// the group always has a live quorum), partitions and loss over every host,
-// clients retrying with client-triggered failovers.
-RunOutcome RunConsensus(uint64_t seed, sim::ScheduleHook* hook,
-                        const std::vector<int>* disabled) {
-  constexpr uint64_t kKeys = 2;
-  constexpr int kOpsPerClient = 5;
-
-  sim::Simulator sim;
-  if (hook != nullptr) sim.SetScheduleHook(hook);
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G(),
-                     /*loss_seed=*/seed);
-  consensus::ConsensusOptions opts;
-  std::vector<net::HostId> hosts;
-  for (int i = 0; i < opts.n_replicas; ++i) {
-    hosts.push_back(fabric.AddHost("replica" + std::to_string(i)));
-  }
-  consensus::ConsensusCluster cluster(&fabric, hosts, opts);
-
-  check::HistoryRecorder history(&sim);
-  std::vector<net::HostId> client_hosts;
-  std::vector<std::unique_ptr<consensus::ConsensusClient>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    client_hosts.push_back(fabric.AddHost("client" + std::to_string(c)));
-    clients.push_back(std::make_unique<consensus::ConsensusClient>(
-        &cluster, static_cast<uint16_t>(c + 1),
-        seed * 131 + static_cast<uint64_t>(c)));
-    clients[c]->set_history(&history, c + 1);
-  }
-
-  chaos::ChaosOptions copts = ExploreChaosOptions(seed);
-  copts.crashable = hosts;
-  copts.max_concurrent_crashes = 1;  // = f: a quorum stays live
-  copts.partition_hosts = hosts;
-  for (net::HostId h : client_hosts) copts.partition_hosts.push_back(h);
-  chaos::ChaosMonkey monkey(&fabric, copts);
-  ApplyDisabledWindows(&monkey, disabled);
-  monkey.Arm();
-
-  sim::TaskTracker tracker;
-  for (int c = 0; c < kClients; ++c) {
-    sim::Spawn(
-        [&, c]() -> Task<void> {
-          Rng rng(seed * 977 + static_cast<uint64_t>(c));
-          for (int i = 0; i < kOpsPerClient; ++i) {
-            const uint64_t key = 1 + rng.NextBelow(kKeys);
-            if (rng.NextBool(0.5)) {
-              (void)co_await clients[c]->Put(
-                  key, consensus::MakeValue(seed, c, i));
-            } else {
-              (void)co_await clients[c]->Get(key);
-            }
-            co_await sim::SleepFor(&sim,
-                                   sim::Micros(rng.NextInRange(20, 120)));
-          }
-        },
-        &tracker);
-  }
-  sim.Run();
-
-  RunOutcome out;
-  out.fault_windows = monkey.window_count();
-  out.fault_schedule = monkey.Describe();
-  if (tracker.live() > 0 || cluster.tracker().live() > 0) {
-    out.executed_events = sim.executed_events();
-    Fail(&out, "hang", "consensus tasks still live after the sim drained");
-    return out;
-  }
-
-  // Quiescent final reads through the linearizable Get path (every fault
-  // healed by the chaos horizon); detached from the history like RS/KV.
-  const std::vector<check::Op> snapshot = history.ops();
-  for (int c = 0; c < kClients; ++c) clients[c]->set_history(nullptr, 0);
-  std::vector<FinalRead> finals;
-  sim::TaskTracker final_tracker;
-  sim::Spawn(
-      [&]() -> Task<void> {
-        for (uint64_t k = 1; k <= kKeys; ++k) {
-          auto got = co_await clients[0]->Get(k);
-          if (got.ok()) {
-            finals.push_back({k, check::IdOf(*got)});
-          } else if (got.code() == Code::kNotFound) {
-            finals.push_back({k, check::kAbsent});
-          }  // other errors: no conclusion about this key
-        }
-      },
-      &final_tracker);
-  sim.Run();
-
-  out.executed_events = sim.executed_events();
-  out.history_fingerprint = HistoryFingerprint(snapshot);
-  if (final_tracker.live() > 0 || cluster.tracker().live() > 0) {
-    Fail(&out, "hang",
-         "consensus final reads still live after the sim drained");
-    return out;
-  }
-  check::CheckResult lin = check::CheckLinearizable(snapshot, check::kAbsent);
-  if (!lin.ok) {
-    Fail(&out, "linearizability", std::move(lin.error));
-    return out;
-  }
-  std::string log_error;
-  if (!CommittedPrefixesAgree(cluster, &log_error)) {
-    Fail(&out, "log-safety", std::move(log_error));
-    return out;
-  }
-  check::CheckResult diff = DiffFinalState(snapshot, finals, check::kAbsent);
   if (!diff.ok) Fail(&out, "final-state", std::move(diff.error));
   return out;
 }
@@ -786,55 +748,25 @@ RunOutcome RunConsensusBuggy(uint64_t seed, sim::ScheduleHook* hook) {
 
 }  // namespace
 
-sim::Duration DefaultDelta(Workload kind) {
-  switch (kind) {
-    case Workload::kSyncSpin:
-    case Workload::kSyncOpt:
-    case Workload::kSyncLease:
-    case Workload::kSyncPrism:
-    case Workload::kSyncBuggy:
-      // Sync races span a few fabric hops (post → deliver → NIC → effect),
-      // each a distinct event: a ~µs window lets a handful of reorder
-      // decisions compound across one critical-section handoff.
-      return sim::Micros(2);
-    case Workload::kConsensusBuggy:
-      // The revoke-vs-chain delivery race at the shared replica: the two
-      // deliveries sit ~0.5 µs apart, so a 2 µs window can swap them.
-      return sim::Micros(2);
-    default:
-      return sim::Nanos(1000);
+std::vector<Workload> AllWorkloads() {
+  std::vector<Workload> all;
+  for (int i = 0; i < kWorkloadCount; ++i) {
+    all.push_back(static_cast<Workload>(i));
   }
+  return all;
 }
 
-int DefaultRuns(Workload kind) {
-  switch (kind) {
-    case Workload::kSyncSpin:
-    case Workload::kSyncOpt:
-    case Workload::kSyncLease:
-    case Workload::kSyncPrism:
-    case Workload::kSyncBuggy:
-      // Each run's perturbation burst probes one position in the schedule
-      // (see ExploreSeed); critical-section handoffs are narrow, so give
-      // the burst more positions per seed.
-      return 32;
-    case Workload::kConsensusBuggy:
-      // The split-brain window is one delivery swap near the end of the
-      // scripted schedule — a narrower target than the sync races (tuned
-      // with tools/explore_main: 128 sliding-burst runs find it on every
-      // seed in [1, 100]; 32 miss ~3 in 10).
-      return 128;
-    default:
-      return 8;
-  }
-}
+bool HasSweepSize(Workload kind) { return EntryOf(kind).sweep.ops > 0; }
 
-const char* WorkloadName(Workload kind) {
-  return kWorkloadNames[static_cast<int>(kind)];
-}
+sim::Duration DefaultDelta(Workload kind) { return EntryOf(kind).delta; }
+
+int DefaultRuns(Workload kind) { return EntryOf(kind).runs; }
+
+const char* WorkloadName(Workload kind) { return EntryOf(kind).name; }
 
 bool WorkloadFromName(std::string_view name, Workload* out) {
   for (int i = 0; i < kWorkloadCount; ++i) {
-    if (name == kWorkloadNames[i]) {
+    if (name == kRegistry[i].name) {
       *out = static_cast<Workload>(i);
       return true;
     }
@@ -842,28 +774,24 @@ bool WorkloadFromName(std::string_view name, Workload* out) {
   return false;
 }
 
+Bytes UniqueValue(size_t size, uint64_t seed, int client, int op) {
+  Bytes v(size, 0);
+  for (int i = 0; i < 8; ++i) v[i] = static_cast<uint8_t>(seed >> (8 * i));
+  v[8] = static_cast<uint8_t>(client);
+  v[9] = static_cast<uint8_t>(op);
+  v[10] = static_cast<uint8_t>(op >> 8);
+  return v;
+}
+
 RunOutcome RunWorkload(const WorkloadOptions& opts) {
   switch (opts.kind) {
     case Workload::kToy:
       return RunToy(opts.seed, opts.hook);
-    case Workload::kRs:
-      return RunRs(opts.seed, opts.hook, opts.disabled_windows);
-    case Workload::kKv:
-      return RunKv(opts.seed, opts.hook, opts.disabled_windows);
-    case Workload::kTx:
-      return RunTx(opts.seed, opts.hook, opts.disabled_windows);
-    case Workload::kSyncSpin:
-    case Workload::kSyncOpt:
-    case Workload::kSyncLease:
-    case Workload::kSyncPrism:
-    case Workload::kSyncBuggy:
-      return RunSync(opts.kind, opts.seed, opts.hook);
-    case Workload::kConsensus:
-      return RunConsensus(opts.seed, opts.hook, opts.disabled_windows);
     case Workload::kConsensusBuggy:
       return RunConsensusBuggy(opts.seed, opts.hook);
+    default:
+      return RunStack(EntryOf(opts.kind), opts);
   }
-  return RunOutcome{};
 }
 
 }  // namespace prism::explore

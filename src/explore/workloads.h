@@ -1,15 +1,23 @@
-// Explorable workload harness: one self-contained simulated execution per
-// call — build simulator (install the schedule hook FIRST, before any event
-// exists), fabric, service stack, chaos schedule (with selected fault
-// windows disabled), clients; run to completion; then perform quiescent
-// final reads and run every applicable checker plus the differential
-// final-state oracle (oracle.h).
+// The registry of system stacks, and the one seeded runner that drives them.
 //
-// Workloads are deliberately small cousins of the chaos_test sweeps: the
-// explorer multiplies each (workload, seed) point by N perturbed schedules
-// and the shrinker re-runs it dozens more times, so per-run cost matters.
+// Each registered stack (PRISM-RS, PRISM-KV, PRISM-TX, the five one-sided
+// sync schemes, consensus) is defined once in workloads.cc: it builds the
+// system on a fabric, names its crashable and partitionable hosts, issues
+// one seeded op from its mix with history recording, runs a quiescent final
+// probe, and gives its initial value and checkers. RunWorkload builds the
+// simulator (installing the schedule hook FIRST, before any event exists),
+// fabric, stack, chaos schedule (with selected fault windows disabled) and
+// clients; runs to completion; then runs the final probe and every checker
+// plus the differential final-state oracle (oracle.h).
 //
-// Determinism: RunWorkload is a pure function of (kind, seed, hook
+// Both callers are rows of this one registry. The explorer runs the
+// kExplore size row: it multiplies each (workload, seed) point by N
+// perturbed schedules and the shrinker re-runs it dozens more times, so the
+// row is small. The 100-seed chaos sweeps (chaos_test, consensus_test) run
+// the kSweep row with hook == nullptr. toy and consensus_buggy are bespoke
+// scripts, not stacks.
+//
+// Determinism: RunWorkload is a pure function of (kind, size, seed, hook
 // decisions, disabled windows). With hook == nullptr the production engine
 // runs untouched; with an IdentityHook the event order — and therefore
 // executed_events and history_fingerprint — is bit-identical to that
@@ -22,6 +30,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/bytes.h"
+#include "src/obs/obs.h"
 #include "src/sim/simulator.h"
 
 namespace prism::explore {
@@ -53,6 +63,13 @@ enum class Workload {
   kConsensusBuggy,
 };
 
+// Every registered workload, in enum order.
+std::vector<Workload> AllWorkloads();
+
+// True for the stacks that carry a kSweep size row: the chaos-capable ones,
+// which the chaos sweeps run.
+bool HasSweepSize(Workload kind);
+
 // The enabled-window width a workload's races need. The sync schemes race
 // verbs that are several fabric events apart, so they want a wider window
 // than the toy's nanosecond-scale bug; tools/explore_main uses this as the
@@ -69,14 +86,25 @@ int DefaultRuns(Workload kind);
 const char* WorkloadName(Workload kind);
 bool WorkloadFromName(std::string_view name, Workload* out);
 
+// Globally unique value bytes: encodes (seed, client, op) so fingerprint
+// equality is value equality across a whole sweep. Requires size >= 11.
+Bytes UniqueValue(size_t size, uint64_t seed, int client, int op);
+
+// How big one run is. kExplore: 2 clients, 20–120 µs think times and a
+// chaos schedule compressed to overlap the short run. kSweep: 3 clients,
+// 100–600 µs think times, the default chaos timing, and more keys and ops.
+enum class Size { kExplore, kSweep };
+
 struct RunOutcome {
   bool ok = true;
   std::string check_name;  // failing check: linearizability | final-state |
-                           // read-committed | hang
+                           // read-committed | log-safety | hang
   std::string error;       // witness from the failing check
-  bool hang = false;
   int fault_windows = 0;       // windows in this seed's chaos schedule
   std::string fault_schedule;  // ChaosMonkey::Describe() for the banner
+  int faults_injected = 0;     // fault events the chaos monkey fired
+  uint64_t ok_ops = 0;         // workload ops that returned ok
+  uint64_t failovers = 0;      // leader changes during the workload
   uint64_t executed_events = 0;
   uint64_t history_fingerprint = 0;  // FNV over every recorded op
 };
@@ -84,10 +112,15 @@ struct RunOutcome {
 struct WorkloadOptions {
   Workload kind = Workload::kToy;
   uint64_t seed = 1;
+  Size size = Size::kExplore;  // kSweep only for HasSweepSize stacks
   // Schedule hook to install (not owned); nullptr = production engine.
   sim::ScheduleHook* hook = nullptr;
   // Chaos fault windows to drop (see ChaosMonkey::SetWindowDisabled).
   const std::vector<int>* disabled_windows = nullptr;
+  // Observability for a stack run (not owned): `tracer` is attached to the
+  // fabric; host_names and (with want_metrics) the metrics snapshot are
+  // filled in when the run ends.
+  obs::PointObs* obs = nullptr;
 };
 
 RunOutcome RunWorkload(const WorkloadOptions& opts);

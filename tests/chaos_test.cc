@@ -1,21 +1,25 @@
 // Deterministic chaos sweeps: PRISM-RS / PRISM-KV / PRISM-TX driven by a
 // seeded ChaosMonkey (crash/restart, asymmetric partitions, loss bursts,
-// latency spikes) while every client op is recorded into a history that the
-// offline checkers (src/check) validate — linearizability for the register
-// stores, read-committed for transactions. Any violating seed is printed
-// with its expanded fault schedule and a replay command line:
+// latency spikes) through the stack registry's runner
+// (src/explore/workloads.h, tests/chaos_sweep.h). Every client op is
+// recorded into a history that the offline checkers (src/check) validate —
+// linearizability for the register stores, read-committed for transactions
+// — and a quiescent final probe feeds the final-state oracle. Any violating
+// seed is printed with its expanded fault schedule and a replay command
+// line:
 //
 //     chaos_test --seed=N --gtest_filter=ChaosSweep.*
 //
-// The binary has a custom main() for exactly that flag; everything else is
-// standard gtest. Also here: negative tests proving the checkers *reject*
-// bad histories (a checker that accepts everything would pass any sweep),
-// and a crash-amnesia test proving the linearizability checker notices when
-// a wiped quorum loses an acknowledged write.
+// The binary has a custom main() for that flag plus --jobs=N, --trace=PATH
+// and --metrics; everything else is standard gtest. Also here: negative
+// tests proving the checkers *reject* bad histories (a checker that accepts
+// everything would pass any sweep), and a crash-amnesia test proving the
+// linearizability checker notices when a wiped quorum loses an acknowledged
+// write.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,391 +27,45 @@
 #include "src/chaos/chaos.h"
 #include "src/check/checker.h"
 #include "src/check/history.h"
-#include "src/common/logging.h"
-#include "src/common/rng.h"
-#include "src/harness/sweep.h"
-#include "src/kv/prism_kv.h"
-#include "src/obs/obs.h"
+#include "src/explore/workloads.h"
 #include "src/rs/prism_rs.h"
 #include "src/sim/task.h"
-#include "src/tx/prism_tx.h"
+#include "tests/chaos_sweep.h"
 
 namespace prism {
 
-// Set by --seed=N on the command line (see main below): replay exactly one
-// chaos seed instead of sweeping.
-int64_t g_replay_seed = -1;
-
-// Set by --jobs=N: worker threads for the sweep (0 = DefaultJobs()).
-int g_chaos_jobs = 0;
-
-// Set by --trace=<path> / --metrics: observability dumps. Each seed runs
-// with its own tracer (worker threads never share obs state); the dump is
-// written only for a failing seed — or unconditionally in --seed=N replay —
-// so the 100-seed sweep stays cheap and its pass/fail output unchanged.
-std::string g_chaos_trace_path;
-bool g_chaos_metrics = false;
+chaos_sweep::Flags g_flags;
 
 namespace {
 
 using sim::Task;
 
-std::vector<uint64_t> SweepSeeds() {
-  if (g_replay_seed >= 0) return {static_cast<uint64_t>(g_replay_seed)};
-  std::vector<uint64_t> seeds;
-  for (uint64_t s = 1; s <= 100; ++s) seeds.push_back(s);
-  return seeds;
-}
-
-// Globally unique value: encodes (seed, client, op) so fingerprint equality
-// is value equality across the whole sweep. Requires size >= 11.
-Bytes UniqueValue(size_t size, uint64_t seed, int client, int op) {
-  Bytes v(size, 0);
-  for (int i = 0; i < 8; ++i) v[i] = static_cast<uint8_t>(seed >> (8 * i));
-  v[8] = static_cast<uint8_t>(client);
-  v[9] = static_cast<uint8_t>(op);
-  v[10] = static_cast<uint8_t>(op >> 8);
-  return v;
-}
-
-struct SeedRun {
-  bool hang = false;        // coroutines still live after the sim drained
-  check::CheckResult check;
-  std::string schedule;     // ChaosMonkey::Describe() for the log
-  int faults = 0;           // total fault events injected
-  std::string metrics;      // --metrics: snapshot text (failure or replay)
-  std::string trace_path;   // --trace: where this seed's trace was written
-};
-
-std::string ReplayBanner(const char* test, uint64_t seed, const SeedRun& r) {
-  std::ostringstream os;
-  os << "chaos seed " << seed << " — replay with:\n    chaos_test --seed="
-     << seed << " --gtest_filter=ChaosSweep." << test << "\n"
-     << r.schedule;
-  if (!r.trace_path.empty()) os << "trace written to " << r.trace_path << "\n";
-  if (!r.metrics.empty()) os << "metrics at failure:\n" << r.metrics;
-  return os.str();
-}
-
-// Per-seed observability rig for --trace / --metrics. Attach() arms the
-// fabric's hub with a tracer local to this seed's simulation; Harvest()
-// captures the metric snapshot and writes the trace for a failing seed (or
-// always under --seed=N replay). Tracing must not perturb the run — the
-// fault schedule and checker verdict are identical with or without it
-// (obs_determinism_test holds the bench side to the same bar).
-struct SeedObs {
-  obs::Tracer tracer;
-
-  void Attach(net::Fabric& fabric) {
-    if (!g_chaos_trace_path.empty()) fabric.obs().SetTracer(&tracer);
-  }
-
-  void Harvest(net::Fabric& fabric, uint64_t seed, SeedRun* r) {
-    const bool dump = r->hang || !r->check.ok || g_replay_seed >= 0;
-    if (!dump) return;
-    if (g_chaos_metrics) {
-      r->metrics = fabric.obs().metrics().Snapshot().ToText();
-    }
-    if (!g_chaos_trace_path.empty()) {
-      std::string path = g_chaos_trace_path;
-      const std::string kExt = ".json";
-      if (path.size() >= kExt.size() &&
-          path.compare(path.size() - kExt.size(), kExt.size(), kExt) == 0) {
-        path.resize(path.size() - kExt.size());
-      }
-      path += ".seed" + std::to_string(seed) + ".json";
-      if (tracer.WriteChromeJson(path, fabric.HostNames())) {
-        r->trace_path = path;
-      }
-    }
-  }
-};
-
-int InjectedFaults(const chaos::ChaosMonkey& m) {
-  return m.crashes_injected() + m.partitions_injected() +
-         m.loss_bursts_injected() + m.latency_spikes_injected();
-}
-
-// ---- PRISM-RS under chaos ----
-//
-// 3 replicas (f = 1); the monkey crashes at most one at a time and never
-// wipes memory, matching ABD's fault model. Clients keep issuing Get/Put —
-// ops may fail or time out while a quorum is unreachable, but every
-// response that IS produced must fit some linearization.
-SeedRun RunRsSeed(uint64_t seed) {
-  constexpr uint64_t kBlocks = 4;
-  constexpr uint64_t kBlockSize = 64;
-  constexpr int kClients = 3;
-  constexpr int kOpsPerClient = 10;
-
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G(),
-                     /*loss_seed=*/seed);
-  SeedObs sobs;
-  sobs.Attach(fabric);
-  rs::PrismRsOptions opts;
-  opts.n_blocks = kBlocks;
-  opts.block_size = kBlockSize;
-  opts.buffers_per_replica = 512;
-  rs::PrismRsCluster cluster(&fabric, 3, opts);  // replica hosts 0..2
-
-  check::HistoryRecorder history(&sim);
-  std::vector<net::HostId> client_hosts;
-  std::vector<std::unique_ptr<rs::PrismRsClient>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    client_hosts.push_back(fabric.AddHost("client" + std::to_string(c)));
-    clients.push_back(std::make_unique<rs::PrismRsClient>(
-        &fabric, client_hosts[c], &cluster,
-        static_cast<uint16_t>(c + 1)));
-    clients[c]->set_history(&history);
-  }
-
-  chaos::ChaosOptions copts;
-  copts.seed = seed;
-  copts.crashable = {0, 1, 2};
-  copts.max_concurrent_crashes = 1;  // = f: quorums stay live
-  copts.partition_hosts = {0, 1, 2};
-  for (net::HostId h : client_hosts) copts.partition_hosts.push_back(h);
-  chaos::ChaosMonkey monkey(&fabric, copts);
-  monkey.Arm();
-
-  sim::TaskTracker tracker;
-  for (int c = 0; c < kClients; ++c) {
-    sim::Spawn(
-        [&, c]() -> Task<void> {
-          Rng rng(seed * 977 + c);
-          for (int i = 0; i < kOpsPerClient; ++i) {
-            uint64_t block = rng.NextBelow(kBlocks);
-            if (rng.NextBool(0.5)) {
-              (void)co_await clients[c]->Put(
-                  block, UniqueValue(kBlockSize, seed, c, i));
-            } else {
-              (void)co_await clients[c]->Get(block);
-            }
-            co_await sim::SleepFor(
-                &sim, sim::Micros(rng.NextInRange(100, 600)));
-          }
-        },
-        &tracker);
-  }
-  sim.Run();
-
-  SeedRun r;
-  r.hang = tracker.live() > 0;
-  r.schedule = monkey.Describe();
-  r.faults = InjectedFaults(monkey);
-  r.check = check::CheckLinearizable(history.ops(),
-                                     check::IdOf(Bytes(kBlockSize, 0)));
-  sobs.Harvest(fabric, seed, &r);
-  return r;
-}
-
-// ---- PRISM-KV under chaos ----
-//
-// Single server that crash/restarts (durable DRAM), plus partitions and
-// wire trouble between it and the clients.
-SeedRun RunKvSeed(uint64_t seed) {
-  constexpr uint64_t kKeys = 4;
-  constexpr size_t kValueSize = 32;
-  constexpr int kClients = 3;
-  constexpr int kOpsPerClient = 12;
-
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G(),
-                     /*loss_seed=*/seed);
-  SeedObs sobs;
-  sobs.Attach(fabric);
-  net::HostId server_host = fabric.AddHost("server");  // host 0
-  kv::PrismKvOptions opts;
-  opts.n_buckets = 64;
-  opts.n_buffers = 256;
-  kv::PrismKvServer server(&fabric, server_host, opts);
-
-  check::HistoryRecorder history(&sim);
-  std::vector<net::HostId> client_hosts;
-  std::vector<std::unique_ptr<kv::PrismKvClient>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    client_hosts.push_back(fabric.AddHost("client" + std::to_string(c)));
-    clients.push_back(std::make_unique<kv::PrismKvClient>(
-        &fabric, client_hosts[c], &server));
-    clients[c]->set_history(&history, c + 1);
-  }
-
-  chaos::ChaosOptions copts;
-  copts.seed = seed;
-  copts.crashable = {server_host};
-  copts.partition_hosts = {server_host};
-  for (net::HostId h : client_hosts) copts.partition_hosts.push_back(h);
-  chaos::ChaosMonkey monkey(&fabric, copts);
-  monkey.Arm();
-
-  sim::TaskTracker tracker;
-  for (int c = 0; c < kClients; ++c) {
-    sim::Spawn(
-        [&, c]() -> Task<void> {
-          Rng rng(seed * 977 + c);
-          for (int i = 0; i < kOpsPerClient; ++i) {
-            std::string key =
-                "key-" + std::to_string(rng.NextBelow(kKeys));
-            const double dice = rng.NextDouble();
-            if (dice < 0.45) {
-              (void)co_await clients[c]->Put(
-                  key, UniqueValue(kValueSize, seed, c, i));
-            } else if (dice < 0.85) {
-              (void)co_await clients[c]->Get(key);
-            } else {
-              (void)co_await clients[c]->Delete(key);
-            }
-            co_await sim::SleepFor(
-                &sim, sim::Micros(rng.NextInRange(100, 600)));
-          }
-        },
-        &tracker);
-  }
-  sim.Run();
-
-  SeedRun r;
-  r.hang = tracker.live() > 0;
-  r.schedule = monkey.Describe();
-  r.faults = InjectedFaults(monkey);
-  r.check = check::CheckLinearizable(history.ops(), check::kAbsent);
-  sobs.Harvest(fabric, seed, &r);
-  return r;
-}
-
-// ---- PRISM-TX under chaos ----
-//
-// Two shards, durable crash/restart. Transactions that straddle a fault
-// abort or time out; every read a transaction DID observe must be
-// explainable by a committed (or indeterminately-committed) write.
-SeedRun RunTxSeed(uint64_t seed) {
-  constexpr uint64_t kKeys = 8;
-  constexpr size_t kValueSize = 32;
-  constexpr int kClients = 3;
-  constexpr int kTxPerClient = 8;
-
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G(),
-                     /*loss_seed=*/seed);
-  SeedObs sobs;
-  sobs.Attach(fabric);
-  tx::PrismTxOptions opts;
-  opts.keys_per_shard = 16;
-  opts.value_size = kValueSize;
-  opts.buffers_per_shard = 256;
-  tx::PrismTxCluster cluster(&fabric, 2, opts);  // shard hosts 0..1
-
-  std::vector<std::pair<uint64_t, check::ValueId>> initial;
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    Bytes v(kValueSize, 0);
-    v[0] = static_cast<uint8_t>(0xB0 + k);  // distinct, nonzero values
-    // PRISM_CHECK, not EXPECT: this runs on sweep worker threads, and
-    // gtest assertions are not thread-safe.
-    PRISM_CHECK(cluster.LoadKey(k, v).ok());
-    initial.emplace_back(k, check::IdOf(v));
-  }
-
-  check::TxHistoryRecorder history(&sim);
-  std::vector<net::HostId> client_hosts;
-  std::vector<std::unique_ptr<tx::PrismTxClient>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    client_hosts.push_back(fabric.AddHost("client" + std::to_string(c)));
-    clients.push_back(std::make_unique<tx::PrismTxClient>(
-        &fabric, client_hosts[c], &cluster,
-        static_cast<uint16_t>(c + 1)));
-    clients[c]->set_history(&history);
-  }
-
-  chaos::ChaosOptions copts;
-  copts.seed = seed;
-  copts.crashable = {0, 1};
-  copts.max_concurrent_crashes = 1;
-  copts.partition_hosts = {0, 1};
-  for (net::HostId h : client_hosts) copts.partition_hosts.push_back(h);
-  chaos::ChaosMonkey monkey(&fabric, copts);
-  monkey.Arm();
-
-  sim::TaskTracker tracker;
-  for (int c = 0; c < kClients; ++c) {
-    sim::Spawn(
-        [&, c]() -> Task<void> {
-          Rng rng(seed * 977 + c);
-          for (int t = 0; t < kTxPerClient; ++t) {
-            tx::Transaction txn = clients[c]->Begin();
-            const uint64_t rk = rng.NextBelow(kKeys);
-            const uint64_t wk = rng.NextBelow(kKeys);
-            auto read = co_await clients[c]->Read(txn, rk);
-            (void)read;
-            // Writes are full-size: IndirectRead is unbounded in fixed
-            // mode, so a shorter value would expose stale tail bytes.
-            clients[c]->Write(txn, wk,
-                              UniqueValue(kValueSize, seed, c, t));
-            (void)co_await clients[c]->Commit(txn);
-            co_await sim::SleepFor(
-                &sim, sim::Micros(rng.NextInRange(100, 600)));
-          }
-        },
-        &tracker);
-  }
-  sim.Run();
-
-  SeedRun r;
-  r.hang = tracker.live() > 0;
-  r.schedule = monkey.Describe();
-  r.faults = InjectedFaults(monkey);
-  r.check = check::CheckReadCommitted(history.txns(), initial);
-  sobs.Harvest(fabric, seed, &r);
-  return r;
-}
-
-// ---- the sweeps ----
-//
-// Each seed is an independent single-threaded simulation, so the 100-seed
-// sweep fans out across the harness thread pool (--jobs=N, default all
-// cores). Seed functions run on worker threads and return plain SeedRun
-// data; all gtest assertions happen here on the main thread afterwards, in
-// seed order, so pass/fail and output are identical for any job count.
-// A --seed=N replay runs inline on the main thread, exactly as before.
-void RunChaosSweep(const char* test, SeedRun (*fn)(uint64_t)) {
-  const std::vector<uint64_t> seeds = SweepSeeds();
-  std::vector<SeedRun> runs;
-  runs.reserve(seeds.size());
-  if (g_replay_seed >= 0) {
-    for (uint64_t seed : seeds) runs.push_back(fn(seed));
-  } else {
-    std::vector<harness::SweepPoint<SeedRun>> points;
-    points.reserve(seeds.size());
-    for (uint64_t seed : seeds) {
-      points.push_back([fn, seed] { return fn(seed); });
-    }
-    runs = harness::RunSweep(points, harness::SweepOptions{g_chaos_jobs});
-  }
-  int total_faults = 0;
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    const SeedRun& r = runs[i];
-    total_faults += r.faults;
-    EXPECT_FALSE(r.hang) << "client coroutines hung\n"
-                         << ReplayBanner(test, seeds[i], r);
-    EXPECT_TRUE(r.check.ok) << ReplayBanner(test, seeds[i], r)
-                            << r.check.error;
-    if (r.hang || !r.check.ok) break;
-  }
-  // The sweep must actually exercise faults, not a quiet network.
-  if (g_replay_seed < 0) {
-    EXPECT_GT(total_faults, 100);
-  }
-}
+// ---- the sweeps: one per chaos-capable stack in this binary ----
 
 TEST(ChaosSweep, PrismRsLinearizable) {
-  RunChaosSweep("PrismRsLinearizable", RunRsSeed);
+  chaos_sweep::Sweep(explore::Workload::kRs, g_flags, "chaos_test");
 }
 
 TEST(ChaosSweep, PrismKvLinearizable) {
-  RunChaosSweep("PrismKvLinearizable", RunKvSeed);
+  chaos_sweep::Sweep(explore::Workload::kKv, g_flags, "chaos_test");
 }
 
 TEST(ChaosSweep, PrismTxReadCommitted) {
-  RunChaosSweep("PrismTxReadCommitted", RunTxSeed);
+  chaos_sweep::Sweep(explore::Workload::kTx, g_flags, "chaos_test");
+}
+
+// Every stack with a sweep size row is swept — by ChaosSweep above or by
+// ConsensusChaosSweep in consensus_test — so a new stack cannot skip the
+// chaos checkers.
+TEST(SweepCoverageTest, EveryChaosStackIsSwept) {
+  const std::vector<explore::Workload> swept = {
+      explore::Workload::kRs, explore::Workload::kKv, explore::Workload::kTx,
+      explore::Workload::kConsensus};
+  for (explore::Workload w : explore::AllWorkloads()) {
+    const bool is_swept =
+        std::find(swept.begin(), swept.end(), w) != swept.end();
+    EXPECT_EQ(is_swept, explore::HasSweepSize(w)) << explore::WorkloadName(w);
+  }
 }
 
 // ---- crash amnesia: the checker must notice lost acknowledged writes ----
@@ -432,7 +90,7 @@ TEST(ChaosAmnesiaTest, CheckerDetectsQuorumWipe) {
   sim::TaskTracker tracker;
   sim::Spawn(
       [&]() -> Task<void> {
-        Bytes v = UniqueValue(kBlockSize, /*seed=*/7, /*client=*/1, 0);
+        Bytes v = explore::UniqueValue(kBlockSize, /*seed=*/7, /*client=*/1, 0);
         Status put = co_await client.Put(0, std::move(v));
         EXPECT_TRUE(put.ok());
         for (int i = 0; i < 3; ++i) {
@@ -693,13 +351,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--seed=", 0) == 0) {
-      prism::g_replay_seed = std::stoll(arg.substr(7));
+      prism::g_flags.replay_seed = std::stoll(arg.substr(7));
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      prism::g_chaos_jobs = std::stoi(arg.substr(7));
+      prism::g_flags.jobs = std::stoi(arg.substr(7));
     } else if (arg.rfind("--trace=", 0) == 0) {
-      prism::g_chaos_trace_path = arg.substr(8);
+      prism::g_flags.trace_path = arg.substr(8);
     } else if (arg == "--metrics") {
-      prism::g_chaos_metrics = true;
+      prism::g_flags.metrics = true;
     }
   }
   ::testing::InitGoogleTest(&argc, argv);

@@ -2,8 +2,9 @@
 // election via rkey revocation, deposed-leader write rejection through the
 // revoke-NACK path, cross-epoch log safety, the exact 2-round-trip commit
 // profile, and a 100-seed chaos sweep (crash/partition/loss/latency) whose
-// client histories all pass the Wing–Gong linearizability checker. Any
-// violating seed prints its fault schedule and a replay command line:
+// client histories all pass the Wing–Gong linearizability checker, the
+// log-safety oracle and the final-state oracle. Any violating seed prints
+// its fault schedule and a replay command line:
 //
 //     consensus_test --seed=N --gtest_filter=ConsensusChaosSweep.*
 //
@@ -14,37 +15,26 @@
 
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/chaos/chaos.h"
 #include "src/check/checker.h"
 #include "src/check/history.h"
-#include "src/common/rng.h"
-#include "src/harness/sweep.h"
+#include "src/explore/workloads.h"
 #include "src/net/fabric.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
+#include "tests/chaos_sweep.h"
 
 namespace prism {
 
-// Set by --seed=N: replay exactly one chaos seed instead of sweeping.
-int64_t g_replay_seed = -1;
-// Set by --jobs=N: worker threads for the sweep (0 = DefaultJobs()).
-int g_consensus_jobs = 0;
+// --seed=N / --jobs=N (see main below).
+chaos_sweep::Flags g_flags;
 
 namespace consensus {
 namespace {
 
 using sim::Task;
-
-std::vector<uint64_t> SweepSeeds() {
-  if (g_replay_seed >= 0) return {static_cast<uint64_t>(g_replay_seed)};
-  std::vector<uint64_t> seeds;
-  for (uint64_t s = 1; s <= 100; ++s) seeds.push_back(s);
-  return seeds;
-}
 
 // A 3-replica cluster on its own fabric; replica hosts are 0..2.
 struct Rig {
@@ -72,32 +62,6 @@ struct Rig {
     return out;
   }
 };
-
-// Pairwise cross-replica log-safety oracle: below both commit words, two
-// replicas that both hold a slot must hold the same key/value (epochs in
-// the header may differ until healing rewrites them — content may not).
-testing::AssertionResult CommittedPrefixesAgree(ConsensusCluster& cluster) {
-  for (int a = 0; a < cluster.n(); ++a) {
-    for (int b = a + 1; b < cluster.n(); ++b) {
-      const uint64_t upto =
-          std::min(cluster.replica(a).commit_seq(),
-                   cluster.replica(b).commit_seq());
-      for (uint64_t s = 1; s <= upto; ++s) {
-        LogEntryWire ea, eb;
-        if (!cluster.replica(a).EntryAt(s, &ea) ||
-            !cluster.replica(b).EntryAt(s, &eb)) {
-          continue;  // holes are legal (indeterminate ops that never land)
-        }
-        if (ea.key != eb.key || ea.v_lo != eb.v_lo || ea.v_hi != eb.v_hi) {
-          return testing::AssertionFailure()
-                 << "replicas " << a << " and " << b << " diverge at seq "
-                 << s << " (keys " << ea.key << " vs " << eb.key << ")";
-        }
-      }
-    }
-  }
-  return testing::AssertionSuccess();
-}
 
 // ---- leader election via revocation ----
 
@@ -237,7 +201,8 @@ TEST(DeposedLeaderTest, RemoteNacksRejectThePutAndMarkDeposal) {
   EXPECT_TRUE(usurper.ok()) << usurper;
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(*read, MakeValue(2, 9, 0));
-  EXPECT_TRUE(CommittedPrefixesAgree(*rig.cluster));
+  std::string divergence;
+  EXPECT_TRUE(rig.cluster->CommittedPrefixesAgree(&divergence)) << divergence;
 }
 
 // ---- log safety across epochs ----
@@ -275,7 +240,8 @@ TEST(LogSafetyTest, AdoptionCarriesCommitsAcrossLeaderChanges) {
   EXPECT_EQ(*v1, MakeValue(3, 2, 2));  // reign 2, op 2 → key 1
   EXPECT_EQ(*v2, MakeValue(3, 2, 3));  // reign 2, op 3 → key 2
 
-  EXPECT_TRUE(CommittedPrefixesAgree(*rig.cluster));
+  std::string divergence;
+  EXPECT_TRUE(rig.cluster->CommittedPrefixesAgree(&divergence)) << divergence;
   auto lin = check::CheckLinearizable(history.ops(), check::kAbsent);
   EXPECT_TRUE(lin.ok) << lin.error;
   // Each handoff adopted the predecessor's in-flight window.
@@ -306,137 +272,17 @@ TEST(ClientTest, BootstrapsLeadershipOnFirstOp) {
 
 // ---- chaos sweep ----
 
-struct SeedRun {
-  bool hang = false;
-  check::CheckResult check;
-  bool logs_ok = false;
-  std::string log_error;
-  std::string schedule;
-  int faults = 0;
-  uint64_t failovers = 0;
-  uint64_t ok_ops = 0;
-};
-
-std::string ReplayBanner(uint64_t seed, const SeedRun& r) {
-  std::ostringstream os;
-  os << "consensus chaos seed " << seed
-     << " — replay with:\n    consensus_test --seed=" << seed
-     << " --gtest_filter=ConsensusChaosSweep.*\n"
-     << r.schedule;
-  return os.str();
-}
-
-// One seeded run: 3 replicas (f = 1, crash at most one at a time; memory
-// survives — the PMP memory-server model), partitions/loss/latency over
-// every host, 3 clients on their own hosts issuing Put/Get with retries and
-// client-triggered failovers. Every op lands in the history; indeterminate
-// outcomes stay open intervals for the checker.
-SeedRun RunConsensusSeed(uint64_t seed) {
-  constexpr int kClients = 3;
-  constexpr int kOpsPerClient = 10;
-  constexpr uint64_t kKeys = 3;
-
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G(),
-                     /*loss_seed=*/seed);
-  ConsensusOptions opts;
-  std::vector<net::HostId> hosts;
-  for (int i = 0; i < opts.n_replicas; ++i) {
-    hosts.push_back(fabric.AddHost("replica" + std::to_string(i)));
-  }
-  ConsensusCluster cluster(&fabric, hosts, opts);
-
-  check::HistoryRecorder history(&sim);
-  std::vector<net::HostId> client_hosts;
-  std::vector<std::unique_ptr<ConsensusClient>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    client_hosts.push_back(fabric.AddHost("client" + std::to_string(c)));
-    clients.push_back(std::make_unique<ConsensusClient>(
-        &cluster, static_cast<uint16_t>(c + 1),
-        seed * 131 + static_cast<uint64_t>(c)));
-    clients[c]->set_history(&history, c + 1);
-  }
-
-  chaos::ChaosOptions copts;
-  copts.seed = seed;
-  copts.crashable = {hosts[0], hosts[1], hosts[2]};
-  copts.max_concurrent_crashes = 1;  // = f: a quorum stays reachable
-  copts.partition_hosts = hosts;
-  for (net::HostId h : client_hosts) copts.partition_hosts.push_back(h);
-  chaos::ChaosMonkey monkey(&fabric, copts);
-  monkey.Arm();
-
-  sim::TaskTracker tracker;
-  uint64_t ok_ops = 0;
-  for (int c = 0; c < kClients; ++c) {
-    sim::Spawn(
-        [&, c]() -> Task<void> {
-          Rng rng(seed * 977 + static_cast<uint64_t>(c));
-          for (int i = 0; i < kOpsPerClient; ++i) {
-            const uint64_t key = 1 + rng.NextBelow(kKeys);
-            if (rng.NextBool(0.5)) {
-              Status s =
-                  co_await clients[c]->Put(key, MakeValue(seed, c, i));
-              if (s.ok()) ok_ops++;
-            } else {
-              auto r = co_await clients[c]->Get(key);
-              if (r.ok()) ok_ops++;
-            }
-            co_await sim::SleepFor(&sim,
-                                   sim::Micros(rng.NextInRange(100, 600)));
-          }
-        },
-        &tracker);
-  }
-  sim.Run();
-
-  SeedRun r;
-  r.hang = tracker.live() > 0 || cluster.tracker().live() > 0;
-  r.schedule = monkey.Describe();
-  r.faults = monkey.crashes_injected() + monkey.partitions_injected() +
-             monkey.loss_bursts_injected() + monkey.latency_spikes_injected();
-  r.failovers = cluster.failovers();
-  r.ok_ops = ok_ops;
-  r.check = check::CheckLinearizable(history.ops(), check::kAbsent);
-  auto logs = CommittedPrefixesAgree(cluster);
-  r.logs_ok = static_cast<bool>(logs);
-  if (!r.logs_ok) r.log_error = logs.message();
-  return r;
-}
-
+// 3 replicas under chaos through the stack registry's runner
+// (src/explore/workloads.h): linearizability, cross-replica log safety and
+// the final-state oracle on every seed.
 TEST(ConsensusChaosSweep, LinearizableWithAgreedLogs) {
-  const std::vector<uint64_t> seeds = SweepSeeds();
-  std::vector<SeedRun> runs;
-  runs.reserve(seeds.size());
-  if (g_replay_seed >= 0) {
-    for (uint64_t seed : seeds) runs.push_back(RunConsensusSeed(seed));
-  } else {
-    std::vector<harness::SweepPoint<SeedRun>> points;
-    points.reserve(seeds.size());
-    for (uint64_t seed : seeds) {
-      points.push_back([seed] { return RunConsensusSeed(seed); });
-    }
-    runs = harness::RunSweep(points, harness::SweepOptions{g_consensus_jobs});
-  }
-  int total_faults = 0;
-  uint64_t total_failovers = 0;
-  uint64_t total_ok = 0;
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    const SeedRun& r = runs[i];
-    total_faults += r.faults;
-    total_failovers += r.failovers;
-    total_ok += r.ok_ops;
-    EXPECT_FALSE(r.hang) << "coroutines hung\n" << ReplayBanner(seeds[i], r);
-    EXPECT_TRUE(r.check.ok) << ReplayBanner(seeds[i], r) << r.check.error;
-    EXPECT_TRUE(r.logs_ok) << ReplayBanner(seeds[i], r) << r.log_error;
-    if (r.hang || !r.check.ok || !r.logs_ok) break;
-  }
-  if (g_replay_seed < 0) {
+  const chaos_sweep::Totals totals = chaos_sweep::Sweep(
+      explore::Workload::kConsensus, g_flags, "consensus_test");
+  if (g_flags.replay_seed < 0) {
     // The sweep must exercise real trouble AND real progress: faults
     // injected, leader changes forced by them, and plenty of acked ops.
-    EXPECT_GT(total_faults, 100);
-    EXPECT_GT(total_failovers, seeds.size());
-    EXPECT_GT(total_ok, seeds.size() * 10);
+    EXPECT_GT(totals.failovers, 100u);
+    EXPECT_GT(totals.ok_ops, 100u * 10);
   }
 }
 
@@ -450,9 +296,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--seed=", 0) == 0) {
-      prism::g_replay_seed = std::stoll(arg.substr(7));
+      prism::g_flags.replay_seed = std::stoll(arg.substr(7));
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      prism::g_consensus_jobs = std::stoi(arg.substr(7));
+      prism::g_flags.jobs = std::stoi(arg.substr(7));
     }
   }
   ::testing::InitGoogleTest(&argc, argv);

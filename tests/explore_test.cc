@@ -52,9 +52,7 @@ using check::ValueId;
 // ---------- workload plumbing ----------
 
 TEST(WorkloadTest, NamesRoundTrip) {
-  for (Workload w :
-       {Workload::kToy, Workload::kRs, Workload::kKv, Workload::kTx,
-        Workload::kConsensus, Workload::kConsensusBuggy}) {
+  for (Workload w : AllWorkloads()) {
     Workload parsed;
     ASSERT_TRUE(WorkloadFromName(WorkloadName(w), &parsed));
     EXPECT_EQ(parsed, w);
@@ -66,32 +64,30 @@ TEST(WorkloadTest, NamesRoundTrip) {
 TEST(WorkloadTest, IdentityHookMatchesProductionEngine) {
   // The hooked lane with an identity pick is the production (when, seq)
   // order: same executed-event count, same recorded history, same fault
-  // schedule — for every workload.
-  for (Workload w :
-       {Workload::kToy, Workload::kRs, Workload::kKv, Workload::kTx,
-        Workload::kSyncSpin, Workload::kSyncOpt, Workload::kSyncLease,
-        Workload::kSyncPrism, Workload::kConsensus,
-        Workload::kConsensusBuggy}) {
-    for (uint64_t seed : {1ull, 7ull, 23ull}) {
-      WorkloadOptions plain;
-      plain.kind = w;
-      plain.seed = seed;
-      RunOutcome base = RunWorkload(plain);
-      ASSERT_TRUE(base.ok) << WorkloadName(w) << " seed " << seed << ": "
-                           << base.check_name << " " << base.error;
+  // schedule — for every registered workload, at every size row it has.
+  for (Workload w : AllWorkloads()) {
+    std::vector<Size> sizes = {Size::kExplore};
+    if (HasSweepSize(w)) sizes.push_back(Size::kSweep);
+    for (Size size : sizes) {
+      for (uint64_t seed : {1ull, 7ull, 23ull}) {
+        const WorkloadOptions plain{.kind = w, .seed = seed, .size = size};
+        RunOutcome base = RunWorkload(plain);
+        ASSERT_TRUE(base.ok) << WorkloadName(w) << " seed " << seed << ": "
+                             << base.check_name << " " << base.error;
 
-      IdentityHook hook(sim::Nanos(1000));
-      WorkloadOptions hooked = plain;
-      hooked.hook = &hook;
-      RunOutcome same = RunWorkload(hooked);
-      EXPECT_TRUE(same.ok) << WorkloadName(w) << " seed " << seed;
-      EXPECT_EQ(same.executed_events, base.executed_events)
-          << WorkloadName(w) << " seed " << seed;
-      EXPECT_EQ(same.history_fingerprint, base.history_fingerprint)
-          << WorkloadName(w) << " seed " << seed;
-      EXPECT_EQ(same.fault_windows, base.fault_windows);
-      EXPECT_EQ(same.fault_schedule, base.fault_schedule);
-      EXPECT_GT(hook.steps(), 0u);
+        IdentityHook hook(sim::Nanos(1000));
+        WorkloadOptions hooked = plain;
+        hooked.hook = &hook;
+        RunOutcome same = RunWorkload(hooked);
+        EXPECT_TRUE(same.ok) << WorkloadName(w) << " seed " << seed;
+        EXPECT_EQ(same.executed_events, base.executed_events)
+            << WorkloadName(w) << " seed " << seed;
+        EXPECT_EQ(same.history_fingerprint, base.history_fingerprint)
+            << WorkloadName(w) << " seed " << seed;
+        EXPECT_EQ(same.fault_windows, base.fault_windows);
+        EXPECT_EQ(same.fault_schedule, base.fault_schedule);
+        EXPECT_GT(hook.steps(), 0u);
+      }
     }
   }
 }
@@ -549,7 +545,8 @@ TEST(ToyReplicaTest, SweepIsDeterministicAcrossJobCounts) {
 // ---------- end-to-end: the real stacks stay clean ----------
 
 TEST(RealStackTest, NoViolationsUnderBoundedReordering) {
-  // The acceptance sweep: 100 seeds x 4 perturbed runs per stack. A failure
+  // The acceptance sweep: 100 seeds x 4 perturbed runs per chaos-capable
+  // stack in the registry. A failure
   // here is either a genuine protocol bug or an unsound reordering — both
   // stop the PR.
   ExploreOptions opts;
@@ -561,8 +558,8 @@ TEST(RealStackTest, NoViolationsUnderBoundedReordering) {
   opts.shrink = true;
   std::vector<uint64_t> seeds;
   for (uint64_t s = 1; s <= 100; ++s) seeds.push_back(s);
-  for (Workload w : {Workload::kRs, Workload::kKv, Workload::kTx,
-                     Workload::kConsensus}) {
+  for (Workload w : AllWorkloads()) {
+    if (!HasSweepSize(w)) continue;  // the chaos-capable stacks
     const SweepReport report = ExploreSweep(w, seeds, opts, g_explore_jobs);
     EXPECT_EQ(report.failing_seeds, 0) << WorkloadName(w);
     for (const SeedReport& rep : report.reports) {

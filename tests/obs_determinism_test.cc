@@ -130,19 +130,14 @@ TEST_F(ObsDeterminismTest, ScheduleHookOffLeavesBenchPointUntouched) {
 TEST_F(ObsDeterminismTest, IdentityScheduleHookIsBitIdentical) {
   // The determinism contract extended to the exploration lane: a hook that
   // always picks the front of the enabled window replays the production
-  // (when, seq) order exactly, for every explorable workload. Any diff here
+  // (when, seq) order exactly, for every registered workload. Any diff here
   // means the hooked lane reorders, drops, or re-times events even when
   // asked not to — the soundness bug that would invalidate every explorer
   // verdict.
   namespace ex = prism::explore;
-  for (ex::Workload w : {ex::Workload::kToy, ex::Workload::kRs,
-                         ex::Workload::kKv, ex::Workload::kTx,
-                         ex::Workload::kConsensus,
-                         ex::Workload::kConsensusBuggy}) {
+  for (ex::Workload w : ex::AllWorkloads()) {
     for (uint64_t seed : {11ull, 42ull}) {
-      ex::WorkloadOptions plain;
-      plain.kind = w;
-      plain.seed = seed;
+      const ex::WorkloadOptions plain{.kind = w, .seed = seed};
       const ex::RunOutcome base = ex::RunWorkload(plain);
 
       ex::IdentityHook hook(sim::Nanos(1000));
