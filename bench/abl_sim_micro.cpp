@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
@@ -155,7 +156,7 @@ ProbeResult RunProbe(Setup setup) {
   return r;
 }
 
-void EmitProbe(bench::JsonWriter& json, const char* name,
+void EmitProbe(JsonWriter& json, const char* name,
                const ProbeResult& r) {
   const double rate = r.wall_seconds > 0 ? r.events / r.wall_seconds : 0;
   json.BeginObject(name)
@@ -264,7 +265,7 @@ void WriteSimThroughputJson() {
     }
   });
 
-  bench::JsonWriter json;
+  JsonWriter json;
   json.BeginObject()
       .Field("bench", "abl_sim_micro")
       .Field("fast_mode", bench::FastMode());

@@ -15,8 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -137,121 +135,6 @@ inline std::string KeyOf(uint64_t i) {
   prism::StoreU64(reinterpret_cast<uint8_t*>(k.data()), i);
   return k;
 }
-
-// Minimal JSON emitter for the machine-readable bench artifacts
-// (results/BENCH_*.json). Nested objects/arrays with automatic comma
-// placement; strings are escaped; no external dependencies. Keys are passed
-// to the Begin*/scalar calls (pass none for array elements).
-class JsonWriter {
- public:
-  JsonWriter& BeginObject(std::string_view key = {}) {
-    Prefix(key);
-    out_ += '{';
-    fresh_.push_back(true);
-    return *this;
-  }
-  JsonWriter& EndObject() { return Close('}'); }
-  JsonWriter& BeginArray(std::string_view key = {}) {
-    Prefix(key);
-    out_ += '[';
-    fresh_.push_back(true);
-    return *this;
-  }
-  JsonWriter& EndArray() { return Close(']'); }
-
-  JsonWriter& Field(std::string_view key, std::string_view v) {
-    Prefix(key);
-    Quote(v);
-    return *this;
-  }
-  JsonWriter& Field(std::string_view key, const char* v) {
-    return Field(key, std::string_view(v));
-  }
-  JsonWriter& Field(std::string_view key, double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    Prefix(key);
-    out_ += buf;
-    return *this;
-  }
-  JsonWriter& Field(std::string_view key, uint64_t v) {
-    Prefix(key);
-    out_ += std::to_string(v);
-    return *this;
-  }
-  JsonWriter& Field(std::string_view key, int64_t v) {
-    Prefix(key);
-    out_ += std::to_string(v);
-    return *this;
-  }
-  JsonWriter& Field(std::string_view key, int v) {
-    return Field(key, static_cast<int64_t>(v));
-  }
-  JsonWriter& Field(std::string_view key, bool v) {
-    Prefix(key);
-    out_ += v ? "true" : "false";
-    return *this;
-  }
-
-  const std::string& str() const { return out_; }
-
-  // Writes the document to `path`, creating parent directories as needed.
-  // Returns false (and prints to stderr) on IO failure.
-  bool WriteFile(const std::string& path) const {
-    std::filesystem::path p(path);
-    std::error_code ec;
-    if (p.has_parent_path()) {
-      std::filesystem::create_directories(p.parent_path(), ec);
-    }
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "JsonWriter: cannot open %s\n", path.c_str());
-      return false;
-    }
-    f << out_ << '\n';
-    return f.good();
-  }
-
- private:
-  void Prefix(std::string_view key) {
-    if (!fresh_.empty()) {
-      if (!fresh_.back()) out_ += ',';
-      fresh_.back() = false;
-    }
-    if (!key.empty()) {
-      Quote(key);
-      out_ += ':';
-    }
-  }
-  JsonWriter& Close(char c) {
-    fresh_.pop_back();
-    out_ += c;
-    return *this;
-  }
-  void Quote(std::string_view s) {
-    out_ += '"';
-    for (char c : s) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\t': out_ += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
-      }
-    }
-    out_ += '"';
-  }
-
-  std::string out_;
-  std::vector<bool> fresh_;  // per open scope: no members emitted yet
-};
 
 }  // namespace prism::bench
 

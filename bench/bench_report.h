@@ -13,27 +13,26 @@
 //   "fig6_rs_tput": {...}
 //   }
 //
-// The file is written one entry per line so drivers can merge without a
-// JSON parser: on write, lines whose top-level key differs from this
-// driver's are kept verbatim, this driver's entry is replaced, and entries
-// are sorted by key. The whole document stays valid JSON (validated by
-// scripts/bench_smoke.cmake via CMake's string(JSON)).
+// On write the existing document is parsed (src/common/json.h): every other
+// driver's entry is copied byte for byte, this driver's entry is replaced,
+// and entries are sorted by key, one per line. tools/artifact_check holds
+// the schema every entry must meet.
 #ifndef PRISM_BENCH_BENCH_REPORT_H_
 #define PRISM_BENCH_BENCH_REPORT_H_
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <deque>
-#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/common/json.h"
 #include "src/harness/sweep.h"
 #include "src/obs/obs.h"
 #include "src/obs/timeline.h"
@@ -71,10 +70,10 @@ class FigureReporter {
     return total;
   }
 
-  // Serializes this driver's entry as a single `"name": {...}` line.
-  std::string EntryLine() const {
+  // Serializes this driver's entry, the value under its bench name.
+  std::string EntryJson() const {
     JsonWriter w;
-    w.BeginObject(bench_);
+    w.BeginObject();
     w.Field("title", title_);
     w.Field("fast_mode", FastMode());
     w.Field("jobs", jobs_);
@@ -156,39 +155,27 @@ class FigureReporter {
   // results/BENCH_figs.json relative to the working directory). Entries from
   // other drivers are preserved; the result is sorted by bench name.
   bool WriteUnified(const std::string& path = "results/BENCH_figs.json") const {
-    std::vector<std::pair<std::string, std::string>> entries;  // key, line
-    std::ifstream in(path);
-    if (in) {
-      std::string line;
-      while (std::getline(in, line)) {
-        const std::string key = TopLevelKey(line);
-        if (!key.empty() && key != bench_) {
-          if (!line.empty() && line.back() == ',') line.pop_back();
-          entries.emplace_back(key, line);
+    std::map<std::string, std::string> entries;  // bench name -> entry JSON
+    if (std::ifstream in(path); in) {
+      std::ostringstream text;
+      text << in.rdbuf();
+      const std::string doc = text.str();
+      try {
+        const Json parsed = ParseJson(doc);
+        for (const auto& [key, v] : parsed.obj) {
+          entries[key] = doc.substr(v.begin, v.end - v.begin);
         }
+      } catch (const JsonError& e) {
+        std::fprintf(stderr, "FigureReporter: dropping malformed %s: %s\n",
+                     path.c_str(), e.what());
       }
     }
-    entries.emplace_back(bench_, EntryLine());
-    std::sort(entries.begin(), entries.end());
-
-    std::filesystem::path p(path);
-    std::error_code ec;
-    if (p.has_parent_path()) {
-      std::filesystem::create_directories(p.parent_path(), ec);
-    }
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "FigureReporter: cannot open %s\n", path.c_str());
-      return false;
-    }
-    out << "{\n";
-    for (size_t i = 0; i < entries.size(); ++i) {
-      out << entries[i].second;
-      if (i + 1 < entries.size()) out << ',';
-      out << '\n';
-    }
-    out << "}\n";
-    return out.good();
+    entries[bench_] = EntryJson();
+    JsonWriter w;
+    w.BeginObject().BreakLines();
+    for (const auto& [key, json] : entries) w.Raw(key, json);
+    w.EndObject();
+    return w.WriteFile(path);
   }
 
  private:
@@ -204,16 +191,6 @@ class FigureReporter {
     }
     series_.push_back(SeriesData{name, {}, {}});
     return series_.back();
-  }
-
-  // Extracts the quoted top-level key of a `"key": {...}` line; empty for
-  // the brace lines and anything unrecognized (dropped on rewrite).
-  static std::string TopLevelKey(const std::string& line) {
-    if (line.size() < 4 || line[0] != '"') return "";
-    const size_t close = line.find('"', 1);
-    if (close == std::string::npos) return "";
-    if (line.find(':', close) == std::string::npos) return "";
-    return line.substr(1, close - 1);
   }
 
   std::string bench_;

@@ -15,7 +15,8 @@
 # 4. Same pass for fig_consensus: the failover tail (leader change by rkey
 #    revocation) is responder-dominated — Deregister+Register handler work,
 #    never sync_spin.
-# 5. Exit-code contract: failed expectation -> 1, malformed input -> 2.
+# 5. Exit-code contract: failed expectation -> 1; malformed input ->
+#    2, whether truncated, of the wrong artifact kind or mistyped.
 if(NOT OVERLOAD_BIN OR NOT SYNC_BIN OR NOT CONSENSUS_BIN OR NOT REPORT_BIN
    OR NOT WORK_DIR)
   message(FATAL_ERROR "latency_smoke.cmake needs -DOVERLOAD_BIN=... "
@@ -182,14 +183,40 @@ if(NOT rc EQUAL 2)
   message(FATAL_ERROR "truncated ATTRIB input should exit 2, got ${rc}:\n${out}")
 endif()
 
-# Well-formed JSON of the wrong shape (an ATTRIB file where a Chrome trace is
-# expected) must also exit 2, not crash or silently pass.
+# Well-formed JSON of the wrong shape must also exit 2, not crash or
+# silently pass: an ATTRIB file where a Chrome trace is expected, and the
+# reverse.
 report(rc out --trace=results/ATTRIB_fig_sync.json
        results/ATTRIB_fig_sync.json)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR
     "trace-shaped validation of an ATTRIB file should exit 2, got ${rc}:\n${out}")
 endif()
+report(rc out results/trace_sync.json)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR
+    "a Chrome trace as the ATTRIB input should exit 2, got ${rc}:\n${out}")
+endif()
+
+# Hand-edited ATTRIB files with one mistyped field each must exit 2: a
+# string among the per-phase sums, an object where the exemplar array
+# belongs, and a string sweep coordinate.
+string(REGEX REPLACE "\"phase_total_ns\":\\[[0-9]+"
+       "\"phase_total_ns\":[\"x\"" mistyped "${doc}")
+file(WRITE ${WORK_DIR}/results/ATTRIB_string_phase.json "${mistyped}")
+string(REPLACE "\"exemplars\":[" "\"exemplars\":{},\"was_exemplars\":["
+       mistyped "${doc}")
+file(WRITE ${WORK_DIR}/results/ATTRIB_object_exemplars.json "${mistyped}")
+string(REGEX REPLACE "\"x\":[-+.e0-9]+" "\"x\":\"oops\"" mistyped "${doc}")
+file(WRITE ${WORK_DIR}/results/ATTRIB_string_x.json "${mistyped}")
+foreach(f ATTRIB_string_phase.json ATTRIB_object_exemplars.json
+          ATTRIB_string_x.json)
+  report(rc out results/${f})
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR
+      "mistyped ATTRIB input ${f} should exit 2, got ${rc}:\n${out}")
+  endif()
+endforeach()
 
 message(STATUS
   "latency smoke OK: deterministic artifacts, verdicts asserted, "

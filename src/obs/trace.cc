@@ -1,71 +1,47 @@
 #include "src/obs/trace.h"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <utility>
+
+#include "src/common/json.h"
 
 namespace prism::obs {
 
 namespace {
 
-void AppendEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void AppendTs(std::string& out, int64_t ns) {
-  // Microseconds with nanosecond fractions (Chrome's ts unit is µs).
+// Microseconds with nanosecond fractions (Chrome's ts unit is µs).
+std::string Micros(int64_t ns) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%lld.%03lld",
                 static_cast<long long>(ns / 1000),
                 static_cast<long long>(ns % 1000));
-  out += buf;
+  return buf;
 }
 
-void AppendHex(std::string& out, uint64_t v) {
+std::string Hex(uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "0x%llx", static_cast<unsigned long long>(v));
-  out += buf;
+  return buf;
 }
 
 // One async begin/end event.
-void AppendAsyncEvent(std::string& out, char ph, const SpanRecord& s,
-                      int64_t ts_ns) {
-  out += "{\"ph\":\"";
-  out += ph;
-  out += "\",\"cat\":\"";
-  AppendEscaped(out, s.cat);
-  out += "\",\"name\":\"";
-  AppendEscaped(out, s.name);
-  out += "\",\"id\":\"";
-  AppendHex(out, s.root);
-  out += "\",\"pid\":";
-  out += std::to_string(s.host);
-  out += ",\"tid\":0,\"ts\":";
-  AppendTs(out, ts_ns);
-  if (ph == 'b') {
-    out += ",\"args\":{\"span\":\"";
-    AppendHex(out, s.id);
-    out += "\",\"parent\":\"";
-    AppendHex(out, s.parent);
-    out += "\"}";
+void AsyncEvent(JsonWriter& w, const char* ph, const SpanRecord& s,
+                int64_t ts_ns) {
+  w.BeginObject()
+      .Field("ph", ph)
+      .Field("cat", s.cat)
+      .Field("name", s.name)
+      .Field("id", Hex(s.root))
+      .Field("pid", static_cast<uint64_t>(s.host))
+      .Field("tid", 0)
+      .Raw("ts", Micros(ts_ns));
+  if (ph[0] == 'b') {
+    w.BeginObject("args")
+        .Field("span", Hex(s.id))
+        .Field("parent", Hex(s.parent))
+        .EndObject();
   }
-  out += "}";
+  w.EndObject();
 }
 
 }  // namespace
@@ -149,52 +125,46 @@ void Tracer::CollectTree(SpanId root, std::vector<SpanRecord>* out) const {
   }
 }
 
-std::string Tracer::ToChromeJson(
+JsonWriter Tracer::ChromeJson(
     const std::vector<std::string>& host_names) const {
-  std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  auto comma = [&] {
-    if (!first) out += ",\n";
-    first = false;
-  };
+  JsonWriter w;
+  w.BeginObject().Field("displayTimeUnit", "ns");
+  w.BeginArray("traceEvents").BreakLines();
   for (size_t h = 0; h < host_names.size(); ++h) {
-    comma();
-    out += "{\"ph\":\"M\",\"pid\":" + std::to_string(h) +
-           ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"";
-    AppendEscaped(out, host_names[h]);
-    out += "\"}}";
+    w.BeginObject()
+        .Field("ph", "M")
+        .Field("pid", static_cast<uint64_t>(h))
+        .Field("tid", 0)
+        .Field("name", "process_name")
+        .BeginObject("args")
+        .Field("name", host_names[h])
+        .EndObject()
+        .EndObject();
   }
   auto emit_span = [&](const SpanRecord& s, int64_t end_ns) {
-    comma();
-    AppendAsyncEvent(out, 'b', s, s.start_ns);
-    comma();
-    AppendAsyncEvent(out, 'e', s, end_ns);
+    AsyncEvent(w, "b", s, s.start_ns);
+    AsyncEvent(w, "e", s, end_ns);
   };
   for (const SpanRecord& s : done_) emit_span(s, s.end_ns);
   // Flush still-open spans as zero-length so the file is self-contained
   // (std::map iteration keeps this deterministic).
   for (const auto& [id, s] : open_) emit_span(s, s.start_ns);
-  // Metadata: how many finished spans the FIFO cap silently evicted. A
-  // nonzero value means the traceEvents window is incomplete (ISSUE 9
-  // satellite 1 — surfaced instead of silent).
-  out += "\n],\"droppedSpans\":" + std::to_string(dropped_) + "}\n";
-  return out;
+  w.EndArray();
+  // How many finished spans the FIFO cap evicted. A nonzero value means the
+  // traceEvents window is incomplete.
+  w.Field("droppedSpans", static_cast<uint64_t>(dropped_));
+  w.EndObject();
+  return w;
+}
+
+std::string Tracer::ToChromeJson(
+    const std::vector<std::string>& host_names) const {
+  return ChromeJson(host_names).str();
 }
 
 bool Tracer::WriteChromeJson(const std::string& path,
                              const std::vector<std::string>& host_names) const {
-  std::filesystem::path p(path);
-  std::error_code ec;
-  if (p.has_parent_path()) {
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "Tracer: cannot open %s\n", path.c_str());
-    return false;
-  }
-  f << ToChromeJson(host_names);
-  return f.good();
+  return ChromeJson(host_names).WriteFile(path);
 }
 
 }  // namespace prism::obs

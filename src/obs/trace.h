@@ -25,6 +25,10 @@
 #include <string_view>
 #include <vector>
 
+namespace prism {
+class JsonWriter;
+}  // namespace prism
+
 namespace prism::obs {
 
 using SpanId = uint64_t;  // 0 = "no span"
@@ -88,6 +92,8 @@ class Tracer {
                        const std::vector<std::string>& host_names = {}) const;
 
  private:
+  JsonWriter ChromeJson(const std::vector<std::string>& host_names) const;
+
   SpanId next_id_ = 1;
   std::map<SpanId, SpanRecord> open_;
   std::deque<SpanRecord> done_;  // completion order

@@ -1,4 +1,4 @@
-// Tests for src/common: Status/Result, bytes, hashes, RNG, histogram.
+// Tests for src/common: Status/Result, bytes, hashes, RNG, histogram, JSON.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +8,7 @@
 #include "src/common/bytes.h"
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
+#include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 
@@ -359,6 +360,138 @@ TEST(HistogramTest, ConstantStreamHasZeroWidthQuantiles) {
   for (int i = 0; i < 1000; ++i) h.Record(4242);
   for (double q : {0.0, 0.25, 0.5, 0.75, 0.99, 1.0}) {
     EXPECT_EQ(h.QuantileNanos(q), 4242) << "q=" << q;
+  }
+}
+
+
+// ---- JSON ----
+
+TEST(JsonTest, WriterOutputParsesBackToTheSameValues) {
+  // Every byte the writer must escape: quote, backslash and each control
+  // character (\n and \t by name, the rest as \u00XX).
+  std::string escapes = "\"\\/ plain ~";
+  for (int c = 1; c < 0x20; ++c) escapes += static_cast<char>(c);
+  JsonWriter w;
+  w.BeginObject()
+      .Field("s", escapes)
+      .Field(escapes, "escaped key")
+      .Field("int", -7)
+      .Field("int64", int64_t{-(int64_t{1} << 53)})
+      .Field("uint64", uint64_t{1} << 53)
+      .Field("double", 1234567.0)
+      .Field("t", true)
+      .Field("f", false)
+      .BeginArray("empty_arr")
+      .EndArray()
+      .BeginObject("empty_obj")
+      .EndObject()
+      .BeginArray("nested")
+      .BeginObject()
+      .BeginArray("inner")
+      .Field("", 1)
+      .Field("", "x")
+      .EndArray()
+      .BeginObject("o")
+      .EndObject()
+      .EndObject()
+      .BeginArray()
+      .EndArray()
+      .EndArray()
+      .EndObject();
+  const std::string& text = w.str();
+  EXPECT_NE(text.find("\\u001f"), std::string::npos);
+  EXPECT_NE(text.find("\\n"), std::string::npos);
+  EXPECT_NE(text.find("\\t"), std::string::npos);
+  EXPECT_NE(text.find("\"double\":1.23457e+06"), std::string::npos);
+
+  const Json doc = ParseJson(text);
+  EXPECT_EQ(doc.Str("s"), escapes);
+  EXPECT_EQ(doc.Str(escapes), "escaped key");
+  EXPECT_EQ(doc.Num("int"), -7);
+  EXPECT_EQ(doc.Num("int64"), -9007199254740992.0);
+  EXPECT_EQ(doc.Num("uint64"), 9007199254740992.0);
+  EXPECT_EQ(doc.Num("double"), 1.23457e+06);  // %.6g
+  EXPECT_TRUE(doc.Bool("t"));
+  EXPECT_FALSE(doc.Bool("f"));
+  EXPECT_TRUE(doc.Arr("empty_arr").empty());
+  EXPECT_EQ(doc.Require("empty_obj").type, Json::Type::kObject);
+  EXPECT_TRUE(doc.Require("empty_obj").obj.empty());
+  const std::vector<Json>& nested = doc.Arr("nested");
+  ASSERT_EQ(nested.size(), 2u);
+  const std::vector<Json>& inner = nested[0].Arr("inner");
+  ASSERT_EQ(inner.size(), 2u);
+  EXPECT_EQ(inner[0].AsNum(), 1);
+  EXPECT_EQ(inner[1].AsStr(), "x");
+  EXPECT_TRUE(nested[0].Require("o").obj.empty());
+  EXPECT_TRUE(nested[1].AsArr().empty());
+}
+
+TEST(JsonTest, BreakLinesAndRawKeepParsedMembersByteForByte) {
+  const std::string text = "{ \"a\" : [1, 2.50],\"b\":{\"c\":\"d\"} }";
+  const Json doc = ParseJson(text);
+  JsonWriter w;
+  w.BeginObject().BreakLines();
+  for (const auto& [key, v] : doc.obj) {
+    w.Raw(key, text.substr(v.begin, v.end - v.begin));
+  }
+  w.EndObject();
+  EXPECT_EQ(w.str(), "{\n\"a\":[1, 2.50],\n\"b\":{\"c\":\"d\"}\n}");
+}
+
+TEST(JsonTest, TypedAccessorsRejectMissingAndMistypedFields) {
+  const std::string text = R"({"n": 1, "s": "x", "a": ["y", 2]})";
+  const Json doc = ParseJson(text);
+  auto offset_of = [](const auto& read) -> size_t {
+    try {
+      read();
+    } catch (const JsonError& e) {
+      return e.offset();
+    }
+    ADD_FAILURE() << "no JsonError thrown";
+    return 0;
+  };
+  EXPECT_EQ(offset_of([&] { doc.Num("missing"); }), 0u);
+  EXPECT_EQ(offset_of([&] { doc.Num("s"); }), text.find("\"x\""));
+  EXPECT_EQ(offset_of([&] { doc.Str("n"); }), text.find('1'));
+  EXPECT_EQ(offset_of([&] { doc.Arr("n"); }), text.find('1'));
+  EXPECT_EQ(offset_of([&] { doc.Bool("n"); }), text.find('1'));
+  EXPECT_EQ(offset_of([&] { doc.Arr("a")[0].AsNum(); }), text.find("\"y\""));
+  EXPECT_EQ(offset_of([&] { doc.Arr("a")[1].AsStr(); }), text.find('2'));
+  EXPECT_EQ(offset_of([&] { doc.Require("n").Num("k"); }), text.find('1'));
+  EXPECT_EQ(doc.Find("missing"), nullptr);
+}
+
+TEST(JsonTest, MalformedInputThrowsAtTheOffendingByte) {
+  struct Case {
+    const char* text;
+    size_t offset;
+  };
+  const Case cases[] = {
+      {"", 0},                  // empty
+      {"{\"a\":1", 6},          // truncated object
+      {"[1,2", 4},              // truncated array
+      {"\"abc", 4},             // unterminated string
+      {"[1,2] x", 6},           // trailing bytes
+      {"{} {}", 3},             // a second document
+      {"\"\\q\"", 2},           // bad escape
+      {"\"\\u12G4\"", 5},       // bad \u hex digit
+      {"\"\\u12\"", 3},         // truncated \u escape
+      {"[tru]", 1},             // unknown literal
+      {"nul", 0},               // unknown literal
+      {"[inf]", 1},             // strtod would take it; JSON does not
+      {"[-]", 1},               // malformed number
+      {"[1,]", 3},              // missing value
+      {"{\"a\" 1}", 5},         // missing ':'
+      {"[1 2]", 3},             // missing ','
+      {"{\"a\":1 \"b\":2}", 7},  // missing ',' between members
+  };
+  for (const Case& c : cases) {
+    try {
+      ParseJson(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const JsonError& e) {
+      EXPECT_EQ(e.offset(), c.offset) << c.text << ": " << e.what();
+    }
   }
 }
 

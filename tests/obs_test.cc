@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/net/fabric.h"
 #include "src/obs/obs.h"
 #include "src/prism/service.h"
@@ -176,15 +177,33 @@ TEST(TracerTest, ChromeJsonHasAsyncPairsAndProcessNames) {
   const SpanId root = t.Begin("kv.get", "app", 1, 1500);
   t.EmitComplete("net.flight", "net", 0, 1600, 2600, root);
   t.End(root, 3000);
-  const std::string json = t.ToChromeJson({"server", "client"});
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
-  EXPECT_NE(json.find("process_name"), std::string::npos);
-  EXPECT_NE(json.find("\"server\""), std::string::npos);
-  EXPECT_NE(json.find("\"client\""), std::string::npos);
-  EXPECT_NE(json.find("kv.get"), std::string::npos);
-  EXPECT_NE(json.find("net.flight"), std::string::npos);
+  const Json doc = ParseJson(t.ToChromeJson({"server", "client"}));
+  EXPECT_EQ(doc.Num("droppedSpans"), 0);
+
+  std::map<std::string, int> open;  // async id -> begins minus ends
+  std::vector<std::string> begun;
+  std::map<double, std::string> processes;  // pid -> name
+  for (const Json& ev : doc.Arr("traceEvents")) {
+    const std::string& ph = ev.Str("ph");
+    if (ph == "M") {
+      EXPECT_EQ(ev.Str("name"), "process_name");
+      const std::string& name = ev.Require("args").Str("name");
+      EXPECT_TRUE(processes.emplace(ev.Num("pid"), name).second);
+    } else if (ph == "b") {
+      EXPECT_EQ(ev.Require("args").Str("parent"),
+                ev.Str("name") == "kv.get" ? "0x0" : "0x1");
+      open[ev.Str("id")]++;
+      begun.push_back(ev.Str("name"));
+    } else {
+      ASSERT_EQ(ph, "e");
+      open[ev.Str("id")]--;
+    }
+  }
+  for (const auto& [id, n] : open) EXPECT_EQ(n, 0) << "id " << id;
+  EXPECT_EQ(open.size(), 1u);  // both spans share their root's async id
+  EXPECT_EQ(begun, (std::vector<std::string>{"net.flight", "kv.get"}));
+  EXPECT_EQ(processes,
+            (std::map<double, std::string>{{0, "server"}, {1, "client"}}));
 }
 
 TEST(TracerTest, OpenSpansFlushAsZeroLength) {

@@ -19,283 +19,27 @@
 // demands the phase be the argmax. Exit codes are part of the contract:
 //   0  report printed, all expectations met
 //   1  an expectation failed
-//   2  malformed input (JSON parse error, missing field, unreadable file)
+//   2  malformed input (JSON parse error, missing or mistyped field,
+//      unreadable file)
 //
-// The parser below is deliberately self-contained (recursive descent over
-// the full JSON grammar): the repo's writers emit JSON but nothing in-tree
-// needed to *read* it until this tool, and the report must fail loudly
-// (exit 2) on truncated or hand-edited input rather than misreport.
+// Every read goes through the typed accessors of src/common/json.h, so
+// truncated or hand-edited input fails loudly (exit 2) rather than being
+// misreported.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/common/json.h"
+
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser.
-
-struct Json {
-  enum Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<Json> arr;
-  std::vector<std::pair<std::string, Json>> obj;  // insertion order kept
-
-  const Json* Find(std::string_view key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-struct ParseError {
-  std::string msg;
-  size_t offset = 0;
-};
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Json Parse() {
-    Json v = Value();
-    SkipWs();
-    if (pos_ != text_.size()) Fail("trailing bytes after top-level value");
-    return v;
-  }
-
- private:
-  [[noreturn]] void Fail(const std::string& why) {
-    throw ParseError{why, pos_};
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      pos_++;
-    }
-  }
-
-  char Peek() {
-    if (pos_ >= text_.size()) Fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void Expect(char c) {
-    if (Peek() != c) Fail(std::string("expected '") + c + "'");
-    pos_++;
-  }
-
-  Json Value() {
-    SkipWs();
-    switch (Peek()) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"': {
-        Json v;
-        v.type = Json::kString;
-        v.str = String();
-        return v;
-      }
-      case 't':
-      case 'f':
-        return Literal();
-      case 'n':
-        Keyword("null");
-        return Json{};
-      default:
-        return Number();
-    }
-  }
-
-  void Keyword(std::string_view word) {
-    if (text_.compare(pos_, word.size(), word) != 0) {
-      Fail("unrecognized literal");
-    }
-    pos_ += word.size();
-  }
-
-  Json Literal() {
-    Json v;
-    v.type = Json::kBool;
-    if (Peek() == 't') {
-      Keyword("true");
-      v.boolean = true;
-    } else {
-      Keyword("false");
-      v.boolean = false;
-    }
-    return v;
-  }
-
-  Json Number() {
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    double d = std::strtod(begin, &end);
-    if (end == begin) Fail("expected a JSON value");
-    pos_ += static_cast<size_t>(end - begin);
-    Json v;
-    v.type = Json::kNumber;
-    v.number = d;
-    return v;
-  }
-
-  std::string String() {
-    Expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) Fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) Fail("unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) Fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; i++) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else Fail("bad hex digit in \\u escape");
-          }
-          // The writers only emit ASCII; encode BMP code points as UTF-8.
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          Fail("unknown escape");
-      }
-    }
-  }
-
-  Json Array() {
-    Expect('[');
-    Json v;
-    v.type = Json::kArray;
-    SkipWs();
-    if (Peek() == ']') {
-      pos_++;
-      return v;
-    }
-    for (;;) {
-      v.arr.push_back(Value());
-      SkipWs();
-      char c = Peek();
-      pos_++;
-      if (c == ']') return v;
-      if (c != ',') Fail("expected ',' or ']' in array");
-    }
-  }
-
-  Json Object() {
-    Expect('{');
-    Json v;
-    v.type = Json::kObject;
-    SkipWs();
-    if (Peek() == '}') {
-      pos_++;
-      return v;
-    }
-    for (;;) {
-      SkipWs();
-      std::string key = String();
-      SkipWs();
-      Expect(':');
-      v.obj.emplace_back(std::move(key), Value());
-      SkipWs();
-      char c = Peek();
-      pos_++;
-      if (c == '}') return v;
-      if (c != ',') Fail("expected ',' or '}' in object");
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Typed views over the ATTRIB schema. Every accessor hard-fails (exit 2 via
-// ParseError) when a required field is missing or mistyped.
-
-const Json& Require(const Json& obj, std::string_view key) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    throw ParseError{"missing required field \"" + std::string(key) + "\"", 0};
-  }
-  return *v;
-}
-
-double Num(const Json& obj, std::string_view key) {
-  const Json& v = Require(obj, key);
-  if (v.type != Json::kNumber) {
-    throw ParseError{"field \"" + std::string(key) + "\" is not a number", 0};
-  }
-  return v.number;
-}
-
-const std::string& Str(const Json& obj, std::string_view key) {
-  const Json& v = Require(obj, key);
-  if (v.type != Json::kString) {
-    throw ParseError{"field \"" + std::string(key) + "\" is not a string", 0};
-  }
-  return v.str;
-}
-
-const std::vector<Json>& Arr(const Json& obj, std::string_view key) {
-  const Json& v = Require(obj, key);
-  if (v.type != Json::kArray) {
-    throw ParseError{"field \"" + std::string(key) + "\" is not an array", 0};
-  }
-  return v.arr;
-}
-
-std::string LoadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError{"cannot open " + path, 0};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+using prism::Json;
+using prism::JsonError;
 
 // ---------------------------------------------------------------------------
 // Report model.
@@ -307,7 +51,7 @@ struct ClassTail {
   std::vector<double> window_ns;     // exact per-phase sums over the window
   std::vector<double> tail_ns;       // per-phase sums over the exemplars
   std::vector<double> phase_p999_us; // per-phase histogram p999
-  const Json* exemplars = nullptr;
+  const std::vector<Json>* exemplars = nullptr;
 };
 
 struct Point {
@@ -439,15 +183,14 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  const Json root = Parser(LoadFile(attrib_path)).Parse();
-  const std::string& bench = Str(root, "bench");
+  const Json root = prism::ParseJsonFile(attrib_path);
+  const std::string& bench = root.Str("bench");
   std::vector<std::string> phases;
-  for (const Json& p : Arr(root, "phases")) {
-    if (p.type != Json::kString) throw ParseError{"phase name not a string", 0};
-    phases.push_back(p.str);
-  }
+  for (const Json& p : root.Arr("phases")) phases.push_back(p.AsStr());
   const size_t np = phases.size();
-  if (np == 0) throw ParseError{"empty phases list", 0};
+  if (np == 0) {
+    throw JsonError("empty phases list", root.Require("phases").begin);
+  }
   auto phase_index = [&phases](std::string_view name) {
     for (size_t i = 0; i < phases.size(); i++) {
       if (phases[i] == name) return static_cast<int>(i);
@@ -456,28 +199,34 @@ int Run(int argc, char** argv) {
   };
 
   std::vector<Point> points;
-  for (const Json& jp : Arr(root, "points")) {
+  for (const Json& jp : root.Arr("points")) {
     Point pt;
-    pt.series = Str(jp, "series");
-    if (const Json* x = jp.Find("x"); x != nullptr) pt.x = x->number;
-    pt.started = static_cast<uint64_t>(Num(jp, "started_ops"));
-    pt.measured = static_cast<uint64_t>(Num(jp, "measured_ops"));
-    for (const Json& jc : Arr(jp, "classes")) {
+    pt.series = jp.Str("series");
+    if (jp.Find("x") != nullptr) pt.x = jp.Num("x");
+    pt.started = static_cast<uint64_t>(jp.Num("started_ops"));
+    pt.measured = static_cast<uint64_t>(jp.Num("measured_ops"));
+    for (const Json& jc : jp.Arr("classes")) {
       ClassTail ct;
-      ct.name = Str(jc, "class");
-      ct.count = static_cast<uint64_t>(Num(jc, "count"));
-      ct.p999_us = Num(jc, "p999_us");
-      for (const Json& v : Arr(jc, "phase_total_ns")) ct.window_ns.push_back(v.number);
-      for (const Json& v : Arr(jc, "phase_p999_us")) ct.phase_p999_us.push_back(v.number);
+      ct.name = jc.Str("class");
+      ct.count = static_cast<uint64_t>(jc.Num("count"));
+      ct.p999_us = jc.Num("p999_us");
+      for (const Json& v : jc.Arr("phase_total_ns")) {
+        ct.window_ns.push_back(v.AsNum());
+      }
+      for (const Json& v : jc.Arr("phase_p999_us")) {
+        ct.phase_p999_us.push_back(v.AsNum());
+      }
       if (ct.window_ns.size() != np || ct.phase_p999_us.size() != np) {
-        throw ParseError{"per-phase array length != phases length", 0};
+        throw JsonError("per-phase array length != phases length", jc.begin);
       }
       ct.tail_ns.assign(np, 0.0);
-      ct.exemplars = &Require(jc, "exemplars");
-      for (const Json& je : ct.exemplars->arr) {
-        const auto& ph = Arr(je, "phase_ns");
-        if (ph.size() != np) throw ParseError{"exemplar phase_ns length", 0};
-        for (size_t i = 0; i < np; i++) ct.tail_ns[i] += ph[i].number;
+      ct.exemplars = &jc.Arr("exemplars");
+      for (const Json& je : *ct.exemplars) {
+        const auto& ph = je.Arr("phase_ns");
+        if (ph.size() != np) {
+          throw JsonError("exemplar phase_ns length", je.begin);
+        }
+        for (size_t i = 0; i < np; i++) ct.tail_ns[i] += ph[i].AsNum();
       }
       pt.classes.push_back(std::move(ct));
     }
@@ -516,11 +265,10 @@ int Run(int argc, char** argv) {
                     100.0 * Share(ct.window_ns, static_cast<int>(i)),
                     ct.phase_p999_us[i]);
       }
-      for (const Json& je : ct.exemplars->arr) {
-        const Json* spans = je.Find("spans");
-        if (spans == nullptr || spans->arr.empty()) continue;
+      for (const Json& je : *ct.exemplars) {
+        if (je.Find("spans") == nullptr || je.Arr("spans").empty()) continue;
         if (best_traced == nullptr ||
-            Num(je, "total_ns") > Num(*best_traced, "total_ns")) {
+            je.Num("total_ns") > best_traced->Num("total_ns")) {
           best_traced = &je;
           best_traced_label = pt.series + " " + ct.name;
         }
@@ -532,22 +280,22 @@ int Run(int argc, char** argv) {
     // The pinned tree is the op's whole causal root tree, which can include
     // sibling ops of the same worker chain; display only the spans that
     // overlap this exemplar's own [start, end] interval.
-    const double op_start = Num(*best_traced, "start_ns");
-    const double op_end = Num(*best_traced, "end_ns");
+    const double op_start = best_traced->Num("start_ns");
+    const double op_end = best_traced->Num("end_ns");
     std::vector<SpanRow> spans;
-    for (const Json& js : best_traced->Find("spans")->arr) {
+    for (const Json& js : best_traced->Arr("spans")) {
       SpanRow s;
-      s.id = Num(js, "id");
-      s.parent = Num(js, "parent");
-      s.name = Str(js, "name");
-      s.cat = Str(js, "cat");
-      s.start_ns = Num(js, "start_ns");
-      s.end_ns = Num(js, "end_ns");
+      s.id = js.Num("id");
+      s.parent = js.Num("parent");
+      s.name = js.Str("name");
+      s.cat = js.Str("cat");
+      s.start_ns = js.Num("start_ns");
+      s.end_ns = js.Num("end_ns");
       const bool open = s.end_ns < s.start_ns;  // never finished
       if (s.start_ns > op_end || (!open && s.end_ns < op_start)) continue;
       spans.push_back(std::move(s));
     }
-    const double total = Num(*best_traced, "total_ns");
+    const double total = best_traced->Num("total_ns");
     std::printf("\ncritical path: slowest traced op (%s, %.1fus, %zu spans)\n",
                 best_traced_label.c_str(), total / 1e3, spans.size());
     std::printf("    %-28s %-8s %9s %9s %6s\n", "span", "cat", "start(us)",
@@ -559,7 +307,7 @@ int Run(int argc, char** argv) {
         if (p.id == s.parent && p.id != s.id) has_parent = true;
       }
       if (!has_parent) {
-        PrintSpanTree(spans, s.id, Num(*best_traced, "start_ns"), total, 0);
+        PrintSpanTree(spans, s.id, op_start, total, 0);
       }
     }
   }
@@ -596,28 +344,28 @@ int Run(int argc, char** argv) {
 
   // ---- optional companion files ----
   if (!ts_path.empty()) {
-    const Json ts = Parser(LoadFile(ts_path)).Parse();
-    (void)Str(ts, "bench");
-    for (const Json& jp : Arr(ts, "points")) {
-      const auto& buckets = Arr(jp, "buckets");
+    const Json ts = prism::ParseJsonFile(ts_path);
+    (void)ts.Str("bench");
+    for (const Json& jp : ts.Arr("points")) {
+      const auto& buckets = jp.Arr("buckets");
       double peak_out = 0, completions = 0;
       for (const Json& b : buckets) {
-        peak_out = std::max(peak_out, Num(b, "outstanding"));
-        completions += Num(b, "completions");
-        (void)Num(b, "arrivals");
-        (void)Num(b, "t_ns");
+        peak_out = std::max(peak_out, b.Num("outstanding"));
+        completions += b.Num("completions");
+        (void)b.Num("arrivals");
+        (void)b.Num("t_ns");
       }
       std::printf("ts: series=\"%s\" x=%g buckets=%zu bucket_ns=%g "
                   "peak_outstanding=%g completions=%g\n",
-                  Str(jp, "series").c_str(),
-                  jp.Find("x") != nullptr ? jp.Find("x")->number : NAN,
-                  buckets.size(), Num(jp, "bucket_ns"), peak_out, completions);
+                  jp.Str("series").c_str(),
+                  jp.Find("x") != nullptr ? jp.Num("x") : NAN,
+                  buckets.size(), jp.Num("bucket_ns"), peak_out, completions);
     }
   }
   if (!trace_path.empty()) {
-    const Json tr = Parser(LoadFile(trace_path)).Parse();
+    const Json tr = prism::ParseJsonFile(trace_path);
     std::printf("trace: events=%zu dropped_spans=%g\n",
-                Arr(tr, "traceEvents").size(), Num(tr, "droppedSpans"));
+                tr.Arr("traceEvents").size(), tr.Num("droppedSpans"));
   }
 
   // ---- expectations ----
@@ -670,9 +418,8 @@ int Run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return Run(argc, argv);
-  } catch (const ParseError& e) {
-    std::fprintf(stderr, "latency_report: malformed input: %s\n",
-                 e.msg.c_str());
+  } catch (const JsonError& e) {
+    std::fprintf(stderr, "latency_report: malformed input: %s\n", e.what());
     return 2;
   }
 }
