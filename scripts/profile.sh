@@ -18,9 +18,11 @@
 # memset, memcmp), gprof (the -pg instrumentation) and other, into
 # results/PROFILE_<workload>.json, largest first, with the top symbols.
 #
-# Read libc.mem with care: the profiling timer (ITIMER_PROF) charges a page
-# fault's kernel time to the faulting instruction, so first-touch faults on
-# freshly grown memory show up as memset/memcpy time.
+# Read first-touch costs with care: the profiling timer (ITIMER_PROF)
+# charges a page fault's kernel time to the faulting instruction. Simulated
+# host memory is a lazily-zeroed mapping, so its faults land on whatever
+# first writes a page, such as a store loader (kv, rs, tx) or a memcpy in
+# rdma::AddressSpace::Store; heap growth faults land in malloc or memset.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -9,12 +9,19 @@ using core::Chain;
 using core::Op;
 using core::OpCode;
 
-Bytes EncodeRecord(const Bytes& key, const Bytes& value) {
+void EncodeRecordInto(uint8_t* out, ByteView key, ByteView value) {
+  StoreU32(out, static_cast<uint32_t>(key.size()));
+  StoreU32(out + 4, static_cast<uint32_t>(value.size()));
+  // memcpy from an empty view's null pointer is undefined even for 0 bytes.
+  if (!key.empty()) std::memcpy(out + 8, key.data(), key.size());
+  if (!value.empty()) {
+    std::memcpy(out + 8 + key.size(), value.data(), value.size());
+  }
+}
+
+Bytes EncodeRecord(ByteView key, ByteView value) {
   Bytes record(8 + key.size() + value.size());
-  StoreU32(record.data(), static_cast<uint32_t>(key.size()));
-  StoreU32(record.data() + 4, static_cast<uint32_t>(value.size()));
-  std::memcpy(record.data() + 8, key.data(), key.size());
-  std::memcpy(record.data() + 8 + key.size(), value.data(), value.size());
+  EncodeRecordInto(record.data(), key, value);
   return record;
 }
 
@@ -62,9 +69,12 @@ PrismKvServer::PrismKvServer(net::Fabric* fabric, net::HostId host,
   for (uint64_t size : classes) {
     uint32_t queue = prism_->freelists().CreateQueue(size);
     if (first_class) freelist_ = queue;
+    std::vector<rdma::Addr> buffers;
+    buffers.reserve(opts.n_buffers);
     for (uint64_t i = first_class ? 1 : 0; i < opts.n_buffers; ++i) {
-      prism_->PostBuffers(queue, {next + i * size});
+      buffers.push_back(next + i * size);
     }
+    prism_->PostBuffers(queue, std::move(buffers));
     next += opts.n_buffers * size;
     first_class = false;
   }
@@ -112,14 +122,13 @@ Status PrismKvServer::LoadKey(const Bytes& key, ByteView value) {
     const uint64_t bucket = (h + static_cast<uint64_t>(probe)) %
                             opts_.n_buckets;
     if (mem_->LoadWord(slot_addr(bucket)) != 0) continue;  // occupied
-    Bytes record = EncodeRecord(key, Bytes(value.begin(), value.end()));
+    const uint64_t size = 8 + key.size() + value.size();
     PRISM_ASSIGN_OR_RETURN(uint32_t queue,
-                           prism_->freelists().QueueFor(record.size()));
+                           prism_->freelists().QueueFor(size));
     PRISM_ASSIGN_OR_RETURN(rdma::Addr buf,
-                           prism_->freelists().Pop(queue, record.size()));
-    mem_->Store(buf, record);
-    core::BoundedPtr bp{buf, record.size()};
-    mem_->Store(slot_addr(bucket), bp.ToBytes());
+                           prism_->freelists().Pop(queue, size));
+    EncodeRecordInto(mem_->RawAt(buf, size), key, value);
+    BoundedPtr{buf, size}.Store(mem_->RawAt(slot_addr(bucket), kSlotSize));
     return OkStatus();
   }
   return ResourceExhausted("no free slot in probe range");

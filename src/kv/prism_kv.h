@@ -181,8 +181,11 @@ class PrismKvClient {
   uint64_t probe_overflows_ = 0;
 };
 
-// Record encoding helpers (shared with tests).
-Bytes EncodeRecord(const Bytes& key, const Bytes& value);
+// Record encoding helpers (shared with tests). A record is
+// [klen u32 | vlen u32 | key | value]; EncodeRecordInto writes its
+// 8 + key.size() + value.size() bytes at `out`.
+void EncodeRecordInto(uint8_t* out, ByteView key, ByteView value);
+Bytes EncodeRecord(ByteView key, ByteView value);
 struct DecodedRecord {
   Bytes key;
   Bytes value;

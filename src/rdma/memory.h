@@ -1,10 +1,12 @@
 // Simulated host memory with RDMA-style registration.
 //
 // An AddressSpace is one host's RDMA-visible memory: a flat byte array
-// addressed by 64-bit offsets. Server processes carve regions out of it with
-// a bump allocator at setup time and register them to obtain rkeys; every
-// remote access is validated against (rkey, address range, access rights)
-// exactly as an RDMA NIC's MTT/MPT would.
+// addressed by 64-bit offsets, backed by one lazily-zeroed anonymous mapping
+// (huge pages where the kernel allows them), so memory nobody touches costs
+// neither a zero fill nor resident pages. Server processes carve regions out
+// of it with a bump allocator at setup time and register them to obtain
+// rkeys; every remote access is validated against (rkey, address range,
+// access rights) exactly as an RDMA NIC's MTT/MPT would.
 //
 // Regions can carry the kOnNic attribute: they model the NIC's user-visible
 // on-chip SRAM (256 KB on a ConnectX-5, §4.2 of the paper). Semantics are
@@ -53,6 +55,10 @@ struct MemoryRegion {
 class AddressSpace {
  public:
   explicit AddressSpace(uint64_t capacity);
+  ~AddressSpace();
+
+  AddressSpace(const AddressSpace&) = delete;
+  AddressSpace& operator=(const AddressSpace&) = delete;
 
   uint64_t capacity() const { return capacity_; }
 
@@ -107,7 +113,10 @@ class AddressSpace {
  private:
   uint64_t capacity_;
   uint64_t next_free_ = 64;  // keep address 0 unmapped: null pointer trap
-  std::vector<uint8_t> data_;
+  // [data_, data_ + mapped_) is one private anonymous mapping; the rounding
+  // tail [capacity_, mapped_) is never handed out and is ASan-poisoned.
+  uint8_t* data_ = nullptr;
+  uint64_t mapped_ = 0;
   std::vector<MemoryRegion> regions_;
   RKey next_rkey_ = 0x1000;
 };

@@ -34,9 +34,12 @@ PrismRsReplica::PrismRsReplica(net::Fabric* fabric, net::HostId host,
       mem_->StoreWord(meta_addr(b) + 16, 8 + opts.block_size);  // bound
     }
   }
+  std::vector<rdma::Addr> buffers;
+  buffers.reserve(opts.buffers_per_replica);
   for (uint64_t i = 1; i < opts.buffers_per_replica; ++i) {
-    prism_->PostBuffers(freelist_, {pool_base + i * buf_size});
+    buffers.push_back(pool_base + i * buf_size);
   }
+  prism_->PostBuffers(freelist_, std::move(buffers));
 }
 
 void PrismRsReplica::WipeState() {

@@ -749,42 +749,52 @@ class Simulator {
     }
   }
 
-  // Earliest pending timer event, or nullptr. Primes due_ so a subsequent
-  // PopTimer() is O(1).
-  const internal::EventRef* PeekTimer() {
+  // Earliest pending timer event if its slot is <= `limit`, else nullptr.
+  // Primes due_ so a subsequent pop is O(1). A slot past `limit` stays
+  // closed: opening it early would push opened_slot_ ahead of Now(), and
+  // every timer inserted below it would then pay a sorted insert into due_.
+  const internal::EventRef* PeekTimer(uint64_t limit) {
     if (due_idx_ < due_.size()) return &due_[due_idx_];
+    // Every timer outside due_ lies in a slot after opened_slot_.
+    if (limit <= opened_slot_) return nullptr;
     const uint64_t ws = NextWheelSlot();
     if (ws != UINT64_MAX) {
       // Wheel timers always precede overflow timers: wheel slots are within
       // the horizon, overflow slots beyond it.
+      if (ws > limit) return nullptr;
       OpenSlot(ws);
       return &due_[due_idx_];
     }
     if (overflow_.empty()) return nullptr;
-    return OpenOverflowSlot();
+    return OpenOverflowSlot(limit);
   }
 
-  // Opens the slot of the earliest live overflow timer, or returns nullptr
-  // if none is left. Cancelled heap fronts are dropped first: opening a far
-  // slot for one would only move the horizon.
-  const internal::EventRef* OpenOverflowSlot() {
+  // Opens the slot of the earliest live overflow timer if it is <= `limit`;
+  // returns nullptr if it is not, or if none is left. Cancelled heap fronts
+  // are dropped first: opening a far slot for one would only move the
+  // horizon.
+  const internal::EventRef* OpenOverflowSlot(uint64_t limit) {
     while (overflow_.front().rec->op == nullptr) {
       std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
       DropCancelledOverflow(overflow_.back().rec);
       overflow_.pop_back();
       if (overflow_.empty()) return nullptr;
     }
-    OpenSlot(SlotOf(overflow_.front().when));
+    const uint64_t slot = SlotOf(overflow_.front().when);
+    if (slot > limit) return nullptr;
+    OpenSlot(slot);
     return &due_[due_idx_];
   }
 
   // ---- merged pop across the ring lane and the calendar queue ----
 
-  // The earliest pending ref, live or cancelled, or nullptr.
+  // The earliest pending ref, live or cancelled, or nullptr. While the ring
+  // holds events, a timer in a later slot than the ring front cannot come
+  // first, so only slots up to the front's are opened.
   const internal::EventRef* PeekNext() {
-    const internal::EventRef* timer = PeekTimer();
-    if (ring_.empty()) return timer;
+    if (ring_.empty()) return PeekTimer(UINT64_MAX);
     const internal::EventRef* front = &ring_.Front();
+    const internal::EventRef* timer = PeekTimer(SlotOf(front->when));
     if (timer != nullptr && internal::EarlierThan(*timer, *front)) {
       return timer;
     }

@@ -30,9 +30,12 @@ PrismTxShard::PrismTxShard(net::Fabric* fabric, net::HostId host,
   freelist_ = prism_->freelists().CreateQueue(buf_size);
   // Buffers [0, keys_per_shard) are reserved for the bulk-load phase; the
   // rest feed ALLOCATE.
+  std::vector<rdma::Addr> buffers;
+  buffers.reserve(opts.buffers_per_shard - opts.keys_per_shard);
   for (uint64_t i = opts.keys_per_shard; i < opts.buffers_per_shard; ++i) {
-    prism_->PostBuffers(freelist_, {pool_base_ + i * buf_size});
+    buffers.push_back(pool_base_ + i * buf_size);
   }
+  prism_->PostBuffers(freelist_, std::move(buffers));
 }
 
 Status PrismTxShard::LoadKey(uint64_t slot, uint64_t key, ByteView value) {

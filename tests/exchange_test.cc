@@ -394,10 +394,8 @@ TEST(ExchangeLifetimeTest, OpStateIsReleasedWhenTheOpReturns) {
 // completion), once warm-up ops have filled the coroutine-frame cache and
 // the event pool. Warm-up runs two deadlines' worth of simulated time: a
 // cancelled deadline's ref can sit in a timing-wheel slot until the clock
-// reaches it, so the slot vectors reach their steady size only then. Even
-// so, one of them still grows now and then, which is not the op's cost, so
-// this is the least count over several ops. `issue` returns the op's Task;
-// its result must be ok.
+// reaches it, so the slot vectors reach their steady size only then.
+// `issue` returns the op's Task; its result must be ok.
 template <typename Issue>
 uint64_t AllocsOfWarmedOp(sim::Simulator* sim, const Issue& issue) {
   auto once = [&] {
@@ -412,9 +410,7 @@ uint64_t AllocsOfWarmedOp(sim::Simulator* sim, const Issue& issue) {
     return g_new_calls - before;
   };
   while (sim->Now() < 2 * rdma::Exchange::kDeadline) once();
-  uint64_t least = UINT64_MAX;
-  for (int i = 0; i < 16; ++i) least = std::min(least, once());
-  return least;
+  return once();
 }
 
 // Frames and op state are recycled, so all that is left is the op's data.

@@ -1,7 +1,9 @@
 // Tests for the RDMA substrate: memory registration, verbs semantics, and
 // fabric-level one-sided operations with calibrated timing.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <fstream>
 #include <vector>
 
 #include "src/net/fabric.h"
@@ -102,6 +104,63 @@ TEST(AddressSpaceTest, LocalLoadStore) {
   EXPECT_EQ(LoadU64(out.data()), 1u);
   EXPECT_EQ(LoadU64(out.data() + 8), 2u);
 }
+
+// Both sides of the 2 MiB huge-page threshold, neither a whole page.
+constexpr uint64_t kOddCapacities[] = {(64 << 10) + 5, (3 << 20) + 13};
+
+TEST(AddressSpaceTest, FreshSpaceReadsZeroAtBothEnds) {
+  for (uint64_t capacity : kOddCapacities) {
+    AddressSpace mem(capacity);
+    EXPECT_EQ(*mem.RawAt(0, 1), 0);
+    EXPECT_EQ(*mem.RawAt(capacity - 1, 1), 0);
+    mem.Store(capacity / 2, BytesOfU64Pair(~uint64_t{0}, ~uint64_t{0}));
+    EXPECT_EQ(*mem.RawAt(0, 1), 0);
+    EXPECT_EQ(*mem.RawAt(capacity - 1, 1), 0);
+    EXPECT_EQ(mem.LoadWord(capacity / 2), ~uint64_t{0});
+  }
+}
+
+TEST(AddressSpaceTest, RawAtPastCapacityDies) {
+  // The mapping is rounded up past capacity(); the bounds check is not.
+  for (uint64_t capacity : kOddCapacities) {
+    AddressSpace mem(capacity);
+    EXPECT_DEATH(mem.RawAt(capacity - 1, 2), "raw access out of bounds");
+  }
+}
+
+uint64_t ResidentBytes() {
+  uint64_t size_pages = 0;
+  uint64_t resident_pages = 0;
+  std::ifstream statm("/proc/self/statm");
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// Untouched simulated memory costs no resident pages: no zero fill at
+// construction, and one store faults in at most one huge page.
+TEST(AddressSpaceTest, UntouchedSpaceIsNotResident) {
+  constexpr uint64_t kGiB = uint64_t{1} << 30;
+  constexpr uint64_t kLimit = uint64_t{8} << 20;
+  const uint64_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  AddressSpace mem(kGiB);
+  EXPECT_LT(ResidentBytes() - before, kLimit);
+  mem.StoreWord(kGiB / 2, 1);
+  EXPECT_LT(ResidentBytes() - before, kLimit);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// The rounding tail past capacity() is poisoned, so a raw-pointer overrun
+// is reported as it was when the space was a heap vector.
+TEST(AddressSpaceTest, RawOverrunPastCapacityIsReported) {
+  for (uint64_t capacity : kOddCapacities) {
+    AddressSpace mem(capacity);
+    volatile uint8_t* last = mem.RawAt(capacity - 1, 1);
+    last[0] = 1;
+    EXPECT_DEATH(last[1] = 1, "use-after-poison");
+  }
+}
+#endif
 
 // ---------- Verbs semantics ----------
 

@@ -402,6 +402,25 @@ TEST(SimulatorTest, FarFutureTimersOverflowAndMigrate) {
   EXPECT_EQ(sim.Now(), Seconds(2));
 }
 
+// A pending zero-delay event comes before any timer in a later slot, so
+// the engine must not open that slot yet. With the 5 ms slot left closed,
+// the horizon stays ~262 µs past Now(), and a timer at 5.1 ms still lands
+// in the overflow heap.
+TEST(SimulatorTest, RingEventsDoNotOpenLaterSlots) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.Schedule(Millis(5), [&] { order.push_back(3); });
+  sim.Schedule(0, [&] {
+    order.push_back(1);
+    sim.Schedule(Millis(5) + Micros(100), [&] { order.push_back(4); });
+    sim.Schedule(Micros(1), [&] { order.push_back(2); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.stats().overflow_events, 2u);
+  EXPECT_EQ(sim.stats().timer_events, 1u);
+}
+
 TEST(SimulatorTest, StatsCountLanes) {
   Simulator sim;
   sim.Schedule(Micros(3), [] {});
