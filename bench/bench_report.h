@@ -468,6 +468,24 @@ inline std::vector<workload::LoadPoint> RunFigureSweep(
   return rows;
 }
 
+// Point `p`'s complexity row for op class `op`, or nullptr.
+inline const obs::OpStats* FindOp(const workload::LoadPoint& p,
+                                  const std::string& op) {
+  for (const obs::OpStats& os : p.ops) {
+    if (os.op == op) return &os;
+  }
+  return nullptr;
+}
+
+// Round trips per completed `op`; fails the run when `p` ran none.
+inline double RtPerOp(const workload::LoadPoint& p, const std::string& op) {
+  const obs::OpStats* os = FindOp(p, op);
+  PRISM_CHECK(os != nullptr && os->count > 0)
+      << "no complexity row for " << op;
+  return static_cast<double>(os->totals.round_trips) /
+         static_cast<double>(os->count);
+}
+
 // One series of a throughput-vs-clients figure: `run(n, pobs)` is its point
 // at n closed-loop clients.
 struct ClientSeries {

@@ -30,7 +30,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
-#include "src/common/histogram.h"
+#include "bench/open_loop_point.h"
 #include "src/consensus/consensus.h"
 #include "src/harness/sweep.h"
 #include "src/rs/abd_lock.h"
@@ -73,9 +73,9 @@ std::vector<double> FailoverSweepMops() {
 
 workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
                                       obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  OpenLoopPoint point(cfg.windows, pobs);
+  sim::Simulator& sim = point.sim();
+  net::Fabric& fabric = point.fabric();
   std::vector<net::HostId> hosts;
   for (int r = 0; r < kConsReplicas; ++r) {
     hosts.push_back(fabric.AddHost("cons-r" + std::to_string(r)));
@@ -88,17 +88,9 @@ workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
   consensus::ConsensusSession get_session(&cluster);
   consensus::ConsensusSession seed_session(&cluster);
 
-  const sim::TimePoint measure_start = sim.Now() + cfg.windows.warmup;
-  const sim::TimePoint end = measure_start + cfg.windows.measure;
-  workload::PoolOptions popts;
-  popts.workers = 16;
-  workload::OpenLoopPool pool(&sim,
-                              workload::ArrivalSpec::Poisson(
-                                  cfg.offered_mops * 1e6),
-                              cfg.n_clients, Rng(cfg.seed), popts);
-  if (pobs != nullptr && pobs->timelines != nullptr) {
-    pool.set_timelines(pobs->timelines, &fabric.obs(), hosts[0]);
-  }
+  workload::OpenLoopPool& pool = point.AddPool(
+      hosts[0], workload::ArrivalSpec::Poisson(cfg.offered_mops * 1e6),
+      cfg.n_clients, Rng(cfg.seed), 16);
   pool.AddClass(
       "cons.put", kPutFrac,
       [&](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
@@ -136,175 +128,81 @@ workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
           PRISM_CHECK(put.status.ok()) << put.status;
         }
         PRISM_CHECK_EQ(cluster.node(0).granted_count(), kConsReplicas);
-        PRISM_CHECK_LT(sim.Now(), measure_start)
+        PRISM_CHECK_LT(sim.Now(), point.measure_start())
             << "warmup too short for election + prefill";
-        pool.Start(measure_start, end);
+        pool.Start(point.measure_start(), point.end());
       },
       &tracker);
-  sim.RunUntil(end + sim::Millis(20));  // drain the backlog tail
-  sim.Run();
-  pool.CheckDrained();
+  point.Drain([&](size_t, size_t c) {
+    return (c == 0 ? put_session : get_session).tally();
+  });
   PRISM_CHECK_EQ(tracker.live(), 0u) << "consensus warmup driver hung";
   PRISM_CHECK_EQ(cluster.tracker().live(), 0u) << "protocol tasks hung";
   PRISM_CHECK_EQ(cluster.node(0).granted_count(), kConsReplicas)
       << "leader lost a grant mid-run";
-
-  LatencyHistogram all;
-  fabric.obs().ops().RecordN("cons.put", pool.class_completions(0),
-                             put_session.tally());
-  fabric.obs().ops().RecordN("cons.get", pool.class_completions(1),
-                             get_session.tally());
-  all.Merge(pool.recorder(0).hist());
-  all.Merge(pool.recorder(1).hist());
-
-  const double seconds = sim::ToSeconds(end - measure_start);
-  workload::LoadPoint p;
-  p.clients = static_cast<int>(pool.n_clients());
-  const auto s = all.Summarize();
-  p.tput_mops = static_cast<double>(s.count) / seconds / 1e6;
-  p.offered_mops =
-      static_cast<double>(pool.measured_arrivals()) / seconds / 1e6;
-  p.mean_us = s.mean_us;
-  p.p50_us = s.p50_us;
-  p.p99_us = s.p99_us;
-  p.p999_us = s.p999_us;
-  p.sim_events = sim.executed_events();
-  p.ops = fabric.obs().ops().Collect();
-  HarvestPointObs(fabric, pobs);
-  return p;
+  return point.Finish();
 }
 
 // ---- ABD-LOCK baseline under the same load ----
 
 workload::LoadPoint RunAbdPoint(const PointCfg& cfg,
                                 obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  OpenLoopPoint point(cfg.windows, pobs);
+  net::Fabric* fabric = &point.fabric();
   rs::AbdLockOptions aopts;
   aopts.n_blocks = kConsKeys;
   aopts.block_size = consensus::kValueSize;  // identical payloads
-  rs::AbdLockCluster cluster(&fabric, kConsReplicas, aopts);
-  auto client_hosts = AddClientHosts(fabric);
-  const size_t n_hosts = client_hosts.size();
-  struct HostRig {
-    std::unique_ptr<rs::AbdLockClient> writer;
-    std::unique_ptr<rs::AbdLockClient> reader;
-    std::unique_ptr<workload::OpenLoopPool> pool;
-  };
-  std::vector<HostRig> rigs(n_hosts);
-  const sim::TimePoint measure_start = sim.Now() + cfg.windows.warmup;
-  const sim::TimePoint end = measure_start + cfg.windows.measure;
-  Rng master(cfg.seed);
-  const double rate_per_host =
-      cfg.offered_mops * 1e6 / static_cast<double>(n_hosts);
-  uint64_t remaining = cfg.n_clients;
-  for (size_t h = 0; h < n_hosts; ++h) {
-    HostRig& rig = rigs[h];
-    // Distinct nonzero lock-owner ids per (host, role) — pool workers share
-    // a client's id, which the lock words treat as a conflict, never as
-    // re-entry.
-    rig.writer = std::make_unique<rs::AbdLockClient>(
-        &fabric, client_hosts[h], &cluster,
-        static_cast<uint16_t>(2 * h + 1), cfg.seed * 131 + 2 * h + 1);
-    rig.reader = std::make_unique<rs::AbdLockClient>(
-        &fabric, client_hosts[h], &cluster,
-        static_cast<uint16_t>(2 * h + 2), cfg.seed * 131 + 2 * h + 2);
-    const uint64_t n_here = remaining / (n_hosts - h);
-    remaining -= n_here;
-    workload::PoolOptions popts;
-    popts.workers = 16;
-    rig.pool = std::make_unique<workload::OpenLoopPool>(
-        &sim, workload::ArrivalSpec::Poisson(rate_per_host), n_here,
-        master.Fork(), popts);
-    if (pobs != nullptr && pobs->timelines != nullptr) {
-      rig.pool->set_timelines(pobs->timelines, &fabric.obs(), client_hosts[h]);
-    }
-    rs::AbdLockClient* wr = rig.writer.get();
-    rs::AbdLockClient* rd = rig.reader.get();
-    // kAborted means max_lock_attempts lost races — uniform keys keep that
-    // rare, but under open-loop bursts it can happen; retry with a fresh
-    // budget so the convoy cost lands in the tail, as in fig_sync.
-    rig.pool->AddClass(
-        "abd.put", kPutFrac,
-        [wr, cfg, &sim](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
-          const uint64_t block = draw % kConsKeys;
-          for (int attempt = 0;; ++attempt) {
-            Status s = co_await wr->Put(
-                block, Bytes(consensus::kValueSize, 0x5A));
-            if (s.ok()) break;
-            PRISM_CHECK(attempt < 100 && s.code() == Code::kAborted)
-                << s << " block=" << block << " offered=" << cfg.offered_mops;
-            obs::SwitchOp(op, obs::Phase::kSyncSpin, sim.Now());
-            co_await sim::SleepFor(&sim, sim::Micros(20));
-            obs::SwitchOp(op, obs::Phase::kApp, sim.Now());
-          }
-        });
-    rig.pool->AddClass(
-        "abd.get", 1.0 - kPutFrac,
-        [rd, cfg, &sim](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
-          const uint64_t block = draw % kConsKeys;
-          for (int attempt = 0;; ++attempt) {
-            auto v = co_await rd->Get(block);
-            if (v.ok()) break;
-            PRISM_CHECK(attempt < 100 && v.status().code() == Code::kAborted)
-                << v.status() << " block=" << block
-                << " offered=" << cfg.offered_mops;
-            obs::SwitchOp(op, obs::Phase::kSyncSpin, sim.Now());
-            co_await sim::SleepFor(&sim, sim::Micros(20));
-            obs::SwitchOp(op, obs::Phase::kApp, sim.Now());
-          }
-        });
-    rig.pool->Start(measure_start, end);
-  }
-  sim.RunUntil(end + sim::Millis(20));
-  sim.Run();
-
-  LatencyHistogram all;
-  for (size_t c = 0; c < 2; ++c) {
-    LatencyHistogram cls_hist;
-    obs::TransportTally tally;
-    uint64_t n_ops = 0;
-    for (HostRig& rig : rigs) {
-      cls_hist.Merge(rig.pool->recorder(c).hist());
-      n_ops += rig.pool->class_completions(c);
-      rs::AbdLockClient* cl = c == 0 ? rig.writer.get() : rig.reader.get();
-      tally += cl->TransportTally();
-    }
-    fabric.obs().ops().RecordN(rigs[0].pool->class_name(c), n_ops, tally);
-    all.Merge(cls_hist);
-  }
-  uint64_t measured_arrivals = 0;
-  uint64_t total_clients = 0;
-  for (HostRig& rig : rigs) {
-    rig.pool->CheckDrained();
-    measured_arrivals += rig.pool->measured_arrivals();
-    total_clients += rig.pool->n_clients();
-  }
-
-  const double seconds = sim::ToSeconds(end - measure_start);
-  workload::LoadPoint p;
-  p.clients = static_cast<int>(total_clients);
-  const auto s = all.Summarize();
-  p.tput_mops = static_cast<double>(s.count) / seconds / 1e6;
-  p.offered_mops = static_cast<double>(measured_arrivals) / seconds / 1e6;
-  p.mean_us = s.mean_us;
-  p.p50_us = s.p50_us;
-  p.p99_us = s.p99_us;
-  p.p999_us = s.p999_us;
-  p.sim_events = sim.executed_events();
-  p.ops = fabric.obs().ops().Collect();
-  HarvestPointObs(fabric, pobs);
-  return p;
+  rs::AbdLockCluster cluster(fabric, kConsReplicas, aopts);
+  // Host h's writer is clients[2h] and its reader clients[2h + 1], with
+  // distinct nonzero lock-owner ids: pool workers share a client's id, which
+  // the lock words treat as a conflict, never as re-entry.
+  std::vector<std::unique_ptr<rs::AbdLockClient>> clients;
+  point.AddHostPools(
+      cfg.offered_mops, cfg.n_clients, cfg.seed, 16,
+      workload::ArrivalKind::kPoisson,
+      [&](size_t h, net::HostId host, workload::OpenLoopPool& pool) {
+        for (size_t role = 0; role < 2; ++role) {
+          const auto id = static_cast<uint16_t>(2 * h + 1 + role);
+          clients.push_back(std::make_unique<rs::AbdLockClient>(
+              fabric, host, &cluster, id, cfg.seed * 131 + id));
+        }
+        rs::AbdLockClient* wr = clients[2 * h].get();
+        rs::AbdLockClient* rd = clients[2 * h + 1].get();
+        // kAborted means max_lock_attempts lost races — uniform keys keep
+        // that rare, but under open-loop bursts it can happen.
+        pool.AddClass(
+            "abd.put", kPutFrac,
+            [wr, fabric](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
+              co_await RetryAborts(fabric, op, "ABD-LOCK", wr,
+                                   &rs::AbdLockClient::Put, draw % kConsKeys,
+                                   Bytes(consensus::kValueSize, 0x5A),
+                                   nullptr);
+            });
+        pool.AddClass(
+            "abd.get", 1.0 - kPutFrac,
+            [rd, fabric](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
+              co_await RetryAborts(fabric, op, "ABD-LOCK", rd,
+                                   &rs::AbdLockClient::Get, draw % kConsKeys,
+                                   nullptr);
+            });
+      });
+  point.Drain([&](size_t h, size_t c) {
+    return clients[2 * h + c]->TransportTally();
+  });
+  return point.Finish();
 }
 
 // ---- failover latency: leader change as rkey revocation ----
 
 workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
                                      obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  // Elections are ~100× rarer than data ops, so this series stretches the
+  // measured window to collect a real distribution per point.
+  BenchWindows windows = cfg.windows;
+  windows.measure = 3 * windows.measure;
+  OpenLoopPoint point(windows, pobs);
+  sim::Simulator& sim = point.sim();
+  net::Fabric& fabric = point.fabric();
   std::vector<net::HostId> hosts;
   for (int r = 0; r < kConsReplicas; ++r) {
     hosts.push_back(fabric.AddHost("cons-r" + std::to_string(r)));
@@ -313,19 +211,10 @@ workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
                                       consensus::ConsensusOptions{});
   consensus::ConsensusSession seed_session(&cluster);
 
-  const sim::TimePoint measure_start = sim.Now() + cfg.windows.warmup;
-  // Elections are ~100× rarer than data ops, so this series stretches the
-  // measured window to collect a real distribution per point.
-  const sim::TimePoint end = measure_start + 3 * cfg.windows.measure;
-  workload::PoolOptions popts;
-  popts.workers = 1;  // elections serialize on the cluster anyway
-  workload::OpenLoopPool pool(&sim,
-                              workload::ArrivalSpec::Poisson(
-                                  cfg.offered_mops * 1e6),
-                              64, Rng(cfg.seed), popts);
-  if (pobs != nullptr && pobs->timelines != nullptr) {
-    pool.set_timelines(pobs->timelines, &fabric.obs(), hosts[0]);
-  }
+  // One worker: elections serialize on the cluster anyway.
+  workload::OpenLoopPool& pool = point.AddPool(
+      hosts[0], workload::ArrivalSpec::Poisson(cfg.offered_mops * 1e6), 64,
+      Rng(cfg.seed), 1);
   pool.AddClass(
       "cons.failover", 1.0,
       [&](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
@@ -347,17 +236,21 @@ workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
               nullptr);
           PRISM_CHECK(put.status.ok()) << put.status;
         }
-        PRISM_CHECK_LT(sim.Now(), measure_start)
+        PRISM_CHECK_LT(sim.Now(), point.measure_start())
             << "warmup too short for election + log seeding";
         for (int i = 0; i < kConsReplicas; ++i) {
           control_before += cluster.node(i).control_tally();
         }
-        pool.Start(measure_start, end);
+        pool.Start(point.measure_start(), point.end());
       },
       &tracker);
-  sim.RunUntil(end + sim::Millis(20));
-  sim.Run();
-  pool.CheckDrained();
+  point.Drain([&](size_t, size_t) {
+    obs::TransportTally control;
+    for (int i = 0; i < kConsReplicas; ++i) {
+      control += cluster.node(i).control_tally();
+    }
+    return control - control_before;
+  });
   PRISM_CHECK_EQ(tracker.live(), 0u) << "failover seeding driver hung";
   PRISM_CHECK_EQ(cluster.tracker().live(), 0u) << "protocol tasks hung";
 
@@ -372,39 +265,7 @@ workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
   PRISM_CHECK_GE(revocations,
                  (n_failovers + 1) * static_cast<uint64_t>(cluster.quorum()))
       << "elections must revoke on a quorum";
-  obs::TransportTally control;
-  for (int i = 0; i < kConsReplicas; ++i) {
-    control += cluster.node(i).control_tally();
-  }
-  fabric.obs().ops().RecordN("cons.failover", n_failovers,
-                             control - control_before);
-
-  const double seconds = sim::ToSeconds(end - measure_start);
-  workload::LoadPoint p;
-  p.clients = static_cast<int>(pool.n_clients());
-  const auto s = pool.recorder(0).hist().Summarize();
-  p.tput_mops = static_cast<double>(s.count) / seconds / 1e6;
-  p.offered_mops =
-      static_cast<double>(pool.measured_arrivals()) / seconds / 1e6;
-  p.mean_us = s.mean_us;
-  p.p50_us = s.p50_us;
-  p.p99_us = s.p99_us;
-  p.p999_us = s.p999_us;
-  p.sim_events = sim.executed_events();
-  p.ops = fabric.obs().ops().Collect();
-  HarvestPointObs(fabric, pobs);
-  return p;
-}
-
-double RtPerOp(const workload::LoadPoint& p, const std::string& op) {
-  for (const obs::OpStats& os : p.ops) {
-    if (os.op == op && os.count > 0) {
-      return static_cast<double>(os.totals.round_trips) /
-             static_cast<double>(os.count);
-    }
-  }
-  PRISM_CHECK(false) << "no complexity row for " << op;
-  return 0;
+  return point.Finish();
 }
 
 int Main(int argc, char** argv) {

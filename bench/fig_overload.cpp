@@ -28,6 +28,7 @@
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
 #include "bench/kv_bench_lib.h"
+#include "bench/open_loop_point.h"
 #include "src/harness/sweep.h"
 #include "src/rdma/batch.h"
 #include "src/workload/arrival.h"
@@ -82,168 +83,87 @@ std::vector<double> OfferedSweepMops() {
   return {1, 2, 4, 8, 16, 24};
 }
 
-workload::ArrivalSpec SpecOf(workload::ArrivalKind kind, double ops_per_sec) {
-  switch (kind) {
-    case workload::ArrivalKind::kPoisson:
-      return workload::ArrivalSpec::Poisson(ops_per_sec);
-    case workload::ArrivalKind::kMmpp:
-      return workload::ArrivalSpec::Mmpp(ops_per_sec);
-    case workload::ArrivalKind::kDiurnal:
-      return workload::ArrivalSpec::Diurnal(ops_per_sec);
-  }
-  return workload::ArrivalSpec::Poisson(ops_per_sec);
-}
-
-// Builds per-host pools over `make_client`-created KV clients (one GET and
-// one PUT client per host so per-op-class tallies stay separable), runs the
-// simulation, merges the per-pool histograms losslessly, and files the
-// per-class complexity aggregates with the fabric's accountant.
-template <typename ClientT, typename MakeClient>
-workload::LoadPoint DriveOverload(sim::Simulator& sim, net::Fabric& fabric,
-                                  const OverloadConfig& cfg,
-                                  const MakeClient& make_client,
-                                  obs::PointObs* pobs = nullptr) {
-  const uint64_t keys = BenchKeyCount();
-  auto client_hosts = AddClientHosts(fabric);
-  const size_t n_hosts = client_hosts.size();
-  struct HostRig {
-    std::unique_ptr<rdma::VerbBatcher> batcher;
-    std::unique_ptr<ClientT> get_client;
-    std::unique_ptr<ClientT> put_client;
-    std::unique_ptr<workload::OpenLoopPool> pool;
-  };
-  std::vector<HostRig> rigs(n_hosts);
-  const sim::TimePoint measure_start = sim.Now() + cfg.windows.warmup;
-  const sim::TimePoint end = measure_start + cfg.windows.measure;
-  Rng master(cfg.seed);
-  const double rate_per_host =
-      cfg.offered_mops * 1e6 / static_cast<double>(n_hosts);
-  uint64_t remaining = cfg.n_clients;
-  for (size_t h = 0; h < n_hosts; ++h) {
-    HostRig& rig = rigs[h];
-    if (cfg.batched) {
-      rig.batcher = std::make_unique<rdma::VerbBatcher>(
-          &sim, &fabric.cost(), rdma::BatchOptions::Batched());
-    }
-    rig.get_client = make_client(client_hosts[h]);
-    rig.put_client = make_client(client_hosts[h]);
-    if (rig.batcher != nullptr) {
-      rig.get_client->set_batcher(rig.batcher.get());
-      rig.put_client->set_batcher(rig.batcher.get());
-    }
-    const uint64_t n_here = remaining / (n_hosts - h);
-    remaining -= n_here;
-    workload::PoolOptions popts;
-    popts.workers = cfg.workers_per_host;
-    rig.pool = std::make_unique<workload::OpenLoopPool>(
-        &sim, SpecOf(cfg.kind, rate_per_host), n_here, master.Fork(), popts);
-    if (pobs != nullptr && pobs->timelines != nullptr) {
-      rig.pool->set_timelines(pobs->timelines, &fabric.obs(), client_hosts[h]);
-    }
-    ClientT* gc = rig.get_client.get();
-    ClientT* pc = rig.put_client.get();
-    net::Fabric* fb = &fabric;
-    // Every loaded key stays reachable through any interleaving: PRISM-KV's
-    // install CAS is atomic and each PUT chain stages its swap operand in a
-    // private scratch lease, so a failed GET here is table corruption, not
-    // queueing — check it hard.
-    rig.pool->AddClass(
-        "kv.get", kReadFrac,
-        [gc, keys, cfg](uint64_t draw, obs::OpTimeline*) -> sim::Task<void> {
-          auto r = co_await gc->Get(KeyOf(draw % keys));
-          PRISM_CHECK(r.ok())
-              << r.status() << " key=" << (draw % keys)
-              << " system=" << cfg.system << " offered=" << cfg.offered_mops
-              << " batched=" << cfg.batched;
-        });
-    rig.pool->AddClass(
-        "kv.put", 1.0 - kReadFrac,
-        [pc, keys, cfg, &sim, fb](uint64_t draw,
-                                  obs::OpTimeline* op) -> sim::Task<void> {
-          for (int attempt = 0;; ++attempt) {
-            Status s = co_await pc->Put(KeyOf(draw % keys),
-                                        Bytes(kBenchValueSize, 0x22));
-            if (s.ok()) break;
-            // Overload can transiently exhaust version buffers while
-            // reclamation RPCs drain; back off one op-service-time.
-            PRISM_CHECK(attempt < 8 && s.code() == Code::kResourceExhausted)
-                << s << " key=" << (draw % keys) << " system=" << cfg.system
-                << " offered=" << cfg.offered_mops
-                << " batched=" << cfg.batched << " attempt=" << attempt;
-            co_await sim::SleepFor(&sim, sim::Micros(20));
-            // The sleep suspended us: re-arm the timed-op register before
-            // the retry so the next Put attributes to this op.
-            if (op != nullptr) fb->obs().SetCurrentOp(op);
-          }
-        });
-    rig.pool->Start(measure_start, end);
-  }
-  sim.RunUntil(end + sim::Millis(20));  // drain backlog tail + reclamation
-  sim.Run();
-
-  LatencyHistogram all;
-  uint64_t measured_arrivals = 0;
-  uint64_t total_clients = 0;
-  for (size_t c = 0; c < 2; ++c) {
-    LatencyHistogram cls_hist;
-    obs::TransportTally tally;
-    uint64_t n_ops = 0;
-    for (HostRig& rig : rigs) {
-      cls_hist.Merge(rig.pool->recorder(c).hist());
-      n_ops += rig.pool->class_completions(c);
-      ClientT* cl = c == 0 ? rig.get_client.get() : rig.put_client.get();
-      tally += cl->TransportTally();
-    }
-    fabric.obs().ops().RecordN(rigs[0].pool->class_name(c), n_ops, tally);
-    all.Merge(cls_hist);
-  }
-  for (HostRig& rig : rigs) {
-    rig.pool->CheckDrained();
-    measured_arrivals += rig.pool->measured_arrivals();
-    total_clients += rig.pool->n_clients();
-    PRISM_CHECK_LE(rig.pool->state_bytes() / rig.pool->n_clients(), 64u);
-    if constexpr (requires(ClientT* cl) { cl->FlushReclaim(); }) {
-      rig.get_client->FlushReclaim();
-      rig.put_client->FlushReclaim();
-    }
-  }
-  sim.Run();  // flushed reclamation notifications
-
-  const double seconds = sim::ToSeconds(end - measure_start);
-  workload::LoadPoint p;
-  p.clients = static_cast<int>(total_clients);
-  const auto s = all.Summarize();
-  p.tput_mops = static_cast<double>(s.count) / seconds / 1e6;
-  p.offered_mops =
-      static_cast<double>(measured_arrivals) / seconds / 1e6;
-  p.mean_us = s.mean_us;
-  p.p50_us = s.p50_us;
-  p.p99_us = s.p99_us;
-  p.p999_us = s.p999_us;
-  p.sim_events = sim.executed_events();
-  p.ops = fabric.obs().ops().Collect();
-  // Sampled with every pool, client, and histogram still resident so the
-  // guard's two samples share their fixed footprint.
-  if (cfg.live_rss_out != nullptr) *cfg.live_rss_out = VmRssBytes();
-  return p;
-}
-
-// One open-loop point against the store `load_server(fabric)` builds,
-// driven through `Client`s.
+// One open-loop point against the store `load_server(fabric)` builds. Host
+// h's GET client is clients[2h] and its PUT client clients[2h + 1], so
+// per-class tallies stay separable; in the batched series the two share one
+// VerbBatcher.
 template <typename Client, typename LoadServer>
 workload::LoadPoint RunOverloadPoint(LoadServer load_server,
                                      const OverloadConfig& cfg,
                                      obs::PointObs* pobs) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
-  auto server = load_server(fabric);
-  auto make_client = [&](net::HostId host) {
-    return std::make_unique<Client>(&fabric, host, server.get());
-  };
-  workload::LoadPoint p =
-      DriveOverload<Client>(sim, fabric, cfg, make_client, pobs);
-  HarvestPointObs(fabric, pobs);
+  OpenLoopPoint point(cfg.windows, pobs);
+  sim::Simulator* sim = &point.sim();
+  net::Fabric* fabric = &point.fabric();
+  auto server = load_server(*fabric);
+  const uint64_t keys = BenchKeyCount();
+  std::vector<std::unique_ptr<rdma::VerbBatcher>> batchers;
+  std::vector<std::unique_ptr<Client>> clients;
+  std::vector<const workload::OpenLoopPool*> pools;
+  point.AddHostPools(
+      cfg.offered_mops, cfg.n_clients, cfg.seed, cfg.workers_per_host,
+      cfg.kind,
+      [&](size_t h, net::HostId host, workload::OpenLoopPool& pool) {
+        pools.push_back(&pool);
+        if (cfg.batched) {
+          batchers.push_back(std::make_unique<rdma::VerbBatcher>(
+              sim, &fabric->cost(), rdma::BatchOptions::Batched()));
+        }
+        for (int role = 0; role < 2; ++role) {
+          clients.push_back(
+              std::make_unique<Client>(fabric, host, server.get()));
+          if (cfg.batched) clients.back()->set_batcher(batchers.back().get());
+        }
+        Client* gc = clients[2 * h].get();
+        Client* pc = clients[2 * h + 1].get();
+        // Every loaded key stays reachable through any interleaving:
+        // PRISM-KV's install CAS is atomic and each PUT chain stages its
+        // swap operand in a private scratch lease, so a failed GET here is
+        // table corruption, not queueing — check it hard.
+        pool.AddClass(
+            "kv.get", kReadFrac,
+            [gc, keys, cfg](uint64_t draw, obs::OpTimeline*) -> sim::Task<void> {
+              auto r = co_await gc->Get(KeyOf(draw % keys));
+              PRISM_CHECK(r.ok())
+                  << r.status() << " key=" << (draw % keys)
+                  << " system=" << cfg.system << " offered=" << cfg.offered_mops
+                  << " batched=" << cfg.batched;
+            });
+        pool.AddClass(
+            "kv.put", 1.0 - kReadFrac,
+            [pc, keys, cfg, sim, fabric](uint64_t draw,
+                                         obs::OpTimeline* op) -> sim::Task<void> {
+              for (int attempt = 0;; ++attempt) {
+                Status s = co_await pc->Put(KeyOf(draw % keys),
+                                            Bytes(kBenchValueSize, 0x22));
+                if (s.ok()) break;
+                // Overload can transiently exhaust version buffers while
+                // reclamation RPCs drain; back off one op-service-time.
+                PRISM_CHECK(attempt < 8 &&
+                            s.code() == Code::kResourceExhausted)
+                    << s << " key=" << (draw % keys) << " system=" << cfg.system
+                    << " offered=" << cfg.offered_mops
+                    << " batched=" << cfg.batched << " attempt=" << attempt;
+                co_await sim::SleepFor(sim, sim::Micros(20));
+                // The sleep suspended us: re-arm the timed-op register
+                // before the retry so the next Put attributes to this op.
+                if (op != nullptr) fabric->obs().SetCurrentOp(op);
+              }
+            });
+      });
+  point.Drain([&](size_t h, size_t c) {
+    return clients[2 * h + c]->TransportTally();
+  });
+  for (const workload::OpenLoopPool* pool : pools) {
+    PRISM_CHECK_LE(pool->state_bytes() / pool->n_clients(), 64u);
+  }
+  if constexpr (requires(Client* cl) { cl->FlushReclaim(); }) {
+    for (auto& client : clients) client->FlushReclaim();
+  }
+  sim->Run();  // flushed reclamation notifications
+  workload::LoadPoint p = point.Finish();
+  // Sampled with every pool, client, and histogram still resident so the
+  // guard's two samples share their fixed footprint.
+  if (cfg.live_rss_out != nullptr) *cfg.live_rss_out = VmRssBytes();
   return p;
 }
 
@@ -261,14 +181,6 @@ workload::LoadPoint RunPilafOverloadPoint(const OverloadConfig& cfg,
       cfg, pobs);
 }
 
-const obs::OpStats* FindOp(const workload::LoadPoint& p,
-                           const std::string& op) {
-  for (const obs::OpStats& os : p.ops) {
-    if (os.op == op) return &os;
-  }
-  return nullptr;
-}
-
 // Acceptance assertions at the highest offered load: batching must leave
 // round trips per op unchanged (protocol shape untouched) while reducing
 // client-side verb-layer CPU actions per op.
@@ -276,14 +188,10 @@ void AssertBatchingInvariant(const std::string& system,
                              const workload::LoadPoint& plain,
                              const workload::LoadPoint& batched) {
   for (const char* op : {"kv.get", "kv.put"}) {
+    const double rt_a = RtPerOp(plain, op);
+    const double rt_b = RtPerOp(batched, op);
     const obs::OpStats* a = FindOp(plain, op);
     const obs::OpStats* b = FindOp(batched, op);
-    PRISM_CHECK(a != nullptr && a->count > 0) << system << " " << op;
-    PRISM_CHECK(b != nullptr && b->count > 0) << system << " " << op;
-    const double rt_a = static_cast<double>(a->totals.round_trips) /
-                        static_cast<double>(a->count);
-    const double rt_b = static_cast<double>(b->totals.round_trips) /
-                        static_cast<double>(b->count);
     PRISM_CHECK_LE(std::abs(rt_a - rt_b), 0.02 * rt_a)
         << system << " " << op << ": batching changed round trips per op ("
         << rt_a << " -> " << rt_b << ")";

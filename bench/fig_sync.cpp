@@ -24,7 +24,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
-#include "src/common/histogram.h"
+#include "bench/open_loop_point.h"
 #include "src/harness/sweep.h"
 #include "src/sync/sync.h"
 #include "src/workload/arrival.h"
@@ -64,154 +64,58 @@ std::vector<double> OfferedSweepMops() {
 
 workload::LoadPoint RunSyncPoint(const SyncConfig& cfg,
                                  obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  OpenLoopPoint point(cfg.windows, pobs);
+  net::Fabric* fabric = &point.fabric();
   sync::SyncOptions sopts;
   sopts.n_slots = 64;
-  sync::SyncIndexServer server(&fabric, fabric.AddHost("sync-server"), sopts);
+  sync::SyncIndexServer server(fabric, fabric->AddHost("sync-server"), sopts);
   for (uint64_t k = 1; k <= kSyncKeys; ++k) {
     PRISM_CHECK(server.LoadKey(k, sync::InitialValue()).ok()) << "key " << k;
   }
-  auto client_hosts = AddClientHosts(fabric);
-  const size_t n_hosts = client_hosts.size();
-  struct HostRig {
-    std::unique_ptr<sync::SyncClient> reader;
-    std::unique_ptr<sync::SyncClient> updater;
-    std::unique_ptr<workload::OpenLoopPool> pool;
-  };
-  std::vector<HostRig> rigs(n_hosts);
-  const sim::TimePoint measure_start = sim.Now() + cfg.windows.warmup;
-  const sim::TimePoint end = measure_start + cfg.windows.measure;
-  Rng master(cfg.seed);
+  // Host h's reader is clients[2h] and its updater clients[2h + 1], with
+  // distinct nonzero lock-owner ids: pool workers share a client's id, which
+  // is safe (an unexpired own-id lock/lease reads as a conflict, never as
+  // re-entry).
+  std::vector<std::unique_ptr<sync::SyncClient>> clients;
   const workload::KeyChooser chooser(kSyncKeys, kZipfTheta);
-  const double rate_per_host =
-      cfg.offered_mops * 1e6 / static_cast<double>(n_hosts);
-  uint64_t remaining = cfg.n_clients;
-  for (size_t h = 0; h < n_hosts; ++h) {
-    HostRig& rig = rigs[h];
-    // Distinct nonzero lock-owner ids per (host, role): pool workers share
-    // a client's id, which is safe (an unexpired own-id lock/lease reads as
-    // a conflict, never as re-entry).
-    const uint16_t reader_id = static_cast<uint16_t>(2 * h + 1);
-    const uint16_t updater_id = static_cast<uint16_t>(2 * h + 2);
-    rig.reader = std::make_unique<sync::SyncClient>(
-        &fabric, client_hosts[h], &server, cfg.scheme, reader_id,
-        cfg.seed * 131 + reader_id);
-    rig.updater = std::make_unique<sync::SyncClient>(
-        &fabric, client_hosts[h], &server, cfg.scheme, updater_id,
-        cfg.seed * 131 + updater_id);
-    for (uint64_t k = 1; k <= kSyncKeys; ++k) {
-      rig.reader->Prewarm(k);
-      rig.updater->Prewarm(k);
-    }
-    const uint64_t n_here = remaining / (n_hosts - h);
-    remaining -= n_here;
-    workload::PoolOptions popts;
-    popts.workers = cfg.workers_per_host;
-    rig.pool = std::make_unique<workload::OpenLoopPool>(
-        &sim, workload::ArrivalSpec::Poisson(rate_per_host), n_here,
-        master.Fork(), popts);
-    if (pobs != nullptr && pobs->timelines != nullptr) {
-      rig.pool->set_timelines(pobs->timelines, &fabric.obs(), client_hosts[h]);
-    }
-    sync::SyncClient* rd = rig.reader.get();
-    sync::SyncClient* up = rig.updater.get();
-    net::Fabric* fb = &fabric;
-    // kAborted means max_attempts lost races — real behavior under a hot
-    // lock, not corruption. Retry with a fresh attempt budget so the convoy
-    // cost lands in the latency tail instead of aborting the sample. The
-    // retry pause is acquisition spin for attribution; the register is
-    // re-armed after every suspension so the next call attributes here.
-    rig.pool->AddClass(
-        "sync.read", 1.0 - kUpdateFrac,
-        [rd, chooser, cfg, &sim, fb](uint64_t draw,
-                                     obs::OpTimeline* op) -> sim::Task<void> {
-          Rng r(draw);
-          const uint64_t key = 1 + chooser.Next(r);
-          for (int attempt = 0;; ++attempt) {
-            auto v = co_await rd->Read(key);
-            if (v.ok()) break;
-            PRISM_CHECK(attempt < 100 && v.status().code() == Code::kAborted)
-                << v.status() << " scheme=" << cfg.name << " key=" << key
-                << " offered=" << cfg.offered_mops;
-            obs::SwitchOp(op, obs::Phase::kSyncSpin, sim.Now());
-            co_await sim::SleepFor(&sim, sim::Micros(20));
-            obs::SwitchOp(op, obs::Phase::kApp, sim.Now());
-            if (op != nullptr) fb->obs().SetCurrentOp(op);
-          }
-        });
-    rig.pool->AddClass(
-        "sync.update", kUpdateFrac,
-        [up, chooser, cfg, &sim, fb](uint64_t draw,
-                                     obs::OpTimeline* op) -> sim::Task<void> {
-          Rng r(draw);
-          const uint64_t key = 1 + chooser.Next(r);
-          for (int attempt = 0;; ++attempt) {
-            Status s =
-                co_await up->Update(key, Bytes(sync::kValueSize, 0x5A));
-            if (s.ok()) break;
-            PRISM_CHECK(attempt < 100 && s.code() == Code::kAborted)
-                << s << " scheme=" << cfg.name << " key=" << key
-                << " offered=" << cfg.offered_mops;
-            obs::SwitchOp(op, obs::Phase::kSyncSpin, sim.Now());
-            co_await sim::SleepFor(&sim, sim::Micros(20));
-            obs::SwitchOp(op, obs::Phase::kApp, sim.Now());
-            if (op != nullptr) fb->obs().SetCurrentOp(op);
-          }
-        });
-    rig.pool->Start(measure_start, end);
-  }
-  sim.RunUntil(end + sim::Millis(20));  // drain the backlog tail
-  sim.Run();
-
-  LatencyHistogram all;
-  uint64_t measured_arrivals = 0;
-  uint64_t total_clients = 0;
-  for (size_t c = 0; c < 2; ++c) {
-    LatencyHistogram cls_hist;
-    obs::TransportTally tally;
-    uint64_t n_ops = 0;
-    for (HostRig& rig : rigs) {
-      cls_hist.Merge(rig.pool->recorder(c).hist());
-      n_ops += rig.pool->class_completions(c);
-      sync::SyncClient* cl = c == 0 ? rig.reader.get() : rig.updater.get();
-      tally += cl->tally();
-    }
-    fabric.obs().ops().RecordN(rigs[0].pool->class_name(c), n_ops, tally);
-    all.Merge(cls_hist);
-  }
-  for (HostRig& rig : rigs) {
-    rig.pool->CheckDrained();
-    measured_arrivals += rig.pool->measured_arrivals();
-    total_clients += rig.pool->n_clients();
-  }
-
-  const double seconds = sim::ToSeconds(end - measure_start);
-  workload::LoadPoint p;
-  p.clients = static_cast<int>(total_clients);
-  const auto s = all.Summarize();
-  p.tput_mops = static_cast<double>(s.count) / seconds / 1e6;
-  p.offered_mops = static_cast<double>(measured_arrivals) / seconds / 1e6;
-  p.mean_us = s.mean_us;
-  p.p50_us = s.p50_us;
-  p.p99_us = s.p99_us;
-  p.p999_us = s.p999_us;
-  p.sim_events = sim.executed_events();
-  p.ops = fabric.obs().ops().Collect();
-  HarvestPointObs(fabric, pobs);
-  return p;
-}
-
-double RtPerOp(const workload::LoadPoint& p, const std::string& op) {
-  for (const obs::OpStats& os : p.ops) {
-    if (os.op == op && os.count > 0) {
-      return static_cast<double>(os.totals.round_trips) /
-             static_cast<double>(os.count);
-    }
-  }
-  PRISM_CHECK(false) << "no complexity row for " << op;
-  return 0;
+  point.AddHostPools(
+      cfg.offered_mops, cfg.n_clients, cfg.seed, cfg.workers_per_host,
+      workload::ArrivalKind::kPoisson,
+      [&](size_t h, net::HostId host, workload::OpenLoopPool& pool) {
+        for (size_t role = 0; role < 2; ++role) {
+          const auto id = static_cast<uint16_t>(2 * h + 1 + role);
+          clients.push_back(std::make_unique<sync::SyncClient>(
+              fabric, host, &server, cfg.scheme, id, cfg.seed * 131 + id));
+        }
+        sync::SyncClient* rd = clients[2 * h].get();
+        sync::SyncClient* up = clients[2 * h + 1].get();
+        for (uint64_t k = 1; k <= kSyncKeys; ++k) {
+          rd->Prewarm(k);
+          up->Prewarm(k);
+        }
+        pool.AddClass(
+            "sync.read", 1.0 - kUpdateFrac,
+            [rd, chooser, fabric, name = cfg.name](
+                uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
+              Rng r(draw);
+              co_await RetryAborts(fabric, op, name, rd,
+                                   &sync::SyncClient::Read,
+                                   1 + chooser.Next(r));
+            });
+        pool.AddClass(
+            "sync.update", kUpdateFrac,
+            [up, chooser, fabric, name = cfg.name](
+                uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
+              Rng r(draw);
+              co_await RetryAborts(fabric, op, name, up,
+                                   &sync::SyncClient::Update,
+                                   1 + chooser.Next(r),
+                                   Bytes(sync::kValueSize, 0x5A));
+            });
+      });
+  point.Drain(
+      [&](size_t h, size_t c) { return clients[2 * h + c]->tally(); });
+  return point.Finish();
 }
 
 int Main(int argc, char** argv) {

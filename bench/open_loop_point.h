@@ -1,0 +1,186 @@
+// One open-loop sweep point, shared by every open-loop figure (fig_sync,
+// fig_overload, fig_consensus).
+//
+// A point owns its simulator and fabric and the arrival pools that load
+// them, and runs the protocol every such point follows:
+//
+//   OpenLoopPoint point(windows, pobs);    // fabric; tracer when traced
+//   ... servers and clusters on point.fabric() ...
+//   point.AddHostPools(...);               // or AddPool(...) + Start
+//   point.Drain(tally);                    // run out, check, file classes
+//   ... the figure's own checks and extra runs ...
+//   return point.Finish();                 // the LoadPoint row
+//
+// Declare the figure's servers and clients after the point, so they go
+// before the pools and the fabric they refer to.
+#ifndef PRISM_BENCH_OPEN_LOOP_POINT_H_
+#define PRISM_BENCH_OPEN_LOOP_POINT_H_
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "bench/bench_common.h"
+#include "src/common/histogram.h"
+#include "src/common/logging.h"
+#include "src/common/status.h"
+#include "src/obs/timeline.h"
+#include "src/workload/arrival.h"
+#include "src/workload/open_loop.h"
+
+namespace prism::bench {
+
+class OpenLoopPoint {
+ public:
+  // Arrivals are measured over [warmup, warmup + measure) from now.
+  OpenLoopPoint(const BenchWindows& windows, obs::PointObs* pobs)
+      : fabric_(&sim_, net::CostModel::EvalCluster40G()),
+        pobs_(pobs),
+        measure_start_(sim_.Now() + windows.warmup),
+        end_(measure_start_ + windows.measure) {
+    if (pobs_ != nullptr) fabric_.AttachTracer(pobs_->tracer);
+  }
+
+  sim::Simulator& sim() { return sim_; }
+  net::Fabric& fabric() { return fabric_; }
+  sim::TimePoint measure_start() const { return measure_start_; }
+  sim::TimePoint end() const { return end_; }
+
+  // One pool of `n_clients` on `host`, with per-op timelines when the point
+  // is traced. The caller adds its classes and calls Start.
+  workload::OpenLoopPool& AddPool(net::HostId host,
+                                  const workload::ArrivalSpec& spec,
+                                  uint64_t n_clients, Rng rng, int workers) {
+    workload::PoolOptions popts;
+    popts.workers = workers;
+    pools_.push_back(std::make_unique<workload::OpenLoopPool>(
+        &sim_, spec, n_clients, rng, popts));
+    workload::OpenLoopPool& pool = *pools_.back();
+    if (pobs_ != nullptr && pobs_->timelines != nullptr) {
+      pool.set_timelines(pobs_->timelines, &fabric_.obs(), host);
+    }
+    return pool;
+  }
+
+  // One pool per client host (AddClientHosts): `n_clients` and
+  // `offered_mops` are split evenly over the hosts, and pool h is seeded by
+  // the h-th Fork of Rng(seed). `setup(h, host, pool)` builds host h's
+  // clients and adds the pool's classes; the pool starts before host h + 1
+  // is set up.
+  template <typename Setup>
+  void AddHostPools(double offered_mops, uint64_t n_clients, uint64_t seed,
+                    int workers, workload::ArrivalKind kind,
+                    const Setup& setup) {
+    const std::vector<net::HostId> hosts = AddClientHosts(fabric_);
+    const size_t n_hosts = hosts.size();
+    Rng master(seed);
+    const double rate_per_host =
+        offered_mops * 1e6 / static_cast<double>(n_hosts);
+    uint64_t remaining = n_clients;
+    for (size_t h = 0; h < n_hosts; ++h) {
+      const uint64_t n_here = remaining / (n_hosts - h);
+      remaining -= n_here;
+      workload::OpenLoopPool& pool = AddPool(
+          hosts[h], workload::ArrivalSpec{kind, rate_per_host}, n_here,
+          master.Fork(), workers);
+      setup(h, hosts[h], pool);
+      pool.Start(measure_start_, end_);
+    }
+  }
+
+  // Runs the point out: arrivals stop at end(), the backlog tail gets
+  // 20 ms, then everything left (reclamation, deadlines) runs to
+  // quiescence. Checks that every pool drained and files each op class
+  // with the complexity accountant: its completions over all pools against
+  // the sum of `tally(pool_index, class_index)`.
+  template <typename Tally>
+  void Drain(const Tally& tally) {
+    sim_.RunUntil(end_ + sim::Millis(20));
+    sim_.Run();
+    for (const auto& pool : pools_) pool->CheckDrained();
+    for (size_t c = 0; c < pools_.front()->n_classes(); ++c) {
+      LatencyHistogram cls_hist;
+      obs::TransportTally cls_tally;
+      uint64_t n_ops = 0;
+      for (size_t i = 0; i < pools_.size(); ++i) {
+        cls_hist.Merge(pools_[i]->recorder(c).hist());
+        n_ops += pools_[i]->class_completions(c);
+        cls_tally += tally(i, c);
+      }
+      fabric_.obs().ops().RecordN(pools_.front()->class_name(c), n_ops,
+                                  cls_tally);
+      all_.Merge(cls_hist);
+    }
+  }
+
+  // The point's row, from every class of every pool: measured throughput
+  // and latency, measured offered load, events as of now and the
+  // accountant's rows. Fills the point's observability slot too.
+  workload::LoadPoint Finish() {
+    uint64_t clients = 0;
+    uint64_t measured_arrivals = 0;
+    for (const auto& pool : pools_) {
+      clients += pool->n_clients();
+      measured_arrivals += pool->measured_arrivals();
+    }
+    const double seconds = sim::ToSeconds(end_ - measure_start_);
+    workload::LoadPoint p;
+    p.clients = static_cast<int>(clients);
+    const auto s = all_.Summarize();
+    p.tput_mops = static_cast<double>(s.count) / seconds / 1e6;
+    p.offered_mops = static_cast<double>(measured_arrivals) / seconds / 1e6;
+    p.mean_us = s.mean_us;
+    p.p50_us = s.p50_us;
+    p.p99_us = s.p99_us;
+    p.p999_us = s.p999_us;
+    p.sim_events = sim_.executed_events();
+    p.ops = fabric_.obs().ops().Collect();
+    HarvestPointObs(fabric_, pobs_);
+    return p;
+  }
+
+ private:
+  sim::Simulator sim_;
+  net::Fabric fabric_;
+  obs::PointObs* pobs_;
+  sim::TimePoint measure_start_;
+  sim::TimePoint end_;
+  std::vector<std::unique_ptr<workload::OpenLoopPool>> pools_;
+  LatencyHistogram all_;
+};
+
+inline const Status& StatusOf(const Status& s) { return s; }
+template <typename T>
+Status StatusOf(const Result<T>& r) {
+  return r.status();
+}
+
+// Runs (client->*call)(key, rest...) until it succeeds. kAborted means the
+// client's attempt budget lost races on a hot lock: real behaviour, not
+// corruption. So each abort backs off 20 µs and retries with a fresh
+// budget, and the convoy cost lands in the latency tail. The pause is
+// stamped sync_spin, and the current-op register is re-armed after it so
+// the retry attributes to `op`. Any other error, or a 100th abort, fails
+// the run. (A plain-data coroutine: the call is a member pointer, not a
+// closure; see src/sim/task.h.)
+template <typename Client, typename Call, typename... Rest>
+sim::Task<void> RetryAborts(net::Fabric* fabric, obs::OpTimeline* op,
+                            const char* what, Client* client, Call call,
+                            uint64_t key, Rest... rest) {
+  sim::Simulator* sim = fabric->sim();
+  for (int attempt = 0;; ++attempt) {
+    auto r = co_await (client->*call)(key, rest...);
+    const Status s = StatusOf(r);
+    if (s.ok()) co_return;
+    PRISM_CHECK(attempt < 100 && s.code() == Code::kAborted)
+        << s << " " << what << " key=" << key;
+    obs::SwitchOp(op, obs::Phase::kSyncSpin, sim->Now());
+    co_await sim::SleepFor(sim, sim::Micros(20));
+    obs::SwitchOp(op, obs::Phase::kApp, sim->Now());
+    if (op != nullptr) fabric->obs().SetCurrentOp(op);
+  }
+}
+
+}  // namespace prism::bench
+
+#endif  // PRISM_BENCH_OPEN_LOOP_POINT_H_

@@ -220,6 +220,9 @@ sim::Task<Result<Bytes>> PilafClient::Get(const std::string& key) {
   const PilafOptions& opts = server_->options();
   const Bytes key_bytes = BytesOfString(key);
   const uint64_t h = server_->HashBucket(key_bytes);
+  // The CRC checks below suspend: re-arm the timed-op register after each,
+  // so the next READ attributes to this op (DESIGN.md §5.9).
+  obs::OpTimeline* const op = fabric_->obs().current_op();
 
   for (int attempt = 0; attempt < opts.max_torn_retries; ++attempt) {
     bool torn = false;
@@ -233,6 +236,7 @@ sim::Task<Result<Bytes>> PilafClient::Get(const std::string& key) {
       if (!bucket_read.ok()) co_return bucket_read.status();
       co_await sim::SleepFor(fabric_->sim(),
                              fabric_->cost().app_crc_check);
+      fabric_->obs().SetCurrentOp(op);
       PilafServer::Entry entry = PilafServer::ParseEntry(*bucket_read);
       if (!entry.crc_ok) {
         torn = true;  // entry being rewritten under us; retry from scratch
@@ -249,6 +253,7 @@ sim::Task<Result<Bytes>> PilafClient::Get(const std::string& key) {
       if (!extent_read.ok()) co_return extent_read.status();
       co_await sim::SleepFor(fabric_->sim(),
                              fabric_->cost().app_crc_check);
+      fabric_->obs().SetCurrentOp(op);
       const Bytes& extent = *extent_read;
       const uint32_t stored_crc = LoadU32(extent.data() + entry.klen +
                                           entry.vlen);

@@ -40,6 +40,10 @@ AbdLockClient::AbdLockClient(net::Fabric* fabric, net::HostId self,
 sim::Task<Status> AbdLockClient::AcquireLocks(uint64_t block,
                                               std::vector<bool>* locked) {
   const AbdLockOptions& opts = cluster_->options();
+  // Quorum waits and backoff suspend: each helper re-arms the timed-op
+  // register after them, so the next fan-out attributes to this op
+  // (DESIGN.md §5.9).
+  obs::OpTimeline* const op = fabric_->obs().current_op();
   locked->assign(static_cast<size_t>(cluster_->n()), false);
   for (int attempt = 0; attempt < opts.max_lock_attempts; ++attempt) {
     // Try every replica in parallel; CAS 0 -> client id. The lock phase
@@ -63,6 +67,7 @@ sim::Task<Status> AbdLockClient::AcquireLocks(uint64_t block,
       });
     }
     co_await all->Wait();
+    fabric_->obs().SetCurrentOp(op);
     int held = 0;
     for (bool b : *won) held += b ? 1 : 0;
     if (held >= cluster_->quorum()) {
@@ -79,6 +84,7 @@ sim::Task<Status> AbdLockClient::AcquireLocks(uint64_t block,
     backoff += static_cast<sim::Duration>(
         rng_.NextBelow(static_cast<uint64_t>(backoff) / 2 + 1));
     co_await sim::SleepFor(fabric_->sim(), backoff);
+    fabric_->obs().SetCurrentOp(op);
   }
   co_return Aborted("could not acquire majority of locks");
 }
@@ -88,6 +94,7 @@ sim::Task<void> AbdLockClient::ReleaseLocks(uint64_t block,
   int pending = 0;
   for (bool b : locked) pending += b ? 1 : 0;
   if (pending == 0) co_return;
+  obs::OpTimeline* const op = fabric_->obs().current_op();
   auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(), pending,
                                               pending);
   for (int i = 0; i < cluster_->n(); ++i) {
@@ -102,11 +109,13 @@ sim::Task<void> AbdLockClient::ReleaseLocks(uint64_t block,
     });
   }
   co_await quorum->Wait();
+  fabric_->obs().SetCurrentOp(op);
 }
 
 sim::Task<Result<std::pair<Tag, Bytes>>> AbdLockClient::ReadLocked(
     uint64_t block, const std::vector<bool>& locked) {
   const uint64_t read_len = 8 + cluster_->options().block_size;
+  obs::OpTimeline* const op = fabric_->obs().current_op();
   int holders = 0;
   for (bool b : locked) holders += b ? 1 : 0;
   auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
@@ -139,6 +148,7 @@ sim::Task<Result<std::pair<Tag, Bytes>>> AbdLockClient::ReadLocked(
     });
   }
   bool reached = co_await quorum->Wait();
+  fabric_->obs().SetCurrentOp(op);
   if (!reached) {
     Result<std::pair<Tag, Bytes>> err = Unavailable("read: lost quorum");
     co_return err;
@@ -151,6 +161,7 @@ sim::Task<Result<std::pair<Tag, Bytes>>> AbdLockClient::ReadLocked(
 sim::Task<Status> AbdLockClient::WriteLocked(
     uint64_t block, const std::vector<bool>& locked, Tag tag,
     std::shared_ptr<const Bytes> value) {
+  obs::OpTimeline* const op = fabric_->obs().current_op();
   int holders = 0;
   for (bool b : locked) holders += b ? 1 : 0;
   auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
@@ -172,6 +183,7 @@ sim::Task<Status> AbdLockClient::WriteLocked(
     });
   }
   bool reached = co_await quorum->Wait();
+  fabric_->obs().SetCurrentOp(op);
   if (!reached) co_return Unavailable("write: lost quorum");
   co_return OkStatus();
 }

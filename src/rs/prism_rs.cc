@@ -93,6 +93,9 @@ sim::Task<PrismRsClient::ReadPhaseResult> PrismRsClient::ReadPhase(
     uint64_t block) {
   const bool variable = cluster_->options().variable_block_size;
   const uint64_t read_len = 8 + cluster_->options().block_size;
+  // The quorum wait suspends: re-arm the timed-op register after it, so
+  // the next phase attributes to this op (DESIGN.md §5.9).
+  obs::OpTimeline* const op = fabric_->obs().current_op();
   auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
                                               cluster_->quorum(),
                                               cluster_->n());
@@ -136,6 +139,7 @@ sim::Task<PrismRsClient::ReadPhaseResult> PrismRsClient::ReadPhase(
   }
   ReadPhaseResult out;
   bool reached = co_await quorum->Wait();
+  fabric_->obs().SetCurrentOp(op);
   if (!reached) {
     out.status = Unavailable("read phase: no quorum");
     co_return out;
@@ -158,6 +162,7 @@ sim::Task<Status> PrismRsClient::WritePhase(
   } else {
     PRISM_CHECK_EQ(value->size(), cluster_->options().block_size);
   }
+  obs::OpTimeline* const op = fabric_->obs().current_op();
   auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
                                               cluster_->quorum(),
                                               cluster_->n());
@@ -237,6 +242,7 @@ sim::Task<Status> PrismRsClient::WritePhase(
     });
   }
   bool reached = co_await quorum->Wait();
+  fabric_->obs().SetCurrentOp(op);
   if (!reached) co_return Unavailable("write phase: no quorum");
   co_return OkStatus();
 }

@@ -154,6 +154,9 @@ sim::Task<Result<Bytes>> FarmClient::Read(Transaction& txn, uint64_t key) {
   auto [shard_idx, slot] = cluster_->Locate(key);
   FarmShard& shard = cluster_->shard(shard_idx);
   const uint64_t obj_len = 16 + cluster_->options().value_size;
+  // The locked-object backoff suspends: re-arm the timed-op register after
+  // it (DESIGN.md §5.9).
+  obs::OpTimeline* const op = fabric_->obs().current_op();
   for (int attempt = 0; attempt < cluster_->options().max_read_retries;
        ++attempt) {
     // READ 1: the slot (object pointer) — as in Pilaf (§8.1).
@@ -170,6 +173,7 @@ sim::Task<Result<Bytes>> FarmClient::Read(Transaction& txn, uint64_t key) {
     if ((version & FarmShard::kLockBit) != 0) {
       // Locked by a committing writer: back off briefly and retry.
       co_await sim::SleepFor(fabric_->sim(), sim::Micros(2));
+      fabric_->obs().SetCurrentOp(op);
       continue;
     }
     if (LoadU64(obj_read->data() + 8) != key) {

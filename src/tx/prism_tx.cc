@@ -170,6 +170,7 @@ sim::Task<Status> PrismTxClient::AbortCleanup(
   int pending = 0;
   for (const auto& p : preps) pending += p.valid ? 1 : 0;
   if (pending == 0) co_return OkStatus();
+  obs::OpTimeline* const op = fabric_->obs().current_op();
   auto done = std::make_shared<sim::Quorum>(fabric_->sim(), pending,
                                             pending);
   for (const auto& p : preps) {
@@ -188,12 +189,16 @@ sim::Task<Status> PrismTxClient::AbortCleanup(
     });
   }
   co_await done->Wait();
+  fabric_->obs().SetCurrentOp(op);
   co_return OkStatus();
 }
 
 sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
   PRISM_CHECK(txn.active);
   txn.active = false;
+  // Each phase's quorum wait suspends: re-arm the timed-op register after
+  // it, so the next phase attributes to this op (DESIGN.md §5.9).
+  obs::OpTimeline* const op = fabric_->obs().current_op();
   const bool record = history_ != nullptr &&
                       txn.history_id != Transaction::kNoHistory;
   if (record) {
@@ -267,6 +272,7 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
       });
     }
     co_await quorum->Wait();
+    fabric_->obs().SetCurrentOp(op);
     if (!*ok_flag) {
       aborts_++;
       // Validation failure precedes any install: no write is visible.
@@ -330,6 +336,7 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
       });
     }
     co_await quorum->Wait();
+    fabric_->obs().SetCurrentOp(op);
   }
   bool all_valid = true;
   for (const auto& p : *preps) all_valid = all_valid && p.valid;
@@ -415,6 +422,7 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
       });
     }
     co_await quorum->Wait();
+    fabric_->obs().SetCurrentOp(op);
     if (!*ok_flag) {
       aborts_++;
       // Some install chains may have landed before the failure: the writes

@@ -9,7 +9,8 @@
 // approximately, not within rounding, but as an integer identity. This file
 // drives all four application stacks (PRISM-KV, PRISM-RS, PRISM-TX, and the
 // one-sided synchronization suite) through an open-loop pool with phase
-// timelines attached, across a 20-seed sweep, and checks the identity on
+// timelines attached, across a 20-seed sweep (plus Pilaf's GET path, which
+// suspends outside any transport), and checks the identity on
 // every recorded timeline plus the store-level aggregates that
 // tools/latency_report consumes:
 //
@@ -32,6 +33,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
+#include "src/kv/pilaf.h"
 #include "src/kv/prism_kv.h"
 #include "src/net/fabric.h"
 #include "src/obs/timeline.h"
@@ -202,13 +204,71 @@ TEST(PhaseInvariantTest, RsStack) {
       pool.AddClass("rs.put", 0.5,
                     [rig](uint64_t d, obs::OpTimeline*) -> Task<void> {
                       Status s = co_await rig->client->Put(
-                          d % 8, BytesOfString("rs-payload-" +
-                                               std::to_string(d % 4)));
-                      (void)s;  // write-write conflicts may abort; fine
+                          d % 8, Bytes(rig->cluster->options().block_size,
+                                       static_cast<uint8_t>(d % 4)));
+                      PRISM_CHECK(s.ok() || s.code() == Code::kAborted) << s;
                     });
       return ch;
     });
     CheckPhaseInvariant(run, "rs seed=" + std::to_string(seed));
+  }
+}
+
+// Pilaf's GET suspends twice outside any transport, for its two CRC checks.
+// The client re-arms the op register after each, so an op's app time is
+// exactly those two checks. A stale register would hand the second READ to
+// whichever op armed it last, and this op would keep that READ's time as app.
+TEST(PhaseInvariantTest, PilafStack) {
+  auto dense_key = [](uint64_t k) {
+    std::string key(8, '\0');
+    StoreU64(reinterpret_cast<uint8_t*>(key.data()), k);
+    return key;
+  };
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    struct PilafRig {
+      std::unique_ptr<kv::PilafServer> server;
+      std::unique_ptr<kv::PilafClient> client;
+    };
+    auto rig = std::make_shared<PilafRig>();
+    sim::Duration crc_check = 0;
+    RunResult run = RunStack(seed, [&](net::Fabric& fabric,
+                                       workload::OpenLoopPool& pool,
+                                       uint64_t) {
+      constexpr uint64_t kKeys = 16;
+      kv::PilafOptions opts;
+      opts.n_buckets = 64;
+      opts.n_extents = 64;
+      opts.dense_key_hash = true;
+      rig->server = std::make_unique<kv::PilafServer>(
+          &fabric, fabric.AddHost("pilaf-server"), opts);
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        PRISM_CHECK(rig->server
+                        ->LoadKey(BytesOfString(dense_key(k)), Bytes(32, 0x11))
+                        .ok());
+      }
+      crc_check = fabric.cost().app_crc_check;
+      net::HostId ch = fabric.AddHost("pc");
+      rig->client = std::make_unique<kv::PilafClient>(&fabric, ch,
+                                                      rig->server.get());
+      pool.AddClass("kv.get", 1.0,
+                    [rig, dense_key](uint64_t d,
+                                     obs::OpTimeline*) -> Task<void> {
+                      auto r = co_await rig->client->Get(dense_key(d % kKeys));
+                      PRISM_CHECK(r.ok()) << r.status();
+                    });
+      return ch;
+    });
+    const std::string what = "pilaf seed=" + std::to_string(seed);
+    CheckPhaseInvariant(run, what);
+    uint64_t gets = 0;
+    uint64_t wrong = 0;
+    for (const obs::OpTimeline& t : run.store->timelines()) {
+      ++gets;
+      if (t.phase_ns(obs::Phase::kApp) != 2 * crc_check) ++wrong;
+    }
+    EXPECT_EQ(wrong, 0u) << what << ": " << wrong << " of " << gets
+                         << " GETs carry app time other than their two CRC "
+                            "checks";
   }
 }
 
