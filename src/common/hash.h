@@ -19,7 +19,10 @@ namespace prism {
 uint64_t Fnv1a64(ByteView data);
 uint64_t Fnv1a64(std::string_view data);
 
-// CRC-32 (IEEE 802.3 polynomial, reflected, table-driven).
+// CRC-32 (IEEE 802.3 polynomial, reflected). On x86-64 CPUs with PCLMULQDQ,
+// inputs of 64 B or more are folded by carry-less multiplication up to
+// their last 16-byte boundary; a slicing-by-8 table does the rest (and all
+// of shorter inputs). Both give the same value for every input.
 uint32_t Crc32(ByteView data);
 uint32_t Crc32(const uint8_t* data, size_t len);
 

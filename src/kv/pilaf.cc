@@ -8,6 +8,16 @@ namespace {
 constexpr uint32_t kEmpty = 0;
 constexpr uint32_t kValid = 1;
 constexpr uint32_t kTombstone = 2;
+
+// The size limits of every stored record, loaded or PUT: a record (key,
+// value and 4-byte CRC) larger than an extent would spill into the next one.
+Status CheckRecordSize(const PilafOptions& opts, size_t klen, size_t vlen) {
+  if (vlen > opts.max_value_size) return InvalidArgument("value too large");
+  if (klen + vlen + 4 > opts.extent_size) {
+    return InvalidArgument("record exceeds extent size");
+  }
+  return OkStatus();
+}
 }  // namespace
 
 PilafServer::Entry PilafServer::ParseEntry(ByteView bucket_bytes) {
@@ -79,6 +89,7 @@ uint64_t PilafServer::HashBucket(const Bytes& key) const {
 }
 
 Status PilafServer::LoadKey(const Bytes& key, ByteView value) {
+  PRISM_RETURN_IF_ERROR(CheckRecordSize(opts_, key.size(), value.size()));
   bool exists = false;
   int64_t bucket = FindBucket(key, &exists);
   if (bucket < 0) return ResourceExhausted("table full");
@@ -129,10 +140,8 @@ sim::Task<rpc::MessagePtr> PilafServer::HandlePut(
   const Bytes& key = request->key;
   const Bytes& value = request->value;
   PutResponse out;
-  if (value.size() > opts_.max_value_size) {
-    out.status = InvalidArgument("value too large");
-    co_return rpc::Message::Of(out, 8);
-  }
+  out.status = CheckRecordSize(opts_, key.size(), value.size());
+  if (!out.status.ok()) co_return rpc::Message::Of(out, 8);
   bool exists = false;
   int64_t bucket = FindBucket(key, &exists);
   if (bucket < 0) {
@@ -166,10 +175,6 @@ sim::Task<rpc::MessagePtr> PilafServer::HandlePut(
   // New key or size change: allocate a fresh extent, fill it completely,
   // then swing the bucket entry (readers of the old extent stay consistent).
   const uint64_t need = key.size() + value.size() + 4;
-  if (need > opts_.extent_size) {
-    out.status = InvalidArgument("record exceeds extent size");
-    co_return rpc::Message::Of(out, 8);
-  }
   if (free_extents_.empty()) {
     out.status = ResourceExhausted("out of extents");
     co_return rpc::Message::Of(out, 8);

@@ -1,5 +1,7 @@
 #include "src/kv/prism_kv.h"
 
+#include <algorithm>
+
 #include "src/common/hash.h"
 
 namespace prism::kv {
@@ -121,7 +123,21 @@ Status PrismKvServer::LoadKey(const Bytes& key, ByteView value) {
   for (int probe = 0; probe < opts_.max_probes; ++probe) {
     const uint64_t bucket = (h + static_cast<uint64_t>(probe)) %
                             opts_.n_buckets;
-    if (mem_->LoadWord(slot_addr(bucket)) != 0) continue;  // occupied
+    const BoundedPtr held =
+        BoundedPtr::Load(mem_->RawAt(slot_addr(bucket), kSlotSize));
+    if (held.ptr != 0) {
+      // Occupied, by a record or the tombstone marker: a record holding
+      // this key means it is already loaded.
+      const uint64_t head = 8 + key.size();
+      if (held.bound >= head) {
+        const uint8_t* record = mem_->RawAt(held.ptr, head);
+        if (LoadU32(record) == key.size() &&
+            std::equal(key.begin(), key.end(), record + 8)) {
+          return AlreadyExists("key already loaded");
+        }
+      }
+      continue;
+    }
     const uint64_t size = 8 + key.size() + value.size();
     PRISM_ASSIGN_OR_RETURN(uint32_t queue,
                            prism_->freelists().QueueFor(size));

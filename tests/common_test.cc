@@ -138,13 +138,16 @@ uint32_t BitwiseCrc32(const uint8_t* data, size_t len) {
 }
 
 TEST(HashTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
-  // Lengths 0-64 cover the 8-byte steps and every tail length; offsets 0-7
-  // cover every alignment of the 8-byte loads.
-  Bytes buf(4096 + 8);
+  // Lengths 0-1100 cover the table-only inputs (under 64 B), the folded
+  // path's 4-lane loop (any length of 128 B or more) and its single-fold
+  // loop (every count of 16-byte blocks left over), and every 0-15 byte
+  // tail the table finishes; offsets 0-15 cover every alignment of the
+  // 16-byte loads.
+  Bytes buf(4096 + 16);
   Rng rng(7);
   for (auto& b : buf) b = static_cast<uint8_t>(rng.NextU64());
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 64; ++len) {
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
       EXPECT_EQ(Crc32(buf.data() + offset, len),
                 BitwiseCrc32(buf.data() + offset, len))
           << "offset " << offset << " len " << len;

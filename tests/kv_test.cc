@@ -151,6 +151,31 @@ TEST_F(PrismKvTest, TombstoneKeepsProbeChainIntact) {
   RunAll();
 }
 
+TEST_F(PrismKvTest, LoadKeyRejectsDuplicate) {
+  // A second load of a key must not take a later slot: GET would return the
+  // newer copy, and after a DELETE of that copy the older one would return.
+  const Bytes key = BytesOfString("loadkey1");
+  EXPECT_TRUE(server_->LoadKey(key, Bytes(16, 0x11)).ok());
+  EXPECT_EQ(server_->LoadKey(key, Bytes(16, 0x22)).code(),
+            Code::kAlreadyExists);
+  sim::Spawn([&]() -> Task<void> {
+    auto got = co_await client_->Get("loadkey1");
+    EXPECT_TRUE(got.ok());
+    EXPECT_EQ(*got, Bytes(16, 0x11));
+    EXPECT_TRUE((co_await client_->Delete("loadkey1")).ok());
+    EXPECT_EQ((co_await client_->Get("loadkey1")).code(), Code::kNotFound);
+  });
+  RunAll();
+  // The tombstone left by the DELETE does not count as the key.
+  EXPECT_TRUE(server_->LoadKey(key, Bytes(16, 0x33)).ok());
+  sim::Spawn([&]() -> Task<void> {
+    auto got = co_await client_->Get("loadkey1");
+    EXPECT_TRUE(got.ok());
+    EXPECT_EQ(*got, Bytes(16, 0x33));
+  });
+  RunAll();
+}
+
 TEST_F(PrismKvTest, BuffersAreReclaimedAfterOverwrites) {
   sim::Spawn([&]() -> Task<void> {
     // Each overwrite displaces one buffer; with reclamation they must come
@@ -422,6 +447,29 @@ TEST_F(PilafTest, TornReadsAreDetectedAndRetried) {
   });
   sim_.Run();
   EXPECT_GT(reads, 0);
+}
+
+TEST_F(PilafTest, LoadKeyRejectsOversizedRecord) {
+  // A loaded record must fit its 640 B extent (key + value + 4 B CRC) and
+  // its value must be within max_value_size (512 B), as for a PUT. An
+  // oversized record would spill into the next extent, and the next load
+  // would then tear it for good.
+  EXPECT_TRUE(server_->LoadKey(BytesOfString("before"), Bytes(512, 1)).ok());
+  EXPECT_EQ(server_->LoadKey(BytesOfString("big"), Bytes(700, 2)).code(),
+            Code::kInvalidArgument);
+  EXPECT_EQ(server_->LoadKey(Bytes(200, 'k'), Bytes(500, 3)).code(),
+            Code::kInvalidArgument);
+  EXPECT_TRUE(server_->LoadKey(BytesOfString("after"), Bytes(512, 4)).ok());
+  sim::Spawn([&]() -> Task<void> {
+    auto before = co_await client_->Get("before");
+    EXPECT_TRUE(before.ok()) << before.status();
+    EXPECT_EQ(*before, Bytes(512, 1));
+    EXPECT_EQ((co_await client_->Get("big")).code(), Code::kNotFound);
+    auto after = co_await client_->Get("after");
+    EXPECT_TRUE(after.ok()) << after.status();
+    EXPECT_EQ(*after, Bytes(512, 4));
+  });
+  sim_.Run();
 }
 
 TEST_F(PilafTest, SoftwareBackendIsSlower) {
