@@ -6,9 +6,10 @@
 // Sweeping the client count traces the throughput–latency curves.
 //
 // Scale substitution (see DESIGN.md §1): object count is reduced from the
-// paper's 8 M to a simulation-friendly number via --keys; access
-// distributions and object sizes are identical. Env var PRISM_BENCH_FAST=1
-// shrinks windows further for smoke runs.
+// paper's 8 M to a fixed 65,536 keys (8,192 in fast mode; BenchKeyCount()
+// in kv_bench_lib.h). No flag sets it yet; a --keys flag is ROADMAP item 2.
+// Access distributions and object sizes are identical. Env var
+// PRISM_BENCH_FAST=1 shrinks windows further for smoke runs.
 #ifndef PRISM_BENCH_BENCH_COMMON_H_
 #define PRISM_BENCH_BENCH_COMMON_H_
 

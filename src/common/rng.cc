@@ -3,8 +3,6 @@
 namespace prism {
 namespace {
 
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 inline uint64_t SplitMix64(uint64_t& x) {
   x += 0x9e3779b97f4a7c15ull;
   uint64_t z = x;
@@ -22,42 +20,12 @@ void Rng::Seed(uint64_t seed) {
   }
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextBelow(uint64_t bound) {
-  if (bound == 0) return 0;
-  // Lemire's nearly-divisionless rejection method.
-  uint64_t x = NextU64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t low = static_cast<uint64_t>(m);
-  if (low < bound) {
-    uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = NextU64();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<uint64_t>(m);
-    }
+uint64_t Rng::NextBelowSlow(uint64_t bound, __uint128_t m) {
+  const uint64_t threshold = -bound % bound;
+  while (static_cast<uint64_t>(m) < threshold) {
+    m = static_cast<__uint128_t>(NextU64()) * bound;
   }
   return static_cast<uint64_t>(m >> 64);
-}
-
-uint64_t Rng::NextInRange(uint64_t lo, uint64_t hi) {
-  return lo + NextBelow(hi - lo + 1);
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 Rng Rng::Fork() { return Rng(NextU64()); }

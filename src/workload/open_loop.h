@@ -8,19 +8,32 @@
 //
 //  * Each logical client is a ClientSlot — a 16-byte POD state machine
 //    (key-space rng cursor, issue/outstanding counters, pending-op tag,
-//    histogram handle). One flat std::vector holds the whole population;
+//    histogram handle). One flat array holds the whole population;
 //    per-client memory is sizeof(ClientSlot) regardless of load
-//    (CI-guarded at ≤64 B/client in fig_overload --guard).
+//    (CI-guarded at ≤64 B/client in fig_overload --guard). Start fills it
+//    in one pass: the array is allocated uninitialized, and each slot is
+//    written once from a register-resident copy of the init rng, its class
+//    picked by a branch-free scan of the cumulative weights.
 //
 //  * A single arrival-driver coroutine pulls inter-arrival gaps from an
 //    ArrivalProcess and stamps each arrival onto a uniformly chosen slot.
-//    Arrivals are independent of completions — the open-loop property.
+//    Arrivals are independent of completions — the open-loop property. The
+//    driver picks each arrival's client one arrival early and prefetches
+//    its slot, so the slot's cache miss overlaps the gap's simulated work
+//    rather than stalling the arrival.
+//
+//  * The driver also takes the op's key-space draw off the slot at arrival
+//    and carries it, with the class tag, in the backlog entry. The backlog
+//    is FIFO and a worker draws nothing between its pop and the op, so a
+//    client's k-th arrival is also its k-th pop: the arrival-time draw is
+//    the value a pop-time draw would give.
 //
 //  * A bounded pool of worker coroutines drains the arrival backlog and
 //    executes each op through the caller's OpFn (which owns the transport
 //    clients, shared per pool — in real deployments a host's clients share
 //    QPs exactly like this, which is what makes verb-layer doorbell
-//    batching apply). Live coroutine frames are O(workers), not O(clients).
+//    batching apply). Live coroutine frames are O(workers), not O(clients),
+//    and a worker touches a slot only to retire its outstanding count.
 //
 // Latency is measured from *arrival* to completion, so client-side queueing
 // — the quantity that explodes past saturation — is part of every sample;
@@ -55,6 +68,7 @@ namespace prism::workload {
 
 // Compact per-client state machine. The whole client fits in 16 bytes; a
 // million-client pool is 16 MB of flat array, no per-client heap objects.
+// `hist` always equals `tag` (one recorder per class).
 struct ClientSlot {
   uint64_t rng;          // splitmix64 key-space cursor (private op stream)
   uint32_t issued;       // arrivals stamped on this client
@@ -91,6 +105,8 @@ class OpenLoopPool {
         init_rng_(rng.Fork()),
         n_clients_(n_clients),
         queue_(sim) {
+    // Backlog entries carry a 32-bit client index, with kPoison reserved.
+    PRISM_CHECK_LT(n_clients, kPoison) << "n_clients must fit a 32-bit index";
     PRISM_CHECK_GT(n_clients, 0u);
     PRISM_CHECK_GT(opts.workers, 0);
   }
@@ -130,26 +146,7 @@ class OpenLoopPool {
     started_ = true;
     measure_start_ = measure_start;
     end_ = end;
-    clients_.resize(n_clients_);
-    double total_w = 0;
-    for (const OpClass& c : classes_) total_w += c.weight;
-    for (uint64_t i = 0; i < n_clients_; ++i) {
-      ClientSlot& s = clients_[i];
-      s.rng = init_rng_.NextU64();
-      s.issued = 0;
-      s.outstanding = 0;
-      double pick = init_rng_.NextDouble() * total_w;
-      uint8_t tag = 0;
-      for (size_t c = 0; c < classes_.size(); ++c) {
-        pick -= classes_[c].weight;
-        if (pick < 0) {
-          tag = static_cast<uint8_t>(c);
-          break;
-        }
-      }
-      s.tag = tag;
-      s.hist = tag;  // one recorder per class
-    }
+    FillClients();
     for (size_t c = 0; c < classes_.size(); ++c) {
       recorders_.push_back(
           std::make_unique<Recorder>(sim_, measure_start, end));
@@ -193,7 +190,9 @@ class OpenLoopPool {
   size_t peak_backlog() const { return peak_backlog_; }
   uint64_t n_clients() const { return n_clients_; }
   // Flat per-client state: the quantity the ≤64 B/client guard bounds.
-  size_t state_bytes() const { return clients_.size() * sizeof(ClientSlot); }
+  size_t state_bytes() const {
+    return started_ ? n_clients_ * sizeof(ClientSlot) : 0;
+  }
   const ClientSlot& client(uint64_t i) const { return clients_[i]; }
 
  private:
@@ -203,14 +202,19 @@ class OpenLoopPool {
     OpFn fn;
   };
 
-  // An arrival waiting in the backlog: 16 bytes bare, 24 with the timeline
-  // pointer (heap-transient channel state, not per-client state — the
-  // ≤64 B/client guard runs without a store, where op stays null).
+  // An arrival waiting in the backlog, 32 bytes: everything its op needs
+  // (class tag, key-space draw, arrival time, timeline), so the worker
+  // touches the client's slot only to retire it. This is transient channel
+  // state — one entry per backlogged arrival, not per client — so the
+  // ≤64 B/client guard, which bounds the 16 B slot, is unaffected.
   struct Pending {
-    uint32_t client;
+    uint32_t client;  // kPoison tells a worker to stop
+    uint8_t tag;
     sim::TimePoint arrival;
-    obs::OpTimeline* op;
+    obs::OpTimeline* op;  // null when attribution is off
+    uint64_t draw;        // the client's next SplitMix output, taken at arrival
   };
+  static_assert(sizeof(Pending) == 32);
   static constexpr uint32_t kPoison = 0xffffffffu;
 
   static uint64_t SplitMix(uint64_t* s) {
@@ -220,15 +224,52 @@ class OpenLoopPool {
     return z ^ (z >> 31);
   }
 
+  // Writes every slot once. The class pick is the cumulative subtraction of
+  // the weights in AddClass order: the first `pick < 0` wins, and class 0
+  // wins when rounding leaves none. It is computed without a branch, which
+  // a 50/50 mix would mispredict on about every other client.
+  void FillClients() {
+    clients_ = std::make_unique_for_overwrite<ClientSlot[]>(n_clients_);
+    double total_w = 0;
+    for (const OpClass& c : classes_) total_w += c.weight;
+    Rng rng = init_rng_;
+    for (uint64_t i = 0; i < n_clients_; ++i) {
+      const uint64_t cursor = rng.NextU64();
+      double pick = rng.NextDouble() * total_w;
+      uint32_t tag = 0;
+      bool found = false;
+      for (size_t c = 0; c < classes_.size(); ++c) {
+        pick -= classes_[c].weight;
+        const bool hit = (pick < 0) & !found;
+        tag += static_cast<uint32_t>(hit) * static_cast<uint32_t>(c);
+        found |= hit;
+      }
+      clients_[i] = ClientSlot{cursor, 0, 0, static_cast<uint8_t>(tag),
+                               static_cast<uint8_t>(tag)};
+    }
+    init_rng_ = rng;
+  }
+
+  uint32_t PickClient() {
+    const uint32_t c = static_cast<uint32_t>(pick_rng_.NextBelow(n_clients_));
+    __builtin_prefetch(&clients_[c], /*rw=*/1);
+    return c;
+  }
+
   sim::Task<void> Driver() {
+    // One arrival ahead: the next client is drawn (and its slot fetched)
+    // before the gap elapses. pick_rng_ sees the same sequence of draws,
+    // plus one unused draw when arrivals end.
+    uint32_t next = PickClient();
     while (true) {
       const sim::Duration gap = arrivals_.NextGap(sim_->Now());
       co_await sim::SleepFor(sim_, gap);
       if (sim_->Now() >= end_) break;
-      const uint32_t c = static_cast<uint32_t>(pick_rng_.NextBelow(n_clients_));
+      const uint32_t c = next;
       ClientSlot& slot = clients_[c];
       slot.issued++;
       slot.outstanding++;
+      const uint64_t draw = SplitMix(&slot.rng);
       arrivals_count_++;
       if (sim_->Now() >= measure_start_) measured_arrivals_++;
       // The timeline is born at arrival, in kBacklogWait: everything until
@@ -236,11 +277,12 @@ class OpenLoopPool {
       obs::OpTimeline* op =
           store_ != nullptr ? store_->StartOp(store_cls_[slot.tag], sim_->Now())
                             : nullptr;
-      queue_.Push(Pending{c, sim_->Now(), op});
+      queue_.Push(Pending{c, slot.tag, sim_->Now(), op, draw});
       if (queue_.size() > peak_backlog_) peak_backlog_ = queue_.size();
+      next = PickClient();
     }
     for (int w = 0; w < opts_.workers; ++w) {
-      queue_.Push(Pending{kPoison, 0, nullptr});
+      queue_.Push(Pending{kPoison, 0, 0, nullptr, 0});
     }
   }
 
@@ -248,9 +290,7 @@ class OpenLoopPool {
     while (true) {
       Pending p = co_await queue_.Pop();
       if (p.client == kPoison) break;
-      ClientSlot& slot = clients_[p.client];
-      OpClass& cls = classes_[slot.tag];
-      const uint64_t draw = SplitMix(&slot.rng);
+      OpClass& cls = classes_[p.tag];
       obs::SpanId op_span = 0;
       if (p.op != nullptr) {
         // Backlog wait ends here; the op body starts in kApp and the
@@ -269,17 +309,17 @@ class OpenLoopPool {
           p.op->set_root_span(op_span);
         }
       }
-      co_await cls.fn(draw, p.op);
+      co_await cls.fn(p.draw, p.op);
       if (p.op != nullptr) {
         if (op_span != 0) hub_->FinishSpan(op_span, sim_->Now());
         hub_->SetCurrentOp(nullptr);
         store_->FinishOp(p.op, sim_->Now());
       }
       // Latency from *arrival*: client-side backlog wait included.
-      recorders_[slot.hist]->Record(p.arrival);
-      class_completions_[slot.hist]++;
+      recorders_[p.tag]->Record(p.arrival);
+      class_completions_[p.tag]++;
       completions_++;
-      slot.outstanding--;
+      clients_[p.client].outstanding--;
     }
   }
 
@@ -298,7 +338,7 @@ class OpenLoopPool {
   uint32_t obs_host_ = 0;  // host label for per-op root spans
   std::vector<uint32_t> store_cls_;  // pool class index -> store class index
 
-  std::vector<ClientSlot> clients_;
+  std::unique_ptr<ClientSlot[]> clients_;  // n_clients_ slots
   std::vector<OpClass> classes_;
   std::vector<std::unique_ptr<Recorder>> recorders_;
   uint64_t class_completions_[256] = {};

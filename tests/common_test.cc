@@ -211,6 +211,34 @@ TEST(RngTest, ForkIndependentStreams) {
   EXPECT_NE(parent.NextU64(), child.NextU64());
 }
 
+// Every simulated result derives from these streams, so their first outputs
+// are pinned literally: a change to the generator, the double conversion or
+// Lemire's rejection loop must show here before it moves a figure.
+TEST(RngTest, GoldenStream) {
+  Rng rng(2021);
+  EXPECT_EQ(rng.NextU64(), 0xf61612c2ff4d9bc1ull);
+  EXPECT_EQ(rng.NextU64(), 0x584f61ab0b9a78b4ull);
+  EXPECT_EQ(rng.NextDouble(), 0x1.02a750481ee14p-1);
+  EXPECT_EQ(rng.NextDouble(), 0x1.ef04bbd03013ep-1);
+  EXPECT_EQ(rng.NextBelow(1000), 748u);
+  EXPECT_EQ(rng.NextBelow(1000), 806u);
+  // A bound just past 2^63 rejects about half of all draws, so these calls
+  // take the rejection loop and consume more than one NextU64 between them.
+  const uint64_t wide = (uint64_t{1} << 63) + 12345;
+  Rng twin = rng;
+  EXPECT_EQ(rng.NextBelow(wide), 0x48d0e05807ada911ull);
+  EXPECT_EQ(rng.NextBelow(wide), 0x19b2e4c0e54fbd8eull);
+  EXPECT_EQ(rng.NextBelow(wide), 0x599baefb9a9d1573ull);
+  EXPECT_EQ(rng.NextBelow(wide), 0x535acec51b661b00ull);
+  const uint64_t after = rng.NextU64();
+  int consumed = 0;
+  while (twin.NextU64() != after) consumed++;
+  EXPECT_EQ(consumed, 6);
+  Rng child = rng.Fork();
+  EXPECT_EQ(child.NextU64(), 0x43875c48ae8bb5aaull);
+  EXPECT_EQ(rng.NextU64(), 0x5ed8bda43ac81995ull);
+}
+
 TEST(HistogramTest, EmptySummary) {
   LatencyHistogram h;
   auto s = h.Summarize();

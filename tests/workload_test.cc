@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -340,6 +341,81 @@ TEST(OpenLoopPoolTest, BacklogQueueingShowsUpInLatency) {
   LatencyHistogram::Summary s = pool.recorder(0).hist().Summarize();
   // Mean latency is dominated by queueing, far above the 100 µs service.
   EXPECT_GT(s.mean_us, 300.0);
+}
+
+// Folds every (draw, class) pair the op functions see, in call order, into
+// one digest, and counts the population's clients per class.
+struct PinnedRun {
+  uint64_t digest = 0xcbf29ce484222325ull;
+  uint64_t ops = 0;
+  std::vector<uint64_t> clients_per_class;
+  size_t peak_backlog = 0;
+};
+
+PinnedRun RunPinnedPool(const std::vector<double>& weights, uint64_t n_clients,
+                        int workers, double rate, sim::Duration service,
+                        uint64_t seed) {
+  sim::Simulator sim;
+  PoolOptions opts;
+  opts.workers = workers;
+  OpenLoopPool pool(&sim, ArrivalSpec::Poisson(rate), n_clients, Rng(seed),
+                    opts);
+  PinnedRun run;
+  for (size_t c = 0; c < weights.size(); ++c) {
+    pool.AddClass("c" + std::to_string(c), weights[c],
+                  [&sim, &run, c, service](uint64_t draw,
+                                           obs::OpTimeline*) -> sim::Task<void> {
+                    for (uint64_t word : {draw, uint64_t{c}}) {
+                      run.digest = (run.digest ^ word) * 0x100000001b3ull;
+                    }
+                    run.ops++;
+                    co_await sim::SleepFor(&sim, service);
+                  });
+  }
+  pool.Start(0, sim::Millis(1));
+  sim.RunUntil(sim::Millis(1));
+  sim.Run();
+  pool.CheckDrained();
+  EXPECT_EQ(run.ops, pool.arrivals());
+  run.clients_per_class.assign(weights.size(), 0);
+  for (uint64_t i = 0; i < pool.n_clients(); ++i) {
+    run.clients_per_class[pool.client(i).tag]++;
+  }
+  run.peak_backlog = pool.peak_backlog();
+  return run;
+}
+
+// The pool's draws are pinned literally: which class each client gets and
+// which key-space draw each op sees must not move under a change to how the
+// slots are filled or when a draw is taken.
+TEST(OpenLoopPoolTest, DrawsAndClassesArePinned) {
+  // Three unequal classes, light load.
+  PinnedRun mix = RunPinnedPool({0.1, 0.2, 0.7}, 1000, 64, 1e6,
+                                sim::Micros(2), 17);
+  EXPECT_EQ(mix.ops, 1005u);
+  EXPECT_EQ(mix.digest, 0x160e281b8d285c82ull);
+  EXPECT_EQ(mix.clients_per_class, (std::vector<uint64_t>{91, 206, 703}));
+
+  // Two workers against 16 clients under backlog: the backlog outgrows the
+  // population, so clients hold several pending arrivals at once.
+  PinnedRun backlog = RunPinnedPool({1.0, 1.0}, 16, 2, 2e6,
+                                    sim::Micros(3), 23);
+  EXPECT_GT(backlog.peak_backlog, 16u);
+  EXPECT_EQ(backlog.ops, 1987u);
+  EXPECT_EQ(backlog.digest, 0xe53a3b9e56c83e04ull);
+  EXPECT_EQ(backlog.clients_per_class, (std::vector<uint64_t>{8, 8}));
+}
+
+TEST(OpenLoopPoolTest, ClientIndexBeyondU32Dies) {
+  // Backlog entries carry a 32-bit client index with 0xffffffff reserved
+  // as the workers' stop signal; a larger population must not truncate.
+  sim::Simulator sim;
+  EXPECT_DEATH(OpenLoopPool(&sim, ArrivalSpec::Poisson(1e6),
+                            uint64_t{1} << 32, Rng(1)),
+               "n_clients");
+  EXPECT_DEATH(OpenLoopPool(&sim, ArrivalSpec::Poisson(1e6), 0xffffffffull,
+                            Rng(1)),
+               "n_clients");
 }
 
 TEST(OpenLoopPoolTest, SweepIsBitIdenticalAcrossJobs) {
