@@ -87,19 +87,14 @@ int main(int argc, char** argv) {
     points.push_back([wf] { return Run(false, wf); });
     points.push_back([wf] { return Run(true, wf); });
   }
-  const int jobs = harness::JobsFromArgs(argc, argv);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<Outcome> rows =
-      harness::RunSweep(points, harness::SweepOptions{jobs});
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  bench::FigureReporter reporter(
+      "abl_abd_oneround_reads", "Ablation A9: one-round ABD reads");
+  std::vector<Outcome> rows = bench::RunTimedSweep(
+      reporter, points, harness::JobsFromArgs(argc, argv));
   std::printf("== Ablation A9: one-round ABD reads (unanimous-quorum "
               "write-back elision) ==\n");
   std::printf("%12s %22s %24s %18s\n", "write frac", "stock GET mean(us)",
               "optimized GET mean(us)", "write-backs skipped");
-  bench::FigureReporter reporter(
-      "abl_abd_oneround_reads", "Ablation A9: one-round ABD reads");
   for (size_t i = 0; i < write_fracs.size(); ++i) {
     const Outcome& stock = rows[2 * i];
     const Outcome& opt = rows[2 * i + 1];
@@ -113,7 +108,6 @@ int main(int argc, char** argv) {
       reporter.AddRow(v == 0 ? "stock" : "optimized", p, write_fracs[i]);
     }
   }
-  reporter.SetSweepMetrics(wall, jobs);
   reporter.WriteUnified();
   return 0;
 }

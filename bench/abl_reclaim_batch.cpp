@@ -62,19 +62,14 @@ int main(int argc, char** argv) {
     });
   }
 
-  const int jobs = harness::JobsFromArgs(argc, argv);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<BatchRow> rows =
-      harness::RunSweep(points, harness::SweepOptions{jobs});
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  bench::FigureReporter reporter(
+      "abl_reclaim_batch", "Ablation A5: buffer-reclamation batch size");
+  std::vector<BatchRow> rows = bench::RunTimedSweep(
+      reporter, points, harness::JobsFromArgs(argc, argv));
 
   std::printf("== Ablation A5: buffer-reclamation batch size (§3.2) ==\n");
   std::printf("%8s %16s %22s %16s\n", "batch", "messages", "core-us/buffer",
               "free-list final");
-  bench::FigureReporter reporter(
-      "abl_reclaim_batch", "Ablation A5: buffer-reclamation batch size");
   for (size_t i = 0; i < batches.size(); ++i) {
     std::printf("%8zu %16llu %22.3f %16zu\n", batches[i],
                 static_cast<unsigned long long>(rows[i].messages),
@@ -87,7 +82,6 @@ int main(int argc, char** argv) {
   }
   std::printf("(core time includes the PUT chains themselves; the delta "
               "across rows is the reclamation-RPC cost)\n");
-  reporter.SetSweepMetrics(wall, jobs);
   reporter.WriteUnified();
   return 0;
 }

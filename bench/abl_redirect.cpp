@@ -92,13 +92,10 @@ int main(int argc, char** argv) {
       [] { return MeasureInstallChain(true, core::Deployment::kSoftware); },
       [] { return MeasureInstallChain(false, core::Deployment::kSoftware); },
   };
-  const int jobs = harness::JobsFromArgs(argc, argv);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<Sample> rows =
-      harness::RunSweep(points, harness::SweepOptions{jobs});
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  bench::FigureReporter reporter(
+      "abl_redirect", "Ablation A3: redirect target placement");
+  std::vector<Sample> rows = bench::RunTimedSweep(
+      reporter, points, harness::JobsFromArgs(argc, argv));
   std::printf("== Ablation A3: redirect temporary on-NIC vs in host memory "
               "(§4.2) ==\n");
   std::printf("%-22s %18s %22s\n", "deployment", "on-NIC scratch(us)",
@@ -107,8 +104,6 @@ int main(int argc, char** argv) {
               "PRISM HW (projected)", rows[0].us, rows[1].us);
   std::printf("%-22s %18.2f %22.2f   (software: CPU reaches both equally)\n",
               "PRISM SW", rows[2].us, rows[3].us);
-  bench::FigureReporter reporter(
-      "abl_redirect", "Ablation A3: redirect target placement");
   const char* series[] = {"HW on-nic", "HW host", "SW on-nic", "SW host"};
   for (size_t i = 0; i < rows.size(); ++i) {
     workload::LoadPoint p;
@@ -117,7 +112,6 @@ int main(int argc, char** argv) {
     p.sim_events = rows[i].sim_events;
     reporter.AddRow(series[i], p);
   }
-  reporter.SetSweepMetrics(wall, jobs);
   reporter.WriteUnified();
   return 0;
 }

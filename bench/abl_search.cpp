@@ -74,19 +74,14 @@ int main(int argc, char** argv) {
     points.push_back(
         [size] { return Measure(true, size, core::Deployment::kSoftware); });
   }
-  const int jobs = harness::JobsFromArgs(argc, argv);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<Sample> rows =
-      harness::RunSweep(points, harness::SweepOptions{jobs});
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  bench::FigureReporter reporter(
+      "abl_search", "Ablation A7: pattern search vs transfer-and-scan");
+  std::vector<Sample> rows = bench::RunTimedSweep(
+      reporter, points, harness::JobsFromArgs(argc, argv));
   std::printf("== Ablation A7: pattern search vs transfer-and-scan "
               "(software PRISM) ==\n");
   std::printf("%10s %14s %12s %14s %12s\n", "haystack", "READ+scan(us)",
               "wire(B)", "SEARCH(us)", "wire(B)");
-  bench::FigureReporter reporter(
-      "abl_search", "Ablation A7: pattern search vs transfer-and-scan");
   for (size_t i = 0; i < sizes.size(); ++i) {
     const Sample& read = rows[2 * i];
     const Sample& search = rows[2 * i + 1];
@@ -103,7 +98,6 @@ int main(int argc, char** argv) {
                       static_cast<double>(sizes[i]));
     }
   }
-  reporter.SetSweepMetrics(wall, jobs);
   reporter.WriteUnified();
   return 0;
 }

@@ -70,14 +70,11 @@ Outcome Run(bool variable) {
 
 int main(int argc, char** argv) {
   using namespace prism;
-  const int jobs = harness::JobsFromArgs(argc, argv);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<Outcome> rows = harness::RunSweep<Outcome>(
-      {[] { return Run(false); }, [] { return Run(true); }},
-      harness::SweepOptions{jobs});
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  bench::FigureReporter reporter(
+      "abl_variable_rs", "Ablation A8: fixed vs variable-size blocks");
+  std::vector<Outcome> rows = bench::RunTimedSweep<Outcome>(
+      reporter, {[] { return Run(false); }, [] { return Run(true); }},
+      harness::JobsFromArgs(argc, argv));
   const Outcome& fixed = rows[0];
   const Outcome& variable = rows[1];
   std::printf("== Ablation A8: fixed vs variable-size PRISM-RS blocks "
@@ -89,8 +86,6 @@ int main(int argc, char** argv) {
   std::printf("%-22s %12.2f %18.0f   <- bounded reads + exact buffers\n",
               "variable ⟨tag,ptr,bound⟩", variable.mean_us,
               variable.wire_bytes_per_op);
-  bench::FigureReporter reporter(
-      "abl_variable_rs", "Ablation A8: fixed vs variable-size blocks");
   const char* names[] = {"fixed", "variable"};
   for (size_t i = 0; i < rows.size(); ++i) {
     workload::LoadPoint p;
@@ -99,7 +94,6 @@ int main(int argc, char** argv) {
     p.sim_events = rows[i].sim_events;
     reporter.AddRow(names[i], p);
   }
-  reporter.SetSweepMetrics(wall, jobs);
   reporter.WriteUnified();
   return 0;
 }

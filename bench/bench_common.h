@@ -1,9 +1,11 @@
-// Shared scaffolding for the figure-reproduction benchmarks.
+// Shared scaffolding for the figure-reproduction benchmarks: windows,
+// client sweep, client hosts, observability flags and key encoding.
 //
 // Methodology (matching §5): closed-loop clients spread across up to 11
 // client hosts (the paper's machine count), a warmup window discarded, and
 // a measurement window over which completions and latencies are recorded.
-// Sweeping the client count traces the throughput–latency curves.
+// Sweeping the client count traces the throughput–latency curves. One
+// sweep point, closed or open loop, is a bench::Point (bench/point.h).
 //
 // Scale substitution (see DESIGN.md §1): object count is reduced from the
 // paper's 8 M to a fixed 65,536 keys (8,192 in fast mode; BenchKeyCount()
@@ -16,8 +18,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,7 +26,6 @@
 #include "src/common/rng.h"
 #include "src/net/fabric.h"
 #include "src/sim/simulator.h"
-#include "src/sim/task.h"
 #include "src/workload/driver.h"
 #include "src/workload/zipf.h"
 
@@ -67,32 +66,6 @@ inline std::vector<net::HostId> AddClientHosts(net::Fabric& fabric) {
     hosts.push_back(fabric.AddHost("client-host-" + std::to_string(i)));
   }
   return hosts;
-}
-
-// Runs `n_clients` closed-loop clients, each repeatedly invoking
-// `one_op(client_index, recorder)` until the measurement window closes.
-// `one_op` must record its own completion. Returns the LoadPoint row.
-//
-// The factory is invoked once per client on the *simulation* side; clients
-// self-terminate when Now() passes the window end.
-using ClientLoop =
-    std::function<sim::Task<void>(int client_index, workload::Recorder*)>;
-
-inline workload::LoadPoint RunClosedLoop(sim::Simulator& sim,
-                                         int n_clients,
-                                         const BenchWindows& windows,
-                                         const ClientLoop& loop) {
-  const sim::TimePoint start = sim.Now() + windows.warmup;
-  const sim::TimePoint end = start + windows.measure;
-  auto recorder = std::make_unique<workload::Recorder>(&sim, start, end);
-  sim::TaskTracker tracker;
-  for (int c = 0; c < n_clients; ++c) {
-    sim::Spawn(loop(c, recorder.get()), &tracker);
-  }
-  sim.RunUntil(end + sim::Millis(20));  // drain tail + reclamation traffic
-  sim.Run();
-  PRISM_CHECK_EQ(tracker.live(), 0);
-  return workload::MakeLoadPoint(n_clients, *recorder);
 }
 
 // Fills a point's observability slot once the point has run: the host

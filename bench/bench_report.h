@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -33,12 +34,19 @@
 
 #include "bench/bench_common.h"
 #include "src/common/json.h"
+#include "src/common/logging.h"
 #include "src/harness/sweep.h"
 #include "src/obs/obs.h"
 #include "src/obs/timeline.h"
 #include "src/workload/driver.h"
 
 namespace prism::bench {
+
+// Writes `w` to `path`, failing the run, path named, when it cannot.
+inline void WriteJsonFile(const JsonWriter& w, const std::string& path) {
+  const bool written = w.WriteFile(path);
+  PRISM_CHECK(written) << "cannot write " << path;
+}
 
 class FigureReporter {
  public:
@@ -153,8 +161,9 @@ class FigureReporter {
 
   // Merges this entry into the unified document at `path` (default:
   // results/BENCH_figs.json relative to the working directory). Entries from
-  // other drivers are preserved; the result is sorted by bench name.
-  bool WriteUnified(const std::string& path = "results/BENCH_figs.json") const {
+  // other drivers are preserved; the result is sorted by bench name. A path
+  // that cannot be written fails the run.
+  void WriteUnified(const std::string& path = "results/BENCH_figs.json") const {
     std::map<std::string, std::string> entries;  // bench name -> entry JSON
     if (std::ifstream in(path); in) {
       std::ostringstream text;
@@ -175,7 +184,7 @@ class FigureReporter {
     w.BeginObject().BreakLines();
     for (const auto& [key, json] : entries) w.Raw(key, json);
     w.EndObject();
-    return w.WriteFile(path);
+    WriteJsonFile(w, path);
   }
 
  private:
@@ -242,17 +251,17 @@ class ObsRig {
   }
 
   // Writes the trace JSON and the per-point metrics dump after the sweep.
-  // `cells` labels the metrics entries; returns false on IO failure.
-  bool Finish(const std::string& bench_name,
+  // `cells` labels the metrics entries. A path that cannot be written fails
+  // the run.
+  void Finish(const std::string& bench_name,
               const std::vector<SweepCell>& cells) {
-    bool ok = true;
     if (!opts_.trace_path.empty() && !slots_.empty()) {
-      ok = tracer_.WriteChromeJson(opts_.trace_path, slots_[0].host_names);
-      if (ok) {
-        std::printf("trace: %zu spans -> %s\n",
-                    tracer_.finished_count() + tracer_.open_count(),
-                    opts_.trace_path.c_str());
-      }
+      const bool written =
+          tracer_.WriteChromeJson(opts_.trace_path, slots_[0].host_names);
+      PRISM_CHECK(written) << "cannot write " << opts_.trace_path;
+      std::printf("trace: %zu spans -> %s\n",
+                  tracer_.finished_count() + tracer_.open_count(),
+                  opts_.trace_path.c_str());
     }
     if (opts_.metrics) {
       JsonWriter w;
@@ -291,14 +300,13 @@ class ObsRig {
       w.EndArray();
       w.EndObject();
       const std::string path = "results/METRICS_" + bench_name + ".json";
-      ok = w.WriteFile(path) && ok;
+      WriteJsonFile(w, path);
       std::printf("metrics: %zu points -> %s\n", slots_.size(), path.c_str());
     }
     if (!stores_.empty()) {
-      ok = WriteAttribution(bench_name, cells) && ok;
-      ok = WriteTimeSeries(bench_name, cells) && ok;
+      WriteAttribution(bench_name, cells);
+      WriteTimeSeries(bench_name, cells);
     }
-    return ok;
   }
 
  private:
@@ -306,7 +314,7 @@ class ObsRig {
   // latency digest, exact per-phase time sums, per-phase tail percentiles,
   // and the slowest-K exemplars with their pinned span trees. This is the
   // input tools/latency_report attributes tails from.
-  bool WriteAttribution(const std::string& bench_name,
+  void WriteAttribution(const std::string& bench_name,
                         const std::vector<SweepCell>& cells) const {
     JsonWriter w;
     w.BeginObject();
@@ -383,15 +391,14 @@ class ObsRig {
     w.EndArray();
     w.EndObject();
     const std::string path = "results/ATTRIB_" + bench_name + ".json";
-    const bool ok = w.WriteFile(path);
+    WriteJsonFile(w, path);
     std::printf("attrib: %zu points -> %s\n", stores_.size(), path.c_str());
-    return ok;
   }
 
   // results/TS_<bench>.json: per point, fixed sim-time buckets of arrivals,
   // completions, retransmits, outstanding depth (running arrivals minus
   // completions), and per-phase completion-time sums.
-  bool WriteTimeSeries(const std::string& bench_name,
+  void WriteTimeSeries(const std::string& bench_name,
                        const std::vector<SweepCell>& cells) const {
     JsonWriter w;
     w.BeginObject();
@@ -433,10 +440,9 @@ class ObsRig {
     w.EndArray();
     w.EndObject();
     const std::string path = "results/TS_" + bench_name + ".json";
-    const bool ok = w.WriteFile(path);
+    WriteJsonFile(w, path);
     std::printf("timeseries: %zu points -> %s\n", stores_.size(),
                 path.c_str());
-    return ok;
   }
 
   ObsOptions opts_;
@@ -445,26 +451,36 @@ class ObsRig {
   std::deque<obs::TimelineStore> stores_;  // one per cell when tracing
 };
 
-// Fans the cells out through the sweep runner, records every row (in cell
-// order) plus the sweep's wall-clock into `reporter`, and returns the rows
-// cell-index-ordered. Printing stays with the caller so each figure keeps
-// its own table format.
+// Runs `points` through the sweep runner with `jobs` workers, records the
+// sweep's wall-clock and job count in `reporter`, and returns the rows in
+// point order.
+template <typename R>
+std::vector<R> RunTimedSweep(FigureReporter& reporter,
+                             const std::vector<harness::SweepPoint<R>>& points,
+                             int jobs) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<R> rows = harness::RunSweep(points, harness::SweepOptions{jobs});
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  reporter.SetSweepMetrics(wall, jobs > 0 ? jobs : harness::DefaultJobs());
+  return rows;
+}
+
+// Fans the cells out through RunTimedSweep, records every row (in cell
+// order) into `reporter`, and returns the rows cell-index-ordered. Printing
+// stays with the caller so each figure keeps its own table format.
 inline std::vector<workload::LoadPoint> RunFigureSweep(
     FigureReporter& reporter, const std::vector<SweepCell>& cells,
     int jobs) {
   std::vector<harness::SweepPoint<workload::LoadPoint>> points;
   points.reserve(cells.size());
   for (const SweepCell& c : cells) points.push_back(c.run);
-  const auto t0 = std::chrono::steady_clock::now();
   std::vector<workload::LoadPoint> rows =
-      harness::RunSweep(points, harness::SweepOptions{jobs});
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+      RunTimedSweep(reporter, points, jobs);
   for (size_t i = 0; i < cells.size(); ++i) {
     reporter.AddRow(cells[i].series, rows[i], cells[i].x);
   }
-  reporter.SetSweepMetrics(wall, jobs > 0 ? jobs : harness::DefaultJobs());
   return rows;
 }
 

@@ -35,12 +35,46 @@ struct Tier {
   net::CostModel model;
 };
 
-workload::LoadPoint PointOf(double us, const sim::Simulator& sim) {
-  workload::LoadPoint p;
-  p.clients = 1;
-  p.mean_us = p.p50_us = p.p99_us = p.p999_us = us;
-  p.sim_events = sim.executed_events();
-  return p;
+// Times one `name` op that `client` issues from `client_host`: a root
+// span, an op timeline when the point is traced (born directly in app, no
+// backlog, and armed on the hub so the transport's handoff points stamp
+// it), the op body `op()`, and the op's complexity row. Returns the point's
+// row, its latency in every percentile.
+template <typename Client, typename OpBody>
+workload::LoadPoint MeasureOp(net::Fabric& fabric, net::HostId client_host,
+                              Client& client, const char* name,
+                              obs::PointObs* pobs, const OpBody& op) {
+  sim::Simulator& sim = *fabric.sim();
+  double us = 0;
+  sim::Spawn([&]() -> Task<void> {
+    sim::TimePoint start = sim.Now();
+    const obs::SpanId span =
+        fabric.obs().StartSpan(name, "app", client_host, sim.Now());
+    obs::OpTimeline* tl = nullptr;
+    if (pobs != nullptr && pobs->timelines != nullptr) {
+      obs::TimelineStore* st = pobs->timelines;
+      tl = st->StartOp(st->EnsureClass(name), sim.Now());
+      tl->Switch(obs::Phase::kApp, sim.Now());
+      tl->set_root_span(span);
+      fabric.obs().SetCurrentOp(tl);
+    }
+    co_await op();
+    fabric.obs().FinishSpan(span, sim.Now());
+    if (tl != nullptr) {
+      fabric.obs().SetCurrentOp(nullptr);
+      pobs->timelines->FinishOp(tl, sim.Now());
+    }
+    fabric.obs().ops().Record(name, client.tally());
+    us = ToMicros(sim.Now() - start);
+  });
+  sim.Run();
+  workload::LoadPoint pt;
+  pt.clients = 1;
+  pt.mean_us = pt.p50_us = pt.p99_us = pt.p999_us = us;
+  pt.sim_events = sim.executed_events();
+  pt.ops = fabric.obs().ops().Collect();
+  bench::HarvestPointObs(fabric, pobs);
+  return pt;
 }
 
 workload::LoadPoint MeasureRdma2Reads(const net::CostModel& model,
@@ -57,39 +91,15 @@ workload::LoadPoint MeasureRdma2Reads(const net::CostModel& model,
   rdma::RdmaService service(&fabric, server, rdma::Backend::kHardwareNic,
                             &mem);
   rdma::RdmaClient client(&fabric, client_host);
-  double us = 0;
-  sim::Spawn([&]() -> Task<void> {
-    sim::TimePoint start = sim.Now();
-    const obs::SpanId span =
-        fabric.obs().StartSpan("rdma.2reads", "app", client_host, sim.Now());
-    // Closed-loop phase timeline: born directly in app (no backlog), armed
-    // on the hub so the transport's handoff points stamp it.
-    obs::OpTimeline* op = nullptr;
-    if (pobs != nullptr && pobs->timelines != nullptr) {
-      obs::TimelineStore* st = pobs->timelines;
-      op = st->StartOp(st->EnsureClass("rdma.2reads"), sim.Now());
-      op->Switch(obs::Phase::kApp, sim.Now());
-      op->set_root_span(span);
-      fabric.obs().SetCurrentOp(op);
-    }
-    auto p = co_await client.Read(&service, region.rkey, region.base, 8);
-    PRISM_CHECK(p.ok());
-    auto r = co_await client.Read(&service, region.rkey, LoadU64(p->data()),
-                                  kValue);
-    PRISM_CHECK(r.ok());
-    fabric.obs().FinishSpan(span, sim.Now());
-    if (op != nullptr) {
-      fabric.obs().SetCurrentOp(nullptr);
-      pobs->timelines->FinishOp(op, sim.Now());
-    }
-    fabric.obs().ops().Record("rdma.2reads", client.tally());
-    us = ToMicros(sim.Now() - start);
-  });
-  sim.Run();
-  workload::LoadPoint pt = PointOf(us, sim);
-  pt.ops = fabric.obs().ops().Collect();
-  bench::HarvestPointObs(fabric, pobs);
-  return pt;
+  return MeasureOp(fabric, client_host, client, "rdma.2reads", pobs,
+                   [&]() -> Task<void> {
+                     auto p = co_await client.Read(&service, region.rkey,
+                                                   region.base, 8);
+                     PRISM_CHECK(p.ok());
+                     auto r = co_await client.Read(
+                         &service, region.rkey, LoadU64(p->data()), kValue);
+                     PRISM_CHECK(r.ok());
+                   });
 }
 
 workload::LoadPoint MeasurePrismIndirect(const net::CostModel& model,
@@ -106,36 +116,14 @@ workload::LoadPoint MeasurePrismIndirect(const net::CostModel& model,
   mem.StoreWord(region.base, region.base + 1024);
   mem.Store(region.base + 1024, Bytes(kValue, 1));
   core::PrismClient client(&fabric, client_host);
-  double us = 0;
-  sim::Spawn([&]() -> Task<void> {
-    sim::TimePoint start = sim.Now();
-    const obs::SpanId span = fabric.obs().StartSpan(
-        "prism.indirect_read", "app", client_host, sim.Now());
-    obs::OpTimeline* op = nullptr;
-    if (pobs != nullptr && pobs->timelines != nullptr) {
-      obs::TimelineStore* st = pobs->timelines;
-      op = st->StartOp(st->EnsureClass("prism.indirect_read"), sim.Now());
-      op->Switch(obs::Phase::kApp, sim.Now());
-      op->set_root_span(span);
-      fabric.obs().SetCurrentOp(op);
-    }
-    auto r = co_await client.ExecuteOne(
-        &server, Op::IndirectRead(region.rkey, region.base, kValue));
-    PRISM_CHECK(r.ok());
-    PRISM_CHECK(r->status.ok());
-    fabric.obs().FinishSpan(span, sim.Now());
-    if (op != nullptr) {
-      fabric.obs().SetCurrentOp(nullptr);
-      pobs->timelines->FinishOp(op, sim.Now());
-    }
-    fabric.obs().ops().Record("prism.indirect_read", client.tally());
-    us = ToMicros(sim.Now() - start);
-  });
-  sim.Run();
-  workload::LoadPoint pt = PointOf(us, sim);
-  pt.ops = fabric.obs().ops().Collect();
-  bench::HarvestPointObs(fabric, pobs);
-  return pt;
+  return MeasureOp(fabric, client_host, client, "prism.indirect_read", pobs,
+                   [&]() -> Task<void> {
+                     auto r = co_await client.ExecuteOne(
+                         &server,
+                         Op::IndirectRead(region.rkey, region.base, kValue));
+                     PRISM_CHECK(r.ok());
+                     PRISM_CHECK(r->status.ok());
+                   });
 }
 
 }  // namespace

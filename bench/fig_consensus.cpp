@@ -30,7 +30,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
-#include "bench/open_loop_point.h"
+#include "bench/point.h"
 #include "src/consensus/consensus.h"
 #include "src/harness/sweep.h"
 #include "src/rs/abd_lock.h"
@@ -73,7 +73,7 @@ std::vector<double> FailoverSweepMops() {
 
 workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
                                       obs::PointObs* pobs = nullptr) {
-  OpenLoopPoint point(cfg.windows, pobs);
+  Point point(cfg.windows, pobs);
   sim::Simulator& sim = point.sim();
   net::Fabric& fabric = point.fabric();
   std::vector<net::HostId> hosts;
@@ -147,7 +147,7 @@ workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
 
 workload::LoadPoint RunAbdPoint(const PointCfg& cfg,
                                 obs::PointObs* pobs = nullptr) {
-  OpenLoopPoint point(cfg.windows, pobs);
+  Point point(cfg.windows, pobs);
   net::Fabric* fabric = &point.fabric();
   rs::AbdLockOptions aopts;
   aopts.n_blocks = kConsKeys;
@@ -200,7 +200,7 @@ workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
   // measured window to collect a real distribution per point.
   BenchWindows windows = cfg.windows;
   windows.measure = 3 * windows.measure;
-  OpenLoopPoint point(windows, pobs);
+  Point point(windows, pobs);
   sim::Simulator& sim = point.sim();
   net::Fabric& fabric = point.fabric();
   std::vector<net::HostId> hosts;

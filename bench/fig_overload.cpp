@@ -28,7 +28,7 @@
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
 #include "bench/kv_bench_lib.h"
-#include "bench/open_loop_point.h"
+#include "bench/point.h"
 #include "src/harness/sweep.h"
 #include "src/rdma/batch.h"
 #include "src/workload/arrival.h"
@@ -91,7 +91,7 @@ template <typename Client, typename LoadServer>
 workload::LoadPoint RunOverloadPoint(LoadServer load_server,
                                      const OverloadConfig& cfg,
                                      obs::PointObs* pobs) {
-  OpenLoopPoint point(cfg.windows, pobs);
+  Point point(cfg.windows, pobs);
   sim::Simulator* sim = &point.sim();
   net::Fabric* fabric = &point.fabric();
   auto server = load_server(*fabric);

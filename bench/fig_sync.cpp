@@ -24,7 +24,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
-#include "bench/open_loop_point.h"
+#include "bench/point.h"
 #include "src/harness/sweep.h"
 #include "src/sync/sync.h"
 #include "src/workload/arrival.h"
@@ -64,7 +64,7 @@ std::vector<double> OfferedSweepMops() {
 
 workload::LoadPoint RunSyncPoint(const SyncConfig& cfg,
                                  obs::PointObs* pobs = nullptr) {
-  OpenLoopPoint point(cfg.windows, pobs);
+  Point point(cfg.windows, pobs);
   net::Fabric* fabric = &point.fabric();
   sync::SyncOptions sopts;
   sopts.n_slots = 64;

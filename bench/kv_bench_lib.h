@@ -3,12 +3,10 @@
 #define PRISM_BENCH_KV_BENCH_LIB_H_
 
 #include <memory>
-#include <string>
-#include <type_traits>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
+#include "bench/point.h"
 #include "src/kv/pilaf.h"
 #include "src/kv/prism_kv.h"
 
@@ -55,60 +53,39 @@ inline std::unique_ptr<kv::PilafServer> LoadPilafServer(
 }
 
 // One YCSB-style closed-loop point against the store `load_server(fabric)`
-// builds, driven through `Client`s: PRISM-KV or Pilaf. `pobs`, when given,
-// attaches this point's tracer / collects its metrics snapshot.
+// builds, driven through `Client`s: PRISM-KV or Pilaf. Every op must
+// succeed. `pobs`, when given, attaches this point's tracer / collects its
+// metrics snapshot.
 template <typename Client, typename LoadServer>
 workload::LoadPoint RunKvPoint(LoadServer load_server, int n_clients,
                                double read_frac, const BenchWindows& windows,
                                uint64_t seed, obs::PointObs* pobs) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  Point point(windows, pobs);
+  net::Fabric& fabric = point.fabric();
   auto server = load_server(fabric);
   const uint64_t keys = BenchKeyCount();
-  auto client_hosts = AddClientHosts(fabric);
-  std::vector<std::unique_ptr<Client>> clients;
-  for (int c = 0; c < n_clients; ++c) {
-    clients.push_back(std::make_unique<Client>(
-        &fabric, client_hosts[static_cast<size_t>(c) % client_hosts.size()],
-        server.get()));
-  }
-  Rng master(seed);
-  std::vector<Rng> rngs;
-  for (int c = 0; c < n_clients; ++c) rngs.push_back(master.Fork());
-  auto loop = [&](int c, workload::Recorder* recorder) -> sim::Task<void> {
-    Client* client = clients[static_cast<size_t>(c)].get();
-    const net::HostId host =
-        client_hosts[static_cast<size_t>(c) % client_hosts.size()];
-    Rng* rng = &rngs[static_cast<size_t>(c)];
-    while (sim.Now() < recorder->measure_end()) {
-      const uint64_t key = rng->NextBelow(keys);
-      const bool is_get = rng->NextDouble() < read_frac;
-      const sim::TimePoint op_start = sim.Now();
-      const obs::TransportTally before = client->TransportTally();
-      const obs::SpanId span = fabric.obs().StartSpan(
-          is_get ? "kv.get" : "kv.put", "app", host, sim.Now());
-      if (is_get) {
-        auto r = co_await client->Get(KeyOf(key));
-        PRISM_CHECK(r.ok()) << r.status();
-      } else {
-        Status s = co_await client->Put(KeyOf(key),
-                                        Bytes(kBenchValueSize, 0x22));
-        PRISM_CHECK(s.ok()) << s;
-      }
-      fabric.obs().FinishSpan(span, sim.Now());
-      fabric.obs().ops().Record(is_get ? "kv.get" : "kv.put",
-                                client->TransportTally() - before);
-      recorder->Record(op_start);
-    }
-    if constexpr (std::is_same_v<Client, kv::PrismKvClient>) {
-      client->FlushReclaim();
-    }
+  auto draw = [&](Rng& rng) {
+    const uint64_t key = rng.NextBelow(keys);
+    const bool is_get = rng.NextDouble() < read_frac;
+    return OpDraw{is_get ? "kv.get" : "kv.put", key, !is_get};
   };
-  workload::LoadPoint p = RunClosedLoop(sim, n_clients, windows, loop);
-  p.ops = fabric.obs().ops().Collect();
-  HarvestPointObs(fabric, pobs);
-  return p;
+  auto op = [](Client& client, int, OpDraw d) -> sim::Task<Status> {
+    if (d.write) {
+      Status s =
+          co_await client.Put(KeyOf(d.key), Bytes(kBenchValueSize, 0x22));
+      PRISM_CHECK(s.ok()) << s;
+    } else {
+      auto r = co_await client.Get(KeyOf(d.key));
+      PRISM_CHECK(r.ok()) << r.status();
+    }
+    co_return OkStatus();
+  };
+  return point.RunClients(
+      n_clients, seed,
+      [&](int, net::HostId host) {
+        return std::make_unique<Client>(&fabric, host, server.get());
+      },
+      draw, op);
 }
 
 inline workload::LoadPoint RunPrismKvPoint(int n_clients, double read_frac,

@@ -9,6 +9,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
+#include "bench/point.h"
 #include "src/rs/abd_lock.h"
 #include "src/rs/prism_rs.h"
 
@@ -29,67 +30,41 @@ workload::LoadPoint RunRsPoint(Opts opts, int n_clients, double write_frac,
                                double zipf_theta, const BenchWindows& windows,
                                uint64_t seed, obs::PointObs* pobs) {
   constexpr bool kAbd = std::is_same_v<Client, rs::AbdLockClient>;
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  Point point(windows, pobs);
+  net::Fabric& fabric = point.fabric();
   opts.n_blocks = RsBlockCount();
   opts.block_size = kRsBlockSize;
   Cluster cluster(&fabric, kRsReplicas, opts);
-  auto client_hosts = AddClientHosts(fabric);
-  std::vector<std::unique_ptr<Client>> clients;
-  for (int c = 0; c < n_clients; ++c) {
-    const net::HostId h =
-        client_hosts[static_cast<size_t>(c) % client_hosts.size()];
+  auto make = [&](int c, net::HostId host) {
     const uint16_t id = static_cast<uint16_t>(c + 1);
     if constexpr (kAbd) {
-      clients.push_back(
-          std::make_unique<Client>(&fabric, h, &cluster, id, seed * 31 + 7));
+      return std::make_unique<Client>(&fabric, host, &cluster, id,
+                                      seed * 31 + 7);
     } else {
-      clients.push_back(std::make_unique<Client>(&fabric, h, &cluster, id));
+      return std::make_unique<Client>(&fabric, host, &cluster, id);
     }
-  }
-  Rng master(seed);
-  std::vector<Rng> rngs;
-  for (int c = 0; c < n_clients; ++c) rngs.push_back(master.Fork());
-  workload::KeyChooser chooser(RsBlockCount(), zipf_theta);
-  const char* put_op = kAbd ? "abd.put" : "rs.put";
-  const char* get_op = kAbd ? "abd.get" : "rs.get";
-  auto loop = [&](int c, workload::Recorder* recorder) -> sim::Task<void> {
-    Client* client = clients[static_cast<size_t>(c)].get();
-    const net::HostId host =
-        client_hosts[static_cast<size_t>(c) % client_hosts.size()];
-    Rng* rng = &rngs[static_cast<size_t>(c)];
-    while (sim.Now() < recorder->measure_end()) {
-      const uint64_t block = chooser.Next(*rng);
-      const bool is_put = rng->NextDouble() < write_frac;
-      const sim::TimePoint op_start = sim.Now();
-      const obs::TransportTally before = client->TransportTally();
-      const obs::SpanId span = fabric.obs().StartSpan(
-          is_put ? put_op : get_op, "app", host, sim.Now());
-      Status s;
-      if (is_put) {
-        s = co_await client->Put(
-            block, Bytes(kRsBlockSize, static_cast<uint8_t>(c)));
-      } else {
-        auto r = co_await client->Get(block);
-        s = r.status();
-      }
-      fabric.obs().FinishSpan(span, sim.Now());
-      fabric.obs().ops().Record(is_put ? put_op : get_op,
-                                client->TransportTally() - before);
-      if (!s.ok()) {
-        PRISM_CHECK(kAbd) << s;
-        recorder->RecordAbort();  // lock-acquisition exhaustion
-        continue;
-      }
-      recorder->Record(op_start);
-    }
-    if constexpr (!kAbd) client->FlushReclaim();
   };
-  workload::LoadPoint p = RunClosedLoop(sim, n_clients, windows, loop);
-  p.ops = fabric.obs().ops().Collect();
-  HarvestPointObs(fabric, pobs);
-  return p;
+  workload::KeyChooser chooser(RsBlockCount(), zipf_theta);
+  auto draw = [&](Rng& rng) {
+    const uint64_t block = chooser.Next(rng);
+    const bool is_put = rng.NextDouble() < write_frac;
+    const char* put_op = kAbd ? "abd.put" : "rs.put";
+    const char* get_op = kAbd ? "abd.get" : "rs.get";
+    return OpDraw{is_put ? put_op : get_op, block, is_put};
+  };
+  auto op = [](Client& client, int c, OpDraw d) -> sim::Task<Status> {
+    Status s;
+    if (d.write) {
+      s = co_await client.Put(d.key,
+                              Bytes(kRsBlockSize, static_cast<uint8_t>(c)));
+    } else {
+      auto r = co_await client.Get(d.key);
+      s = r.status();
+    }
+    PRISM_CHECK(kAbd || s.ok()) << s;  // ABD-LOCK: lock exhaustion
+    co_return s;
+  };
+  return point.RunClients(n_clients, seed, make, draw, op);
 }
 
 inline workload::LoadPoint RunPrismRsPoint(int n_clients, double write_frac,

@@ -8,12 +8,12 @@
 
 #include <cstdio>
 #include <memory>
-#include <string>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
+#include "bench/point.h"
 #include "src/tx/farm.h"
 #include "src/tx/prism_tx.h"
 
@@ -30,62 +30,33 @@ template <typename Cluster, typename Client, typename Opts>
 workload::LoadPoint RunTxPoint(Opts opts, int n_clients, double zipf_theta,
                                const BenchWindows& windows, uint64_t seed,
                                obs::PointObs* pobs) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  Point point(windows, pobs);
+  net::Fabric& fabric = point.fabric();
   opts.keys_per_shard = TxKeyCount();
   opts.value_size = kTxValueSize;
   Cluster cluster(&fabric, /*n_shards=*/1, opts);
   for (uint64_t k = 0; k < TxKeyCount(); ++k) {
     PRISM_CHECK(cluster.LoadKey(k, Bytes(kTxValueSize, 0x11)).ok());
   }
-  auto client_hosts = AddClientHosts(fabric);
-  std::vector<std::unique_ptr<Client>> clients;
-  for (int c = 0; c < n_clients; ++c) {
-    clients.push_back(std::make_unique<Client>(
-        &fabric, client_hosts[static_cast<size_t>(c) % client_hosts.size()],
-        &cluster, static_cast<uint16_t>(c + 1)));
-  }
-  Rng master(seed);
-  std::vector<Rng> rngs;
-  for (int c = 0; c < n_clients; ++c) rngs.push_back(master.Fork());
   workload::KeyChooser chooser(TxKeyCount(), zipf_theta);
-  auto loop = [&](int c, workload::Recorder* recorder) -> sim::Task<void> {
-    Client* client = clients[static_cast<size_t>(c)].get();
-    const net::HostId host =
-        client_hosts[static_cast<size_t>(c) % client_hosts.size()];
-    Rng* rng = &rngs[static_cast<size_t>(c)];
-    while (sim.Now() < recorder->measure_end()) {
-      const uint64_t key = chooser.Next(*rng);
-      const sim::TimePoint op_start = sim.Now();
-      const obs::TransportTally before = client->TransportTally();
-      const obs::SpanId span =
-          fabric.obs().StartSpan("tx.rmw", "app", host, sim.Now());
-      tx::Transaction txn = client->Begin();
-      auto v = co_await client->Read(txn, key);
-      Status s = v.status();
-      if (v.ok()) {
-        Bytes updated = std::move(*v);
-        updated[0] = static_cast<uint8_t>(updated[0] + 1);
-        client->Write(txn, key, std::move(updated));
-        s = co_await client->Commit(txn);
-      }
-      fabric.obs().FinishSpan(span, sim.Now());
-      fabric.obs().ops().Record("tx.rmw", client->TransportTally() - before);
-      if (s.ok()) {
-        recorder->Record(op_start);
-      } else {
-        recorder->RecordAbort();
-      }
-    }
-    if constexpr (std::is_same_v<Client, tx::PrismTxClient>) {
-      client->FlushReclaim();
-    }
+  auto draw = [&](Rng& rng) { return OpDraw{"tx.rmw", chooser.Next(rng)}; };
+  auto op = [](Client& client, int, OpDraw d) -> sim::Task<Status> {
+    tx::Transaction txn = client.Begin();
+    auto v = co_await client.Read(txn, d.key);
+    if (!v.ok()) co_return v.status();
+    Bytes updated = std::move(*v);
+    updated[0] = static_cast<uint8_t>(updated[0] + 1);
+    client.Write(txn, d.key, std::move(updated));
+    Status s = co_await client.Commit(txn);
+    co_return s;
   };
-  workload::LoadPoint p = RunClosedLoop(sim, n_clients, windows, loop);
-  p.ops = fabric.obs().ops().Collect();
-  HarvestPointObs(fabric, pobs);
-  return p;
+  return point.RunClients(
+      n_clients, seed,
+      [&](int c, net::HostId host) {
+        return std::make_unique<Client>(&fabric, host, &cluster,
+                                        static_cast<uint16_t>(c + 1));
+      },
+      draw, op);
 }
 
 inline workload::LoadPoint RunPrismTxPoint(int n_clients, double zipf_theta,

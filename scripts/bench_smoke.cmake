@@ -87,6 +87,22 @@ check_artifact(ATTRIB_${figs_key}.json ${figs_key})
 check_artifact(TS_${figs_key}.json ${figs_key})
 check_artifact(BENCH_figs.json ${figs_key} "fast_mode=true jobs=2 ")
 
+# An artifact that cannot be written fails the run: a --trace path under a
+# regular file must give a non-zero exit that names the path.
+set(bad_trace results/trace_smoke.json/trace.json)
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env PRISM_BENCH_FAST=1 ${FIGS_BIN} --jobs=2
+          --trace=${bad_trace}
+  WORKING_DIRECTORY ${WORK_DIR}
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE err
+)
+if(rc EQUAL 0 OR NOT err MATCHES "cannot write ${bad_trace}")
+  message(FATAL_ERROR "${figs_key} --trace=${bad_trace} exited with ${rc}; "
+          "expected a failure naming the path:\n${err}")
+endif()
+
 if(NOT OVERLOAD_BIN)
   return()
 endif()
