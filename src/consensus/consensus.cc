@@ -211,7 +211,6 @@ struct ConsensusNode::Elect {
   uint64_t target_epoch = 0;
   uint64_t from_seq = 0;  // colocated replica's commit word
   bool gathering = true;
-  std::shared_ptr<sim::Quorum> q;  // null when no remote grant is awaited
   std::vector<bool> granted;
   std::vector<rdma::RKey> rkeys;
   // Highest-epoch entry per slot across the grant quorum (the Paxos read
@@ -237,47 +236,43 @@ void ConsensusNode::Adopt(Elect& st, int r, const GrantResponse& resp) {
   }
 }
 
-sim::Task<void> ConsensusNode::AskGrant(std::shared_ptr<Elect> st, int r) {
+sim::Task<bool> ConsensusNode::AskGrant(Elect& st, int r) {
   GrantRequest req;
-  req.epoch = st->target_epoch;
+  req.epoch = st.target_epoch;
   req.candidate = static_cast<uint32_t>(id_);
-  req.from_seq = st->from_seq;
-  bool ok = false;
+  req.from_seq = st.from_seq;
   while (true) {
-    Arm(st->op);
+    Arm(st.op);
     auto m = co_await rpc_.Call(&cluster_->replica(r).rpc(),
                                 kRevokeGrantMethod,
                                 rpc::Message::Of<GrantRequest>(req,
                                                                kGrantReqBytes));
-    if (!m.ok()) break;
+    if (!m.ok()) co_return false;
     const GrantResponse& resp = (*m)->As<GrantResponse>();
     if (!resp.granted) {
-      st->reject_epoch = std::max(st->reject_epoch, resp.epoch);
-      break;
+      st.reject_epoch = std::max(st.reject_epoch, resp.epoch);
+      co_return false;
     }
-    if (!st->gathering) {
+    if (!st.gathering) {
       // The quorum closed without us. The replica still revoked the old
       // reign when it granted, so bring it into the membership through the
       // same replay path a background re-grant would use.
-      if (leading_ && epoch_ == st->target_epoch &&
+      if (leading_ && epoch_ == st.target_epoch &&
           !granted_[static_cast<size_t>(r)]) {
         co_await HealReplica(r, static_cast<rdma::RKey>(resp.rkey),
-                             resp.commit_seq, resp.write_seq, st->op);
+                             resp.commit_seq, resp.write_seq, st.op);
       }
-      break;
+      co_return false;
     }
-    Adopt(*st, r, resp);
-    ok = true;
+    Adopt(st, r, resp);
     // Page through a long tail (idempotent same-epoch re-asks).
     if (resp.n_entries == kMaxCatchupEntries &&
         resp.entries[resp.n_entries - 1].seq < resp.write_seq) {
       req.from_seq = resp.entries[resp.n_entries - 1].seq;
-      ok = false;
       continue;
     }
-    break;
+    co_return true;
   }
-  if (st->q != nullptr) st->q->Arrive(ok);
 }
 
 sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::OpTimeline* op) {
@@ -295,17 +290,22 @@ sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::OpTimeline* op) {
     const ConsensusReplica& local = cluster_->replica(id_);
     uint64_t base = std::max(last_seen_epoch_, local.epoch());
     base = std::max(base, epoch_);
-    auto st = std::make_shared<Elect>();
-    st->target_epoch = base + 1;
-    st->op = op;
-    st->granted.assign(static_cast<size_t>(cluster_->n()), false);
-    st->rkeys.assign(static_cast<size_t>(cluster_->n()), 0);
+    const int need = cluster_->options().require_revoke_quorum
+                         ? cluster_->quorum()
+                         : 1;
+    const int need_remote = need - 1;
+    sim::FanOut<Elect> grants(fabric_->sim(), need_remote, cluster_->n() - 1);
+    Elect& st = grants.state();
+    st.target_epoch = base + 1;
+    st.op = op;
+    st.granted.assign(static_cast<size_t>(cluster_->n()), false);
+    st.rkeys.assign(static_cast<size_t>(cluster_->n()), 0);
 
     // Colocated replica first: its grant is synchronous and its log is the
     // free bulk of catch-up (the leader writes every entry locally, so only
     // the in-flight window above its commit word needs remote comparison).
     GrantRequest lreq;
-    lreq.epoch = st->target_epoch;
+    lreq.epoch = st.target_epoch;
     lreq.candidate = static_cast<uint32_t>(id_);
     lreq.from_seq = ~uint64_t{0};  // tail info only; log read directly below
     GrantResponse lresp = cluster_->replica(id_).Grant(lreq);
@@ -314,34 +314,22 @@ sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::OpTimeline* op) {
       last = Aborted("colocated replica rejected the grant");
       continue;
     }
-    st->granted[static_cast<size_t>(id_)] = true;
-    st->rkeys[static_cast<size_t>(id_)] = static_cast<rdma::RKey>(lresp.rkey);
-    st->from_seq = lresp.commit_seq;
-    st->max_commit = lresp.commit_seq;
-    st->max_write = lresp.write_seq;
+    st.granted[static_cast<size_t>(id_)] = true;
+    st.rkeys[static_cast<size_t>(id_)] = static_cast<rdma::RKey>(lresp.rkey);
+    st.from_seq = lresp.commit_seq;
+    st.max_commit = lresp.commit_seq;
+    st.max_write = lresp.write_seq;
 
-    const int need = cluster_->options().require_revoke_quorum
-                         ? cluster_->quorum()
-                         : 1;
-    const int need_remote = need - 1;
-    const int n_remote = cluster_->n() - 1;
-    if (need_remote > 0) {
-      st->q = std::make_shared<sim::Quorum>(fabric_->sim(), need_remote,
-                                            n_remote);
-    }
     for (int r = 0; r < cluster_->n(); ++r) {
       if (r == id_) continue;
-      sim::Spawn(AskGrant(st, r), &cluster_->tracker());
+      grants.Spawn(AskGrant(st, r), &cluster_->tracker());
     }
-    bool won = true;
-    if (st->q != nullptr) {
-      Arm(op);
-      won = co_await st->q->Wait();
-    }
-    st->gathering = false;
+    Arm(op);
+    const bool won = co_await grants.Wait();  // need 0: decided at once
+    st.gathering = false;
     if (!won) {
       elections_lost_++;
-      last_seen_epoch_ = std::max(last_seen_epoch_, st->reject_epoch);
+      last_seen_epoch_ = std::max(last_seen_epoch_, st.reject_epoch);
       last = Aborted("revoke quorum not reached");
       continue;
     }
@@ -350,7 +338,7 @@ sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::OpTimeline* op) {
       elections_won_++;
       cluster_->set_leader_hint(id_);
       mu_.Unlock();
-      co_return st->target_epoch;
+      co_return st.target_epoch;
     }
     elections_lost_++;
     last = done;
@@ -375,26 +363,26 @@ Status ConsensusNode::BuildView(Elect& st,
   return OkStatus();
 }
 
-sim::Task<Status> ConsensusNode::FinishElection(std::shared_ptr<Elect> st,
+sim::Task<Status> ConsensusNode::FinishElection(Elect& st,
                                                 obs::OpTimeline* op) {
   // Merge the colocated log with the grant-quorum pool: highest epoch per
   // slot wins.
   std::map<uint64_t, LogEntryWire> view;
-  BuildView(*st, &view);
+  BuildView(st, &view);
   const uint64_t tip =
-      std::max(st->max_write,
+      std::max(st.max_write,
                view.empty() ? 0 : view.rbegin()->first);
 
   // A committed slot missing everywhere we looked lives on some granted
   // replica past the catch-up window or under a local hole — fetch it
   // point-wise. Commit quorums intersect grant quorums, so in the correct
   // protocol this always finds the committed copy.
-  for (uint64_t s = 1; s <= st->max_commit; ++s) {
+  for (uint64_t s = 1; s <= st.max_commit; ++s) {
     if (view.count(s) != 0) continue;
     for (int r = 0; r < cluster_->n(); ++r) {
-      if (r == id_ || !st->granted[static_cast<size_t>(r)]) continue;
+      if (r == id_ || !st.granted[static_cast<size_t>(r)]) continue;
       GrantRequest req;
-      req.epoch = st->target_epoch;
+      req.epoch = st.target_epoch;
       req.candidate = static_cast<uint32_t>(id_);
       req.from_seq = s - 1;
       Arm(op);
@@ -422,12 +410,12 @@ sim::Task<Status> ConsensusNode::FinishElection(std::shared_ptr<Elect> st,
                        : std::min<int>(cluster_->quorum(),
                                        [&] {
                                          int g = 0;
-                                         for (bool b : st->granted) g += b;
+                                         for (bool b : st.granted) g += b;
                                          return g;
                                        }());
   for (auto& [seq, e] : view) {
-    if (seq <= st->from_seq) continue;
-    e.hdr = PackHdr(st->target_epoch, seq);
+    if (seq <= st.from_seq) continue;
+    e.hdr = PackHdr(st.target_epoch, seq);
     Bytes value(kValueSize);
     StoreU64(value.data(), e.v_lo);
     StoreU64(value.data() + 8, e.v_hi);
@@ -435,10 +423,10 @@ sim::Task<Status> ConsensusNode::FinishElection(std::shared_ptr<Elect> st,
     entries_adopted_++;
     int successes = 1;  // the colocated write above
     for (int r = 0; r < cluster_->n(); ++r) {
-      if (r == id_ || !st->granted[static_cast<size_t>(r)]) continue;
+      if (r == id_ || !st.granted[static_cast<size_t>(r)]) continue;
       Arm(op);
       const bool ok = co_await RepairOne(
-          r, st->rkeys[static_cast<size_t>(r)], e, st->from_seq, op);
+          r, st.rkeys[static_cast<size_t>(r)], e, st.from_seq, op);
       if (ok) successes++;
     }
     if (successes < need) {
@@ -447,11 +435,11 @@ sim::Task<Status> ConsensusNode::FinishElection(std::shared_ptr<Elect> st,
   }
 
   // Install the new reign.
-  epoch_ = st->target_epoch;
-  last_seen_epoch_ = st->target_epoch;
+  epoch_ = st.target_epoch;
+  last_seen_epoch_ = st.target_epoch;
   leading_ = true;
-  granted_ = st->granted;
-  rkeys_ = st->rkeys;
+  granted_ = st.granted;
+  rkeys_ = st.rkeys;
   next_seq_ = tip + 1;
   committed_seq_ = tip;
   cluster_->replica(id_).SetCommit(committed_seq_);
@@ -529,7 +517,7 @@ sim::Task<ConsensusNode::PutOutcome> ConsensusNode::SubmitPut(
   const uint64_t prev_commit = committed_seq_;
   // Colocated leg: free — the leader IS one replica. Snapshot the appended
   // entry now, before any await: a usurper's heal may wipe this slot while
-  // the quorum wait is in flight (and `value` moves into the chain payload).
+  // the quorum wait is in flight (and `value` moves into the commit round).
   cluster_->replica(id_).LocalAppend(seq, hdr, key, value);
   LogEntryWire self;
   PRISM_CHECK(cluster_->replica(id_).EntryAt(seq, &self));
@@ -541,15 +529,17 @@ sim::Task<ConsensusNode::PutOutcome> ConsensusNode::SubmitPut(
   const int need_remote = CommitNeed() - 1;
   bool committed = true;
   if (need_remote > 0) {
-    auto q = std::make_shared<sim::Quorum>(fabric_->sim(), need_remote,
-                                           static_cast<int>(targets.size()));
-    auto val = std::make_shared<Bytes>(std::move(value));
+    // The round's state is the value every chain copies before it suspends.
+    sim::FanOut<Bytes> appends(fabric_->sim(), need_remote,
+                               static_cast<int>(targets.size()));
+    appends.state() = std::move(value);
     for (int r : targets) {
-      sim::Spawn(AppendChain(pc, r, seq, hdr, key, prev_commit, val, q, op),
-                 &cluster_->tracker());
+      appends.Spawn(AppendChain(pc, r, seq, hdr, key, prev_commit,
+                                appends.state(), op),
+                    &cluster_->tracker());
     }
     Arm(op);
-    committed = co_await q->Wait();
+    committed = co_await appends.Wait();
   }
   if (committed) {
     committed_seq_ = std::max(committed_seq_, seq);
@@ -574,18 +564,17 @@ sim::Task<ConsensusNode::PutOutcome> ConsensusNode::SubmitPut(
   co_return out;
 }
 
-sim::Task<void> ConsensusNode::AppendChain(core::PrismClient* pc, int r,
+sim::Task<bool> ConsensusNode::AppendChain(core::PrismClient* pc, int r,
                                            uint64_t seq, uint64_t hdr,
                                            uint64_t key, uint64_t prev_commit,
-                                           std::shared_ptr<Bytes> value,
-                                           std::shared_ptr<sim::Quorum> q,
+                                           const Bytes& value,
                                            obs::OpTimeline* op) {
   Arm(op);
   const rdma::RKey rkey = rkeys_[static_cast<size_t>(r)];
   const rdma::Addr slot = cluster_->replica(r).slot_addr(seq);
   Bytes payload(8 + kValueSize);
   StoreU64(payload.data(), key);
-  std::copy(value->begin(), value->end(), payload.begin() + 8);
+  std::copy(value.begin(), value.end(), payload.begin() + 8);
   core::Chain chain;
   // Locate (client-computed slot address) + compare (slot must be empty) +
   // write (payload, then the piggybacked commit index) — one round trip.
@@ -598,19 +587,15 @@ sim::Task<void> ConsensusNode::AppendChain(core::PrismClient* pc, int r,
                             Word(prev_commit))
                       .Conditional());
   auto res = co_await pc->Execute(&cluster_->replica(r).prism(), chain);
-  if (!res.ok()) {
-    q->Arrive(false);
-    co_return;
-  }
+  if (!res.ok()) co_return false;
   for (const core::OpResult& o : *res) {
     if (o.status.code() == Code::kPermissionDenied) {
       // The replica revoked our rkey: we have been deposed.
       MarkDeposed(r);
-      q->Arrive(false);
-      co_return;
+      co_return false;
     }
   }
-  q->Arrive(core::ChainFullySucceeded(chain, *res));
+  co_return core::ChainFullySucceeded(chain, *res);
 }
 
 sim::Task<Result<Bytes>> ConsensusNode::SubmitGet(core::PrismClient* pc,
@@ -635,13 +620,13 @@ sim::Task<Result<Bytes>> ConsensusNode::SubmitGet(core::PrismClient* pc,
   }
   const int need_remote = CommitNeed() - 1;
   if (need_remote > 0) {
-    auto q = std::make_shared<sim::Quorum>(fabric_->sim(), need_remote,
-                                           static_cast<int>(targets.size()));
+    sim::FanOut<> confirms(fabric_->sim(), need_remote,
+                           static_cast<int>(targets.size()));
     for (int r : targets) {
-      sim::Spawn(ConfirmChain(pc, r, q, op), &cluster_->tracker());
+      confirms.Spawn(ConfirmChain(pc, r, op), &cluster_->tracker());
     }
     Arm(op);
-    const bool confirmed = co_await q->Wait();
+    const bool confirmed = co_await confirms.Wait();
     if (!confirmed) {
       leading_ = false;
       mu_.Unlock();
@@ -660,8 +645,7 @@ sim::Task<Result<Bytes>> ConsensusNode::SubmitGet(core::PrismClient* pc,
   co_return v;
 }
 
-sim::Task<void> ConsensusNode::ConfirmChain(core::PrismClient* pc, int r,
-                                            std::shared_ptr<sim::Quorum> q,
+sim::Task<bool> ConsensusNode::ConfirmChain(core::PrismClient* pc, int r,
                                             obs::OpTimeline* op) {
   // Permission check by construction: write our heartbeat word under the
   // granted rkey. A replica that revoked us NACKs — that IS the failure
@@ -673,16 +657,12 @@ sim::Task<void> ConsensusNode::ConfirmChain(core::PrismClient* pc, int r,
                             cluster_->replica(r).ctrl_addr() + kHeartbeatOff,
                             Word(epoch_)));
   auto res = co_await pc->Execute(&cluster_->replica(r).prism(), chain);
-  if (!res.ok()) {
-    q->Arrive(false);
-    co_return;
-  }
+  if (!res.ok()) co_return false;
   if ((*res)[0].status.code() == Code::kPermissionDenied) {
     MarkDeposed(r);
-    q->Arrive(false);
-    co_return;
+    co_return false;
   }
-  q->Arrive(core::ChainFullySucceeded(chain, *res));
+  co_return core::ChainFullySucceeded(chain, *res);
 }
 
 // ---- healing ----

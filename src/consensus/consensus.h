@@ -264,14 +264,11 @@ class ConsensusNode {
                                      obs::OpTimeline* op);
 
   // One commit chain to remote replica r: CAS slot hdr 0→⟨epoch,seq⟩, then
-  // conditional payload + piggybacked commit-index writes. Arrives on `q`.
-  sim::Task<void> AppendChain(core::PrismClient* pc, int r, uint64_t seq,
+  // conditional payload + piggybacked commit-index writes; true on success.
+  sim::Task<bool> AppendChain(core::PrismClient* pc, int r, uint64_t seq,
                               uint64_t hdr, uint64_t key, uint64_t prev_commit,
-                              std::shared_ptr<Bytes> value,
-                              std::shared_ptr<sim::Quorum> q,
-                              obs::OpTimeline* op);
-  sim::Task<void> ConfirmChain(core::PrismClient* pc, int r,
-                               std::shared_ptr<sim::Quorum> q,
+                              const Bytes& value, obs::OpTimeline* op);
+  sim::Task<bool> ConfirmChain(core::PrismClient* pc, int r,
                                obs::OpTimeline* op);
 
   // Unconditional repair write (exclusive permission): used for adopted
@@ -292,13 +289,12 @@ class ConsensusNode {
 
   // Ingests one grant into the election scratch state.
   struct Elect;
-  sim::Task<void> AskGrant(std::shared_ptr<Elect> st, int r);
+  sim::Task<bool> AskGrant(Elect& st, int r);
   void Adopt(Elect& st, int r, const GrantResponse& resp);
   Status BuildView(Elect& st, std::map<uint64_t, LogEntryWire>* view);
   // Catch-up (point-fetch of committed holes), adopted-suffix re-commit
   // under the new epoch, and reign installation.
-  sim::Task<Status> FinishElection(std::shared_ptr<Elect> st,
-                                   obs::OpTimeline* op);
+  sim::Task<Status> FinishElection(Elect& st, obs::OpTimeline* op);
 
   net::Fabric* fabric_;
   ConsensusCluster* cluster_;

@@ -409,6 +409,7 @@ class Fabric {
     out.AddCounterValue("sim", "heap_callables", "", st.heap_callables);
     out.AddCounterValue("sim", "pool_blocks", "", st.pool_blocks);
     out.AddCounterValue("sim", "cancelled_timers", "", st.cancelled_timers);
+    out.AddCounterValue("sim", "fanout_stragglers", "", st.fanout_stragglers);
   }
 
   sim::Simulator* sim_;

@@ -50,34 +50,34 @@ sim::Task<Status> AbdLockClient::AcquireLocks(uint64_t block,
     // waits for ALL responses (they are parallel, so latency is one round
     // trip): proceeding on the first f+1 would leak locks that complete
     // late, wedging the block for everyone else.
-    auto all = std::make_shared<sim::Quorum>(fabric_->sim(),
-                                             cluster_->n(), cluster_->n());
-    auto won = std::make_shared<std::vector<bool>>(
-        static_cast<size_t>(cluster_->n()), false);
+    sim::FanOut<std::vector<bool>> all(fabric_->sim(), cluster_->n(),
+                                       cluster_->n());
+    std::vector<bool>& won = all.state();
+    won.assign(static_cast<size_t>(cluster_->n()), false);
     for (int i = 0; i < cluster_->n(); ++i) {
       AbdLockReplica* replica = &cluster_->replica(i);
-      sim::Spawn([this, replica, block, i, all, won]() -> sim::Task<void> {
+      all.Spawn([this, replica, block,
+                 i](std::vector<bool>& acquired) -> sim::Task<bool> {
         auto old = co_await rdma_.CompareSwap(
             &replica->rdma(), replica->rkey(), replica->lock_addr(block), 0,
             client_id_);
         round_trips_++;
-        bool acquired = old.ok() && *old == 0;
-        if (acquired) (*won)[static_cast<size_t>(i)] = true;
-        all->Arrive(true);  // count arrivals; success tallied via `won`
+        if (old.ok() && *old == 0) acquired[static_cast<size_t>(i)] = true;
+        co_return true;  // every reply arrives; the state tallies the locks
       });
     }
-    co_await all->Wait();
+    co_await all.Wait();
     fabric_->obs().SetCurrentOp(op);
     int held = 0;
-    for (bool b : *won) held += b ? 1 : 0;
+    for (bool b : won) held += b ? 1 : 0;
     if (held >= cluster_->quorum()) {
-      *locked = *won;
+      *locked = won;
       co_return OkStatus();
     }
     // Failed: release whatever we grabbed, back off, retry (§7.2 notes the
     // livelock risk this backoff mitigates).
     lock_conflicts_++;
-    co_await ReleaseLocks(block, *won);
+    co_await ReleaseLocks(block, won);
     sim::Duration backoff = std::min<sim::Duration>(
         opts.backoff_cap,
         opts.backoff_base << std::min(attempt, 7));
@@ -93,22 +93,20 @@ sim::Task<void> AbdLockClient::ReleaseLocks(uint64_t block,
                                             const std::vector<bool>& locked) {
   int pending = 0;
   for (bool b : locked) pending += b ? 1 : 0;
-  if (pending == 0) co_return;
   obs::OpTimeline* const op = fabric_->obs().current_op();
-  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(), pending,
-                                              pending);
+  sim::FanOut<> releases(fabric_->sim(), pending, pending);
   for (int i = 0; i < cluster_->n(); ++i) {
     if (!locked[static_cast<size_t>(i)]) continue;
     AbdLockReplica* replica = &cluster_->replica(i);
-    sim::Spawn([this, replica, block, quorum]() -> sim::Task<void> {
+    releases.Spawn([this, replica, block]() -> sim::Task<bool> {
       auto old = co_await rdma_.CompareSwap(&replica->rdma(), replica->rkey(),
                                             replica->lock_addr(block),
                                             client_id_, 0);
       round_trips_++;
-      quorum->Arrive(old.ok());
+      co_return old.ok();
     });
   }
-  co_await quorum->Wait();
+  co_await releases.Wait();
   fabric_->obs().SetCurrentOp(op);
 }
 
@@ -118,43 +116,38 @@ sim::Task<Result<std::pair<Tag, Bytes>>> AbdLockClient::ReadLocked(
   obs::OpTimeline* const op = fabric_->obs().current_op();
   int holders = 0;
   for (bool b : locked) holders += b ? 1 : 0;
-  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
-                                              cluster_->quorum(), holders);
   struct Shared {
     Tag max_tag;
     Bytes max_value;
     bool any = false;
   };
-  auto shared = std::make_shared<Shared>();
+  sim::FanOut<Shared> reads(fabric_->sim(), cluster_->quorum(), holders);
   for (int i = 0; i < cluster_->n(); ++i) {
     if (!locked[static_cast<size_t>(i)]) continue;
     AbdLockReplica* replica = &cluster_->replica(i);
-    sim::Spawn([this, replica, block, read_len, quorum,
-                shared]() -> sim::Task<void> {
+    reads.Spawn([this, replica, block,
+                 read_len](Shared& shared) -> sim::Task<bool> {
       auto r = co_await rdma_.Read(&replica->rdma(), replica->rkey(),
                                    replica->tag_addr(block), read_len);
       round_trips_++;
-      if (!r.ok()) {
-        quorum->Arrive(false);
-        co_return;
-      }
+      if (!r.ok()) co_return false;
       Tag tag = Tag::FromPacked(LoadU64(r->data()));
-      if (!shared->any || shared->max_tag < tag) {
-        shared->any = true;
-        shared->max_tag = tag;
-        shared->max_value.assign(r->begin() + 8, r->end());
+      if (!shared.any || shared.max_tag < tag) {
+        shared.any = true;
+        shared.max_tag = tag;
+        shared.max_value.assign(r->begin() + 8, r->end());
       }
-      quorum->Arrive(true);
+      co_return true;
     });
   }
-  bool reached = co_await quorum->Wait();
+  const bool reached = co_await reads.Wait();
   fabric_->obs().SetCurrentOp(op);
   if (!reached) {
     Result<std::pair<Tag, Bytes>> err = Unavailable("read: lost quorum");
     co_return err;
   }
-  Result<std::pair<Tag, Bytes>> out =
-      std::make_pair(shared->max_tag, std::move(shared->max_value));
+  Result<std::pair<Tag, Bytes>> out = std::make_pair(
+      reads.state().max_tag, std::move(reads.state().max_value));
   co_return out;
 }
 
@@ -164,25 +157,24 @@ sim::Task<Status> AbdLockClient::WriteLocked(
   obs::OpTimeline* const op = fabric_->obs().current_op();
   int holders = 0;
   for (bool b : locked) holders += b ? 1 : 0;
-  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
-                                              cluster_->quorum(), holders);
-  auto payload = std::make_shared<Bytes>();
+  sim::FanOut<Bytes> writes(fabric_->sim(), cluster_->quorum(), holders);
+  Bytes& buffer = writes.state();  // [tag | value]
   Bytes tag_bytes = BytesOfU64(tag.Packed());
-  payload->insert(payload->end(), tag_bytes.begin(), tag_bytes.end());
-  payload->insert(payload->end(), value->begin(), value->end());
+  buffer.insert(buffer.end(), tag_bytes.begin(), tag_bytes.end());
+  buffer.insert(buffer.end(), value->begin(), value->end());
   for (int i = 0; i < cluster_->n(); ++i) {
     if (!locked[static_cast<size_t>(i)]) continue;
     AbdLockReplica* replica = &cluster_->replica(i);
-    sim::Spawn([this, replica, block, payload, quorum]() -> sim::Task<void> {
+    writes.Spawn([this, replica, block](Bytes& payload) -> sim::Task<bool> {
       // Holding the lock, the in-place write is safe. (ABD's tag check is
       // subsumed: only one writer can hold a majority at a time.)
       Status w = co_await rdma_.Write(&replica->rdma(), replica->rkey(),
-                                      replica->tag_addr(block), *payload);
+                                      replica->tag_addr(block), payload);
       round_trips_++;
-      quorum->Arrive(w.ok());
+      co_return w.ok();
     });
   }
-  bool reached = co_await quorum->Wait();
+  const bool reached = co_await writes.Wait();
   fabric_->obs().SetCurrentOp(op);
   if (!reached) co_return Unavailable("write: lost quorum");
   co_return OkStatus();

@@ -96,9 +96,6 @@ sim::Task<PrismRsClient::ReadPhaseResult> PrismRsClient::ReadPhase(
   // The quorum wait suspends: re-arm the timed-op register after it, so
   // the next phase attributes to this op (DESIGN.md §5.9).
   obs::OpTimeline* const op = fabric_->obs().current_op();
-  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
-                                              cluster_->quorum(),
-                                              cluster_->n());
   struct Shared {
     Tag max_tag;
     Bytes max_value;
@@ -106,51 +103,50 @@ sim::Task<PrismRsClient::ReadPhaseResult> PrismRsClient::ReadPhase(
     int replies = 0;
     int with_max_tag = 0;
   };
-  auto shared = std::make_shared<Shared>();
+  sim::FanOut<Shared> reads(fabric_->sim(), cluster_->quorum(),
+                            cluster_->n());
   for (int i = 0; i < cluster_->n(); ++i) {
     PrismRsReplica* replica = &cluster_->replica(i);
     // One indirect READ per replica: dereference the addr field of the
     // metadata element and return the [tag|value] buffer atomically. In
     // variable mode the pointer is a ⟨ptr,bound⟩ pair, so the READ is
     // bounded and returns exactly the stored length (§7.3 extension).
-    sim::Spawn([this, replica, block, read_len, quorum, shared,
-                variable]() -> sim::Task<void> {
+    reads.Spawn([this, replica, block, read_len,
+                 variable](Shared& shared) -> sim::Task<bool> {
       Op read = Op::IndirectRead(replica->rkey(),
                                  replica->meta_addr(block) + 8, read_len,
                                  /*bounded=*/variable);
       auto r = co_await prism_.ExecuteOne(&replica->prism(), std::move(read));
       round_trips_++;
-      if (!r.ok() || !r->status.ok() || r->data.size() < 8) {
-        quorum->Arrive(false);
-        co_return;
-      }
+      if (!r.ok() || !r->status.ok() || r->data.size() < 8) co_return false;
       Tag tag = Tag::FromPacked(LoadU64(r->data.data()));
-      shared->replies++;
-      if (!shared->any || shared->max_tag < tag) {
-        shared->any = true;
-        shared->max_tag = tag;
-        shared->max_value.assign(r->data.begin() + 8, r->data.end());
-        shared->with_max_tag = 1;
-      } else if (tag == shared->max_tag) {
-        shared->with_max_tag++;
+      shared.replies++;
+      if (!shared.any || shared.max_tag < tag) {
+        shared.any = true;
+        shared.max_tag = tag;
+        shared.max_value.assign(r->data.begin() + 8, r->data.end());
+        shared.with_max_tag = 1;
+      } else if (tag == shared.max_tag) {
+        shared.with_max_tag++;
       }
-      quorum->Arrive(true);
+      co_return true;
     });
   }
   ReadPhaseResult out;
-  bool reached = co_await quorum->Wait();
+  const bool reached = co_await reads.Wait();
   fabric_->obs().SetCurrentOp(op);
   if (!reached) {
     out.status = Unavailable("read phase: no quorum");
     co_return out;
   }
+  Shared& shared = reads.state();
   out.status = OkStatus();
-  out.max_tag = shared->max_tag;
-  out.max_value = std::move(shared->max_value);
-  // Snapshot unanimity at the moment the quorum resolved: at least f+1
+  out.max_tag = shared.max_tag;
+  out.max_value = std::move(shared.max_value);
+  // Snapshot unanimity as the phase resumes on its quorum: at least f+1
   // replies all carrying the maximal tag.
-  out.unanimous = shared->with_max_tag >= cluster_->quorum() &&
-                  shared->with_max_tag == shared->replies;
+  out.unanimous = shared.with_max_tag >= cluster_->quorum() &&
+                  shared.with_max_tag == shared.replies;
   co_return out;
 }
 
@@ -163,21 +159,19 @@ sim::Task<Status> PrismRsClient::WritePhase(
     PRISM_CHECK_EQ(value->size(), cluster_->options().block_size);
   }
   obs::OpTimeline* const op = fabric_->obs().current_op();
-  auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
-                                              cluster_->quorum(),
-                                              cluster_->n());
-  // Buffer payload: [tag | value].
-  auto payload = std::make_shared<Bytes>();
-  payload->reserve(8 + value->size());
+  sim::FanOut<Bytes> writes(fabric_->sim(), cluster_->quorum(),
+                            cluster_->n());
+  Bytes& buffer = writes.state();  // buffer payload: [tag | value]
+  buffer.reserve(8 + value->size());
   Bytes tag_bytes = BytesOfU64(tag.Packed());
-  payload->insert(payload->end(), tag_bytes.begin(), tag_bytes.end());
-  payload->insert(payload->end(), value->begin(), value->end());
+  buffer.insert(buffer.end(), tag_bytes.begin(), tag_bytes.end());
+  buffer.insert(buffer.end(), value->begin(), value->end());
 
   for (int i = 0; i < cluster_->n(); ++i) {
     PrismRsReplica* replica = &cluster_->replica(i);
     const rdma::Addr tmp = scratch_[i];
-    sim::Spawn([this, replica, block, tag, payload, tmp, quorum, i,
-                variable]() -> sim::Task<void> {
+    writes.Spawn([this, replica, block, tag, tmp, i,
+                  variable](Bytes& payload) -> sim::Task<bool> {
       // The §7.3 write chain. In variable mode the scratch holds 24 bytes
       // [tag' | addr' | bound'] — tag and bound written in one WRITE, the
       // ALLOCATE redirecting its address into the gap — and the CAS swaps
@@ -187,7 +181,7 @@ sim::Task<Status> PrismRsClient::WritePhase(
       if (variable) {
         Bytes tag_and_bound(24, 0);
         StoreU64(tag_and_bound.data(), tag.Packed());
-        StoreU64(tag_and_bound.data() + 16, payload->size());
+        StoreU64(tag_and_bound.data() + 16, payload.size());
         chain.push_back(Op::Write(replica->rkey(), tmp,
                                   std::move(tag_and_bound)));     // 1. tag'+bound'
       } else {
@@ -195,7 +189,7 @@ sim::Task<Status> PrismRsClient::WritePhase(
                                   BytesOfU64(tag.Packed())));     // 1. tag'
       }
       chain.push_back(Op::Allocate(replica->rkey(), replica->freelist(),
-                                   *payload)
+                                   payload)
                           .RedirectTo(tmp + 8)
                           .Conditional());                        // 2. addr'
       Op install;                                                 // 3. CAS_GT
@@ -212,16 +206,12 @@ sim::Task<Status> PrismRsClient::WritePhase(
 
       auto r = co_await prism_.Execute(&replica->prism(), std::move(chain));
       round_trips_++;
-      if (!r.ok()) {
-        quorum->Arrive(false);
-        co_return;
-      }
+      if (!r.ok()) co_return false;
       const core::OpResult& alloc = (*r)[1];
       const core::OpResult& cas = (*r)[2];
       if (!alloc.executed || !alloc.status.ok() || !cas.executed ||
           !cas.status.ok()) {
-        quorum->Arrive(false);
-        co_return;
+        co_return false;
       }
       if (cas.cas_swapped) {
         // Old buffer displaced; recycle it (the initial shared buffer at
@@ -238,10 +228,10 @@ sim::Task<Status> PrismRsClient::WritePhase(
         reclaim_[static_cast<size_t>(i)]->Free(replica->freelist(),
                                                alloc.resolved_addr);
       }
-      quorum->Arrive(true);
+      co_return true;
     });
   }
-  bool reached = co_await quorum->Wait();
+  const bool reached = co_await writes.Wait();
   fabric_->obs().SetCurrentOp(op);
   if (!reached) co_return Unavailable("write phase: no quorum");
   co_return OkStatus();

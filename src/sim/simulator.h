@@ -351,6 +351,7 @@ class Simulator {
     uint64_t heap_callables = 0;     // capture too big for inline storage
     uint64_t pool_blocks = 0;        // event-record slabs allocated
     uint64_t cancelled_timers = 0;   // pending events removed by Cancel
+    uint64_t fanout_stragglers = 0;  // FanOut replies after the outcome
   };
 
   Simulator() = default;
@@ -514,6 +515,9 @@ class Simulator {
     stats_.pool_blocks = pool_.blocks();
     return stats_;
   }
+
+  // sim::FanOut's count of replies after their round's outcome (sync.h).
+  void CountFanoutStraggler() { ++stats_.fanout_stragglers; }
 
  private:
   struct ResumeEvent {

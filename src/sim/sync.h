@@ -8,9 +8,9 @@
 // ownership transfer) cost a few nanoseconds of real time per wakeup.
 //
 //  * Event        — one-shot manual event, any number of waiters.
-//  * Quorum       — "k of n" join used by ABD and PRISM-TX: responders call
-//                   Arrive(ok); waiters wake when k successes arrive, or when
-//                   all n responses are in (quorum unreachable).
+//  * FanOut<S>    — "k of n" join of one round of parallel targets (every
+//                   quorum round, and the sync schemes' pipelined verbs);
+//                   the caller wakes when k succeed, or when k no longer can.
 //  * Channel<T>   — unbounded MPSC-style queue with awaiting consumers; the
 //                   request queue of every simulated service.
 //  * Mutex        — FIFO coroutine mutex (used by server-side daemons).
@@ -23,6 +23,7 @@
 #include <coroutine>
 #include <deque>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -63,43 +64,103 @@ class Event {
   std::vector<std::coroutine_handle<>> waiters_;
 };
 
-// k-of-n barrier with success/failure accounting.
-class Quorum {
+// The state of a fan-out whose targets only count.
+struct NoState {};
+
+// One k-of-n round of parallel targets (DESIGN.md §5.14): its counters, the
+// round state S, the one waiter and a straggler count in one pooled block.
+// Spawn starts a target at once, like sim::Spawn; a target is a Task<bool>
+// or a callable returning one (taking S& to reach the state), and its
+// co_return value is its Arrive. Once `need` targets succeed, or no longer
+// can, the waiter gets one Resume; replies after that are stragglers. The
+// block lives until this object is gone and every spawned target arrived.
+template <typename State = NoState>
+class FanOut {
  public:
-  Quorum(Simulator* sim, int need, int total)
-      : done_(sim), need_(need), total_(total) {
-    PRISM_CHECK_GT(need, 0);
-    PRISM_CHECK_LE(need, total);
+  FanOut(Simulator* sim, int need, int total)
+      : b_(::new (PoolAllocator<Block>().allocate(1))
+               Block(sim, need, total)) {
+    PRISM_CHECK(need >= 0 && need <= total);
+  }
+  FanOut(const FanOut&) = delete;
+  FanOut& operator=(const FanOut&) = delete;
+  ~FanOut() {
+    b_->waiter = {};  // a waiter destroyed unresumed is never resumed
+    b_->Release();
   }
 
-  void Arrive(bool success = true) {
-    PRISM_CHECK_LT(arrived_, total_);
-    ++arrived_;
-    if (success) ++successes_;
-    // Wake as soon as the outcome is decided: quorum reached, or no longer
-    // reachable even if every outstanding response succeeds.
-    if (successes_ >= need_ ||
-        successes_ + (total_ - arrived_) < need_) {
-      done_.Set();
-    }
+  State& state() { return b_->state; }
+  int stragglers() const { return b_->stragglers; }
+  void Arrive(bool success = true) { b_->Arrive(success); }
+
+  template <typename F>
+  void Spawn(F&& fn, TaskTracker* tracker = nullptr) {
+    ++b_->holders;
+    Drive(std::forward<F>(fn), b_, tracker);
   }
 
-  // Resolves true iff `need` successes arrived.
-  Task<bool> Wait() {
-    co_await done_.Wait();
-    co_return successes_ >= need_;
+  // Resolves true iff `need` targets succeeded.
+  auto Wait() {
+    struct Awaiter {
+      Block* b;
+      bool await_ready() const noexcept { return b->decided(); }
+      void await_suspend(std::coroutine_handle<> h) noexcept { b->waiter = h; }
+      bool await_resume() const noexcept { return b->successes >= b->need; }
+    };
+    return Awaiter{b_};
   }
-
-  bool reached() const { return successes_ >= need_; }
-  int arrived() const { return arrived_; }
-  int successes() const { return successes_; }
 
  private:
-  Event done_;
-  int need_;
-  int total_;
-  int arrived_ = 0;
-  int successes_ = 0;
+  struct Block {
+    Block(Simulator* s, int n, int t) : sim(s), need(n), total(t) {}
+
+    Simulator* sim;
+    int need, total, arrived = 0, successes = 0, stragglers = 0;
+    int holders = 1;  // the FanOut object and the spawned targets out
+    std::coroutine_handle<> waiter;
+    State state{};
+
+    bool decided() const {
+      return successes >= need || successes + (total - arrived) < need;
+    }
+    void Arrive(bool success) {
+      PRISM_CHECK_LT(arrived, total);
+      const bool was_decided = decided();
+      ++arrived;
+      successes += success ? 1 : 0;
+      if (was_decided) {
+        ++stragglers;
+        sim->CountFanoutStraggler();
+      } else if (waiter && decided()) {
+        sim->Resume(std::exchange(waiter, {}));
+      }
+    }
+    void Release() {
+      if (--holders > 0) return;
+      this->~Block();
+      PoolAllocator<Block>().deallocate(this, 1);
+    }
+  };
+
+  // The driver frame keeps the callable, and so a lambda coroutine's
+  // closure, alive (as internal::DriveCallable does).
+  template <typename F>
+  static internal::Detached Drive(F fn, Block* b, TaskTracker* tracker) {
+    if (tracker != nullptr) tracker->OnStart();
+    bool ok;
+    if constexpr (std::is_same_v<F, Task<bool>>) {
+      ok = co_await std::move(fn);
+    } else if constexpr (std::is_invocable_v<F&, State&>) {
+      ok = co_await fn(b->state);
+    } else {
+      ok = co_await fn();
+    }
+    b->Arrive(ok);
+    b->Release();
+    if (tracker != nullptr) tracker->OnFinish();
+  }
+
+  Block* b_;
 };
 
 template <typename T>

@@ -478,43 +478,43 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateUnfenced(
   struct Pipelined {
     Status lo, hi;
   };
-  auto st = std::make_shared<Pipelined>();
-  auto all = std::make_shared<sim::Quorum>(fabric_->sim(), 3, 3);
+  sim::FanOut<Pipelined> all(fabric_->sim(), 3, 3);
   const uint64_t lo = LoadU64(value.data());
   const uint64_t hi = LoadU64(value.data() + 8);
   // The pipelined verbs run concurrently against ONE op timeline: each
   // re-arms before posting, so phase attribution is last-stamp-wins here —
   // the telescoping sum stays exact regardless.
-  sim::Spawn([this, slot, lo, st, all, op]() -> sim::Task<void> {
+  all.Spawn([this, slot, lo, op](Pipelined& st) -> sim::Task<bool> {
     Arm(op);
-    st->lo = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
-                                  slot + kValueOff, Word(lo));
+    st.lo = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
+                                 slot + kValueOff, Word(lo));
     round_trips_++;
-    all->Arrive(true);
+    co_return true;
   });
   co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
-  sim::Spawn([this, slot, hi, st, all, op]() -> sim::Task<void> {
+  all.Spawn([this, slot, hi, op](Pipelined& st) -> sim::Task<bool> {
     Arm(op);
-    st->hi = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
-                                  slot + kValueOff + 8, Word(hi));
+    st.hi = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
+                                 slot + kValueOff + 8, Word(hi));
     round_trips_++;
-    all->Arrive(true);
+    co_return true;
   });
   co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
-  sim::Spawn([this, slot, all, op]() -> sim::Task<void> {
+  all.Spawn([this, slot, op]() -> sim::Task<bool> {
     Arm(op);
     (void)co_await rdma_.Write(&server_->rdma(), server_->rkey(),
                                slot + kLockOff, Word(0));
     round_trips_++;
-    all->Arrive(true);
+    co_return true;
   });
-  co_await all->Wait();
-  if (st->lo.ok() && st->hi.ok()) {
+  co_await all.Wait();
+  const Pipelined& st = all.state();
+  if (st.lo.ok() && st.hi.ok()) {
     co_return UpdateOutcome{OkStatus(), Applied::kYes};
   }
   const bool definitely_not =
-      st->lo.code() == Code::kUnavailable && st->hi.code() == Code::kUnavailable;
-  co_return UpdateOutcome{st->lo.ok() ? st->hi : st->lo,
+      st.lo.code() == Code::kUnavailable && st.hi.code() == Code::kUnavailable;
+  co_return UpdateOutcome{st.lo.ok() ? st.hi : st.lo,
                           definitely_not ? Applied::kNo : Applied::kMaybe};
 }
 
@@ -633,43 +633,43 @@ sim::Task<Result<Bytes>> SyncClient::ReadUnfenced(rdma::Addr slot,
       Result<Bytes> lo = Aborted("pending");
       Result<Bytes> hi = Aborted("pending");
     };
-    auto st = std::make_shared<Pipelined>();
-    auto all = std::make_shared<sim::Quorum>(fabric_->sim(), 3, 3);
-    sim::Spawn([this, slot, st, all, op]() -> sim::Task<void> {
+    sim::FanOut<Pipelined> all(fabric_->sim(), 3, 3);
+    all.Spawn([this, slot, op](Pipelined& st) -> sim::Task<bool> {
       Arm(op);
-      st->cas = co_await rdma_.CompareSwap(&server_->rdma(), server_->rkey(),
-                                           slot + kLockOff, 0, id_);
+      st.cas = co_await rdma_.CompareSwap(&server_->rdma(), server_->rkey(),
+                                          slot + kLockOff, 0, id_);
       round_trips_++;
-      all->Arrive(true);
+      co_return true;
     });
     co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
-    sim::Spawn([this, slot, st, all, op]() -> sim::Task<void> {
+    all.Spawn([this, slot, op](Pipelined& st) -> sim::Task<bool> {
       Arm(op);
-      st->lo = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
-                                   slot + kValueOff, 8);
+      st.lo = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
+                                  slot + kValueOff, 8);
       round_trips_++;
-      all->Arrive(true);
+      co_return true;
     });
     co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
-    sim::Spawn([this, slot, st, all, op]() -> sim::Task<void> {
+    all.Spawn([this, slot, op](Pipelined& st) -> sim::Task<bool> {
       Arm(op);
-      st->hi = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
-                                   slot + kValueOff + 8, 8);
+      st.hi = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
+                                  slot + kValueOff + 8, 8);
       round_trips_++;
-      all->Arrive(true);
+      co_return true;
     });
-    co_await all->Wait();
-    if (st->cas.ok() && *st->cas == 0) {
+    co_await all.Wait();
+    const Pipelined& st = all.state();
+    if (st.cas.ok() && *st.cas == 0) {
       co_await ReleaseSpin(slot, op);
-      if (st->lo.ok() && st->hi.ok()) {
+      if (st.lo.ok() && st.hi.ok()) {
         Bytes v(kValueSize);
-        StoreU64(v.data(), LoadU64(st->lo->data()));
-        StoreU64(v.data() + 8, LoadU64(st->hi->data()));
+        StoreU64(v.data(), LoadU64(st.lo->data()));
+        StoreU64(v.data() + 8, LoadU64(st.hi->data()));
         co_return v;
       }
-      co_return st->lo.ok() ? st->hi.status() : st->lo.status();
+      co_return st.lo.ok() ? st.hi.status() : st.lo.status();
     }
-    if (st->cas.ok()) lock_conflicts_++;
+    if (st.cas.ok()) lock_conflicts_++;
     // Aggressive retry (part of the scheme's "optimization"): a short
     // jittered pause instead of the exponential backoff the fenced
     // schemes use. Still acquisition spin for attribution purposes.

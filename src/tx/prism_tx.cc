@@ -169,26 +169,24 @@ sim::Task<Status> PrismTxClient::AbortCleanup(
   // check passed, so concurrent readers are not blocked waiting on RC == PW.
   int pending = 0;
   for (const auto& p : preps) pending += p.valid ? 1 : 0;
-  if (pending == 0) co_return OkStatus();
   obs::OpTimeline* const op = fabric_->obs().current_op();
-  auto done = std::make_shared<sim::Quorum>(fabric_->sim(), pending,
-                                            pending);
+  sim::FanOut<> bumps(fabric_->sim(), pending, pending);
   for (const auto& p : preps) {
     if (!p.valid) continue;
     auto [shard_idx, slot] = cluster_->Locate(p.key);
     PrismTxShard* shard = &cluster_->shard(shard_idx);
     const uint64_t key_slot = slot;
     const uint64_t packed = ts.Packed();
-    sim::Spawn([this, shard, key_slot, packed, done]() -> sim::Task<void> {
+    bumps.Spawn([this, shard, key_slot, packed]() -> sim::Task<bool> {
       // CAS_GT on the [C|addr] window, swapping only C.
       Op bump = Op::MaskedCas(shard->rkey(), shard->c_addr(key_slot),
                               BytesOfU64Pair(packed, 0), FieldMask(16, 0, 8),
                               FieldMask(16, 0, 8), rdma::CasCompare::kGreater);
       auto r = co_await prism_.ExecuteOne(&shard->prism(), std::move(bump));
-      done->Arrive(r.ok());
+      co_return r.ok();
     });
   }
-  co_await done->Wait();
+  co_await bumps.Wait();
   fabric_->obs().SetCurrentOp(op);
   co_return OkStatus();
 }
@@ -236,202 +234,192 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
   for (const auto& r : txn.read_set) {
     if (rmw_rc.find(r.key) == rmw_rc.end()) read_only.push_back(r);
   }
-  if (!read_only.empty()) {
-    const int n_reads = static_cast<int>(read_only.size());
-    auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(), n_reads,
-                                                n_reads);
-    auto ok_flag = std::make_shared<bool>(true);
-    for (const auto& entry : read_only) {
-      auto [shard_idx, slot] = cluster_->Locate(entry.key);
-      PrismTxShard* shard = &cluster_->shard(shard_idx);
-      const uint64_t rc = entry.rc;
-      const uint64_t key_slot = slot;
-      sim::Spawn([this, shard, key_slot, rc, packed_ts, quorum,
-                  ok_flag]() -> sim::Task<void> {
-        // Window [PR|PW] at pr_addr. Compare (RC|TS) > (PW|PR): PW (offset
-        // 8) is most significant, so this is RC==PW && TS>PR (RC>PW cannot
-        // happen). Swap PR := TS.
-        Op cas = Op::MaskedCas(shard->rkey(), shard->pr_addr(key_slot),
-                               BytesOfU64Pair(packed_ts, rc),
-                               FieldMask(16, 0, 16),   // compare both fields
-                               FieldMask(16, 0, 8),    // swap PR only
-                               rdma::CasCompare::kGreater);
-        auto r = co_await prism_.ExecuteOne(&shard->prism(), std::move(cas));
-        if (!r.ok() || !r->status.ok()) {
-          *ok_flag = false;
-          quorum->Arrive(true);
-          co_return;
-        }
-        if (!r->cas_swapped) {
-          // Distinguish benign "PR already ≥ TS" from a conflicting
-          // prepared writer via the returned old value (§8.2).
-          const uint64_t old_pw = LoadU64(r->data.data() + 8);
-          if (old_pw != rc) *ok_flag = false;  // prepared/committed writer
-        }
-        quorum->Arrive(true);
-      });
-    }
-    co_await quorum->Wait();
-    fabric_->obs().SetCurrentOp(op);
-    if (!*ok_flag) {
-      aborts_++;
-      // Validation failure precedes any install: no write is visible.
-      if (record) history_->EndTxn(txn.history_id, check::TxOutcome::kAborted);
-      co_return Aborted("read validation failed");
-    }
+  // Each round's state is its verdict, cleared by any target that fails. A
+  // round with no targets is decided at once: its Wait does not suspend.
+  const int n_reads = static_cast<int>(read_only.size());
+  sim::FanOut<bool> checks(fabric_->sim(), n_reads, n_reads);
+  checks.state() = true;
+  for (const auto& entry : read_only) {
+    auto [shard_idx, slot] = cluster_->Locate(entry.key);
+    PrismTxShard* shard = &cluster_->shard(shard_idx);
+    const uint64_t rc = entry.rc;
+    const uint64_t key_slot = slot;
+    checks.Spawn([this, shard, key_slot, rc,
+                  packed_ts](bool& valid) -> sim::Task<bool> {
+      // Window [PR|PW] at pr_addr. Compare (RC|TS) > (PW|PR): PW (offset
+      // 8) is most significant, so this is RC==PW && TS>PR (RC>PW cannot
+      // happen). Swap PR := TS.
+      Op cas = Op::MaskedCas(shard->rkey(), shard->pr_addr(key_slot),
+                             BytesOfU64Pair(packed_ts, rc),
+                             FieldMask(16, 0, 16),   // compare both fields
+                             FieldMask(16, 0, 8),    // swap PR only
+                             rdma::CasCompare::kGreater);
+      auto r = co_await prism_.ExecuteOne(&shard->prism(), std::move(cas));
+      if (!r.ok() || !r->status.ok()) {
+        valid = false;
+        co_return true;
+      }
+      if (!r->cas_swapped) {
+        // Distinguish benign "PR already ≥ TS" from a conflicting
+        // prepared writer via the returned old value (§8.2).
+        const uint64_t old_pw = LoadU64(r->data.data() + 8);
+        if (old_pw != rc) valid = false;  // prepared/committed writer
+      }
+      co_return true;
+    });
+  }
+  co_await checks.Wait();
+  fabric_->obs().SetCurrentOp(op);
+  if (!checks.state()) {
+    aborts_++;
+    // Validation failure precedes any install: no write is visible.
+    if (record) history_->EndTxn(txn.history_id, check::TxOutcome::kAborted);
+    co_return Aborted("read validation failed");
   }
 
   // ---- prepare: write validation ----
-  auto preps = std::make_shared<std::vector<WritePrep>>();
-  preps->reserve(txn.write_set.size());
-  for (const auto& w : txn.write_set) preps->push_back({w.key, false, false});
-  if (!txn.write_set.empty()) {
-    const int n_writes = static_cast<int>(txn.write_set.size());
-    auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
-                                                n_writes, n_writes);
-    for (size_t i = 0; i < txn.write_set.size(); ++i) {
-      auto [shard_idx, slot] = cluster_->Locate(txn.write_set[i].key);
-      PrismTxShard* shard = &cluster_->shard(shard_idx);
-      const uint64_t key_slot = slot;
-      auto rmw_it = rmw_rc.find(txn.write_set[i].key);
-      const bool is_rmw = rmw_it != rmw_rc.end();
-      const uint64_t rc = is_rmw ? rmw_it->second : 0;
-      sim::Spawn([this, shard, key_slot, packed_ts, quorum, preps, i, is_rmw,
-                  rc]() -> sim::Task<void> {
-        Op cas;
+  const int n_writes = static_cast<int>(txn.write_set.size());
+  sim::FanOut<std::vector<WritePrep>> prepare(fabric_->sim(), n_writes,
+                                              n_writes);
+  std::vector<WritePrep>& preps = prepare.state();
+  preps.reserve(txn.write_set.size());
+  for (const auto& w : txn.write_set) preps.push_back({w.key, false, false});
+  for (size_t i = 0; i < txn.write_set.size(); ++i) {
+    auto [shard_idx, slot] = cluster_->Locate(txn.write_set[i].key);
+    PrismTxShard* shard = &cluster_->shard(shard_idx);
+    const uint64_t key_slot = slot;
+    auto rmw_it = rmw_rc.find(txn.write_set[i].key);
+    const bool is_rmw = rmw_it != rmw_rc.end();
+    const uint64_t rc = is_rmw ? rmw_it->second : 0;
+    prepare.Spawn([this, shard, key_slot, packed_ts, i, is_rmw,
+                   rc](std::vector<WritePrep>& out) -> sim::Task<bool> {
+      Op cas;
+      if (is_rmw) {
+        // Combined read+write validation for a key both read and written:
+        // compare (RC|TS) > (PW|PR) — i.e. RC == PW (no prepared writer
+        // since our read) and TS > PR — and swap both PR and PW to TS.
+        // Needs the separate compare/swap operand form: the compare wants
+        // RC in the PW position while the swap writes TS there.
+        cas = Op::CompareSwapCas(shard->rkey(), shard->pr_addr(key_slot),
+                                 /*compare=*/BytesOfU64Pair(packed_ts, rc),
+                                 /*swap=*/BytesOfU64Pair(packed_ts,
+                                                         packed_ts),
+                                 FieldMask(16, 0, 16),  // compare both
+                                 FieldMask(16, 0, 16),  // swap both
+                                 rdma::CasCompare::kGreater);
+      } else {
+        // Blind write: compare TS > PW (PW field only), swap PW := TS.
+        // The returned old value carries PR, checked below (§8.2 notes
+        // the optimistic PW bump is safe).
+        cas = Op::MaskedCas(shard->rkey(), shard->pr_addr(key_slot),
+                            BytesOfU64Pair(0, packed_ts),
+                            FieldMask(16, 8, 8),  // compare PW only (GT)
+                            FieldMask(16, 8, 8),  // swap PW only
+                            rdma::CasCompare::kGreater);
+      }
+      auto r = co_await prism_.ExecuteOne(&shard->prism(), std::move(cas));
+      if (r.ok() && r->status.ok() && r->cas_swapped) {
+        out[i].pw_bumped = true;
         if (is_rmw) {
-          // Combined read+write validation for a key both read and written:
-          // compare (RC|TS) > (PW|PR) — i.e. RC == PW (no prepared writer
-          // since our read) and TS > PR — and swap both PR and PW to TS.
-          // Needs the separate compare/swap operand form: the compare wants
-          // RC in the PW position while the swap writes TS there.
-          cas = Op::CompareSwapCas(shard->rkey(), shard->pr_addr(key_slot),
-                                   /*compare=*/BytesOfU64Pair(packed_ts, rc),
-                                   /*swap=*/BytesOfU64Pair(packed_ts,
-                                                           packed_ts),
-                                   FieldMask(16, 0, 16),  // compare both
-                                   FieldMask(16, 0, 16),  // swap both
-                                   rdma::CasCompare::kGreater);
+          out[i].valid = true;  // TS > PR is part of the compare
         } else {
-          // Blind write: compare TS > PW (PW field only), swap PW := TS.
-          // The returned old value carries PR, checked below (§8.2 notes
-          // the optimistic PW bump is safe).
-          cas = Op::MaskedCas(shard->rkey(), shard->pr_addr(key_slot),
-                              BytesOfU64Pair(0, packed_ts),
-                              FieldMask(16, 8, 8),  // compare PW only (GT)
-                              FieldMask(16, 8, 8),  // swap PW only
-                              rdma::CasCompare::kGreater);
+          const uint64_t old_pr = LoadU64(r->data.data());
+          out[i].valid = packed_ts > old_pr;
         }
-        auto r = co_await prism_.ExecuteOne(&shard->prism(), std::move(cas));
-        if (r.ok() && r->status.ok() && r->cas_swapped) {
-          (*preps)[i].pw_bumped = true;
-          if (is_rmw) {
-            (*preps)[i].valid = true;  // TS > PR is part of the compare
-          } else {
-            const uint64_t old_pr = LoadU64(r->data.data());
-            (*preps)[i].valid = packed_ts > old_pr;
-          }
-        }
-        quorum->Arrive(true);
-      });
-    }
-    co_await quorum->Wait();
-    fabric_->obs().SetCurrentOp(op);
+      }
+      co_return true;
+    });
   }
+  co_await prepare.Wait();
+  fabric_->obs().SetCurrentOp(op);
   bool all_valid = true;
-  for (const auto& p : *preps) all_valid = all_valid && p.valid;
+  for (const auto& p : preps) all_valid = all_valid && p.valid;
   if (!all_valid) {
     aborts_++;
-    co_await AbortCleanup(*preps, ts);
+    co_await AbortCleanup(preps, ts);
     // PR/PW/C bumps never expose a value: no write is visible.
     if (record) history_->EndTxn(txn.history_id, check::TxOutcome::kAborted);
     co_return Aborted("write validation failed");
   }
 
   // ---- commit: install every write with the PRISM-RS chain ----
-  if (!txn.write_set.empty()) {
-    const int n_writes = static_cast<int>(txn.write_set.size());
-    auto quorum = std::make_shared<sim::Quorum>(fabric_->sim(),
-                                                n_writes, n_writes);
-    auto ok_flag = std::make_shared<bool>(true);
-    std::map<int, uint64_t> scratch_used;  // per-shard slot cursor
-    for (const auto& w : txn.write_set) {
-      auto [shard_idx, slot] = cluster_->Locate(w.key);
-      PrismTxShard* shard = &cluster_->shard(shard_idx);
-      const uint64_t scratch_slot = scratch_used[shard_idx]++;
-      PRISM_CHECK_LT(scratch_slot, kScratchSlots)
-          << "too many writes to one shard in a single transaction";
-      const rdma::Addr tmp =
-          scratch_[static_cast<size_t>(shard_idx)] + 16 * scratch_slot;
-      const size_t reclaim_idx = static_cast<size_t>(shard_idx);
-      // Buffer payload [TS | key | value].
-      auto payload = std::make_shared<Bytes>(16 + w.value.size());
-      StoreU64(payload->data(), packed_ts);
-      StoreU64(payload->data() + 8, w.key);
-      std::memcpy(payload->data() + 16, w.value.data(), w.value.size());
-      const uint64_t key_slot = slot;
-      sim::Spawn([this, shard, key_slot, packed_ts, tmp, payload, quorum,
-                  ok_flag, reclaim_idx]() -> sim::Task<void> {
-        Chain chain;
-        chain.push_back(
-            Op::Write(shard->rkey(), tmp, BytesOfU64(packed_ts)));
-        chain.push_back(Op::Allocate(shard->rkey(), shard->freelist(),
-                                     *payload)
-                            .RedirectTo(tmp + 8)
-                            .Conditional());
-        Op install;
-        install.code = OpCode::kCas;
-        install.rkey = shard->rkey();
-        install.addr = shard->c_addr(key_slot);
-        install.data = BytesOfU64(tmp);
-        install.data_indirect = true;     // operand = [TS | addr'] at tmp
-        install.cmp_mask = FieldMask(16, 0, 8);   // compare C (GT)
-        install.swap_mask = FieldMask(16, 0, 16);  // swap C and addr
-        install.cas_mode = rdma::CasCompare::kGreater;
-        install.conditional = true;
-        chain.push_back(std::move(install));
-        auto r = co_await prism_.Execute(&shard->prism(), std::move(chain));
-        if (!r.ok()) {
-          *ok_flag = false;
-          quorum->Arrive(true);
-          co_return;
-        }
-        const core::OpResult& alloc = (*r)[1];
-        const core::OpResult& cas = (*r)[2];
-        if (!alloc.executed || !alloc.status.ok() || !cas.executed ||
-            !cas.status.ok()) {
-          *ok_flag = false;
-          quorum->Arrive(true);
-          co_return;
-        }
-        if (cas.cas_swapped) {
-          // Recycle the displaced buffer. Bulk-load buffers are per-key and
-          // the same size class, so they re-enter the pool too — without
-          // this, every first overwrite would permanently consume a pool
-          // buffer and ALLOCATE would starve once enough distinct keys had
-          // been written.
-          const rdma::Addr old_addr = LoadU64(cas.data.data() + 8);
-          reclaim_[reclaim_idx]->Free(shard->freelist(), old_addr);
-        } else {
-          // A committed writer with a higher TS already installed: our
-          // write is absorbed (Thomas write rule) — still a commit.
-          reclaim_[reclaim_idx]->Free(shard->freelist(),
-                                      alloc.resolved_addr);
-        }
-        quorum->Arrive(true);
-      });
-    }
-    co_await quorum->Wait();
-    fabric_->obs().SetCurrentOp(op);
-    if (!*ok_flag) {
-      aborts_++;
-      // Some install chains may have landed before the failure: the writes
-      // are possibly (partially) visible.
-      if (record) {
-        history_->EndTxn(txn.history_id, check::TxOutcome::kIndeterminate);
+  sim::FanOut<bool> installs(fabric_->sim(), n_writes, n_writes);
+  installs.state() = true;
+  std::map<int, uint64_t> scratch_used;  // per-shard slot cursor
+  for (const auto& w : txn.write_set) {
+    auto [shard_idx, slot] = cluster_->Locate(w.key);
+    PrismTxShard* shard = &cluster_->shard(shard_idx);
+    const uint64_t scratch_slot = scratch_used[shard_idx]++;
+    PRISM_CHECK_LT(scratch_slot, kScratchSlots)
+        << "too many writes to one shard in a single transaction";
+    const rdma::Addr tmp =
+        scratch_[static_cast<size_t>(shard_idx)] + 16 * scratch_slot;
+    const size_t reclaim_idx = static_cast<size_t>(shard_idx);
+    // Buffer payload [TS | key | value].
+    auto payload = std::make_shared<Bytes>(16 + w.value.size());
+    StoreU64(payload->data(), packed_ts);
+    StoreU64(payload->data() + 8, w.key);
+    std::memcpy(payload->data() + 16, w.value.data(), w.value.size());
+    const uint64_t key_slot = slot;
+    installs.Spawn([this, shard, key_slot, packed_ts, tmp, payload,
+                    reclaim_idx](bool& installed) -> sim::Task<bool> {
+      Chain chain;
+      chain.push_back(
+          Op::Write(shard->rkey(), tmp, BytesOfU64(packed_ts)));
+      chain.push_back(Op::Allocate(shard->rkey(), shard->freelist(),
+                                   *payload)
+                          .RedirectTo(tmp + 8)
+                          .Conditional());
+      Op install;
+      install.code = OpCode::kCas;
+      install.rkey = shard->rkey();
+      install.addr = shard->c_addr(key_slot);
+      install.data = BytesOfU64(tmp);
+      install.data_indirect = true;     // operand = [TS | addr'] at tmp
+      install.cmp_mask = FieldMask(16, 0, 8);   // compare C (GT)
+      install.swap_mask = FieldMask(16, 0, 16);  // swap C and addr
+      install.cas_mode = rdma::CasCompare::kGreater;
+      install.conditional = true;
+      chain.push_back(std::move(install));
+      auto r = co_await prism_.Execute(&shard->prism(), std::move(chain));
+      if (!r.ok()) {
+        installed = false;
+        co_return true;
       }
-      co_return Aborted("commit install failed");
+      const core::OpResult& alloc = (*r)[1];
+      const core::OpResult& cas = (*r)[2];
+      if (!alloc.executed || !alloc.status.ok() || !cas.executed ||
+          !cas.status.ok()) {
+        installed = false;
+        co_return true;
+      }
+      if (cas.cas_swapped) {
+        // Recycle the displaced buffer. Bulk-load buffers are per-key and
+        // the same size class, so they re-enter the pool too — without
+        // this, every first overwrite would permanently consume a pool
+        // buffer and ALLOCATE would starve once enough distinct keys had
+        // been written.
+        const rdma::Addr old_addr = LoadU64(cas.data.data() + 8);
+        reclaim_[reclaim_idx]->Free(shard->freelist(), old_addr);
+      } else {
+        // A committed writer with a higher TS already installed: our
+        // write is absorbed (Thomas write rule) — still a commit.
+        reclaim_[reclaim_idx]->Free(shard->freelist(),
+                                    alloc.resolved_addr);
+      }
+      co_return true;
+    });
+  }
+  co_await installs.Wait();
+  fabric_->obs().SetCurrentOp(op);
+  if (!installs.state()) {
+    aborts_++;
+    // Some install chains may have landed before the failure: the writes
+    // are possibly (partially) visible.
+    if (record) {
+      history_->EndTxn(txn.history_id, check::TxOutcome::kIndeterminate);
     }
+    co_return Aborted("commit install failed");
   }
   commits_++;
   if (record) history_->EndTxn(txn.history_id, check::TxOutcome::kCommitted);

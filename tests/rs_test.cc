@@ -231,6 +231,21 @@ TEST_F(PrismRsTest, GetTakesTwoRoundTripPhases) {
   EXPECT_NEAR(get_us, 12.5, 2.0);
 }
 
+TEST_F(PrismRsTest, EveryPhaseLeavesOneStraggler) {
+  // Each ABD phase waits for 2 of 3 replies, so fault-free the third reply
+  // of every phase lands after its outcome. A PUT runs two phases, and so
+  // does a GET (read, then write-back): 8 ops, 16 stragglers.
+  auto client = NewClient(1);
+  sim::Spawn([&]() -> Task<void> {
+    for (uint64_t b = 0; b < 4; ++b) {
+      EXPECT_TRUE((co_await client->Put(b, BlockValue(1, kBlockSize))).ok());
+      EXPECT_TRUE((co_await client->Get(b)).ok());
+    }
+  });
+  sim_.Run();
+  EXPECT_EQ(sim_.stats().fanout_stragglers, 16u);
+}
+
 TEST_F(PrismRsTest, BuffersRecycleUnderChurn) {
   auto client = NewClient(1);
   sim::Spawn([&]() -> Task<void> {

@@ -196,9 +196,9 @@ TEST(EventTest, WaitOnSetEventIsImmediate) {
   EXPECT_TRUE(done);  // never suspended
 }
 
-TEST(QuorumTest, ReachesOnKSuccesses) {
+TEST(FanOutTest, ReachesOnKSuccesses) {
   Simulator sim;
-  Quorum quorum(&sim, 2, 3);
+  FanOut<> quorum(&sim, 2, 3);
   bool result = false;
   bool finished = false;
   Spawn([&]() -> Task<void> {
@@ -213,14 +213,69 @@ TEST(QuorumTest, ReachesOnKSuccesses) {
   EXPECT_EQ(sim.Now(), Micros(2));  // woke without waiting for the third
 }
 
-TEST(QuorumTest, FailsFastWhenUnreachable) {
+TEST(FanOutTest, FailsFastWhenUnreachable) {
   Simulator sim;
-  Quorum quorum(&sim, 3, 3);
+  FanOut<> quorum(&sim, 3, 3);
   bool result = true;
   Spawn([&]() -> Task<void> { result = co_await quorum.Wait(); });
   sim.Schedule(Micros(1), [&] { quorum.Arrive(false); });
   sim.Run();
   EXPECT_FALSE(result);  // 3-of-3 impossible after one failure
+}
+
+TEST(FanOutTest, DrivenTargetsFoldAndCountStragglers) {
+  Simulator sim;
+  FanOut<int> fan(&sim, 2, 3);
+  for (int i = 1; i <= 3; ++i) {
+    fan.Spawn([&sim, i](int& sum) -> Task<bool> {
+      co_await SleepFor(&sim, Micros(i));
+      sum += i;
+      co_return i != 2;  // the second target fails
+    });
+  }
+  bool reached = false;
+  TimePoint woke = -1;
+  Spawn([&]() -> Task<void> {
+    reached = co_await fan.Wait();
+    woke = sim.Now();
+  });
+  sim.Run();
+  EXPECT_TRUE(reached);
+  EXPECT_EQ(woke, Micros(3));  // decided by the third reply, not earlier
+  EXPECT_EQ(fan.state(), 6);  // every target folded before the wake
+  EXPECT_EQ(fan.stragglers(), 0);
+  EXPECT_EQ(sim.stats().fanout_stragglers, 0u);
+}
+
+TEST(FanOutTest, StragglerAfterWaiterFinishedTouchesLiveBlock) {
+  Simulator sim;
+  bool reached = false;
+  int seen_at_wake = -1;
+  int seen_by_straggler = -1;
+  Spawn([&]() -> Task<void> {
+    FanOut<int> fan(&sim, 2, 3);
+    for (int i = 1; i <= 3; ++i) {
+      fan.Spawn([&sim, &seen_by_straggler, i](int& folded) -> Task<bool> {
+        co_await SleepFor(&sim, Micros(i));
+        ++folded;
+        if (i == 3) seen_by_straggler = folded;
+        co_return true;
+      });
+    }
+    reached = co_await fan.Wait();
+    seen_at_wake = fan.state();
+    // The waiter's frame, and its FanOut, end here; the third target is
+    // still out.
+  });
+  sim.RunUntil(Micros(2));
+  EXPECT_TRUE(reached);
+  EXPECT_EQ(seen_at_wake, 2);
+  EXPECT_EQ(sim.stats().fanout_stragglers, 0u);
+  sim.Run();
+  // The straggler folded into the state the first two left behind, and was
+  // counted exactly once.
+  EXPECT_EQ(seen_by_straggler, 3);
+  EXPECT_EQ(sim.stats().fanout_stragglers, 1u);
 }
 
 TEST(ChannelTest, PushPopOrdering) {
@@ -505,6 +560,37 @@ TEST(BlockPoolTest, SteadyTaskCascadeAllocatesNothing) {
   EXPECT_EQ(g_new_calls - allocs_before, 0u);
   // Each root returns i + 2; twelve rounds of sum(i) + 2 * kWidth.
   EXPECT_EQ(sum, 12 * (kWidth * (kWidth - 1) / 2 + 2 * kWidth));
+}
+
+// One fan-out round: a root waits for 2 of 3 targets that fold into a
+// state. Target i takes i + 1 ring hops, so the third is a straggler.
+void FanOutRound(Simulator* sim, int* total) {
+  Spawn([sim, total]() -> Task<void> {
+    FanOut<int> fan(sim, 2, 3);
+    for (int i = 0; i < 3; ++i) {
+      fan.Spawn([sim, i](int& sum) -> Task<bool> {
+        for (int hop = 0; hop <= i; ++hop) co_await Yield(sim);
+        sum += i;
+        co_return true;
+      });
+    }
+    if (co_await fan.Wait()) *total += fan.state();
+  });
+  sim->Run();
+}
+
+TEST(BlockPoolTest, WarmFanOutAllocatesNothing) {
+  Simulator sim;
+  int total = 0;
+  FanOutRound(&sim, &total);
+  FanOutRound(&sim, &total);
+  const uint64_t allocs_before = g_new_calls;
+  for (int round = 0; round < 10; ++round) FanOutRound(&sim, &total);
+  EXPECT_EQ(g_new_calls - allocs_before, 0u);
+  // The waiter reads the first two folds (0 + 1); each round's third reply
+  // lands after the outcome and is counted as a straggler.
+  EXPECT_EQ(total, 12 * 1);
+  EXPECT_EQ(sim.stats().fanout_stragglers, 12u);
 }
 
 TEST(BlockPoolTest, SimulatorDestructionReleasesCachedBlocks) {
