@@ -57,8 +57,8 @@ int main() {
       const uint64_t bucket = server.HashBucket(BytesOfString(KeyOf(1)));
       const rdma::Addr old_ptr =
           server.memory().LoadWord(server.slot_addr(bucket));
-      Bytes record = kv::EncodeRecord(BytesOfString(KeyOf(1)),
-                                      Bytes(512, 3));
+      SmallBytes record = kv::EncodeRecord(BytesOfString(KeyOf(1)),
+                                           Bytes(512, 3));
       t0 = sim.Now();
       Chain chain;
       chain.push_back(Op::Write(server.rkey(), scratch + 8,
@@ -68,7 +68,7 @@ int main() {
                           .Conditional());
       Op install = Op::CompareSwapCas(
           server.rkey(), server.slot_addr(bucket),
-          BytesOfU64Pair(old_ptr, 0), BytesOfU64(scratch),
+          SmallBytes::OfU64Pair(old_ptr, 0), BytesOfU64(scratch),
           FieldMask(16, 0, 8), FieldMask(16, 0, 16));
       install.data_indirect = true;
       install.conditional = true;

@@ -87,7 +87,7 @@ Chain AllocateChain(const Rig& rig) {
 
 Chain EnhancedCasChain(const Rig& rig) {
   return {Op::MaskedCas(rig.region.rkey, rig.region.base + 2048,
-                        BytesOfU64Pair(7, 9), FieldMask(16, 0, 8),
+                        SmallBytes::OfU64Pair(7, 9), FieldMask(16, 0, 8),
                         FieldMask(16, 8, 8), rdma::CasCompare::kGreater)};
 }
 

@@ -71,9 +71,10 @@ int main() {
                 static_cast<unsigned long long>(a->AllocatedAddr()));
 
     // 5. Enhanced CAS (§3.3): versioned update with CAS_GT on one field.
-    mem.Store(region.base + 32, BytesOfU64Pair(/*value=*/7, /*version=*/3));
+    mem.Store(region.base + 32,
+              SmallBytes::OfU64Pair(/*value=*/7, /*version=*/3));
     Op cas = Op::MaskedCas(region.rkey, region.base + 32,
-                           BytesOfU64Pair(/*value=*/99, /*version=*/5),
+                           SmallBytes::OfU64Pair(/*value=*/99, /*version=*/5),
                            /*cmp_mask=*/FieldMask(16, 8, 8),   // version only
                            /*swap_mask=*/FieldMask(16, 0, 16),  // both fields
                            rdma::CasCompare::kGreater);

@@ -7,12 +7,10 @@ namespace prism {
 static_assert(std::endian::native == std::endian::little,
               "PRISM's simulated memory layouts assume a little-endian host");
 
-Bytes FieldMask(size_t width, size_t offset, size_t bytes) {
+SmallBytes FieldMask(size_t width, size_t offset, size_t bytes) {
   PRISM_CHECK_LE(offset + bytes, width);
-  Bytes mask(width, 0x00);
-  for (size_t i = 0; i < bytes; ++i) {
-    mask[offset + i] = 0xff;
-  }
+  SmallBytes mask(width, 0x00);
+  std::memset(mask.mutable_data() + offset, 0xff, bytes);
   return mask;
 }
 

@@ -21,9 +21,9 @@ void EncodeRecordInto(uint8_t* out, ByteView key, ByteView value) {
   }
 }
 
-Bytes EncodeRecord(ByteView key, ByteView value) {
-  Bytes record(8 + key.size() + value.size());
-  EncodeRecordInto(record.data(), key, value);
+SmallBytes EncodeRecord(ByteView key, ByteView value) {
+  SmallBytes record(8 + key.size() + value.size());
+  EncodeRecordInto(record.mutable_data(), key, value);
   return record;
 }
 
@@ -288,11 +288,12 @@ sim::Task<Status> PrismKvClient::Put(const std::string& key, Bytes value) {
     if (history_ != nullptr) history_->End(hid, check::Outcome::kFailed);
     co_return InvalidArgument("value exceeds max_value_size");
   }
-  auto record = std::make_shared<const Bytes>(EncodeRecord(*key_ptr, value));
-  const uint64_t new_bound = record->size();
+  // Built once; every attempt's ALLOCATE shares it.
+  const SmallBytes record = EncodeRecord(*key_ptr, value);
+  const uint64_t new_bound = record.size();
   // Pick the smallest size class that fits (Â§3.2). The class table is
   // static server configuration the client knows.
-  auto queue = server_->QueueForRecord(record->size());
+  auto queue = server_->QueueForRecord(record.size());
   if (!queue.ok()) {
     if (history_ != nullptr) history_->End(hid, check::Outcome::kFailed);
     co_return queue.status();
@@ -321,15 +322,16 @@ sim::Task<Status> PrismKvClient::Put(const std::string& key, Bytes value) {
     // RT2: the §3.5 chain — WRITE bound to scratch, ALLOCATE+redirect the
     // record, CAS-install ⟨ptr,bound⟩ iff the old pointer is unchanged.
     Chain chain;
-    chain.push_back(
-        Op::Write(server_->rkey(), scratch + 8, BytesOfU64(new_bound)));
-    chain.push_back(Op::Allocate(server_->rkey(), *queue, *record)
+    chain.reserve(3);
+    chain.push_back(Op::Write(server_->rkey(), scratch + 8,
+                              SmallBytes::OfU64(new_bound)));
+    chain.push_back(Op::Allocate(server_->rkey(), *queue, record)
                         .RedirectTo(scratch)
                         .Conditional());
     Op install = Op::CompareSwapCas(
         server_->rkey(), server_->slot_addr(probe.bucket),
-        /*compare=*/BytesOfU64Pair(probe.old_ptr, 0),
-        /*swap=*/BytesOfU64(scratch),
+        /*compare=*/SmallBytes::OfU64Pair(probe.old_ptr, 0),
+        /*swap=*/SmallBytes::OfU64(scratch),
         /*cmp_mask=*/FieldMask(16, 0, 8),   // compare the pointer field only
         /*swap_mask=*/FieldMask(16, 0, 16));  // install pointer + bound
     install.data_indirect = true;  // swap operand = 16 B at scratch
@@ -406,9 +408,9 @@ sim::Task<Status> PrismKvClient::Delete(const std::string& key) {
     // CAS the slot to the tombstone marker iff the pointer is still ours.
     Op cas = Op::CompareSwapCas(
         server_->rkey(), server_->slot_addr(probe.bucket),
-        /*compare=*/BytesOfU64Pair(probe.old_ptr, 0),
-        /*swap=*/BytesOfU64Pair(server_->tombstone_addr(),
-                                PrismKvServer::kTombstoneBound),
+        /*compare=*/SmallBytes::OfU64Pair(probe.old_ptr, 0),
+        /*swap=*/SmallBytes::OfU64Pair(server_->tombstone_addr(),
+                                       PrismKvServer::kTombstoneBound),
         /*cmp_mask=*/FieldMask(16, 0, 8),
         /*swap_mask=*/FieldMask(16, 0, 16));
     auto r = co_await prism_.ExecuteOne(&server_->prism(), std::move(cas));

@@ -148,7 +148,7 @@ class PrismKvClient {
     rdma::Addr old_ptr = 0;   // resolved buffer address (0 for empty slot;
                               // the tombstone marker address for reusable
                               // tombstone slots)
-    Bytes record;             // record bytes when the key was found
+    SmallBytes record;        // record bytes when the key was found
     bool found_key = false;   // record's key matches
   };
 
@@ -185,7 +185,7 @@ class PrismKvClient {
 // [klen u32 | vlen u32 | key | value]; EncodeRecordInto writes its
 // 8 + key.size() + value.size() bytes at `out`.
 void EncodeRecordInto(uint8_t* out, ByteView key, ByteView value);
-Bytes EncodeRecord(ByteView key, ByteView value);
+SmallBytes EncodeRecord(ByteView key, ByteView value);
 struct DecodedRecord {
   Bytes key;
   Bytes value;

@@ -69,19 +69,19 @@ Result<Executor::Target> Executor::ResolveTarget(const Op& op, uint64_t len,
   return target;
 }
 
-Result<Bytes> Executor::ResolveData(const Op& op, uint64_t width) const {
+Result<ByteView> Executor::ResolveData(const Op& op, uint64_t width) const {
   if (!op.data_indirect) {
     if (op.data.size() < width) {
       return InvalidArgument("inline data shorter than operand width");
     }
-    return Bytes(op.data.begin(), op.data.begin() + width);
+    return ByteView(op.data.data(), width);
   }
   if (op.data.size() != 8) {
     return InvalidArgument("indirect data must be an 8-byte pointer");
   }
   const rdma::Addr src = LoadU64(op.data.data());
   PRISM_RETURN_IF_ERROR(CheckAccess(op.rkey, src, width, kRemoteRead));
-  return mem_->Load(src, width);
+  return View(src, width);
 }
 
 Status Executor::RedirectOutput(const Op& op, ByteView output) {
@@ -100,12 +100,12 @@ OpResult Executor::DoRead(const Op& op) {
     return result;
   }
   if (op.addr_indirect) result.resolved_addr = target->addr;
-  Bytes value = mem_->Load(target->addr, target->len);
+  const ByteView value = View(target->addr, target->len);
   if (op.redirect) {
     result.status = RedirectOutput(op, value);
     return result;
   }
-  result.data = std::move(value);
+  result.data = value;
   return result;
 }
 
@@ -147,26 +147,26 @@ OpResult Executor::DoCas(const Op& op) {
   }
   // Separate compare operand (Mellanox extended-atomics form); defaults to
   // the swap operand when absent (Table 1's compressed signature).
-  Bytes compare_operand;
-  if (op.compare.empty()) {
-    compare_operand = *data;
-  } else if (op.compare_indirect) {
-    if (op.compare.size() != 8) {
-      result.status = InvalidArgument("indirect compare must be 8-byte ptr");
+  ByteView compare_operand = *data;
+  if (!op.compare.empty()) {
+    if (op.compare_indirect) {
+      if (op.compare.size() != 8) {
+        result.status = InvalidArgument("indirect compare must be 8-byte ptr");
+        return result;
+      }
+      const rdma::Addr src = LoadU64(op.compare.data());
+      Status access = CheckAccess(op.rkey, src, width, kRemoteRead);
+      if (!access.ok()) {
+        result.status = access;
+        return result;
+      }
+      compare_operand = View(src, width);
+    } else if (op.compare.size() != width) {
+      result.status = InvalidArgument("compare operand width mismatch");
       return result;
+    } else {
+      compare_operand = op.compare.view();
     }
-    const rdma::Addr src = LoadU64(op.compare.data());
-    Status access = CheckAccess(op.rkey, src, width, kRemoteRead);
-    if (!access.ok()) {
-      result.status = access;
-      return result;
-    }
-    compare_operand = mem_->Load(src, width);
-  } else if (op.compare.size() != width) {
-    result.status = InvalidArgument("compare operand width mismatch");
-    return result;
-  } else {
-    compare_operand = op.compare;
   }
   auto outcome = rdma::Verbs::MaskedCompareSwap(
       *mem_, op.rkey, target->addr, compare_operand, *data, op.cmp_mask,
@@ -198,23 +198,20 @@ OpResult Executor::DoAllocate(const Op& op) {
     result.status = write_ok;
     return result;
   }
-  mem_->Store(*buffer, op.data);
-  Bytes addr_bytes = BytesOfU64(*buffer);
-  result.resolved_addr = *buffer;
+  mem_->Store(*buffer, op.data.view());
+  const SmallBytes addr_bytes = SmallBytes::OfU64(*buffer);
   if (op.redirect) {
-    result.status = RedirectOutput(op, addr_bytes);
+    result.status = RedirectOutput(op, addr_bytes.view());
     if (!result.status.ok()) {
       (void)freelists_->Post(op.freelist, *buffer);
-      result.resolved_addr = 0;
       return result;
     }
     // Even when redirected, the 8-byte address rides back in the response
     // (accounted in ResponseOpSize) so the client can reclaim the buffer if
     // a later conditional install fails.
-    result.data = std::move(addr_bytes);
-    return result;
   }
-  result.data = std::move(addr_bytes);
+  result.resolved_addr = *buffer;
+  result.data = addr_bytes;
   return result;
 }
 
@@ -241,12 +238,12 @@ OpResult Executor::DoSearch(const Op& op) {
       }
     }
   }
-  Bytes offset_bytes = BytesOfU64(offset);
+  const SmallBytes offset_bytes = SmallBytes::OfU64(offset);
   if (op.redirect) {
-    result.status = RedirectOutput(op, offset_bytes);
+    result.status = RedirectOutput(op, offset_bytes.view());
     return result;
   }
-  result.data = std::move(offset_bytes);
+  result.data = offset_bytes;
   return result;
 }
 

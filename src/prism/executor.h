@@ -80,9 +80,15 @@ class Executor {
   Result<Target> ResolveTarget(const Op& op, uint64_t len,
                                uint32_t need_access) const;
 
-  // Resolves the data operand honoring data_indirect (loads `width` bytes
-  // from the server-side source).
-  Result<Bytes> ResolveData(const Op& op, uint64_t width) const;
+  // Resolves the data operand honoring data_indirect: a view of the first
+  // `width` inline bytes, or of the `width` bytes at the server-side source.
+  // An indirect view aliases this memory until the op's store.
+  Result<ByteView> ResolveData(const Op& op, uint64_t width) const;
+
+  // The `len` bytes at `addr`, viewed in place (the caller validated them).
+  ByteView View(rdma::Addr addr, uint64_t len) const {
+    return {mem_->RawAt(addr, len), len};
+  }
 
   // Stores an op output at the redirect target (validated under op.rkey).
   Status RedirectOutput(const Op& op, ByteView output);

@@ -12,6 +12,12 @@
 //
 // plus the enhanced-CAS fields: comparison mode (EQ/GT/LT), separate compare
 // and swap bitmasks, and operand widths of 8..32 bytes (§3.3).
+//
+// Every operand and result is a SmallBytes (DESIGN.md §5.15): operands up to
+// the 32-byte CAS width, masks, pointers and CAS old values sit inline in the
+// Op or OpResult, and a longer WRITE/ALLOCATE payload or READ result is one
+// shared block. Copying a chain copies no payload, and the only heap block an
+// executed chain makes is the data of a READ longer than 32 bytes.
 #ifndef PRISM_SRC_PRISM_OP_H_
 #define PRISM_SRC_PRISM_OP_H_
 
@@ -69,7 +75,7 @@ struct Op {
   rdma::RKey rkey = 0;
   rdma::Addr addr = 0;   // target address (READ/WRITE/CAS)
   uint64_t len = 0;      // requested length (READ/WRITE)
-  Bytes data;            // WRITE data / CAS operand / ALLOCATE payload;
+  SmallBytes data;       // WRITE data / CAS operand / ALLOCATE payload;
                          // an 8-byte server pointer when data_indirect
 
   // Indirection flags (§3.1).
@@ -89,10 +95,10 @@ struct Op {
   // PRISM-KV's PUT needs the separate form: it compares the OLD buffer
   // address while swapping in the NEW one read from on-NIC scratch (§6.1).
   rdma::CasCompare cas_mode = rdma::CasCompare::kEqual;
-  Bytes compare;
+  SmallBytes compare;
   bool compare_indirect = false;
-  Bytes cmp_mask;
-  Bytes swap_mask;
+  SmallBytes cmp_mask;
+  SmallBytes swap_mask;
 
   // ALLOCATE (§3.2).
   uint32_t freelist = 0;
@@ -120,7 +126,7 @@ struct Op {
 
   // Pattern search over [addr, addr+len) (Snap-style extension, §9).
   static Op Search(rdma::RKey rkey, rdma::Addr addr, uint64_t len,
-                   Bytes pattern) {
+                   SmallBytes pattern) {
     Op op;
     op.code = OpCode::kSearch;
     op.rkey = rkey;
@@ -130,7 +136,7 @@ struct Op {
     return op;
   }
 
-  static Op Write(rdma::RKey rkey, rdma::Addr addr, Bytes data) {
+  static Op Write(rdma::RKey rkey, rdma::Addr addr, SmallBytes data) {
     Op op;
     op.code = OpCode::kWrite;
     op.rkey = rkey;
@@ -140,7 +146,7 @@ struct Op {
     return op;
   }
 
-  static Op Allocate(rdma::RKey rkey, uint32_t freelist, Bytes data) {
+  static Op Allocate(rdma::RKey rkey, uint32_t freelist, SmallBytes data) {
     Op op;
     op.code = OpCode::kAllocate;
     op.rkey = rkey;
@@ -151,20 +157,20 @@ struct Op {
   }
 
   // Full-width equality CAS (masks all-ones).
-  static Op Cas(rdma::RKey rkey, rdma::Addr addr, Bytes data) {
+  static Op Cas(rdma::RKey rkey, rdma::Addr addr, SmallBytes data) {
     Op op;
     op.code = OpCode::kCas;
     op.rkey = rkey;
     op.addr = addr;
-    op.cmp_mask = Bytes(data.size(), 0xff);
-    op.swap_mask = Bytes(data.size(), 0xff);
+    op.cmp_mask = SmallBytes(data.size(), 0xff);
+    op.swap_mask = SmallBytes(data.size(), 0xff);
     op.len = data.size();
     op.data = std::move(data);
     return op;
   }
 
-  static Op MaskedCas(rdma::RKey rkey, rdma::Addr addr, Bytes data,
-                      Bytes cmp_mask, Bytes swap_mask,
+  static Op MaskedCas(rdma::RKey rkey, rdma::Addr addr, SmallBytes data,
+                      SmallBytes cmp_mask, SmallBytes swap_mask,
                       rdma::CasCompare mode = rdma::CasCompare::kEqual) {
     Op op;
     op.code = OpCode::kCas;
@@ -179,8 +185,9 @@ struct Op {
   }
 
   // CAS with distinct compare and swap operands.
-  static Op CompareSwapCas(rdma::RKey rkey, rdma::Addr addr, Bytes compare,
-                           Bytes swap, Bytes cmp_mask, Bytes swap_mask,
+  static Op CompareSwapCas(rdma::RKey rkey, rdma::Addr addr,
+                           SmallBytes compare, SmallBytes swap,
+                           SmallBytes cmp_mask, SmallBytes swap_mask,
                            rdma::CasCompare mode = rdma::CasCompare::kEqual) {
     Op op = MaskedCas(rkey, addr, std::move(swap), std::move(cmp_mask),
                       std::move(swap_mask), mode);
@@ -216,7 +223,7 @@ struct OpResult {
   Status status;            // NACK/errors; FailedPrecondition when skipped
   bool executed = false;    // false when skipped by `conditional`
   bool cas_swapped = false; // CAS comparison outcome
-  Bytes data;               // READ payload / CAS old value / ALLOCATE addr;
+  SmallBytes data;          // READ payload / CAS old value / ALLOCATE addr;
                             // empty when output was redirected
   // For indirect READs: the pointer value the NIC resolved (8 extra response
   // bytes on the wire). Lets PRISM-KV's PUT learn the old buffer address

@@ -5,7 +5,7 @@
 // over a traditional RPC; the daemon re-registers the buffer with the NIC
 // free list. Both sides batch: the client accumulates `batch_size` frees per
 // notification, and the server posts the whole batch in one core slot —
-// PostBuffers then applies the §3.2 drain rule.
+// PostBuffer then applies the §3.2 drain rule to each buffer.
 #ifndef PRISM_SRC_PRISM_RECLAIM_H_
 #define PRISM_SRC_PRISM_RECLAIM_H_
 
@@ -42,6 +42,7 @@ class ReclaimClient {
     if (pending_.empty()) return;
     auto batch = std::make_shared<std::vector<Entry>>(std::move(pending_));
     pending_.clear();
+    pending_.reserve(batch_size_);
     const size_t payload = 12 * batch->size();  // (queue u32, addr u64) each
     net::Fabric* fabric = fabric_;
     PrismServer* server = server_;
@@ -51,7 +52,7 @@ class ReclaimClient {
         co_await fabric->Cores(server->host())
             .Use(fabric->cost().rpc_handler);
         for (const Entry& e : *batch) {
-          server->PostBuffers(e.queue, {e.buffer});
+          server->PostBuffer(e.queue, e.buffer);
         }
       });
     });

@@ -23,6 +23,7 @@
 #define PRISM_SRC_PRISM_SERVICE_H_
 
 #include <deque>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -110,15 +111,15 @@ class PrismServer {
   // go idle. Implemented as an epoch barrier: the post flushes once every
   // chain with an id below the barrier has completed, i.e. once the oldest
   // unfinished chain id reaches it.
-  void PostBuffers(uint32_t queue, std::vector<rdma::Addr> buffers) {
+  void PostBuffer(uint32_t queue, rdma::Addr buffer) {
     if (oldest_chain_id_ == next_chain_id_) {
-      for (rdma::Addr b : buffers) {
-        PRISM_CHECK(freelists_.Post(queue, b).ok());
-      }
+      PRISM_CHECK(freelists_.Post(queue, buffer).ok());
     } else {
-      pending_posts_.push_back(
-          PendingPost{next_chain_id_, queue, std::move(buffers)});
+      pending_posts_.push_back(PendingPost{next_chain_id_, queue, buffer});
     }
+  }
+  void PostBuffers(uint32_t queue, const std::vector<rdma::Addr>& buffers) {
+    for (rdma::Addr b : buffers) PostBuffer(queue, b);
   }
 
   int in_flight() const { return in_flight_; }
@@ -162,10 +163,10 @@ class PrismServer {
     return 0;
   }
 
-  // Executes the chain with deployment-specific timing; fills *results.
-  // The chain lives in the server body's closure and the results in its
-  // frame; the body awaits this task, so both outlive it.
-  sim::Task<void> RunChain(const Chain& chain, ChainResult* results) {
+  // Executes the chain with deployment-specific timing; fills results[i]
+  // for op i. The ops live in the server body's closure and the results in
+  // its frame; the body awaits this task, so both outlive it.
+  sim::Task<void> RunChain(std::span<const Op> chain, OpResult* results) {
     // Entered synchronously from the request-delivery event; the register
     // still holds the issuing client's prism.execute span.
     const obs::SpanId span = fabric_->obs().StartSpan(
@@ -174,33 +175,53 @@ class PrismServer {
     ++in_flight_;
     const uint64_t chain_id = next_chain_id_++;
     chain_done_.push_back(false);
+    // Admission: reach and hold the engine that runs the chain.
     switch (deployment_) {
-      case Deployment::kSoftware: {
+      case Deployment::kSoftware:
         co_await sim::SleepFor(fabric_->sim(),
                                c.sw_ring_dma + c.sw_queue_delay);
         co_await fabric_->Cores(host_).Acquire();
         co_await sim::SleepFor(fabric_->sim(), c.sw_dispatch);
-        co_await ExecuteOps(chain, results);
-        fabric_->Cores(host_).Release();
-        co_await sim::SleepFor(fabric_->sim(), c.sw_tx);
         break;
-      }
-      case Deployment::kHardwareProjected: {
+      case Deployment::kHardwareProjected:
         co_await nic_pipeline_.Acquire();
         co_await sim::SleepFor(fabric_->sim(), c.nic_process);
-        co_await ExecuteOps(chain, results);
-        nic_pipeline_.Release();
         break;
-      }
-      case Deployment::kBlueField: {
+      case Deployment::kBlueField:
         co_await sim::SleepFor(fabric_->sim(), c.sw_ring_dma);
         co_await bf_cores_.Acquire();
         co_await sim::SleepFor(fabric_->sim(), c.bf_dispatch);
-        co_await ExecuteOps(chain, results);
+        break;
+    }
+    ChainContext ctx;
+    for (size_t i = 0; i < chain.size(); ++i) {
+      // Charge the op's cost first, then apply its effect in this event —
+      // concurrent chains interleave between ops, never inside one. The
+      // profile depends only on the op and the on-NIC region, which never
+      // moves, so one serves both the cost and the metrics.
+      const Op& op = chain[i];
+      const AccessProfile p = executor_.Profile(op);
+      co_await sim::SleepFor(fabric_->sim(), OpCost(op, p));
+      results[i] = executor_.ExecuteOne(op, ctx);
+      ops_executed_++;
+      ops_metric_->Add();
+      host_reads_metric_->Add(p.host_reads);
+      host_writes_metric_->Add(p.host_writes);
+      on_nic_metric_->Add(p.on_nic);
+    }
+    // Release the engine; the software paths then transmit the response.
+    switch (deployment_) {
+      case Deployment::kSoftware:
+        fabric_->Cores(host_).Release();
+        co_await sim::SleepFor(fabric_->sim(), c.sw_tx);
+        break;
+      case Deployment::kHardwareProjected:
+        nic_pipeline_.Release();
+        break;
+      case Deployment::kBlueField:
         bf_cores_.Release();
         co_await sim::SleepFor(fabric_->sim(), c.sw_tx);
         break;
-      }
     }
     chains_executed_++;
     chains_metric_->Add();
@@ -214,30 +235,11 @@ class PrismServer {
     fabric_->obs().FinishSpan(span, fabric_->sim()->Now());
   }
 
-  sim::Task<void> ExecuteOps(const Chain& chain, ChainResult* results) {
-    ChainContext ctx;
-    for (const Op& op : chain) {
-      // Charge the op's cost first, then apply its effect in this event —
-      // concurrent chains interleave between ops, never inside one. The
-      // profile depends only on the op and the on-NIC region, which never
-      // moves, so one serves both the cost and the metrics.
-      const AccessProfile p = executor_.Profile(op);
-      co_await sim::SleepFor(fabric_->sim(), OpCost(op, p));
-      results->push_back(executor_.ExecuteOne(op, ctx));
-      ops_executed_++;
-      ops_metric_->Add();
-      host_reads_metric_->Add(p.host_reads);
-      host_writes_metric_->Add(p.host_writes);
-      on_nic_metric_->Add(p.on_nic);
-    }
-  }
-
   void FlushPendingPosts() {
     while (!pending_posts_.empty() &&
            pending_posts_.front().barrier <= oldest_chain_id_) {
-      for (rdma::Addr b : pending_posts_.front().buffers) {
-        PRISM_CHECK(freelists_.Post(pending_posts_.front().queue, b).ok());
-      }
+      const PendingPost& p = pending_posts_.front();
+      PRISM_CHECK(freelists_.Post(p.queue, p.buffer).ok());
       pending_posts_.pop_front();
     }
   }
@@ -256,7 +258,7 @@ class PrismServer {
   struct PendingPost {
     uint64_t barrier;  // flush once all chain ids < barrier completed
     uint32_t queue;
-    std::vector<rdma::Addr> buffers;
+    rdma::Addr buffer;
   };
 
   obs::Counter* chains_metric_ = nullptr;
@@ -291,26 +293,33 @@ class PrismClient : public rdma::Exchange {
   sim::Task<Result<ChainResult>> Execute(PrismServer* server, Chain chain) {
     const size_t req_bytes = EncodedChainSize(chain);
     return Run<Result<ChainResult>>(
-        "prism.execute", server->host(), req_bytes,
-        server->deployment() != Deployment::kHardwareProjected,
+        "prism.execute", server->host(), req_bytes, OnCpu(server),
         [server, chain = std::move(chain)](
             Reply<Result<ChainResult>> reply) -> sim::Task<void> {
-          ChainResult results;
-          results.reserve(chain.size());
-          co_await server->RunChain(chain, &results);
+          ChainResult results(chain.size());
+          co_await server->RunChain(chain, results.data());
           const size_t resp_bytes = ActualResponseSize(chain, results);
           reply(std::move(results), resp_bytes);
         });
   }
 
-  // Single-op conveniences.
+  // A one-op chain, held as the op itself: no chain or result vector.
   sim::Task<Result<OpResult>> ExecuteOne(PrismServer* server, Op op) {
-    Chain chain;
-    chain.push_back(std::move(op));
-    auto results = co_await Execute(server, std::move(chain));
-    if (!results.ok()) co_return results.status();
-    PRISM_CHECK_EQ(results->size(), 1u);
-    co_return std::move((*results)[0]);
+    const size_t req_bytes = EncodedChainSize({&op, 1});
+    return Run<Result<OpResult>>(
+        "prism.execute", server->host(), req_bytes, OnCpu(server),
+        [server, op = std::move(op)](
+            Reply<Result<OpResult>> reply) -> sim::Task<void> {
+          OpResult result;
+          co_await server->RunChain({&op, 1}, &result);
+          const size_t resp_bytes = ActualResponseSize({&op, 1}, {&result, 1});
+          reply(std::move(result), resp_bytes);
+        });
+  }
+
+ private:
+  static bool OnCpu(const PrismServer* server) {
+    return server->deployment() != Deployment::kHardwareProjected;
   }
 };
 

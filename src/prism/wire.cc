@@ -38,10 +38,9 @@ struct Cursor {
     if (!Take(8)) return 0;
     return LoadU64(in.data() + pos - 8);
   }
-  Bytes Blob(size_t n) {
+  ByteView Blob(size_t n) {
     if (!Take(n)) return {};
-    return Bytes(in.begin() + static_cast<long>(pos - n),
-                 in.begin() + static_cast<long>(pos));
+    return in.subspan(pos - n, n);
   }
 
  private:
@@ -85,7 +84,7 @@ size_t EncodedOpSize(const Op& op) {
   return size;
 }
 
-size_t EncodedChainSize(const Chain& chain) {
+size_t EncodedChainSize(std::span<const Op> chain) {
   size_t size = kChainHeader;
   for (const Op& op : chain) size += EncodedOpSize(op);
   return size;
@@ -110,13 +109,14 @@ size_t ResponseOpSize(const Op& op) {
   return kStatus;
 }
 
-size_t ResponseChainSize(const Chain& chain) {
+size_t ResponseChainSize(std::span<const Op> chain) {
   size_t size = 0;
   for (const Op& op : chain) size += ResponseOpSize(op);
   return size;
 }
 
-size_t ActualResponseSize(const Chain& chain, const ChainResult& results) {
+size_t ActualResponseSize(std::span<const Op> chain,
+                          std::span<const OpResult> results) {
   constexpr size_t kStatus = 4;
   size_t size = 0;
   for (size_t i = 0; i < chain.size(); ++i) {

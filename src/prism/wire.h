@@ -8,6 +8,8 @@
 #ifndef PRISM_SRC_PRISM_WIRE_H_
 #define PRISM_SRC_PRISM_WIRE_H_
 
+#include <span>
+
 #include "src/prism/op.h"
 
 namespace prism::core {
@@ -26,7 +28,7 @@ void UnpackFlags(uint8_t flags, Op& op);
 
 // Exact encoded size of one op / a whole chain (request side).
 size_t EncodedOpSize(const Op& op);
-size_t EncodedChainSize(const Chain& chain);
+size_t EncodedChainSize(std::span<const Op> chain);
 
 // Bytes the response carries for one op: READ data (unless redirected), CAS
 // old value, ALLOCATE pointer (unless redirected), plus a 4-byte status.
@@ -34,8 +36,9 @@ size_t EncodedChainSize(const Chain& chain);
 // less); ActualResponseSize uses the executed results and is what the
 // fabric bandwidth model charges.
 size_t ResponseOpSize(const Op& op);
-size_t ResponseChainSize(const Chain& chain);
-size_t ActualResponseSize(const Chain& chain, const ChainResult& results);
+size_t ResponseChainSize(std::span<const Op> chain);
+size_t ActualResponseSize(std::span<const Op> chain,
+                          std::span<const OpResult> results);
 
 void EncodeOp(const Op& op, Bytes& out);
 Bytes EncodeChain(const Chain& chain);

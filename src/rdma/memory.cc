@@ -132,9 +132,11 @@ Bytes AddressSpace::Load(Addr addr, uint64_t len) const {
 
 void AddressSpace::Store(Addr addr, ByteView data) {
   uint8_t* dst = RawAt(addr, data.size());
-  // An empty view may carry a null pointer, and memcpy from null is
-  // undefined even for zero bytes: bounds-check, then skip the copy.
-  if (!data.empty()) std::memcpy(dst, data.data(), data.size());
+  // An empty view may carry a null pointer, and memmove from null is
+  // undefined even for zero bytes: bounds-check, then skip the copy. The
+  // view may alias this space (a PRISM indirect operand or a redirected
+  // READ), so the copy must allow overlap.
+  if (!data.empty()) std::memmove(dst, data.data(), data.size());
 }
 
 }  // namespace prism::rdma

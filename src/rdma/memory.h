@@ -108,6 +108,7 @@ class AddressSpace {
   uint64_t LoadWord(Addr addr) const;
   void StoreWord(Addr addr, uint64_t value);
   Bytes Load(Addr addr, uint64_t len) const;
+  // `data` may overlap the destination (copied as if through a temporary).
   void Store(Addr addr, ByteView data);
 
  private:

@@ -18,9 +18,9 @@
 #ifndef PRISM_SRC_RDMA_SERVICE_H_
 #define PRISM_SRC_RDMA_SERVICE_H_
 
-#include <memory>
-#include <unordered_map>
+#include <coroutine>
 #include <utility>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/net/fabric.h"
@@ -38,6 +38,8 @@ enum class Backend {
 };
 
 class RdmaService {
+  struct SourceOrder;  // per-source atomic ordering state, below
+
  public:
   RdmaService(net::Fabric* fabric, net::HostId host, Backend backend,
               AddressSpace* mem)
@@ -90,28 +92,47 @@ class RdmaService {
   // pre-CAS memory — an outcome no hardware QP can produce (qp_test pins
   // it). Plain READ/WRITE pairs still pipeline freely, so open-loop pools
   // that multiplex many workers over one client are not serialized.
-  struct AtomicTicket {
-    std::shared_ptr<sim::Event> prev;  // await before executing (may be null)
-    std::shared_ptr<sim::Event> mine;  // Set() once the effect has landed
+  //
+  // Atomics from one source therefore execute one at a time in arrival
+  // order and land in that order, so per source two counters say which have
+  // landed: a request waits until `landed` reaches the number of atomics
+  // from its source that began before it.
+  struct AtomicFence {
+    bool await_ready() const noexcept { return order->landed >= need; }
+    void await_suspend(std::coroutine_handle<> h) const {
+      order->parked.push_back({need, h});
+    }
+    void await_resume() const noexcept {}
+    SourceOrder* order;
+    uint64_t need;
   };
 
   // Called by an atomic verb, synchronously at request delivery (so arrival
-  // order matches PSN order): chains this atomic behind any in-flight one
-  // from the same source and installs its own gate for later arrivals.
-  AtomicTicket AtomicBegin(net::HostId src) {
-    AtomicTicket t;
-    std::shared_ptr<sim::Event>& tail = atomic_tail_[src];
-    t.prev = tail;
-    t.mine = std::make_shared<sim::Event>(fabric_->sim());
-    tail = t.mine;
-    return t;
+  // order matches PSN order): the fence behind every earlier atomic from
+  // the same source. The verb calls AtomicLand once its effect is in place.
+  AtomicFence AtomicBegin(net::HostId src) {
+    SourceOrder& o = OrderOf(src);
+    return {&o, o.begun++};
   }
 
   // Called by a non-atomic verb, synchronously at request delivery: the
-  // gate of the most recent atomic from the same source, if any.
-  std::shared_ptr<sim::Event> AtomicGate(net::HostId src) const {
-    auto it = atomic_tail_.find(src);
-    return it == atomic_tail_.end() ? nullptr : it->second;
+  // fence behind every atomic from the same source begun so far.
+  AtomicFence AtomicGate(net::HostId src) {
+    SourceOrder& o = OrderOf(src);
+    return {&o, o.begun};
+  }
+
+  // The oldest unlanded atomic from `src` has landed: resumes, in arrival
+  // order, the requests that waited for it.
+  void AtomicLand(net::HostId src) {
+    SourceOrder& o = order_[src];
+    ++o.landed;
+    auto ready = o.parked.begin();
+    while (ready != o.parked.end() && ready->need <= o.landed) {
+      fabric_->sim()->Resume(ready->waiter);
+      ++ready;
+    }
+    o.parked.erase(o.parked.begin(), ready);  // keeps its capacity
   }
 
  private:
@@ -122,8 +143,23 @@ class RdmaService {
   sim::ServiceQueue nic_pipeline_;
   obs::Counter* ops_metric_;
   uint64_t ops_executed_ = 0;
-  // Per-source tail of the atomic ordering chain (see AtomicBegin).
-  std::unordered_map<net::HostId, std::shared_ptr<sim::Event>> atomic_tail_;
+  // The atomic ordering state of each source host, indexed by HostId.
+  struct SourceOrder {
+    struct Parked {
+      uint64_t need;  // resume once `landed` reaches this
+      std::coroutine_handle<> waiter;
+    };
+    uint64_t begun = 0;
+    uint64_t landed = 0;
+    std::vector<Parked> parked;  // in arrival order; `need` never decreases
+  };
+
+  SourceOrder& OrderOf(net::HostId src) {
+    if (src >= order_.size()) order_.resize(src + 1);
+    return order_[src];
+  }
+
+  std::vector<SourceOrder> order_;
 };
 
 class RdmaClient : public Exchange {
@@ -137,8 +173,7 @@ class RdmaClient : public Exchange {
         "rdma.read", svc->host(), /*req_bytes=*/16, OnCpu(svc),
         [this, svc, rkey, addr,
          len](Reply<Result<Bytes>> reply) -> sim::Task<void> {
-          auto gate = svc->AtomicGate(host());
-          if (gate != nullptr) co_await gate->Wait();
+          co_await svc->AtomicGate(host());
           co_await svc->ServerPath(cost().pcie_read_rtt);
           Result<Bytes> r = Verbs::Read(svc->memory(), rkey, addr, len);
           const size_t n = r.ok() ? r.value().size() : 0;
@@ -152,8 +187,7 @@ class RdmaClient : public Exchange {
         "rdma.write", svc->host(), req_bytes, OnCpu(svc),
         [this, svc, rkey, addr,
          data = std::move(data)](Reply<Status> reply) -> sim::Task<void> {
-          auto gate = svc->AtomicGate(host());
-          if (gate != nullptr) co_await gate->Wait();
+          co_await svc->AtomicGate(host());
           co_await svc->ServerPath(cost().pcie_write);
           reply(Verbs::Write(svc->memory(), rkey, addr, data), /*bytes=*/0);
         });
@@ -166,12 +200,11 @@ class RdmaClient : public Exchange {
         "rdma.cas", svc->host(), /*req_bytes=*/32, OnCpu(svc),
         [this, svc, rkey, addr, compare,
          swap](Reply<Result<uint64_t>> reply) -> sim::Task<void> {
-          auto ticket = svc->AtomicBegin(host());
-          if (ticket.prev != nullptr) co_await ticket.prev->Wait();
+          co_await svc->AtomicBegin(host());
           co_await svc->ServerPath(AtomicCost());
           Result<uint64_t> r =
               Verbs::CompareSwap(svc->memory(), rkey, addr, compare, swap);
-          ticket.mine->Set();
+          svc->AtomicLand(host());
           reply(std::move(r), /*bytes=*/8);
         });
   }
@@ -182,12 +215,11 @@ class RdmaClient : public Exchange {
         "rdma.faa", svc->host(), /*req_bytes=*/24, OnCpu(svc),
         [this, svc, rkey, addr,
          delta](Reply<Result<uint64_t>> reply) -> sim::Task<void> {
-          auto ticket = svc->AtomicBegin(host());
-          if (ticket.prev != nullptr) co_await ticket.prev->Wait();
+          co_await svc->AtomicBegin(host());
           co_await svc->ServerPath(AtomicCost());
           Result<uint64_t> r =
               Verbs::FetchAdd(svc->memory(), rkey, addr, delta);
-          ticket.mine->Set();
+          svc->AtomicLand(host());
           reply(std::move(r), /*bytes=*/8);
         });
   }
@@ -195,20 +227,20 @@ class RdmaClient : public Exchange {
   // Mellanox-style masked CAS (standard hardware feature, §3.3): exposed on
   // the plain RDMA client because the ABD-LOCK baseline uses it for locks.
   sim::Task<Result<CasOutcome>> MaskedCompareSwap(
-      RdmaService* svc, RKey rkey, Addr addr, Bytes data, Bytes cmp_mask,
-      Bytes swap_mask, CasCompare mode = CasCompare::kEqual) {
+      RdmaService* svc, RKey rkey, Addr addr, SmallBytes data,
+      SmallBytes cmp_mask, SmallBytes swap_mask,
+      CasCompare mode = CasCompare::kEqual) {
     const size_t req_bytes = 16 + 3 * data.size();
     return Run<Result<CasOutcome>>(
         "rdma.masked_cas", svc->host(), req_bytes, OnCpu(svc),
         [this, svc, rkey, addr, mode, data = std::move(data),
          cmp_mask = std::move(cmp_mask), swap_mask = std::move(swap_mask)](
             Reply<Result<CasOutcome>> reply) -> sim::Task<void> {
-          auto ticket = svc->AtomicBegin(host());
-          if (ticket.prev != nullptr) co_await ticket.prev->Wait();
+          co_await svc->AtomicBegin(host());
           co_await svc->ServerPath(AtomicCost());
           Result<CasOutcome> r = Verbs::MaskedCompareSwap(
               svc->memory(), rkey, addr, data, cmp_mask, swap_mask, mode);
-          ticket.mine->Set();
+          svc->AtomicLand(host());
           reply(std::move(r), /*bytes=*/data.size());
         });
   }

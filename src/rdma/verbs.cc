@@ -98,17 +98,21 @@ Result<CasOutcome> Verbs::MaskedCompareSwap(AddressSpace& mem, RKey rkey,
   if (addr % 8 != 0) {
     return InvalidArgument("atomic target must be 8-byte aligned");
   }
+  // The operands may view this very memory (an indirect PRISM operand): the
+  // old value and the update are both taken before the one store.
+  const size_t width = compare.size();
+  uint8_t* target = mem.RawAt(addr, width);
   CasOutcome outcome;
-  outcome.old_value = mem.Load(addr, compare.size());
+  outcome.old_value = ByteView(target, width);
   outcome.swapped = MaskedCompare(compare, outcome.old_value, cmp_mask, mode);
   if (outcome.swapped) {
-    Bytes updated = outcome.old_value;
-    for (size_t i = 0; i < swap.size(); ++i) {
-      updated[i] =
-          static_cast<uint8_t>((updated[i] & ~swap_mask[i]) |
-                               (swap[i] & swap_mask[i]));
+    const uint8_t* old = outcome.old_value.data();
+    uint8_t updated[kMaxAtomicWidth];
+    for (size_t i = 0; i < width; ++i) {
+      updated[i] = static_cast<uint8_t>((old[i] & ~swap_mask[i]) |
+                                        (swap[i] & swap_mask[i]));
     }
-    mem.Store(addr, updated);
+    std::memcpy(target, updated, width);
   }
   return outcome;
 }

@@ -32,7 +32,7 @@ enum class CasCompare : uint8_t {
 
 struct CasOutcome {
   bool swapped = false;
-  Bytes old_value;  // previous *target (width bytes), always returned
+  SmallBytes old_value;  // previous *target (width bytes), always returned
 };
 
 class Verbs {

@@ -150,43 +150,46 @@ sim::Task<PrismRsClient::ReadPhaseResult> PrismRsClient::ReadPhase(
   co_return out;
 }
 
-sim::Task<Status> PrismRsClient::WritePhase(
-    uint64_t block, Tag tag, std::shared_ptr<const Bytes> value) {
+sim::Task<Status> PrismRsClient::WritePhase(uint64_t block, Tag tag,
+                                            ByteView value) {
   const bool variable = cluster_->options().variable_block_size;
   if (variable) {
-    PRISM_CHECK_LE(value->size(), cluster_->options().block_size);
+    PRISM_CHECK_LE(value.size(), cluster_->options().block_size);
   } else {
-    PRISM_CHECK_EQ(value->size(), cluster_->options().block_size);
+    PRISM_CHECK_EQ(value.size(), cluster_->options().block_size);
   }
   obs::OpTimeline* const op = fabric_->obs().current_op();
-  sim::FanOut<Bytes> writes(fabric_->sim(), cluster_->quorum(),
-                            cluster_->n());
-  Bytes& buffer = writes.state();  // buffer payload: [tag | value]
-  buffer.reserve(8 + value->size());
-  Bytes tag_bytes = BytesOfU64(tag.Packed());
-  buffer.insert(buffer.end(), tag_bytes.begin(), tag_bytes.end());
-  buffer.insert(buffer.end(), value->begin(), value->end());
+  sim::FanOut<> writes(fabric_->sim(), cluster_->quorum(), cluster_->n());
+  // The buffer payload [tag | value], built once: every replica's ALLOCATE
+  // shares it, and each chain's copy keeps it alive for a server body that
+  // outlives this phase (DESIGN.md §5.15).
+  SmallBytes payload(8 + value.size());
+  StoreU64(payload.mutable_data(), tag.Packed());
+  if (!value.empty()) {  // a variable-size value may be empty (and null)
+    std::memcpy(payload.mutable_data() + 8, value.data(), value.size());
+  }
 
   for (int i = 0; i < cluster_->n(); ++i) {
     PrismRsReplica* replica = &cluster_->replica(i);
     const rdma::Addr tmp = scratch_[i];
-    writes.Spawn([this, replica, block, tag, tmp, i,
-                  variable](Bytes& payload) -> sim::Task<bool> {
+    writes.Spawn([this, replica, block, tag, tmp, i, variable,
+                  payload]() -> sim::Task<bool> {
       // The §7.3 write chain. In variable mode the scratch holds 24 bytes
       // [tag' | addr' | bound'] — tag and bound written in one WRITE, the
       // ALLOCATE redirecting its address into the gap — and the CAS swaps
       // the whole 24-byte metadata element.
       const uint64_t width = variable ? 24 : 16;
       Chain chain;
+      chain.reserve(3);
       if (variable) {
-        Bytes tag_and_bound(24, 0);
-        StoreU64(tag_and_bound.data(), tag.Packed());
-        StoreU64(tag_and_bound.data() + 16, payload.size());
+        SmallBytes tag_and_bound(24);
+        StoreU64(tag_and_bound.mutable_data(), tag.Packed());
+        StoreU64(tag_and_bound.mutable_data() + 16, payload.size());
         chain.push_back(Op::Write(replica->rkey(), tmp,
                                   std::move(tag_and_bound)));     // 1. tag'+bound'
       } else {
-        chain.push_back(Op::Write(replica->rkey(), tmp,
-                                  BytesOfU64(tag.Packed())));     // 1. tag'
+        const SmallBytes tag_bytes = SmallBytes::OfU64(tag.Packed());
+        chain.push_back(Op::Write(replica->rkey(), tmp, tag_bytes));  // 1. tag'
       }
       chain.push_back(Op::Allocate(replica->rkey(), replica->freelist(),
                                    payload)
@@ -196,7 +199,7 @@ sim::Task<Status> PrismRsClient::WritePhase(
       install.code = OpCode::kCas;
       install.rkey = replica->rkey();
       install.addr = replica->meta_addr(block);
-      install.data = BytesOfU64(tmp);
+      install.data = SmallBytes::OfU64(tmp);
       install.data_indirect = true;  // operand = *tmp
       install.cmp_mask = FieldMask(width, 0, 8);     // compare tag field (GT)
       install.swap_mask = FieldMask(width, 0, width);  // install all fields
@@ -260,8 +263,7 @@ sim::Task<Result<Bytes>> PrismRsClient::Get(uint64_t block, Tag* out_tag) {
   }
   // Write-back phase: ensure f+1 replicas are at least as new as what we
   // are about to return (required for linearizability).
-  auto value = std::make_shared<const Bytes>(read.max_value);
-  Status wb = co_await WritePhase(block, read.max_tag, value);
+  Status wb = co_await WritePhase(block, read.max_tag, read.max_value);
   if (!wb.ok()) {
     if (history_ != nullptr) history_->End(hid, check::Outcome::kFailed);
     co_return wb;
@@ -296,8 +298,7 @@ sim::Task<Status> PrismRsClient::Put(uint64_t block, Bytes value,
     co_return read.status;
   }
   Tag tag{read.max_tag.ts + 1, client_id_};
-  auto value_ptr = std::make_shared<const Bytes>(std::move(value));
-  Status st = co_await WritePhase(block, tag, value_ptr);
+  Status st = co_await WritePhase(block, tag, value);
   if (!st.ok()) {
     // No quorum, but some replicas may have installed the value: a later
     // read may legally observe it (or not) — indeterminate.

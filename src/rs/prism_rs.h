@@ -157,8 +157,8 @@ class PrismRsClient {
   };
   sim::Task<ReadPhaseResult> ReadPhase(uint64_t block);
   // Propagates ⟨tag,value⟩ to replicas; resolves OK once f+1 acked.
-  sim::Task<Status> WritePhase(uint64_t block, Tag tag,
-                               std::shared_ptr<const Bytes> value);
+  // `value` is read only before the first suspension.
+  sim::Task<Status> WritePhase(uint64_t block, Tag tag, ByteView value);
 
   net::Fabric* fabric_;
   net::HostId self_;

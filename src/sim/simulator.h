@@ -180,7 +180,7 @@ class EventPool {
 };
 
 // This thread's cache of freed small blocks, in 16 B size classes up to
-// 1 KiB: every coroutine frame (task.h) and every exchange's op state
+// 2 KiB: every coroutine frame (task.h) and every exchange's op state
 // (PoolAllocator) is served from it, so a steady stream of transport ops
 // stops calling malloc. Larger requests go straight to ::operator new. A
 // miss allocates one block of the class from ::operator new, so each block
@@ -244,7 +244,9 @@ class BlockPool {
 
  private:
   static constexpr size_t kGrain = 16;
-  static constexpr size_t kMaxBytes = 1024;
+  // Covers the largest hot frames: PRISM-KV's probe loop holds an Op and
+  // an OpResult (~1 KiB), a FaRM transaction ~1.4 KiB.
+  static constexpr size_t kMaxBytes = 2048;
   static constexpr size_t kClasses = kMaxBytes / kGrain;
 
   struct FreeBlock {

@@ -606,7 +606,9 @@ sim::Task<Result<Bytes>> SyncClient::ReadPrism(rdma::Addr slot,
     round_trips_++;
     if (!r.ok()) co_return r.status();
     if ((*r)[0].Successful(OpCode::kCas)) {
-      if ((*r)[1].Successful(OpCode::kRead)) co_return (*r)[1].data;
+      if ((*r)[1].Successful(OpCode::kRead)) {
+        co_return (*r)[1].data.ToBytes();
+      }
       co_return (*r)[1].status;
     }
     lock_conflicts_++;

@@ -123,6 +123,7 @@ sim::Task<Result<Bytes>> PrismTxClient::Read(Transaction& txn, uint64_t key) {
   // version as of that RC — the bump happened precisely because no install
   // occurred.
   Chain chain;
+  chain.reserve(2);
   chain.push_back(Op::Read(shard.rkey(), shard.c_addr(slot), 16));
   chain.push_back(Op::IndirectRead(shard.rkey(), shard.ptr_addr(slot),
                                    read_len));
@@ -180,8 +181,9 @@ sim::Task<Status> PrismTxClient::AbortCleanup(
     bumps.Spawn([this, shard, key_slot, packed]() -> sim::Task<bool> {
       // CAS_GT on the [C|addr] window, swapping only C.
       Op bump = Op::MaskedCas(shard->rkey(), shard->c_addr(key_slot),
-                              BytesOfU64Pair(packed, 0), FieldMask(16, 0, 8),
-                              FieldMask(16, 0, 8), rdma::CasCompare::kGreater);
+                              SmallBytes::OfU64Pair(packed, 0),
+                              FieldMask(16, 0, 8), FieldMask(16, 0, 8),
+                              rdma::CasCompare::kGreater);
       auto r = co_await prism_.ExecuteOne(&shard->prism(), std::move(bump));
       co_return r.ok();
     });
@@ -250,7 +252,7 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
       // 8) is most significant, so this is RC==PW && TS>PR (RC>PW cannot
       // happen). Swap PR := TS.
       Op cas = Op::MaskedCas(shard->rkey(), shard->pr_addr(key_slot),
-                             BytesOfU64Pair(packed_ts, rc),
+                             SmallBytes::OfU64Pair(packed_ts, rc),
                              FieldMask(16, 0, 16),   // compare both fields
                              FieldMask(16, 0, 8),    // swap PR only
                              rdma::CasCompare::kGreater);
@@ -301,9 +303,10 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
         // Needs the separate compare/swap operand form: the compare wants
         // RC in the PW position while the swap writes TS there.
         cas = Op::CompareSwapCas(shard->rkey(), shard->pr_addr(key_slot),
-                                 /*compare=*/BytesOfU64Pair(packed_ts, rc),
-                                 /*swap=*/BytesOfU64Pair(packed_ts,
-                                                         packed_ts),
+                                 /*compare=*/SmallBytes::OfU64Pair(packed_ts,
+                                                                   rc),
+                                 /*swap=*/SmallBytes::OfU64Pair(packed_ts,
+                                                                packed_ts),
                                  FieldMask(16, 0, 16),  // compare both
                                  FieldMask(16, 0, 16),  // swap both
                                  rdma::CasCompare::kGreater);
@@ -312,7 +315,7 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
         // The returned old value carries PR, checked below (§8.2 notes
         // the optimistic PW bump is safe).
         cas = Op::MaskedCas(shard->rkey(), shard->pr_addr(key_slot),
-                            BytesOfU64Pair(0, packed_ts),
+                            SmallBytes::OfU64Pair(0, packed_ts),
                             FieldMask(16, 8, 8),  // compare PW only (GT)
                             FieldMask(16, 8, 8),  // swap PW only
                             rdma::CasCompare::kGreater);
@@ -355,26 +358,28 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
     const rdma::Addr tmp =
         scratch_[static_cast<size_t>(shard_idx)] + 16 * scratch_slot;
     const size_t reclaim_idx = static_cast<size_t>(shard_idx);
-    // Buffer payload [TS | key | value].
-    auto payload = std::make_shared<Bytes>(16 + w.value.size());
-    StoreU64(payload->data(), packed_ts);
-    StoreU64(payload->data() + 8, w.key);
-    std::memcpy(payload->data() + 16, w.value.data(), w.value.size());
+    // Buffer payload [TS | key | value], built once; the chain's ALLOCATE
+    // shares it (DESIGN.md §5.15).
+    SmallBytes payload(16 + w.value.size());
+    StoreU64(payload.mutable_data(), packed_ts);
+    StoreU64(payload.mutable_data() + 8, w.key);
+    std::memcpy(payload.mutable_data() + 16, w.value.data(), w.value.size());
     const uint64_t key_slot = slot;
     installs.Spawn([this, shard, key_slot, packed_ts, tmp, payload,
                     reclaim_idx](bool& installed) -> sim::Task<bool> {
       Chain chain;
+      chain.reserve(3);
       chain.push_back(
-          Op::Write(shard->rkey(), tmp, BytesOfU64(packed_ts)));
+          Op::Write(shard->rkey(), tmp, SmallBytes::OfU64(packed_ts)));
       chain.push_back(Op::Allocate(shard->rkey(), shard->freelist(),
-                                   *payload)
+                                   payload)
                           .RedirectTo(tmp + 8)
                           .Conditional());
       Op install;
       install.code = OpCode::kCas;
       install.rkey = shard->rkey();
       install.addr = shard->c_addr(key_slot);
-      install.data = BytesOfU64(tmp);
+      install.data = SmallBytes::OfU64(tmp);
       install.data_indirect = true;     // operand = [TS | addr'] at tmp
       install.cmp_mask = FieldMask(16, 0, 8);   // compare C (GT)
       install.swap_mask = FieldMask(16, 0, 16);  // swap C and addr

@@ -83,16 +83,103 @@ TEST(BytesTest, LoadStoreRoundTrip) {
 }
 
 TEST(BytesTest, PairLayout) {
-  Bytes b = BytesOfU64Pair(1, 2);
+  SmallBytes b = SmallBytes::OfU64Pair(1, 2);
   ASSERT_EQ(b.size(), 16u);
   EXPECT_EQ(LoadU64(b.data()), 1u);
   EXPECT_EQ(LoadU64(b.data() + 8), 2u);
 }
 
 TEST(BytesTest, FieldMaskSelectsBytes) {
-  Bytes m = FieldMask(16, 8, 8);
+  SmallBytes m = FieldMask(16, 8, 8);
   for (size_t i = 0; i < 8; ++i) EXPECT_EQ(m[i], 0x00);
   for (size_t i = 8; i < 16; ++i) EXPECT_EQ(m[i], 0xff);
+}
+
+TEST(SmallBytesTest, CasWidthStaysInlineAndOneMoreByteGoesToTheHeap) {
+  SmallBytes widest(SmallBytes::kInline, 0xab);
+  EXPECT_EQ(SmallBytes::kInline, 32u);  // the §3.3 maximum CAS width
+  EXPECT_TRUE(widest.is_inline());
+  EXPECT_EQ(widest, Bytes(32, 0xab));
+  SmallBytes wider(SmallBytes::kInline + 1, 0xcd);
+  EXPECT_FALSE(wider.is_inline());
+  EXPECT_EQ(wider, Bytes(33, 0xcd));
+  EXPECT_TRUE(SmallBytes().is_inline());
+  EXPECT_TRUE(SmallBytes().empty());
+}
+
+TEST(SmallBytesTest, CopyOfLargeContentsSharesTheBlock) {
+  const SmallBytes payload(Bytes(520, 0x5a));
+  SmallBytes copy = payload;
+  EXPECT_EQ(copy.data(), payload.data());
+  EXPECT_EQ(copy, payload);
+  // Small contents are copied, so nothing is shared.
+  const SmallBytes word = SmallBytes::OfU64(7);
+  const SmallBytes word_copy = word;
+  EXPECT_NE(word_copy.data(), word.data());
+  EXPECT_EQ(word_copy, word);
+}
+
+TEST(SmallBytesTest, SharedBlockOutlivesTheOriginal) {
+  SmallBytes copy;
+  {
+    SmallBytes original(100, 0x11);
+    original.mutable_data()[99] = 0x22;
+    copy = original;
+  }
+  ASSERT_EQ(copy.size(), 100u);
+  EXPECT_EQ(copy[0], 0x11);
+  EXPECT_EQ(copy[99], 0x22);
+}
+
+TEST(SmallBytesTest, MovedFromIsEmpty) {
+  for (size_t n : {size_t{8}, size_t{64}}) {
+    SmallBytes from(n, 0x01);
+    const uint8_t* block = from.data();
+    SmallBytes to = std::move(from);
+    EXPECT_TRUE(from.empty());
+    EXPECT_EQ(from, Bytes{}); 
+    EXPECT_EQ(to, Bytes(n, 0x01));
+    if (n > SmallBytes::kInline) {
+      EXPECT_EQ(to.data(), block);  // the block moved, not its bytes
+    }
+    SmallBytes assigned(3, 0x09);
+    assigned = std::move(to);
+    EXPECT_TRUE(to.empty());
+    EXPECT_EQ(assigned, Bytes(n, 0x01));
+  }
+}
+
+TEST(SmallBytesTest, EqualityWithBytesComparesContents) {
+  const Bytes raw = {1, 2, 3};
+  EXPECT_EQ(SmallBytes(raw), raw);
+  EXPECT_EQ(raw, SmallBytes(raw));
+  EXPECT_NE(SmallBytes(raw), (Bytes{1, 2}));
+  EXPECT_NE(SmallBytes(raw), (Bytes{1, 2, 4}));
+  EXPECT_EQ(SmallBytes(Bytes(40, 7)), SmallBytes(Bytes(40, 7)));
+  EXPECT_NE(SmallBytes(Bytes(40, 7)), SmallBytes(Bytes(41, 7)));
+}
+
+TEST(SmallBytesTest, RoundTripsThroughViews) {
+  for (size_t n : {size_t{0}, size_t{16}, size_t{32}, size_t{33}, size_t{600}}) {
+    Bytes raw(n);
+    for (size_t i = 0; i < n; ++i) raw[i] = static_cast<uint8_t>(i * 7);
+    const SmallBytes b(ByteView{raw});
+    const ByteView view = b.view();
+    EXPECT_EQ(view.size(), n);
+    EXPECT_EQ(view.data(), b.data());
+    EXPECT_EQ(SmallBytes(view), raw);
+    EXPECT_EQ(b.ToBytes(), raw);
+    EXPECT_EQ(StringOfBytes(b), StringOfBytes(raw));
+  }
+  const SmallBytes pair = SmallBytes::OfU64Pair(3, 4);
+  EXPECT_EQ(LoadU64(pair, 0), 3u);
+  EXPECT_EQ(LoadU64(pair, 8), 4u);
+}
+
+TEST(SmallBytesDeathTest, SharedContentsAreImmutable) {
+  SmallBytes payload(64);
+  const SmallBytes copy = payload;
+  EXPECT_DEATH(payload.mutable_data(), "immutable once shared");
 }
 
 TEST(BytesTest, HexDump) {

@@ -388,6 +388,69 @@ TEST(ExchangeLifetimeTest, OpStateIsReleasedWhenTheOpReturns) {
   EXPECT_TRUE(sim.idle());
 }
 
+// A free list of 528 B buffers in the row's region and a 16 B scratch slot:
+// what the PRISM-RS write chain (§7.3) needs on its replica.
+struct RsReplicaParts {
+  explicit RsReplicaParts(Env& env)
+      : queue(env.prism_svc.freelists().CreateQueue(528)),
+        scratch(*env.prism_svc.AllocateScratch(16)) {
+    env.prism_svc.PostBuffers(queue, {env.region.base + 1024,
+                                      env.region.base + 1024 + 528});
+  }
+  uint32_t queue;
+  rdma::Addr scratch;
+};
+
+// The PRISM-RS write chain for one replica: WRITE the 8 B tag to scratch,
+// ALLOCATE the shared payload with its address redirected next to it, then
+// CAS_GT the 16 B ⟨tag,addr⟩ at `meta` from scratch.
+core::Chain RsWriteChain(const Env& env, const RsReplicaParts& parts,
+                         const SmallBytes& payload) {
+  const rdma::RKey rkey = env.region.rkey;
+  core::Chain chain;
+  chain.reserve(3);
+  chain.push_back(core::Op::Write(rkey, parts.scratch, SmallBytes::OfU64(1)));
+  chain.push_back(core::Op::Allocate(rkey, parts.queue, payload)
+                      .RedirectTo(parts.scratch + 8)
+                      .Conditional());
+  core::Op install = core::Op::MaskedCas(
+      rkey, env.region.base + 256, SmallBytes::OfU64(parts.scratch),
+      FieldMask(16, 0, 8), FieldMask(16, 0, 16), rdma::CasCompare::kGreater);
+  install.data_indirect = true;
+  install.conditional = true;
+  chain.push_back(std::move(install));
+  return chain;
+}
+
+// The *_Late recipe's stretched propagation on an ALLOCATE chain: the
+// request reaches the server after the deadline, so the op is decided and
+// returns before the server body runs, and the client's payload is gone
+// before the request is even posted. The body still stores the payload:
+// the chain's copy in the body holds the shared block.
+TEST(ExchangeLifetimeTest, LateAllocateStoresFromItsSharedPayload) {
+  Env env(kRows[12]);  // ChainBlueField
+  env.fabric.mutable_cost().propagation = sim::Micros(5200);
+  const RsReplicaParts parts(env);
+  auto start_write = [&env, &parts] {
+    const SmallBytes payload(Bytes(520, 0x77));
+    return env.prism.Execute(&env.prism_svc,
+                             RsWriteChain(env, parts, payload));
+  };  // the client's payload dies here; only the chain's copy is left
+  Code code = Code::kInternal;
+  bool delivered_after_return = false;
+  sim::Spawn([&]() -> Task<void> {
+    auto r = co_await start_write();
+    code = r.code();
+    delivered_after_return = env.prism_svc.chains_executed() == 0;
+  });
+  env.sim.Run();
+  EXPECT_EQ(code, Code::kTimedOut);
+  EXPECT_TRUE(delivered_after_return);
+  ASSERT_EQ(env.prism_svc.chains_executed(), 1u);
+  const rdma::Addr stored = env.mem.LoadWord(parts.scratch + 8);
+  EXPECT_EQ(env.mem.Load(stored, 520), Bytes(520, 0x77));
+}
+
 // ---------- heap allocations per op ----------
 
 // Heap allocations of one op end to end (issue, both messages, server work,
@@ -429,7 +492,42 @@ TEST(ExchangeAllocationTest, OneOpPrismReadChainAllocatesOnlyItsData) {
         &env.prism_svc,
         core::Op::Read(env.region.rkey, env.region.base, 64));
   });
-  EXPECT_LE(allocs, 3u);  // the chain, its results and the 64 B read
+  EXPECT_EQ(allocs, 1u);  // the 64 B read; a one-op chain is the op itself
+}
+
+// Runs the chain, then returns its buffer to the free list so warm-up can
+// repeat it without draining the list.
+Task<Status> WriteAndRecycle(Env* env, const RsReplicaParts* parts,
+                             const SmallBytes* payload) {
+  core::Chain chain = RsWriteChain(*env, *parts, *payload);
+  auto r = co_await env->prism.Execute(&env->prism_svc, std::move(chain));
+  if (!r.ok()) co_return r.status();
+  if (!(*r)[1].status.ok()) co_return (*r)[1].status;
+  env->prism_svc.PostBuffer(parts->queue, (*r)[1].resolved_addr);
+  co_return OkStatus();
+}
+
+// The whole chain shares one payload block and keeps every operand, mask
+// and result inline: only the chain and result vectors are allocated.
+TEST(ExchangeAllocationTest, PrismRsWriteChainAllocatesOnlyItsVectors) {
+  Env env(kRows[10]);  // ChainSoftware
+  const RsReplicaParts parts(env);
+  const SmallBytes payload(520, 0x3c);
+  const uint64_t allocs = AllocsOfWarmedOp(&env.sim, [&] {
+    return WriteAndRecycle(&env, &parts, &payload);
+  });
+  EXPECT_EQ(allocs, 2u);  // the chain and its results
+}
+
+TEST(ExchangeAllocationTest, RdmaMaskedCasAllocatesNothing) {
+  Env env(kRows[8]);  // MaskedCasHw
+  const uint64_t allocs = AllocsOfWarmedOp(&env.sim, [&env] {
+    return env.rdma.MaskedCompareSwap(
+        &env.rdma_svc, env.region.rkey, env.region.base,
+        SmallBytes::OfU64(1), FieldMask(8, 0, 8), FieldMask(8, 0, 8),
+        rdma::CasCompare::kGreater);
+  });
+  EXPECT_EQ(allocs, 0u);  // operands, masks and old value are all inline
 }
 
 TEST(ExchangeAllocationTest, RpcCallAllocatesOnlyItsMessages) {

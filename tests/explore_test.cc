@@ -126,7 +126,9 @@ TEST(WorkloadTest, PerturbHookRespectsBudget) {
     wo.hook = &hook;
     (void)RunWorkload(wo);
     EXPECT_LE(static_cast<int>(hook.applied().size()), budget);
-    if (budget == 0) EXPECT_TRUE(hook.applied().empty());
+    if (budget == 0) {
+      EXPECT_TRUE(hook.applied().empty());
+    }
   }
 }
 

@@ -44,7 +44,7 @@ class PrismKvTest : public ::testing::Test {
 TEST(KvRecordTest, EncodeDecodeRoundTrip) {
   Bytes key = BytesOfString("k1");
   Bytes value = BytesOfString("the value");
-  Bytes record = EncodeRecord(key, value);
+  SmallBytes record = EncodeRecord(key, value);
   EXPECT_EQ(record.size(), 8 + key.size() + value.size());
   auto decoded = DecodeRecord(record);
   ASSERT_TRUE(decoded.ok());
@@ -53,9 +53,9 @@ TEST(KvRecordTest, EncodeDecodeRoundTrip) {
 }
 
 TEST(KvRecordTest, DecodeRejectsTruncation) {
-  Bytes record = EncodeRecord(BytesOfString("key"), BytesOfString("value"));
-  record.resize(record.size() - 2);
-  EXPECT_FALSE(DecodeRecord(record).ok());
+  SmallBytes record =
+      EncodeRecord(BytesOfString("key"), BytesOfString("value"));
+  EXPECT_FALSE(DecodeRecord(record.view().first(record.size() - 2)).ok());
   EXPECT_FALSE(DecodeRecord(Bytes(4)).ok());
 }
 

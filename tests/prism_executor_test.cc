@@ -196,8 +196,8 @@ TEST_F(ExecutorTest, FullWidthEqualityCas) {
 
 TEST_F(ExecutorTest, CasCompareOneFieldSwapAnother) {
   // ⟨tag, addr⟩ slot: compare addr (offset 8), swap both (PRISM-KV PUT).
-  mem_.Store(A(0), BytesOfU64Pair(/*tag=*/3, /*addr=*/A(512)));
-  Bytes operand = BytesOfU64Pair(/*tag=*/4, /*addr=*/A(512));
+  mem_.Store(A(0), SmallBytes::OfU64Pair(/*tag=*/3, /*addr=*/A(512)));
+  SmallBytes operand = SmallBytes::OfU64Pair(/*tag=*/4, /*addr=*/A(512));
   auto r = executor_.Execute({Op::MaskedCas(
       region_.rkey, A(0), operand, FieldMask(16, 8, 8), FieldMask(16, 0, 8))});
   ASSERT_TRUE(r[0].cas_swapped);
@@ -208,10 +208,10 @@ TEST_F(ExecutorTest, CasCompareOneFieldSwapAnother) {
 TEST_F(ExecutorTest, CasGreaterThanForVersionedUpdate) {
   // PRISM-RS pattern: install ⟨tag,addr⟩ only if new tag > stored tag.
   // Layout: [addr at 0 | tag at 8]; tag is most significant (LE compare).
-  mem_.Store(A(0), BytesOfU64Pair(/*addr=*/A(512), /*tag=*/5));
-  Bytes operand = BytesOfU64Pair(/*addr=*/A(1024), /*tag=*/7);
-  Bytes cmp_mask = FieldMask(16, 8, 8);   // compare tag only
-  Bytes swap_mask = FieldMask(16, 0, 16); // swap both
+  mem_.Store(A(0), SmallBytes::OfU64Pair(/*addr=*/A(512), /*tag=*/5));
+  SmallBytes operand = SmallBytes::OfU64Pair(/*addr=*/A(1024), /*tag=*/7);
+  SmallBytes cmp_mask = FieldMask(16, 8, 8);   // compare tag only
+  SmallBytes swap_mask = FieldMask(16, 0, 16); // swap both
   auto r = executor_.Execute({Op::MaskedCas(region_.rkey, A(0), operand,
                                             cmp_mask, swap_mask,
                                             CasCompare::kGreater)});
@@ -219,7 +219,7 @@ TEST_F(ExecutorTest, CasGreaterThanForVersionedUpdate) {
   EXPECT_EQ(mem_.LoadWord(A(0)), A(1024));
   EXPECT_EQ(mem_.LoadWord(A(8)), 7u);
   // A stale tag (6 < 7 now stored) must lose.
-  Bytes stale = BytesOfU64Pair(A(2048), 6);
+  SmallBytes stale = SmallBytes::OfU64Pair(A(2048), 6);
   auto r2 = executor_.Execute({Op::MaskedCas(region_.rkey, A(0), stale,
                                              cmp_mask, swap_mask,
                                              CasCompare::kGreater)});
@@ -228,9 +228,9 @@ TEST_F(ExecutorTest, CasGreaterThanForVersionedUpdate) {
 }
 
 TEST_F(ExecutorTest, CasReturnsPreviousValueEitherWay) {
-  mem_.Store(A(0), BytesOfU64Pair(9, 10));
-  Bytes operand = BytesOfU64Pair(1, 2);
-  Bytes full = FieldMask(16, 0, 16);
+  mem_.Store(A(0), SmallBytes::OfU64Pair(9, 10));
+  SmallBytes operand = SmallBytes::OfU64Pair(1, 2);
+  SmallBytes full = FieldMask(16, 0, 16);
   auto r = executor_.Execute({Op::MaskedCas(region_.rkey, A(0), operand, full,
                                             full, CasCompare::kGreater)});
   EXPECT_FALSE(r[0].cas_swapped);

@@ -303,11 +303,10 @@ TEST_F(PrismServiceTest, ConcurrentCasGtIsMonotonicAndAtomic) {
   for (int i = 0; i < 32; ++i) {
     sim::Spawn([&, i]() -> Task<void> {
       const uint64_t version = static_cast<uint64_t>(i) + 1;
-      auto r = co_await client_.ExecuteOne(
-          &sw_, Op::MaskedCas(region_.rkey, region_.base,
-                              BytesOfU64(version), FieldMask(8, 0, 8),
-                              FieldMask(8, 0, 8),
-                              rdma::CasCompare::kGreater));
+      Op cas = Op::MaskedCas(region_.rkey, region_.base,
+                             SmallBytes::OfU64(version), FieldMask(8, 0, 8),
+                             FieldMask(8, 0, 8), rdma::CasCompare::kGreater);
+      auto r = co_await client_.ExecuteOne(&sw_, std::move(cas));
       EXPECT_TRUE(r.ok());
       // The CAS returns the previous value; observed values never regress
       // past an already-installed larger version.
@@ -353,7 +352,7 @@ TEST(PrismWireTest, ChainEncodeDecodeRoundTrip) {
   Chain chain;
   chain.push_back(Op::IndirectRead(7, 1000, 512, true));
   chain.push_back(Op::Allocate(7, 3, BytesOfString("data")).RedirectTo(64));
-  chain.push_back(Op::MaskedCas(7, 2000, BytesOfU64Pair(1, 2),
+  chain.push_back(Op::MaskedCas(7, 2000, SmallBytes::OfU64Pair(1, 2),
                                 FieldMask(16, 8, 8), FieldMask(16, 0, 16),
                                 rdma::CasCompare::kGreater)
                       .Conditional());

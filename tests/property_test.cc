@@ -165,6 +165,12 @@ TEST_P(ChainProperty, ConditionalSuffixSemantics) {
 
 TEST_P(ChainProperty, WireRoundTripRandomChains) {
   Rng rng(GetParam() * 131 + 17);
+  auto random_bytes = [&rng](size_t n) {
+    SmallBytes b(n);
+    uint8_t* p = b.mutable_data();
+    for (size_t i = 0; i < n; ++i) p[i] = static_cast<uint8_t>(rng.NextU64());
+    return b;
+  };
   for (int iter = 0; iter < 200; ++iter) {
     Chain chain;
     const int len = 1 + static_cast<int>(rng.NextBelow(5));
@@ -175,8 +181,7 @@ TEST_P(ChainProperty, WireRoundTripRandomChains) {
       op.addr = rng.NextU64() >> 8;
       op.len = rng.NextBelow(1024);
       op.freelist = static_cast<uint32_t>(rng.NextBelow(8));
-      op.data.resize(rng.NextBelow(64));
-      for (auto& b : op.data) b = static_cast<uint8_t>(rng.NextU64());
+      op.data = random_bytes(rng.NextBelow(64));
       op.addr_indirect = rng.NextBool();
       op.addr_bounded = op.addr_indirect && rng.NextBool();
       op.data_indirect = rng.NextBool(0.3);
@@ -185,14 +190,11 @@ TEST_P(ChainProperty, WireRoundTripRandomChains) {
       if (op.redirect) op.redirect_addr = rng.NextU64() >> 8;
       if (op.code == OpCode::kCas) {
         const size_t width = 8u * (1 + rng.NextBelow(4));
-        op.cmp_mask.resize(width);
-        op.swap_mask.resize(width);
-        for (auto& b : op.cmp_mask) b = static_cast<uint8_t>(rng.NextU64());
-        for (auto& b : op.swap_mask) b = static_cast<uint8_t>(rng.NextU64());
+        op.cmp_mask = random_bytes(width);
+        op.swap_mask = random_bytes(width);
         op.cas_mode = static_cast<CasCompare>(rng.NextBelow(3));
         if (rng.NextBool()) {
-          op.compare.resize(rng.NextBool() ? width : 8);
-          for (auto& b : op.compare) b = static_cast<uint8_t>(rng.NextU64());
+          op.compare = random_bytes(rng.NextBool() ? width : 8);
           op.compare_indirect = op.compare.size() == 8 && rng.NextBool();
         }
       }

@@ -99,7 +99,7 @@ TEST(AddressSpaceTest, LocalLoadStore) {
   Addr a = *mem.Carve(16);
   mem.StoreWord(a, 0xabcdef);
   EXPECT_EQ(mem.LoadWord(a), 0xabcdefu);
-  mem.Store(a, BytesOfU64Pair(1, 2));
+  mem.Store(a, SmallBytes::OfU64Pair(1, 2));
   Bytes out = mem.Load(a, 16);
   EXPECT_EQ(LoadU64(out.data()), 1u);
   EXPECT_EQ(LoadU64(out.data() + 8), 2u);
@@ -113,7 +113,8 @@ TEST(AddressSpaceTest, FreshSpaceReadsZeroAtBothEnds) {
     AddressSpace mem(capacity);
     EXPECT_EQ(*mem.RawAt(0, 1), 0);
     EXPECT_EQ(*mem.RawAt(capacity - 1, 1), 0);
-    mem.Store(capacity / 2, BytesOfU64Pair(~uint64_t{0}, ~uint64_t{0}));
+    mem.Store(capacity / 2,
+              SmallBytes::OfU64Pair(~uint64_t{0}, ~uint64_t{0}));
     EXPECT_EQ(*mem.RawAt(0, 1), 0);
     EXPECT_EQ(*mem.RawAt(capacity - 1, 1), 0);
     EXPECT_EQ(mem.LoadWord(capacity / 2), ~uint64_t{0});
@@ -218,8 +219,8 @@ TEST_F(VerbsTest, FetchAddAccumulates) {
 TEST_F(VerbsTest, MaskedCasEqualOnSelectedField) {
   // 16-byte operand: [fieldA | fieldB]. Compare fieldA, swap fieldB.
   Addr a = region_.base;
-  mem_.Store(a, BytesOfU64Pair(42, 7));
-  Bytes data = BytesOfU64Pair(42, 99);
+  mem_.Store(a, SmallBytes::OfU64Pair(42, 7));
+  SmallBytes data = SmallBytes::OfU64Pair(42, 99);
   auto outcome = Verbs::MaskedCompareSwap(
       mem_, region_.rkey, a, data, FieldMask(16, 0, 8), FieldMask(16, 8, 8),
       CasCompare::kEqual);
@@ -233,8 +234,8 @@ TEST_F(VerbsTest, MaskedCasEqualOnSelectedField) {
 
 TEST_F(VerbsTest, MaskedCasEqualFailureReturnsOldValue) {
   Addr a = region_.base;
-  mem_.Store(a, BytesOfU64Pair(42, 7));
-  Bytes data = BytesOfU64Pair(41, 99);
+  mem_.Store(a, SmallBytes::OfU64Pair(42, 7));
+  SmallBytes data = SmallBytes::OfU64Pair(41, 99);
   auto outcome = Verbs::MaskedCompareSwap(
       mem_, region_.rkey, a, data, FieldMask(16, 0, 8), FieldMask(16, 8, 8),
       CasCompare::kEqual);
@@ -247,10 +248,10 @@ TEST_F(VerbsTest, MaskedCasEqualFailureReturnsOldValue) {
 TEST_F(VerbsTest, MaskedCasGreaterUsesHighOffsetAsMostSignificant) {
   // Little-endian 16-byte integer: the field at offset 8 is more significant.
   Addr a = region_.base;
-  mem_.Store(a, BytesOfU64Pair(/*lo=*/100, /*hi=*/5));
+  mem_.Store(a, SmallBytes::OfU64Pair(/*lo=*/100, /*hi=*/5));
   // (lo=0, hi=6) > (lo=100, hi=5) because hi dominates.
-  Bytes data = BytesOfU64Pair(0, 6);
-  Bytes full = FieldMask(16, 0, 16);
+  SmallBytes data = SmallBytes::OfU64Pair(0, 6);
+  SmallBytes full = FieldMask(16, 0, 16);
   auto outcome = Verbs::MaskedCompareSwap(mem_, region_.rkey, a, data, full,
                                           full, CasCompare::kGreater);
   ASSERT_TRUE(outcome.ok());
@@ -263,7 +264,7 @@ TEST_F(VerbsTest, MaskedCasGreaterStrict) {
   Addr a = region_.base;
   mem_.StoreWord(a, 10);
   Bytes data = BytesOfU64(10);
-  Bytes mask = FieldMask(8, 0, 8);
+  SmallBytes mask = FieldMask(8, 0, 8);
   auto outcome = Verbs::MaskedCompareSwap(mem_, region_.rkey, a, data, mask,
                                           mask, CasCompare::kGreater);
   ASSERT_TRUE(outcome.ok());
@@ -273,7 +274,7 @@ TEST_F(VerbsTest, MaskedCasGreaterStrict) {
 TEST_F(VerbsTest, MaskedCasLess) {
   Addr a = region_.base;
   mem_.StoreWord(a, 10);
-  Bytes mask = FieldMask(8, 0, 8);
+  SmallBytes mask = FieldMask(8, 0, 8);
   auto outcome = Verbs::MaskedCompareSwap(mem_, region_.rkey, a,
                                           BytesOfU64(3), mask, mask,
                                           CasCompare::kLess);

@@ -3,7 +3,7 @@
 // Explore mode (default): run every seed of a workload through N perturbed
 // schedules, shrink the first violation per seed, and print a report.
 //
-//   explore_main --workload=toy --seeds=100 --explore=8 --delta=1000 \
+//   explore_main --workload=toy --seeds=100 --explore=8 --delta=1000
 //                --budget=8 --jobs=0 --repro-out=repro.txt
 //
 //   --workload=NAME           target stack (default toy): toy|rs|kv|tx, a
