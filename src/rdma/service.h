@@ -181,7 +181,11 @@ class RdmaClient : public Exchange {
         });
   }
 
-  sim::Task<Status> Write(RdmaService* svc, RKey rkey, Addr addr, Bytes data) {
+  // `data` is held by the server body, so a payload shared by several
+  // WRITEs (a quorum round's) is one block, and a body that outlives its op
+  // still stores from live bytes.
+  sim::Task<Status> Write(RdmaService* svc, RKey rkey, Addr addr,
+                          SmallBytes data) {
     const size_t req_bytes = 16 + data.size();
     return Run<Status>(
         "rdma.write", svc->host(), req_bytes, OnCpu(svc),
@@ -189,7 +193,8 @@ class RdmaClient : public Exchange {
          data = std::move(data)](Reply<Status> reply) -> sim::Task<void> {
           co_await svc->AtomicGate(host());
           co_await svc->ServerPath(cost().pcie_write);
-          reply(Verbs::Write(svc->memory(), rkey, addr, data), /*bytes=*/0);
+          reply(Verbs::Write(svc->memory(), rkey, addr, data.view()),
+                /*bytes=*/0);
         });
   }
 
@@ -224,8 +229,8 @@ class RdmaClient : public Exchange {
         });
   }
 
-  // Mellanox-style masked CAS (standard hardware feature, §3.3): exposed on
-  // the plain RDMA client because the ABD-LOCK baseline uses it for locks.
+  // Mellanox-style masked CAS (standard hardware feature, §3.3). Only tests
+  // call it; ABD-LOCK locks with the plain CompareSwap.
   sim::Task<Result<CasOutcome>> MaskedCompareSwap(
       RdmaService* svc, RKey rkey, Addr addr, SmallBytes data,
       SmallBytes cmp_mask, SmallBytes swap_mask,

@@ -1,6 +1,7 @@
 #include "src/rs/abd_lock.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace prism::rs {
 
@@ -153,19 +154,23 @@ sim::Task<Result<std::pair<Tag, Bytes>>> AbdLockClient::ReadLocked(
 
 sim::Task<Status> AbdLockClient::WriteLocked(
     uint64_t block, const std::vector<bool>& locked, Tag tag,
-    std::shared_ptr<const Bytes> value) {
+    ByteView value) {
   obs::OpTimeline* const op = fabric_->obs().current_op();
   int holders = 0;
   for (bool b : locked) holders += b ? 1 : 0;
-  sim::FanOut<Bytes> writes(fabric_->sim(), cluster_->quorum(), holders);
-  Bytes& buffer = writes.state();  // [tag | value]
-  Bytes tag_bytes = BytesOfU64(tag.Packed());
-  buffer.insert(buffer.end(), tag_bytes.begin(), tag_bytes.end());
-  buffer.insert(buffer.end(), value->begin(), value->end());
+  sim::FanOut<> writes(fabric_->sim(), cluster_->quorum(), holders);
+  // [tag | value], built once: every locked replica's WRITE shares it, and
+  // each WRITE's copy keeps it alive for a server body that outlives this
+  // phase (DESIGN.md §5.15).
+  SmallBytes payload(8 + value.size());
+  StoreU64(payload.mutable_data(), tag.Packed());
+  if (!value.empty()) {
+    std::memcpy(payload.mutable_data() + 8, value.data(), value.size());
+  }
   for (int i = 0; i < cluster_->n(); ++i) {
     if (!locked[static_cast<size_t>(i)]) continue;
     AbdLockReplica* replica = &cluster_->replica(i);
-    writes.Spawn([this, replica, block](Bytes& payload) -> sim::Task<bool> {
+    writes.Spawn([this, replica, block, payload]() -> sim::Task<bool> {
       // Holding the lock, the in-place write is safe. (ABD's tag check is
       // subsumed: only one writer can hold a majority at a time.)
       Status w = co_await rdma_.Write(&replica->rdma(), replica->rkey(),
@@ -190,8 +195,7 @@ sim::Task<Result<Bytes>> AbdLockClient::Get(uint64_t block, Tag* out_tag) {
     co_return read.status();
   }
   // Write-back so a majority stores the returned version.
-  auto value = std::make_shared<const Bytes>(read->second);
-  Status wb = co_await WriteLocked(block, locked, read->first, value);
+  Status wb = co_await WriteLocked(block, locked, read->first, read->second);
   co_await ReleaseLocks(block, locked);
   if (!wb.ok()) co_return wb;
   if (out_tag != nullptr) *out_tag = read->first;
@@ -212,8 +216,7 @@ sim::Task<Status> AbdLockClient::Put(uint64_t block, Bytes value,
     co_return read.status();
   }
   Tag tag{read->first.ts + 1, client_id_};
-  auto value_ptr = std::make_shared<const Bytes>(std::move(value));
-  Status w = co_await WriteLocked(block, locked, tag, value_ptr);
+  Status w = co_await WriteLocked(block, locked, tag, value);
   co_await ReleaseLocks(block, locked);
   if (!w.ok()) co_return w;
   if (out_tag != nullptr) *out_tag = tag;

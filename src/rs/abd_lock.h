@@ -101,7 +101,7 @@ class AbdLockClient {
       uint64_t block, const std::vector<bool>& locked);
   sim::Task<Status> WriteLocked(uint64_t block,
                                 const std::vector<bool>& locked, Tag tag,
-                                std::shared_ptr<const Bytes> value);
+                                ByteView value);
 
   net::Fabric* fabric_;
   net::HostId self_;

@@ -19,6 +19,9 @@
 //    far-future timers (RPC deadlines, retransmit timeouts). Schedule and
 //    pop are O(1) amortized; a slot is sorted once when the wheel reaches
 //    it. Overflow timers migrate into the wheel as the horizon advances.
+//    A slot holds a buffer only while it holds timers: drained buffers go
+//    to a spare list and back to the next slot to fill, so the wheel's
+//    storage tracks the few live slots and stays in cache.
 //  * Ordering keys (when, seq) travel in 24-byte EventRef entries separate
 //    from the records, so sorts and heap ops touch contiguous memory.
 //  * Total order is always (when, seq): the ring and the calendar queue are
@@ -598,8 +601,14 @@ class Simulator {
   static constexpr size_t kSlots = 1024;  // ~262 µs horizon
   static constexpr uint64_t kSlotMask = kSlots - 1;
 
+  // A slot owns a buffer only while it holds timers: OpenSlot hands the
+  // drained buffer to `spare`, and the next slot to get a first timer takes
+  // the most recently drained one back. Storage so tracks the few slots in
+  // the live window (most timers land a few µs ahead), not every slot a
+  // rotation has touched, and a first insert writes to a cache-hot buffer.
   struct Wheel {
     std::vector<internal::EventRef> slot[kSlots];
+    std::vector<std::vector<internal::EventRef>> spare;
     uint64_t bitmap[kSlots / 64] = {};
     uint64_t count = 0;
   };
@@ -634,10 +643,15 @@ class Simulator {
     }
     if (wheel_ == nullptr) wheel_ = std::make_unique<Wheel>();
     const size_t idx = slot & kSlotMask;
-    if (wheel_->slot[idx].empty()) {
+    std::vector<internal::EventRef>& sv = wheel_->slot[idx];
+    if (sv.empty()) {
       wheel_->bitmap[idx / 64] |= uint64_t{1} << (idx % 64);
+      if (!wheel_->spare.empty()) {
+        sv.swap(wheel_->spare.back());
+        wheel_->spare.pop_back();
+      }
     }
-    wheel_->slot[idx].push_back(e);
+    sv.push_back(e);
     ++wheel_->count;
   }
 
@@ -683,6 +697,7 @@ class Simulator {
         SortSlotIntoDue(sv);
         wheel_->count -= sv.size();
         sv.clear();
+        wheel_->spare.push_back(std::move(sv));
         wheel_->bitmap[idx / 64] &= ~(uint64_t{1} << (idx % 64));
       }
     }

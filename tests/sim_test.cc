@@ -3,11 +3,14 @@
 
 #include <coroutine>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <new>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -520,6 +523,39 @@ TEST(SimulatorTest, ZeroDelayFastPathAllocatesNothing) {
   EXPECT_EQ(fired, kWidth * 1000);
 }
 
+// An exchange-shaped timer stream: 160 chains each re-arm themselves with
+// a fixed delay of 1, 2, 4, 8 or 16 slots (0.256-4.096 µs) from a spread of
+// start times, so about 60 timers share each 256 ns slot and the load
+// repeats every 16 slots. Past the warm-up, the wheel turns over 4 times
+// on the buffers of the few slots in the live window: a slot that gets its
+// first timer takes a drained buffer rather than growing one of its own.
+TEST(SimulatorTest, TimerStreamReusesWheelStorage) {
+  Simulator sim;
+  struct Rearm {
+    Simulator* sim;
+    Duration delay;
+    uint64_t* fired;
+    void operator()() const {
+      ++*fired;
+      sim->Schedule(delay, *this);
+    }
+  };
+  uint64_t fired = 0;
+  constexpr int kChains = 160;
+  for (int i = 0; i < kChains; ++i) {
+    const Duration delay = Nanos(256 << (i % 5));
+    sim.Schedule(Nanos(1 + (i * 97) % 4096), Rearm{&sim, delay, &fired});
+  }
+  sim.RunFor(Micros(10));
+  const uint64_t warm = fired;
+  const uint64_t allocs_before = g_new_calls;
+  sim.RunFor(Micros(1200));  // > 4 rotations of the 262 µs wheel
+  EXPECT_EQ(g_new_calls - allocs_before, 0u);
+  // 1200 µs of 32 chains at each of 256 ns .. 4096 ns.
+  EXPECT_GT(fired - warm, 280'000u);
+  EXPECT_EQ(sim.stats().overflow_events, 0u);
+}
+
 // ---------- coroutine-frame block pool ----------
 
 Task<int> PoolLeaf(Simulator* sim, int v) {
@@ -536,7 +572,8 @@ Task<int> PoolMid(Simulator* sim, int v) {
 
 // One round: `width` spawned roots, each awaiting a small tree of tasks.
 // Every suspension is a zero-delay ring event, so the only allocations left
-// to count are the frames (timed events would grow fresh wheel slots).
+// to count are the frames (TimerStreamReusesWheelStorage covers timed
+// events).
 void PoolRound(Simulator* sim, int width, int* sum) {
   for (int i = 0; i < width; ++i) {
     Spawn([sim, sum, i]() -> Task<void> {
@@ -854,6 +891,135 @@ TEST(CancelTest, ChurnKeepsOrderAndCompactsOverflow) {
   // the ~1/16 of deadlines that stay live, not every deadline ever armed.
   EXPECT_LT(churn.sim.stats().pool_blocks * 4, plain.sim.stats().pool_blocks);
 }
+
+// ---------- fire order vs a reference model ----------
+
+// Random events on all three lanes (zero delay, inside the wheel's
+// horizon, far past it), random cancellations from outside and inside
+// callbacks, and random RunFor/RunUntil slices, checked against a
+// std::set of the live pending events keyed by (when, seq): every event
+// that fires must be the set's least element, at its own time.
+class TimerOrderProperty : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  Duration RandomDelay() {
+    switch (rng_.NextBelow(3)) {
+      case 0:
+        return 0;
+      case 1:
+        return Nanos(static_cast<int64_t>(rng_.NextInRange(1, 262'144)));
+      default:
+        return Nanos(
+            static_cast<int64_t>(rng_.NextInRange(1'000'000, 10'000'000)));
+    }
+  }
+
+  void ScheduleOne() { ScheduleAfter(RandomDelay()); }
+
+  // 32-95 timers in one 256 ns wheel slot up to 256 µs ahead, on 16
+  // distinct times: a slot big enough for the counting sort, with ties
+  // that must keep their seq order.
+  void ScheduleBurst() {
+    const TimePoint slot = static_cast<TimePoint>(
+        (static_cast<uint64_t>(sim_.Now()) / 256 + 1 + rng_.NextBelow(1000)) *
+        256);
+    for (uint64_t n = 32 + rng_.NextBelow(64); n > 0; --n) {
+      const auto offset = static_cast<Duration>(16 * rng_.NextBelow(16));
+      ScheduleAfter(slot + offset - sim_.Now());
+    }
+  }
+
+  void ScheduleAfter(Duration delay) {
+    const uint64_t seq = ids_.size();
+    when_.push_back(sim_.Now() + delay);
+    ids_.push_back(sim_.Schedule(delay, [this, seq] { Fired(seq); }));
+    model_.insert({when_[seq], seq});
+  }
+
+  // Cancels a random pending event, or half the time a random id, which
+  // may have fired or been cancelled already and must then be a no-op.
+  void CancelOne() {
+    if (model_.empty()) return;
+    uint64_t seq;
+    if (rng_.NextBool()) {
+      seq = rng_.NextBelow(ids_.size());
+    } else {
+      seq = std::next(model_.begin(),
+                      static_cast<ptrdiff_t>(rng_.NextBelow(model_.size())))
+                ->second;
+    }
+    sim_.Cancel(ids_[seq]);
+    model_.erase({when_[seq], seq});
+  }
+
+  void Fired(uint64_t seq) {
+    const std::pair<TimePoint, uint64_t> got{sim_.Now(), seq};
+    if (model_.empty() || *model_.begin() != got) {
+      if (mismatches_++ == 0) {
+        ADD_FAILURE() << "seq " << seq << " fired at " << sim_.Now()
+                      << ", out of (when, seq) order or cancelled";
+      }
+      model_.erase({when_[seq], seq});
+    } else {
+      model_.erase(model_.begin());
+    }
+    ++fired_;
+    // Half a child per event on average, so the population stays bounded.
+    if (rng_.NextBool()) ScheduleOne();
+    if (rng_.NextBool(0.2)) CancelOne();
+  }
+
+  // A slice length: within a slot, across the wheel, or past its horizon.
+  Duration RandomSlice() {
+    switch (rng_.NextBelow(3)) {
+      case 0:
+        return Nanos(static_cast<int64_t>(rng_.NextBelow(512)));
+      case 1:
+        return Nanos(static_cast<int64_t>(rng_.NextBelow(300'000)));
+      default:
+        return Nanos(static_cast<int64_t>(rng_.NextBelow(12'000'000)));
+    }
+  }
+
+  Rng rng_{GetParam()};
+  Simulator sim_;
+  std::set<std::pair<TimePoint, uint64_t>> model_;  // live (when, seq)
+  std::vector<TimerId> ids_;                         // by seq
+  std::vector<TimePoint> when_;                      // by seq
+  uint64_t fired_ = 0;
+  uint64_t mismatches_ = 0;
+};
+
+TEST_P(TimerOrderProperty, FireOrderMatchesReferenceModel) {
+  for (int round = 0; round < 20'000; ++round) {
+    for (uint64_t n = rng_.NextBelow(6); n > 0; --n) ScheduleOne();
+    if (rng_.NextBool(0.05)) ScheduleBurst();
+    for (uint64_t n = rng_.NextBelow(3); n > 0; --n) CancelOne();
+    const TimePoint deadline = sim_.Now() + RandomSlice();
+    if (rng_.NextBool()) {
+      sim_.RunUntil(deadline);
+    } else {
+      sim_.RunFor(deadline - sim_.Now());
+    }
+    ASSERT_EQ(sim_.Now(), deadline);
+    // Nothing due by the deadline is left behind.
+    if (!model_.empty()) {
+      ASSERT_GT(model_.begin()->first, deadline);
+    }
+    ASSERT_EQ(sim_.pending_events(), model_.size());
+  }
+  sim_.Run();
+  EXPECT_EQ(mismatches_, 0u);
+  EXPECT_TRUE(model_.empty());
+  EXPECT_EQ(sim_.executed_events(), fired_);
+  // Every lane and cancellation were exercised.
+  EXPECT_GT(sim_.stats().zero_delay_events, 1000u);
+  EXPECT_GT(sim_.stats().timer_events, 1000u);
+  EXPECT_GT(sim_.stats().overflow_events, 1000u);
+  EXPECT_GT(sim_.stats().cancelled_timers, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TimerOrderProperty,
+                         ::testing::Values(1, 2, 3));
 
 // ---------- schedule-space exploration hook ----------
 
