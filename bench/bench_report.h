@@ -220,8 +220,8 @@ struct SweepCell {
 // Per-sweep observability rig: owns one obs::PointObs per cell (stable
 // addresses — the vector is sized up front, so --jobs workers touch only
 // their own slot) plus the tracer attached to cell 0 when --trace is given.
-// Cell 0 is by convention the lightest point of the sweep (1 client), which
-// makes span parenting exact — see src/obs/obs.h.
+// Cell 0 is by convention the lightest point of the sweep, which keeps the
+// trace file small.
 class ObsRig {
  public:
   ObsRig(const ObsOptions& opts, size_t n_cells)

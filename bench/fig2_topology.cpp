@@ -37,9 +37,8 @@ struct Tier {
 
 // Times one `name` op that `client` issues from `client_host`: a root
 // span, an op timeline when the point is traced (born directly in app, no
-// backlog, and armed on the hub so the transport's handoff points stamp
-// it), the op body `op()`, and the op's complexity row. Returns the point's
-// row, its latency in every percentile.
+// backlog), the op body `op(ctx)` run under both, and the op's complexity
+// row. Returns the point's row, its latency in every percentile.
 template <typename Client, typename OpBody>
 workload::LoadPoint MeasureOp(net::Fabric& fabric, net::HostId client_host,
                               Client& client, const char* name,
@@ -48,22 +47,18 @@ workload::LoadPoint MeasureOp(net::Fabric& fabric, net::HostId client_host,
   double us = 0;
   sim::Spawn([&]() -> Task<void> {
     sim::TimePoint start = sim.Now();
-    const obs::SpanId span =
-        fabric.obs().StartSpan(name, "app", client_host, sim.Now());
+    const obs::SpanId span = fabric.obs().StartSpan(
+        name, "app", client_host, sim.Now(), /*parent=*/0);
     obs::OpTimeline* tl = nullptr;
     if (pobs != nullptr && pobs->timelines != nullptr) {
       obs::TimelineStore* st = pobs->timelines;
       tl = st->StartOp(st->EnsureClass(name), sim.Now());
       tl->Switch(obs::Phase::kApp, sim.Now());
       tl->set_root_span(span);
-      fabric.obs().SetCurrentOp(tl);
     }
-    co_await op();
+    co_await op(obs::Ctx{span, tl});
     fabric.obs().FinishSpan(span, sim.Now());
-    if (tl != nullptr) {
-      fabric.obs().SetCurrentOp(nullptr);
-      pobs->timelines->FinishOp(tl, sim.Now());
-    }
+    if (tl != nullptr) pobs->timelines->FinishOp(tl, sim.Now());
     fabric.obs().ops().Record(name, client.tally());
     us = ToMicros(sim.Now() - start);
   });
@@ -92,12 +87,13 @@ workload::LoadPoint MeasureRdma2Reads(const net::CostModel& model,
                             &mem);
   rdma::RdmaClient client(&fabric, client_host);
   return MeasureOp(fabric, client_host, client, "rdma.2reads", pobs,
-                   [&]() -> Task<void> {
+                   [&](obs::Ctx ctx) -> Task<void> {
                      auto p = co_await client.Read(&service, region.rkey,
-                                                   region.base, 8);
+                                                   region.base, 8, ctx);
                      PRISM_CHECK(p.ok());
-                     auto r = co_await client.Read(
-                         &service, region.rkey, LoadU64(p->data()), kValue);
+                     auto r = co_await client.Read(&service, region.rkey,
+                                                   LoadU64(p->data()), kValue,
+                                                   ctx);
                      PRISM_CHECK(r.ok());
                    });
 }
@@ -117,10 +113,11 @@ workload::LoadPoint MeasurePrismIndirect(const net::CostModel& model,
   mem.Store(region.base + 1024, Bytes(kValue, 1));
   core::PrismClient client(&fabric, client_host);
   return MeasureOp(fabric, client_host, client, "prism.indirect_read", pobs,
-                   [&]() -> Task<void> {
+                   [&](obs::Ctx ctx) -> Task<void> {
                      auto r = co_await client.ExecuteOne(
                          &server,
-                         Op::IndirectRead(region.rkey, region.base, kValue));
+                         Op::IndirectRead(region.rkey, region.base, kValue),
+                         ctx);
                      PRISM_CHECK(r.ok());
                      PRISM_CHECK(r->status.ok());
                    });

@@ -99,7 +99,7 @@ workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
             0, key,
             consensus::MakeValue(cfg.seed, static_cast<int>(draw % 251),
                                  static_cast<int>(draw % 241)),
-            op);
+            obs::CtxOf(op));
         PRISM_CHECK(put.status.ok())
             << put.status << " key=" << key
             << " offered=" << cfg.offered_mops;
@@ -108,7 +108,7 @@ workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
       "cons.get", 1.0 - kPutFrac,
       [&](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
         const uint64_t key = 1 + draw % kConsKeys;
-        auto v = co_await get_session.GetOn(0, key, op);
+        auto v = co_await get_session.GetOn(0, key, obs::CtxOf(op));
         PRISM_CHECK(v.ok()) << v.status() << " key=" << key
                             << " offered=" << cfg.offered_mops;
       });
@@ -119,12 +119,12 @@ workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
   sim::TaskTracker tracker;
   sim::Spawn(
       [&]() -> sim::Task<void> {
-        auto won = co_await cluster.Failover(0, nullptr);
+        auto won = co_await cluster.Failover(0, {});
         PRISM_CHECK(won.ok()) << won.status();
         for (uint64_t k = 1; k <= kConsKeys; ++k) {
           auto put = co_await seed_session.PutOn(
               0, k, consensus::MakeValue(cfg.seed, 0, static_cast<int>(k)),
-              nullptr);
+              {});
           PRISM_CHECK(put.status.ok()) << put.status;
         }
         PRISM_CHECK_EQ(cluster.node(0).granted_count(), kConsReplicas);
@@ -219,7 +219,7 @@ workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
       "cons.failover", 1.0,
       [&](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
         const int candidate = static_cast<int>(draw % kConsReplicas);
-        auto won = co_await cluster.Failover(candidate, op);
+        auto won = co_await cluster.Failover(candidate, obs::CtxOf(op));
         PRISM_CHECK(won.ok()) << won.status() << " candidate=" << candidate;
       });
   // Seed one full catch-up batch of committed entries before the measured
@@ -228,12 +228,12 @@ workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
   sim::TaskTracker tracker;
   sim::Spawn(
       [&]() -> sim::Task<void> {
-        auto won = co_await cluster.Failover(0, nullptr);
+        auto won = co_await cluster.Failover(0, {});
         PRISM_CHECK(won.ok()) << won.status();
         for (uint64_t k = 1; k <= kFailoverSeedEntries; ++k) {
           auto put = co_await seed_session.PutOn(
               0, k, consensus::MakeValue(cfg.seed, 0, static_cast<int>(k)),
-              nullptr);
+              {});
           PRISM_CHECK(put.status.ok()) << put.status;
         }
         PRISM_CHECK_LT(sim.Now(), point.measure_start())

@@ -144,9 +144,12 @@ workload::LoadPoint RunOverloadPoint(LoadServer load_server,
                     << " offered=" << cfg.offered_mops
                     << " batched=" << cfg.batched << " attempt=" << attempt;
                 co_await sim::SleepFor(sim, sim::Micros(20));
-                // The sleep suspended us: re-arm the timed-op register
-                // before the retry so the next Put attributes to this op.
-                if (op != nullptr) fabric->obs().SetCurrentOp(op);
+                // The sleep suspended us: re-arm the entry register
+                // before the retry so the next Put runs under this op.
+                if (op != nullptr) {
+                  fabric->obs().SetCurrentOp(op);
+                  fabric->obs().SetCurrentSpan(op->root_span());
+                }
               }
             });
       });

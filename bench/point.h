@@ -216,8 +216,11 @@ class Point {
       const OpDraw d = (*draw)(*rng);
       const sim::TimePoint op_start = sim_.Now();
       const obs::TransportTally before = client->TransportTally();
-      const obs::SpanId span = hub.StartSpan(d.name, "app", host, op_start);
+      const obs::SpanId span =
+          hub.StartSpan(d.name, "app", host, op_start, /*parent=*/0);
+      hub.SetCurrentSpan(span);
       const Status s = co_await (*op)(*client, c, d);
+      hub.SetCurrentSpan(0);
       hub.FinishSpan(span, sim_.Now());
       hub.ops().Record(d.name, client->TransportTally() - before);
       if (s.ok()) {
@@ -252,8 +255,8 @@ Status StatusOf(const Result<T>& r) {
 // client's attempt budget lost races on a hot lock: real behaviour, not
 // corruption. So each abort backs off 20 µs and retries with a fresh
 // budget, and the convoy cost lands in the latency tail. The pause is
-// stamped sync_spin, and the current-op register is re-armed after it so
-// the retry attributes to `op`. Any other error, or a 100th abort, fails
+// stamped sync_spin, and the entry register is re-armed after it so the
+// retry runs under `op`'s ctx. Any other error, or a 100th abort, fails
 // the run. (A plain-data coroutine: the call is a member pointer, not a
 // closure; see src/sim/task.h.)
 template <typename Client, typename Call, typename... Rest>
@@ -270,7 +273,10 @@ sim::Task<void> RetryAborts(net::Fabric* fabric, obs::OpTimeline* op,
     obs::SwitchOp(op, obs::Phase::kSyncSpin, sim->Now());
     co_await sim::SleepFor(sim, sim::Micros(20));
     obs::SwitchOp(op, obs::Phase::kApp, sim->Now());
-    if (op != nullptr) fabric->obs().SetCurrentOp(op);
+    if (op != nullptr) {
+      fabric->obs().SetCurrentOp(op);
+      fabric->obs().SetCurrentSpan(op->root_span());
+    }
   }
 }
 

@@ -18,12 +18,6 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-Bytes Word(uint64_t w) {
-  Bytes b(8);
-  StoreU64(b.data(), w);
-  return b;
-}
-
 constexpr size_t kGrantReqBytes = 24;
 size_t GrantRespBytes(const GrantResponse& r) {
   return 56 + static_cast<size_t>(r.n_entries) * 40;
@@ -184,10 +178,6 @@ ConsensusNode::ConsensusNode(net::Fabric* fabric, ConsensusCluster* cluster,
   rkeys_.assign(static_cast<size_t>(cluster->n()), 0);
 }
 
-void ConsensusNode::Arm(obs::OpTimeline* op) {
-  fabric_->obs().SetCurrentOp(op);
-}
-
 bool ConsensusNode::LocalPermissionValid() const {
   const ConsensusReplica& r = cluster_->replica(id_);
   return r.epoch() == epoch_ && r.leader() == static_cast<uint64_t>(id_);
@@ -219,7 +209,7 @@ struct ConsensusNode::Elect {
   uint64_t max_commit = 0;
   uint64_t max_write = 0;
   uint64_t reject_epoch = 0;
-  obs::OpTimeline* op = nullptr;
+  obs::Ctx ctx;
 };
 
 void ConsensusNode::Adopt(Elect& st, int r, const GrantResponse& resp) {
@@ -242,11 +232,9 @@ sim::Task<bool> ConsensusNode::AskGrant(Elect& st, int r) {
   req.candidate = static_cast<uint32_t>(id_);
   req.from_seq = st.from_seq;
   while (true) {
-    Arm(st.op);
-    auto m = co_await rpc_.Call(&cluster_->replica(r).rpc(),
-                                kRevokeGrantMethod,
-                                rpc::Message::Of<GrantRequest>(req,
-                                                               kGrantReqBytes));
+    auto m = co_await rpc_.Call(
+        &cluster_->replica(r).rpc(), kRevokeGrantMethod,
+        rpc::Message::Of<GrantRequest>(req, kGrantReqBytes), st.ctx);
     if (!m.ok()) co_return false;
     const GrantResponse& resp = (*m)->As<GrantResponse>();
     if (!resp.granted) {
@@ -260,7 +248,7 @@ sim::Task<bool> ConsensusNode::AskGrant(Elect& st, int r) {
       if (leading_ && epoch_ == st.target_epoch &&
           !granted_[static_cast<size_t>(r)]) {
         co_await HealReplica(r, static_cast<rdma::RKey>(resp.rkey),
-                             resp.commit_seq, resp.write_seq, st.op);
+                             resp.commit_seq, resp.write_seq, st.ctx);
       }
       co_return false;
     }
@@ -275,14 +263,12 @@ sim::Task<bool> ConsensusNode::AskGrant(Elect& st, int r) {
   }
 }
 
-sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::OpTimeline* op) {
-  Arm(op);
+sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::Ctx ctx) {
   co_await mu_.Lock();
   Status last = Unavailable("election never attempted");
   for (int attempt = 0; attempt < cluster_->options().max_election_attempts;
        ++attempt) {
     if (attempt > 0) {
-      Arm(op);
       co_await sim::SleepFor(
           fabric_->sim(),
           cluster_->options().election_backoff * attempt);
@@ -297,7 +283,7 @@ sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::OpTimeline* op) {
     sim::FanOut<Elect> grants(fabric_->sim(), need_remote, cluster_->n() - 1);
     Elect& st = grants.state();
     st.target_epoch = base + 1;
-    st.op = op;
+    st.ctx = ctx;
     st.granted.assign(static_cast<size_t>(cluster_->n()), false);
     st.rkeys.assign(static_cast<size_t>(cluster_->n()), 0);
 
@@ -324,7 +310,6 @@ sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::OpTimeline* op) {
       if (r == id_) continue;
       grants.Spawn(AskGrant(st, r), &cluster_->tracker());
     }
-    Arm(op);
     const bool won = co_await grants.Wait();  // need 0: decided at once
     st.gathering = false;
     if (!won) {
@@ -333,7 +318,7 @@ sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::OpTimeline* op) {
       last = Aborted("revoke quorum not reached");
       continue;
     }
-    auto done = co_await FinishElection(st, op);
+    auto done = co_await FinishElection(st, ctx);
     if (done.ok()) {
       elections_won_++;
       cluster_->set_leader_hint(id_);
@@ -364,7 +349,7 @@ Status ConsensusNode::BuildView(Elect& st,
 }
 
 sim::Task<Status> ConsensusNode::FinishElection(Elect& st,
-                                                obs::OpTimeline* op) {
+                                                obs::Ctx ctx) {
   // Merge the colocated log with the grant-quorum pool: highest epoch per
   // slot wins.
   std::map<uint64_t, LogEntryWire> view;
@@ -385,10 +370,9 @@ sim::Task<Status> ConsensusNode::FinishElection(Elect& st,
       req.epoch = st.target_epoch;
       req.candidate = static_cast<uint32_t>(id_);
       req.from_seq = s - 1;
-      Arm(op);
       auto m = co_await rpc_.Call(
           &cluster_->replica(r).rpc(), kRevokeGrantMethod,
-          rpc::Message::Of<GrantRequest>(req, kGrantReqBytes));
+          rpc::Message::Of<GrantRequest>(req, kGrantReqBytes), ctx);
       if (!m.ok()) continue;
       const GrantResponse& resp = (*m)->As<GrantResponse>();
       if (!resp.granted) continue;
@@ -424,9 +408,8 @@ sim::Task<Status> ConsensusNode::FinishElection(Elect& st,
     int successes = 1;  // the colocated write above
     for (int r = 0; r < cluster_->n(); ++r) {
       if (r == id_ || !st.granted[static_cast<size_t>(r)]) continue;
-      Arm(op);
       const bool ok = co_await RepairOne(
-          r, st.rkeys[static_cast<size_t>(r)], e, st.from_seq, op);
+          r, st.rkeys[static_cast<size_t>(r)], e, st.from_seq, ctx);
       if (ok) successes++;
     }
     if (successes < need) {
@@ -453,10 +436,9 @@ sim::Task<Status> ConsensusNode::FinishElection(Elect& st,
 sim::Task<bool> ConsensusNode::RepairOne(int r, rdma::RKey rkey,
                                          const LogEntryWire& e,
                                          uint64_t commit,
-                                         obs::OpTimeline* op) {
+                                         obs::Ctx ctx) {
   // Exclusive write permission makes repair a plain overwrite: the whole
   // 32-byte slot in one WRITE, the commit word piggybacked behind it.
-  Arm(op);
   Bytes slot(kSlotStride);
   StoreU64(slot.data() + kHdrOff, e.hdr);
   StoreU64(slot.data() + kSlotKeyOff, e.key);
@@ -466,8 +448,8 @@ sim::Task<bool> ConsensusNode::RepairOne(int r, rdma::RKey rkey,
   chain.push_back(
       Op::Write(rkey, cluster_->replica(r).slot_addr(e.seq), std::move(slot)));
   chain.push_back(Op::Write(rkey, cluster_->replica(r).ctrl_addr() + kCommitOff,
-                            Word(commit)));
-  auto res = co_await prism_.Execute(&cluster_->replica(r).prism(), chain);
+                            SmallBytes::OfU64(commit)));
+  auto res = co_await prism_.Execute(&cluster_->replica(r).prism(), chain, ctx);
   if (!res.ok()) co_return false;
   for (const core::OpResult& o : *res) {
     if (o.status.code() == Code::kPermissionDenied) {
@@ -489,8 +471,7 @@ void ConsensusNode::MarkDeposed(int r) {
 // ---- data path ----
 
 sim::Task<ConsensusNode::PutOutcome> ConsensusNode::SubmitPut(
-    core::PrismClient* pc, uint64_t key, Bytes value, obs::OpTimeline* op) {
-  Arm(op);
+    core::PrismClient* pc, uint64_t key, Bytes value, obs::Ctx ctx) {
   co_await mu_.Lock();
   PutOutcome out;
   if (!leading_ || !LocalPermissionValid()) {
@@ -535,10 +516,9 @@ sim::Task<ConsensusNode::PutOutcome> ConsensusNode::SubmitPut(
     appends.state() = std::move(value);
     for (int r : targets) {
       appends.Spawn(AppendChain(pc, r, seq, hdr, key, prev_commit,
-                                appends.state(), op),
+                                appends.state(), ctx),
                     &cluster_->tracker());
     }
-    Arm(op);
     committed = co_await appends.Wait();
   }
   if (committed) {
@@ -551,7 +531,7 @@ sim::Task<ConsensusNode::PutOutcome> ConsensusNode::SubmitPut(
         committed_seq_ % cluster_->options().regrant_interval == 0) {
       regrant_inflight_ = true;
       regrants_++;
-      sim::Spawn(TryRegrant(op), &cluster_->tracker());
+      sim::Spawn(TryRegrant(ctx), &cluster_->tracker());
     }
   } else {
     // The entry is in the colocated log and possibly on some remotes; a
@@ -568,8 +548,7 @@ sim::Task<bool> ConsensusNode::AppendChain(core::PrismClient* pc, int r,
                                            uint64_t seq, uint64_t hdr,
                                            uint64_t key, uint64_t prev_commit,
                                            const Bytes& value,
-                                           obs::OpTimeline* op) {
-  Arm(op);
+                                           obs::Ctx ctx) {
   const rdma::RKey rkey = rkeys_[static_cast<size_t>(r)];
   const rdma::Addr slot = cluster_->replica(r).slot_addr(seq);
   Bytes payload(8 + kValueSize);
@@ -578,15 +557,16 @@ sim::Task<bool> ConsensusNode::AppendChain(core::PrismClient* pc, int r,
   core::Chain chain;
   // Locate (client-computed slot address) + compare (slot must be empty) +
   // write (payload, then the piggybacked commit index) — one round trip.
-  chain.push_back(Op::CompareSwapCas(rkey, slot + kHdrOff, Word(0), Word(hdr),
-                                     Bytes(8, 0xff), Bytes(8, 0xff)));
+  chain.push_back(Op::CompareSwapCas(
+      rkey, slot + kHdrOff, SmallBytes::OfU64(0), SmallBytes::OfU64(hdr),
+      SmallBytes(8, 0xff), SmallBytes(8, 0xff)));
   chain.push_back(
       Op::Write(rkey, slot + kSlotKeyOff, std::move(payload)).Conditional());
   chain.push_back(Op::Write(rkey,
                             cluster_->replica(r).ctrl_addr() + kCommitOff,
-                            Word(prev_commit))
+                            SmallBytes::OfU64(prev_commit))
                       .Conditional());
-  auto res = co_await pc->Execute(&cluster_->replica(r).prism(), chain);
+  auto res = co_await pc->Execute(&cluster_->replica(r).prism(), chain, ctx);
   if (!res.ok()) co_return false;
   for (const core::OpResult& o : *res) {
     if (o.status.code() == Code::kPermissionDenied) {
@@ -600,8 +580,7 @@ sim::Task<bool> ConsensusNode::AppendChain(core::PrismClient* pc, int r,
 
 sim::Task<Result<Bytes>> ConsensusNode::SubmitGet(core::PrismClient* pc,
                                                   uint64_t key,
-                                                  obs::OpTimeline* op) {
-  Arm(op);
+                                                  obs::Ctx ctx) {
   co_await mu_.Lock();
   if (!leading_ || !LocalPermissionValid()) {
     leading_ = false;
@@ -623,9 +602,8 @@ sim::Task<Result<Bytes>> ConsensusNode::SubmitGet(core::PrismClient* pc,
     sim::FanOut<> confirms(fabric_->sim(), need_remote,
                            static_cast<int>(targets.size()));
     for (int r : targets) {
-      confirms.Spawn(ConfirmChain(pc, r, op), &cluster_->tracker());
+      confirms.Spawn(ConfirmChain(pc, r, ctx), &cluster_->tracker());
     }
-    Arm(op);
     const bool confirmed = co_await confirms.Wait();
     if (!confirmed) {
       leading_ = false;
@@ -646,17 +624,16 @@ sim::Task<Result<Bytes>> ConsensusNode::SubmitGet(core::PrismClient* pc,
 }
 
 sim::Task<bool> ConsensusNode::ConfirmChain(core::PrismClient* pc, int r,
-                                            obs::OpTimeline* op) {
+                                            obs::Ctx ctx) {
   // Permission check by construction: write our heartbeat word under the
   // granted rkey. A replica that revoked us NACKs — that IS the failure
   // detector reading.
-  Arm(op);
   const rdma::RKey rkey = rkeys_[static_cast<size_t>(r)];
   core::Chain chain;
   chain.push_back(Op::Write(rkey,
                             cluster_->replica(r).ctrl_addr() + kHeartbeatOff,
-                            Word(epoch_)));
-  auto res = co_await pc->Execute(&cluster_->replica(r).prism(), chain);
+                            SmallBytes::OfU64(epoch_)));
+  auto res = co_await pc->Execute(&cluster_->replica(r).prism(), chain, ctx);
   if (!res.ok()) co_return false;
   if ((*res)[0].status.code() == Code::kPermissionDenied) {
     MarkDeposed(r);
@@ -670,7 +647,7 @@ sim::Task<bool> ConsensusNode::ConfirmChain(core::PrismClient* pc, int r,
 sim::Task<bool> ConsensusNode::HealReplica(int r, rdma::RKey rkey,
                                            uint64_t their_commit,
                                            uint64_t their_write,
-                                           obs::OpTimeline* op) {
+                                           obs::Ctx ctx) {
   const uint64_t snap_epoch = epoch_;
   const uint64_t snap_commit = committed_seq_;
   bool ok = true;
@@ -682,8 +659,7 @@ sim::Task<bool> ConsensusNode::HealReplica(int r, rdma::RKey rkey,
     wipe.push_back(
         Op::Write(rkey, cluster_->replica(r).slot_addr(snap_commit + 1),
                   Bytes((their_write - snap_commit) * kSlotStride, 0)));
-    Arm(op);
-    auto w = co_await prism_.Execute(&cluster_->replica(r).prism(), wipe);
+    auto w = co_await prism_.Execute(&cluster_->replica(r).prism(), wipe, ctx);
     ok = w.ok() && core::ChainFullySucceeded(wipe, *w);
   }
   // Replay the committed range it is missing from the colocated log (an
@@ -703,17 +679,16 @@ sim::Task<bool> ConsensusNode::HealReplica(int r, rdma::RKey rkey,
       chain.push_back(Op::Write(rkey, cluster_->replica(r).slot_addr(s),
                                 std::move(slot)));
     }
-    Arm(op);
-    auto res = co_await prism_.Execute(&cluster_->replica(r).prism(), chain);
+    auto res =
+        co_await prism_.Execute(&cluster_->replica(r).prism(), chain, ctx);
     ok = res.ok() && core::ChainFullySucceeded(chain, *res);
   }
   if (ok) {
     core::Chain fin;
     fin.push_back(Op::Write(
         rkey, cluster_->replica(r).ctrl_addr() + kCommitOff,
-        Word(snap_commit)));
-    Arm(op);
-    auto res = co_await prism_.Execute(&cluster_->replica(r).prism(), fin);
+        SmallBytes::OfU64(snap_commit)));
+    auto res = co_await prism_.Execute(&cluster_->replica(r).prism(), fin, ctx);
     ok = res.ok() && core::ChainFullySucceeded(fin, *res);
   }
   if (ok && leading_ && epoch_ == snap_epoch &&
@@ -725,7 +700,7 @@ sim::Task<bool> ConsensusNode::HealReplica(int r, rdma::RKey rkey,
   co_return false;
 }
 
-sim::Task<void> ConsensusNode::TryRegrant(obs::OpTimeline* op) {
+sim::Task<void> ConsensusNode::TryRegrant(obs::Ctx ctx) {
   const uint64_t snap_epoch = epoch_;
   for (int r = 0; r < cluster_->n(); ++r) {
     if (!leading_ || epoch_ != snap_epoch) break;
@@ -734,10 +709,9 @@ sim::Task<void> ConsensusNode::TryRegrant(obs::OpTimeline* op) {
     req.epoch = snap_epoch;
     req.candidate = static_cast<uint32_t>(id_);
     req.from_seq = ~uint64_t{0};  // tail info only
-    Arm(op);
     auto m = co_await rpc_.Call(
         &cluster_->replica(r).rpc(), kRevokeGrantMethod,
-        rpc::Message::Of<GrantRequest>(req, kGrantReqBytes));
+        rpc::Message::Of<GrantRequest>(req, kGrantReqBytes), ctx);
     if (!m.ok()) continue;
     const GrantResponse& resp = (*m)->As<GrantResponse>();
     if (!resp.granted) {
@@ -746,7 +720,7 @@ sim::Task<void> ConsensusNode::TryRegrant(obs::OpTimeline* op) {
       continue;
     }
     (void)co_await HealReplica(r, static_cast<rdma::RKey>(resp.rkey),
-                               resp.commit_seq, resp.write_seq, op);
+                               resp.commit_seq, resp.write_seq, ctx);
   }
   regrant_inflight_ = false;
   co_return;
@@ -769,11 +743,10 @@ ConsensusCluster::ConsensusCluster(net::Fabric* fabric,
 }
 
 sim::Task<Result<uint64_t>> ConsensusCluster::Failover(int candidate,
-                                                       obs::OpTimeline* op) {
+                                                       obs::Ctx ctx) {
   PRISM_CHECK_GE(candidate, 0);
   PRISM_CHECK_LT(candidate, n());
   const uint64_t gen = elect_generation_;
-  fabric_->obs().SetCurrentOp(op);
   co_await elect_mu_.Lock();
   if (elect_generation_ != gen) {
     // Someone else completed an election while we queued; if it produced a
@@ -785,7 +758,8 @@ sim::Task<Result<uint64_t>> ConsensusCluster::Failover(int candidate,
       co_return e;
     }
   }
-  auto won = co_await nodes_[static_cast<size_t>(candidate)]->BecomeLeader(op);
+  auto won =
+      co_await nodes_[static_cast<size_t>(candidate)]->BecomeLeader(ctx);
   if (won.ok()) {
     elect_generation_++;
     failovers_++;
@@ -846,7 +820,7 @@ ConsensusClient::ConsensusClient(ConsensusCluster* cluster, uint16_t client_id,
       session_(cluster) {}
 
 sim::Task<void> ConsensusClient::RecoverLeadership(int failed_leader,
-                                                   obs::OpTimeline* op) {
+                                                   obs::Ctx ctx) {
   failovers_triggered_++;
   int candidate = failed_leader;
   if (cluster_->n() > 1) {
@@ -855,12 +829,12 @@ sim::Task<void> ConsensusClient::RecoverLeadership(int failed_leader,
                      static_cast<uint64_t>(cluster_->n() - 1)))) %
                 cluster_->n();
   }
-  auto r = co_await cluster_->Failover(candidate, op);
+  auto r = co_await cluster_->Failover(candidate, ctx);
   (void)r;  // the caller re-reads the hint; failures surface on retry
 }
 
 sim::Task<Status> ConsensusClient::Put(uint64_t key, Bytes value) {
-  obs::OpTimeline* const op = cluster_->fabric()->obs().current_op();
+  const obs::Ctx ctx = cluster_->fabric()->obs().entry();
   const check::ValueId written = check::IdOf(value);
   size_t h = 0;
   if (history_ != nullptr) {
@@ -872,7 +846,7 @@ sim::Task<Status> ConsensusClient::Put(uint64_t key, Bytes value) {
     if (attempt > 0) retries_++;
     const int leader = cluster_->leader_hint();
     ConsensusNode::PutOutcome out =
-        co_await session_.PutOn(leader, key, value, op);
+        co_await session_.PutOn(leader, key, value, ctx);
     if (out.status.ok()) {
       if (history_ != nullptr) history_->End(h, check::Outcome::kOk);
       co_return OkStatus();
@@ -885,7 +859,7 @@ sim::Task<Status> ConsensusClient::Put(uint64_t key, Bytes value) {
       break;
     }
     if (attempt + 1 < max_attempts_) {
-      co_await RecoverLeadership(leader, op);
+      co_await RecoverLeadership(leader, ctx);
     }
   }
   if (history_ != nullptr) {
@@ -896,7 +870,7 @@ sim::Task<Status> ConsensusClient::Put(uint64_t key, Bytes value) {
 }
 
 sim::Task<Result<Bytes>> ConsensusClient::Get(uint64_t key) {
-  obs::OpTimeline* const op = cluster_->fabric()->obs().current_op();
+  const obs::Ctx ctx = cluster_->fabric()->obs().entry();
   size_t h = 0;
   if (history_ != nullptr) {
     h = history_->Begin(history_client_, key, check::OpType::kRead);
@@ -905,7 +879,7 @@ sim::Task<Result<Bytes>> ConsensusClient::Get(uint64_t key) {
   for (int attempt = 0; attempt < max_attempts_; ++attempt) {
     if (attempt > 0) retries_++;
     const int leader = cluster_->leader_hint();
-    auto r = co_await session_.GetOn(leader, key, op);
+    auto r = co_await session_.GetOn(leader, key, ctx);
     if (r.ok()) {
       if (history_ != nullptr) {
         history_->End(h, check::Outcome::kOk, check::IdOf(*r));
@@ -920,7 +894,7 @@ sim::Task<Result<Bytes>> ConsensusClient::Get(uint64_t key) {
     }
     last = r.status();
     if (attempt + 1 < max_attempts_) {
-      co_await RecoverLeadership(leader, op);
+      co_await RecoverLeadership(leader, ctx);
     }
   }
   if (history_ != nullptr) history_->End(h, check::Outcome::kFailed);

@@ -225,7 +225,7 @@ class ConsensusNode {
   // Runs the revoke-quorum election + catch-up + adopted-suffix re-commit.
   // Returns the won epoch. Control-plane traffic (RPCs, repair chains) is
   // charged to this node's own clients, not to any session.
-  sim::Task<Result<uint64_t>> BecomeLeader(obs::OpTimeline* op);
+  sim::Task<Result<uint64_t>> BecomeLeader(obs::Ctx ctx);
 
   // ---- stats ----
   uint64_t elections_won() const { return elections_won_; }
@@ -248,33 +248,28 @@ class ConsensusNode {
   friend class ConsensusSession;
   friend class ConsensusCluster;
 
-  // The current-op register only survives synchronous handoffs, so the op
-  // pointer is threaded explicitly and re-armed before every verb/chain/RPC
-  // (the span-register discipline, as in src/sync).
-  void Arm(obs::OpTimeline* op);
-
   // True while this node's epoch is still the one its colocated replica
   // granted — the free local leg of every permission check.
   bool LocalPermissionValid() const;
   int CommitNeed() const;
 
   sim::Task<PutOutcome> SubmitPut(core::PrismClient* pc, uint64_t key,
-                                  Bytes value, obs::OpTimeline* op);
+                                  Bytes value, obs::Ctx ctx);
   sim::Task<Result<Bytes>> SubmitGet(core::PrismClient* pc, uint64_t key,
-                                     obs::OpTimeline* op);
+                                     obs::Ctx ctx);
 
   // One commit chain to remote replica r: CAS slot hdr 0→⟨epoch,seq⟩, then
   // conditional payload + piggybacked commit-index writes; true on success.
   sim::Task<bool> AppendChain(core::PrismClient* pc, int r, uint64_t seq,
                               uint64_t hdr, uint64_t key, uint64_t prev_commit,
-                              const Bytes& value, obs::OpTimeline* op);
+                              const Bytes& value, obs::Ctx ctx);
   sim::Task<bool> ConfirmChain(core::PrismClient* pc, int r,
-                               obs::OpTimeline* op);
+                               obs::Ctx ctx);
 
   // Unconditional repair write (exclusive permission): used for adopted
   // entries and re-grant healing.
   sim::Task<bool> RepairOne(int r, rdma::RKey rkey, const LogEntryWire& e,
-                            uint64_t commit, obs::OpTimeline* op);
+                            uint64_t commit, obs::Ctx ctx);
 
   // A kPermissionDenied NACK from replica r means it revoked our rkey.
   void MarkDeposed(int r);
@@ -283,9 +278,9 @@ class ConsensusNode {
   // replica that just (re-)granted; marks it granted on success. Shared by
   // the background probe and a late post-quorum grant.
   sim::Task<bool> HealReplica(int r, rdma::RKey rkey, uint64_t their_commit,
-                              uint64_t their_write, obs::OpTimeline* op);
+                              uint64_t their_write, obs::Ctx ctx);
   // Background probe: re-grant + repair replicas missing from granted_.
-  sim::Task<void> TryRegrant(obs::OpTimeline* op);
+  sim::Task<void> TryRegrant(obs::Ctx ctx);
 
   // Ingests one grant into the election scratch state.
   struct Elect;
@@ -294,7 +289,7 @@ class ConsensusNode {
   Status BuildView(Elect& st, std::map<uint64_t, LogEntryWire>* view);
   // Catch-up (point-fetch of committed holes), adopted-suffix re-commit
   // under the new epoch, and reign installation.
-  sim::Task<Status> FinishElection(Elect& st, obs::OpTimeline* op);
+  sim::Task<Status> FinishElection(Elect& st, obs::Ctx ctx);
 
   net::Fabric* fabric_;
   ConsensusCluster* cluster_;
@@ -342,7 +337,7 @@ class ConsensusCluster {
 
   // Elects `candidate` (serialized across callers). A concurrent election
   // that already produced a newer leader short-circuits.
-  sim::Task<Result<uint64_t>> Failover(int candidate, obs::OpTimeline* op);
+  sim::Task<Result<uint64_t>> Failover(int candidate, obs::Ctx ctx);
 
   // Spawned protocol tasks (laggard chains, background re-grants) register
   // here so runs can assert a clean drain.
@@ -374,16 +369,15 @@ class ConsensusSession {
  public:
   explicit ConsensusSession(ConsensusCluster* cluster);
 
-  // Executes on node `leader`; no retry — the caller owns that policy.
+  // Executes on node `leader` under the caller's op ctx; no retry — the
+  // caller owns that policy.
   sim::Task<ConsensusNode::PutOutcome> PutOn(int leader, uint64_t key,
-                                             Bytes value,
-                                             obs::OpTimeline* op) {
+                                             Bytes value, obs::Ctx ctx) {
     return cluster_->node(leader).SubmitPut(clients_[leader].get(), key,
-                                            std::move(value), op);
+                                            std::move(value), ctx);
   }
-  sim::Task<Result<Bytes>> GetOn(int leader, uint64_t key,
-                                 obs::OpTimeline* op) {
-    return cluster_->node(leader).SubmitGet(clients_[leader].get(), key, op);
+  sim::Task<Result<Bytes>> GetOn(int leader, uint64_t key, obs::Ctx ctx) {
+    return cluster_->node(leader).SubmitGet(clients_[leader].get(), key, ctx);
   }
 
   void set_batcher(rdma::VerbBatcher* b);
@@ -422,7 +416,7 @@ class ConsensusClient {
   uint64_t retries() const { return retries_; }
 
  private:
-  sim::Task<void> RecoverLeadership(int failed_leader, obs::OpTimeline* op);
+  sim::Task<void> RecoverLeadership(int failed_leader, obs::Ctx ctx);
 
   ConsensusCluster* cluster_;
   uint16_t id_;

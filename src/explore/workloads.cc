@@ -699,7 +699,7 @@ RunOutcome RunConsensusBuggy(uint64_t seed, sim::ScheduleHook* hook) {
   sim::Spawn(
       [&]() -> Task<void> {
         // Node 0 leads; the late remote grants heal membership to 3/3.
-        (void)co_await cluster.Failover(0, nullptr);
+        (void)co_await cluster.Failover(0, {});
         co_await sim::SleepFor(&sim, sim::Micros(60));
         (void)co_await writer.Put(1, consensus::MakeValue(seed, 0, 0));
         co_await sim::SleepFor(&sim, sim::Micros(20));
@@ -708,7 +708,7 @@ RunOutcome RunConsensusBuggy(uint64_t seed, sim::ScheduleHook* hook) {
         // at the shared replicas; the read probes well after both settle.
         sim::Spawn(
             [&]() -> Task<void> {
-              (void)co_await cluster.Failover(2, nullptr);
+              (void)co_await cluster.Failover(2, {});
               co_await sim::SleepFor(&sim, sim::Micros(20));
               (void)co_await reader.Get(1);
             },
@@ -719,7 +719,7 @@ RunOutcome RunConsensusBuggy(uint64_t seed, sim::ScheduleHook* hook) {
               const Bytes v = consensus::MakeValue(seed, 0, 1);
               const size_t h = history.Begin(1, 1, check::OpType::kWrite,
                                              check::IdOf(v));
-              auto out = co_await deposed.PutOn(0, 1, v, nullptr);
+              auto out = co_await deposed.PutOn(0, 1, v, {});
               history.End(h, out.status.ok()
                                  ? check::Outcome::kOk
                                  : out.applied ==

@@ -69,14 +69,12 @@ PilafServer::PilafServer(net::Fabric* fabric, net::HostId host,
   rpc_ = std::make_unique<rpc::RpcServer>(fabric, host);
   rpc_->Register(kPutMethod,
                  [this](const rpc::Message& m) -> sim::Task<rpc::MessagePtr> {
-                   auto req = std::make_shared<PutRequest>(m.As<PutRequest>());
-                   auto resp = co_await HandlePut(req);
+                   auto resp = co_await HandlePut(m.As<PutRequest>());
                    co_return resp;
                  });
   rpc_->Register(kDeleteMethod,
                  [this](const rpc::Message& m) -> sim::Task<rpc::MessagePtr> {
-                   auto key = std::make_shared<Bytes>(m.As<Bytes>());
-                   auto resp = co_await HandleDelete(key);
+                   auto resp = co_await HandleDelete(m.As<Bytes>());
                    co_return resp;
                  });
 }
@@ -135,10 +133,9 @@ int64_t PilafServer::FindBucket(const Bytes& key, bool* exists) const {
   return first_free;  // may be -1: table full along this probe chain
 }
 
-sim::Task<rpc::MessagePtr> PilafServer::HandlePut(
-    std::shared_ptr<PutRequest> request) {
-  const Bytes& key = request->key;
-  const Bytes& value = request->value;
+sim::Task<rpc::MessagePtr> PilafServer::HandlePut(const PutRequest& request) {
+  const Bytes& key = request.key;
+  const Bytes& value = request.value;
   PutResponse out;
   out.status = CheckRecordSize(opts_, key.size(), value.size());
   if (!out.status.ok()) co_return rpc::Message::Of(out, 8);
@@ -195,11 +192,10 @@ sim::Task<rpc::MessagePtr> PilafServer::HandlePut(
   co_return rpc::Message::Of(out, 8);
 }
 
-sim::Task<rpc::MessagePtr> PilafServer::HandleDelete(
-    std::shared_ptr<Bytes> key) {
+sim::Task<rpc::MessagePtr> PilafServer::HandleDelete(const Bytes& key) {
   PutResponse out;
   bool exists = false;
-  int64_t bucket = FindBucket(*key, &exists);
+  int64_t bucket = FindBucket(key, &exists);
   if (!exists) {
     out.status = NotFound("no such key");
     co_return rpc::Message::Of(out, 8);
@@ -225,9 +221,7 @@ sim::Task<Result<Bytes>> PilafClient::Get(const std::string& key) {
   const PilafOptions& opts = server_->options();
   const Bytes key_bytes = BytesOfString(key);
   const uint64_t h = server_->HashBucket(key_bytes);
-  // The CRC checks below suspend: re-arm the timed-op register after each,
-  // so the next READ attributes to this op (DESIGN.md §5.9).
-  obs::OpTimeline* const op = fabric_->obs().current_op();
+  const obs::Ctx ctx = fabric_->obs().entry();
 
   for (int attempt = 0; attempt < opts.max_torn_retries; ++attempt) {
     bool torn = false;
@@ -236,12 +230,11 @@ sim::Task<Result<Bytes>> PilafClient::Get(const std::string& key) {
       // READ 1: the 64 B bucket.
       auto bucket_read = co_await rdma_.Read(
           &server_->rdma(), server_->rkey(), server_->bucket_addr(b),
-          PilafServer::kBucketSize);
+          PilafServer::kBucketSize, ctx);
       reads_issued_++;
       if (!bucket_read.ok()) co_return bucket_read.status();
       co_await sim::SleepFor(fabric_->sim(),
                              fabric_->cost().app_crc_check);
-      fabric_->obs().SetCurrentOp(op);
       PilafServer::Entry entry = PilafServer::ParseEntry(*bucket_read);
       if (!entry.crc_ok) {
         torn = true;  // entry being rewritten under us; retry from scratch
@@ -253,12 +246,11 @@ sim::Task<Result<Bytes>> PilafClient::Get(const std::string& key) {
       const uint64_t extent_len = entry.klen + entry.vlen + 4;
       auto extent_read = co_await rdma_.Read(&server_->rdma(),
                                              server_->rkey(), entry.ptr,
-                                             extent_len);
+                                             extent_len, ctx);
       reads_issued_++;
       if (!extent_read.ok()) co_return extent_read.status();
       co_await sim::SleepFor(fabric_->sim(),
                              fabric_->cost().app_crc_check);
-      fabric_->obs().SetCurrentOp(op);
       const Bytes& extent = *extent_read;
       const uint32_t stored_crc = LoadU32(extent.data() + entry.klen +
                                           entry.vlen);
@@ -286,7 +278,7 @@ sim::Task<Status> PilafClient::Put(const std::string& key, Bytes value) {
   const size_t wire = 16 + request.key.size() + request.value.size();
   rpc::MessagePtr msg = rpc::Message::Of(std::move(request), wire);
   auto resp = co_await rpc_.Call(&server_->rpc(), PilafServer::kPutMethod,
-                                 msg);
+                                 msg, fabric_->obs().entry());
   if (!resp.ok()) co_return resp.status();
   co_return (*resp)->As<PilafServer::PutResponse>().status;
 }
@@ -294,7 +286,7 @@ sim::Task<Status> PilafClient::Put(const std::string& key, Bytes value) {
 sim::Task<Status> PilafClient::Delete(const std::string& key) {
   rpc::MessagePtr msg = rpc::Message::Of(BytesOfString(key), 16 + key.size());
   auto resp = co_await rpc_.Call(&server_->rpc(), PilafServer::kDeleteMethod,
-                                 msg);
+                                 msg, fabric_->obs().entry());
   if (!resp.ok()) co_return resp.status();
   co_return (*resp)->As<PilafServer::PutResponse>().status;
 }

@@ -94,8 +94,9 @@ class PilafServer {
  private:
   friend class PilafClient;
 
-  sim::Task<rpc::MessagePtr> HandlePut(std::shared_ptr<PutRequest> request);
-  sim::Task<rpc::MessagePtr> HandleDelete(std::shared_ptr<Bytes> key);
+  // The handlers read the request in place (RpcServer::Handler).
+  sim::Task<rpc::MessagePtr> HandlePut(const PutRequest& request);
+  sim::Task<rpc::MessagePtr> HandleDelete(const Bytes& key);
 
   // Server-side probe for a key; returns the bucket index, or the first
   // free/tombstone bucket if absent (result < 0 means table full).

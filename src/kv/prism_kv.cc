@@ -155,7 +155,7 @@ uint64_t PrismKvClient::HashBucket(const Bytes& key) const {
 }
 
 sim::Task<PrismKvClient::ProbeOutcome> PrismKvClient::Probe(
-    std::shared_ptr<const Bytes> key, bool for_write) {
+    std::shared_ptr<const Bytes> key, bool for_write, obs::Ctx ctx) {
   const PrismKvOptions& opts = server_->options();
   const uint64_t h = HashBucket(*key);
   ProbeOutcome out;
@@ -171,7 +171,8 @@ sim::Task<PrismKvClient::ProbeOutcome> PrismKvClient::Probe(
                             opts.n_buckets;
     Op read = Op::IndirectRead(server_->rkey(), server_->slot_addr(bucket),
                                probe_len, /*bounded=*/true);
-    auto r = co_await prism_.ExecuteOne(&server_->prism(), std::move(read));
+    auto r =
+        co_await prism_.ExecuteOne(&server_->prism(), std::move(read), ctx);
     round_trips_++;
     if (!r.ok()) {
       out.status = r.status();
@@ -240,13 +241,14 @@ sim::Task<PrismKvClient::ProbeOutcome> PrismKvClient::Probe(
 }
 
 sim::Task<Result<Bytes>> PrismKvClient::Get(const std::string& key) {
+  const obs::Ctx ctx = fabric_->obs().entry();
   auto key_ptr = std::make_shared<const Bytes>(BytesOfString(key));
   size_t hid = 0;
   if (history_ != nullptr) {
     hid = history_->Begin(history_client_, check::IdOf(*key_ptr),
                           check::OpType::kRead);
   }
-  ProbeOutcome probe = co_await Probe(key_ptr, /*for_write=*/false);
+  ProbeOutcome probe = co_await Probe(key_ptr, /*for_write=*/false, ctx);
   if (!probe.status.ok()) {
     if (history_ != nullptr) {
       // NotFound is a successful observation of absence; anything else
@@ -277,6 +279,7 @@ sim::Task<Result<Bytes>> PrismKvClient::Get(const std::string& key) {
 }
 
 sim::Task<Status> PrismKvClient::Put(const std::string& key, Bytes value) {
+  const obs::Ctx ctx = fabric_->obs().entry();
   const PrismKvOptions& opts = server_->options();
   auto key_ptr = std::make_shared<const Bytes>(BytesOfString(key));
   size_t hid = 0;
@@ -312,7 +315,7 @@ sim::Task<Status> PrismKvClient::Put(const std::string& key, Bytes value) {
   for (int attempt = 0; attempt < opts.max_retries; ++attempt) {
     // RT1: probe for the slot and learn the old buffer address (§6.2: "one
     // indirect READ to identify the correct hash table slot").
-    ProbeOutcome probe = co_await Probe(key_ptr, /*for_write=*/true);
+    ProbeOutcome probe = co_await Probe(key_ptr, /*for_write=*/true, ctx);
     if (!probe.status.ok()) {
       // Every earlier attempt saw its install CAS fail: nothing installed.
       if (history_ != nullptr) history_->End(hid, check::Outcome::kFailed);
@@ -338,7 +341,7 @@ sim::Task<Status> PrismKvClient::Put(const std::string& key, Bytes value) {
     install.conditional = true;
     chain.push_back(std::move(install));
 
-    auto r = co_await prism_.Execute(&server_->prism(), std::move(chain));
+    auto r = co_await prism_.Execute(&server_->prism(), std::move(chain), ctx);
     round_trips_++;
     if (!r.ok()) {
       // The chain was sent but its response never came back: the install
@@ -363,7 +366,7 @@ sim::Task<Status> PrismKvClient::Put(const std::string& key, Bytes value) {
         const uint64_t old_bound = LoadU64(cas.data.data() + 8);
         auto old_queue = server_->QueueForRecord(old_bound);
         if (old_queue.ok()) {
-          reclaim_.Free(*old_queue, probe.old_ptr);
+          reclaim_.Free(*old_queue, probe.old_ptr, ctx);
         }
       }
       if (history_ != nullptr) history_->End(hid, check::Outcome::kOk);
@@ -372,7 +375,7 @@ sim::Task<Status> PrismKvClient::Put(const std::string& key, Bytes value) {
     // Lost the race: a concurrent writer changed the slot after our probe.
     // Reclaim the buffer we allocated and retry from the probe.
     cas_failures_++;
-    reclaim_.Free(*queue, alloc.resolved_addr);
+    reclaim_.Free(*queue, alloc.resolved_addr, ctx);
   }
   // Every CAS response came back unswapped: the value was never installed.
   if (history_ != nullptr) history_->End(hid, check::Outcome::kFailed);
@@ -380,6 +383,7 @@ sim::Task<Status> PrismKvClient::Put(const std::string& key, Bytes value) {
 }
 
 sim::Task<Status> PrismKvClient::Delete(const std::string& key) {
+  const obs::Ctx ctx = fabric_->obs().entry();
   const PrismKvOptions& opts = server_->options();
   auto key_ptr = std::make_shared<const Bytes>(BytesOfString(key));
   size_t hid = 0;
@@ -388,7 +392,7 @@ sim::Task<Status> PrismKvClient::Delete(const std::string& key) {
                           check::OpType::kWrite, check::kAbsent);
   }
   for (int attempt = 0; attempt < opts.max_retries; ++attempt) {
-    ProbeOutcome probe = co_await Probe(key_ptr, /*for_write=*/false);
+    ProbeOutcome probe = co_await Probe(key_ptr, /*for_write=*/false, ctx);
     if (!probe.status.ok()) {
       if (history_ != nullptr) {
         if (probe.status.code() == Code::kNotFound) {
@@ -413,7 +417,8 @@ sim::Task<Status> PrismKvClient::Delete(const std::string& key) {
                                        PrismKvServer::kTombstoneBound),
         /*cmp_mask=*/FieldMask(16, 0, 8),
         /*swap_mask=*/FieldMask(16, 0, 16));
-    auto r = co_await prism_.ExecuteOne(&server_->prism(), std::move(cas));
+    auto r =
+        co_await prism_.ExecuteOne(&server_->prism(), std::move(cas), ctx);
     round_trips_++;
     if (!r.ok()) {
       // The tombstone CAS may have landed without us seeing the response.
@@ -426,7 +431,7 @@ sim::Task<Status> PrismKvClient::Delete(const std::string& key) {
       const uint64_t old_bound = LoadU64(r->data.data() + 8);
       auto old_queue = server_->QueueForRecord(old_bound);
       if (old_queue.ok()) {
-        reclaim_.Free(*old_queue, probe.old_ptr);
+        reclaim_.Free(*old_queue, probe.old_ptr, ctx);
       }
       if (history_ != nullptr) history_->End(hid, check::Outcome::kOk);
       co_return OkStatus();

@@ -155,7 +155,7 @@ class PrismKvClient {
   // Probes for `key` starting at its hash bucket. If for_write, an empty or
   // tombstone slot terminates the probe successfully (insertion point).
   sim::Task<ProbeOutcome> Probe(std::shared_ptr<const Bytes> key,
-                                bool for_write);
+                                bool for_write, obs::Ctx ctx);
 
   uint64_t HashBucket(const Bytes& key) const;
 

@@ -132,20 +132,20 @@ class Fabric {
   // type-erased PendingSend record is allocated only when a frame is lost
   // and the retransmit machinery needs to re-arm, and from then on the
   // callbacks are moved — never copied — between retransmit hops.
+  //
+  // `ctx` is the sending op's (obs.h): flight, drop and loss spans are its
+  // children, and a lost frame stamps its timeline kRetransmit until a
+  // re-attempt is back on the wire. The default is untimed, with root spans.
   template <typename Delivery, typename Dropped>
   void Send(HostId src, HostId dst, size_t payload_bytes, Delivery on_delivery,
-            Dropped on_dropped) {
+            Dropped on_dropped, obs::Ctx ctx = {}) {
     if (!TryAttempt(src, dst, payload_bytes, on_delivery, on_dropped,
-                    /*attempt=*/0)) {
-      // The frame was lost: from this instant until a successful re-attempt
-      // the op is in loss recovery. The current-op register is still valid
-      // here (Send is entered synchronously from the arming client).
-      obs::OpTimeline* const op = obs_.current_op();
-      obs::SwitchOp(op, obs::Phase::kRetransmit, sim_->Now());
+                    /*attempt=*/0, ctx.span)) {
+      obs::SwitchOp(ctx.op, obs::Phase::kRetransmit, sim_->Now());
       auto pending = std::make_unique<PendingSend>(
           PendingSend{src, dst, payload_bytes, std::move(on_delivery),
                       std::move(on_dropped), /*attempt=*/0,
-                      At(dst).epoch, op});
+                      At(dst).epoch, ctx});
       ScheduleRetransmit(std::move(pending));
     }
   }
@@ -165,10 +165,10 @@ class Fabric {
     std::function<void()> on_dropped;
     int attempt;
     uint32_t dst_epoch;  // incarnation targeted when the send was issued
-    // Phase timeline of the op this frame belongs to (null when untimed);
-    // timelines are never recycled, so a stale pointer after an op timeout
-    // can only stamp its own finished (inert) timeline.
-    obs::OpTimeline* op;
+    // The sending op's ctx. Timelines are never recycled, so a stale
+    // pointer after an op timeout can only stamp its own finished (inert)
+    // timeline.
+    obs::Ctx ctx;
   };
 
   static uint64_t LinkKey(HostId src, HostId dst) {
@@ -194,7 +194,8 @@ class Fabric {
   // one of the callbacks (consuming it by move).
   template <typename Delivery, typename Dropped>
   bool TryAttempt(HostId src, HostId dst, size_t payload_bytes,
-                  Delivery& on_delivery, Dropped& on_dropped, int attempt) {
+                  Delivery& on_delivery, Dropped& on_dropped, int attempt,
+                  obs::SpanId parent) {
     constexpr bool kHasDropped = !std::is_same_v<Dropped, std::nullptr_t>;
     obs::Tracer* const tracer = obs_.tracer();
     sim::Simulator* const eng = sim_;
@@ -204,8 +205,7 @@ class Fabric {
       }
       wire_.dropped_messages++;
       if (tracer != nullptr) {
-        tracer->Instant("net.drop", "net", src, eng->Now(),
-                        obs_.current_span());
+        tracer->Instant("net.drop", "net", src, eng->Now(), parent);
       }
       return true;
     }
@@ -235,8 +235,7 @@ class Fabric {
         loss_rng_.NextDouble() < model_.loss_probability) {
       wire_.lost_messages++;
       if (tracer != nullptr) {
-        tracer->Instant("net.loss", "net", src, eng->Now(),
-                        obs_.current_span());
+        tracer->Instant("net.loss", "net", src, eng->Now(), parent);
       }
       if (attempt >= model_.max_retransmits) {
         if constexpr (kHasDropped) {
@@ -254,8 +253,7 @@ class Fabric {
     if (src == dst) {
       if (tracer != nullptr) {
         tracer->EmitComplete("net.flight", "net", src, eng->Now(),
-                             eng->Now() + sim::Nanos(200),
-                             obs_.current_span());
+                             eng->Now() + sim::Nanos(200), parent);
       }
       eng->Schedule(sim::Nanos(200),
                     [this, dst, dst_epoch, cb = std::move(on_delivery)]() {
@@ -277,8 +275,7 @@ class Fabric {
     // is emitted here as a closed interval — the delivery callback is never
     // wrapped and the event stream is byte-identical with tracing off.
     if (tracer != nullptr) {
-      tracer->EmitComplete("net.flight", "net", src, now, ready,
-                           obs_.current_span());
+      tracer->EmitComplete("net.flight", "net", src, now, ready, parent);
     }
     eng->ScheduleAt(ready,
                     [this, dst, dst_epoch, cb = std::move(on_delivery)]() {
@@ -309,13 +306,6 @@ class Fabric {
   }
 
   void Retry(std::unique_ptr<PendingSend> p) {
-    // A retransmit timer fires outside any span-propagation window: the
-    // current-span register belongs to whoever ran last, so flight spans of
-    // re-attempts are roots of their own chains. The op register, by
-    // contrast, travels *inside* the PendingSend — re-arm it so the
-    // re-attempt's own loss handling stamps the right timeline.
-    obs_.SetCurrentSpan(0);
-    obs_.SetCurrentOp(p->op);
     // Tear down retransmit state targeting a dead incarnation: if the
     // destination crashed since the send was issued (even if it has since
     // restarted), the chain stops and the drop verdict fires.
@@ -328,10 +318,10 @@ class Fabric {
     ++p->attempt;
     // Optimistically back on the wire as of now; a repeated loss flips the
     // op straight back to kRetransmit at the same timestamp (zero wire ns).
-    obs::SwitchOp(p->op, obs::Phase::kWire, sim_->Now());
+    obs::SwitchOp(p->ctx.op, obs::Phase::kWire, sim_->Now());
     if (!TryAttempt(p->src, p->dst, p->payload_bytes, p->on_delivery,
-                    p->on_dropped, p->attempt)) {
-      obs::SwitchOp(p->op, obs::Phase::kRetransmit, sim_->Now());
+                    p->on_dropped, p->attempt, p->ctx.span)) {
+      obs::SwitchOp(p->ctx.op, obs::Phase::kRetransmit, sim_->Now());
       ScheduleRetransmit(std::move(p));
     }
   }

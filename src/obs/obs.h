@@ -9,27 +9,28 @@
 //  * tracer()   — optional causal span tracer; nullptr (the default) makes
 //                 every span helper a no-op returning SpanId 0.
 //
-// Parent propagation — the current-span register:
+// Propagation — one op context passed by value:
 //
-// Coroutine protocol code interleaves at event granularity, so a thread-
-// local-style "current scope" cannot survive a co_await. Instead the hub
-// keeps one SpanId register with a strict discipline: it is *written*
-// immediately before a synchronous handoff (a fabric Send, a Spawn of a
-// server handler) and *read* at the very entry of the receiving code, with
-// no suspension point in between — a window in which the single-threaded
-// simulator cannot interleave anything. Reads outside such a window (e.g.
-// a retransmit timer) must not trust the register and use parent 0.
+// Coroutine protocol code interleaves at event granularity, so no global
+// "current scope" survives a co_await. Instead every layer passes an
+// obs::Ctx (the op's span and its phase timeline) by value: an app op takes
+// it once at entry, keeps it in its frame and hands it to its helpers and
+// transport calls; an exchange carries it in its op state to the server
+// body and the fabric. Spans are parented only to the ctx they are given.
 //
-// The register only ever affects which parent a span records: with a
-// single traced client, parent attribution is exact; under concurrency a
-// span can attach to a sibling op's span (cosmetic, documented in
-// DESIGN.md §5.4), but the (when,seq) replay is unaffected either way.
+// The hub keeps one entry register, the handoff from a load driver to an
+// app op: the driver writes it (SetCurrentSpan/SetCurrentOp) immediately
+// before it calls the op, and the op reads it (entry()) once, before its
+// first suspension, a window in which the single-threaded simulator cannot
+// interleave anything. Nothing else reads or writes it. Either way the
+// (when,seq) replay is unaffected: observation never schedules an event.
 #ifndef PRISM_SRC_OBS_OBS_H_
 #define PRISM_SRC_OBS_OBS_H_
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/obs/complexity.h"
@@ -41,6 +42,18 @@ namespace prism::obs {
 class OpTimeline;    // timeline.h
 class TimelineStore;  // timeline.h
 
+// One op's observation context: the span its work is parented to and its
+// phase timeline. The empty ctx means untimed, with a root span. Plain data
+// (src/sim/task.h pitfall 1), so coroutines take it by value.
+struct Ctx {
+  SpanId span = 0;
+  OpTimeline* op = nullptr;
+  // The same parent span without the timeline: work the op does not wait
+  // on, or whose time the caller has already billed to another phase.
+  Ctx Untimed() const { return {span, nullptr}; }
+};
+static_assert(sizeof(Ctx) == 16 && std::is_trivially_copyable_v<Ctx>);
+
 class Hub {
  public:
   MetricsRegistry& metrics() { return metrics_; }
@@ -51,31 +64,23 @@ class Hub {
   Tracer* tracer() const { return tracer_; }
   void SetTracer(Tracer* t) { tracer_ = t; }
 
-  SpanId current_span() const { return current_; }
+  // The entry register (see the header comment).
+  Ctx entry() const { return {current_, op_}; }
   void SetCurrentSpan(SpanId s) {
     if (tracer_ != nullptr) current_ = s;
   }
-
-  // Current-op register: same write-before-handoff / read-at-entry
-  // discipline as the span register, but for the per-op phase timeline
-  // (timeline.h).
-  OpTimeline* current_op() const { return op_; }
   void SetCurrentOp(OpTimeline* t) { op_ = t; }
 
-  // Opens a span parented to the current span and makes it current.
-  // No-op (returns 0) without a tracer.
+  // Opens a span under `parent` (0 = a root). No-op (returns 0) without a
+  // tracer.
   SpanId StartSpan(std::string_view name, std::string_view cat, uint32_t host,
-                   int64_t now_ns) {
+                   int64_t now_ns, SpanId parent) {
     if (tracer_ == nullptr) return 0;
-    const SpanId s = tracer_->Begin(name, cat, host, now_ns, current_);
-    current_ = s;
-    return s;
+    return tracer_->Begin(name, cat, host, now_ns, parent);
   }
 
-  // Closes a span and restores its parent as current.
   void FinishSpan(SpanId s, int64_t now_ns) {
     if (tracer_ == nullptr || s == 0) return;
-    current_ = tracer_->ParentOf(s);
     tracer_->End(s, now_ns);
   }
 

@@ -21,11 +21,9 @@
 // no-op thanks to the done flag; misattribution between phases under
 // concurrency is possible in principle but the total never drifts.
 //
-// Propagation uses obs::Hub's current-op register with the same discipline
-// as the current-span register (obs.h): armed immediately before a
-// synchronous handoff, captured at the receiving entry, never trusted across
-// a suspension point. Unlike the span register it is unconditional (a bare
-// pointer write), so arming it costs nothing when no store is attached.
+// Propagation: the timeline rides in the op's obs::Ctx (obs.h), passed by
+// value from the app op to every transport call and server body that
+// stamps it.
 //
 // Determinism: pure recording. Nothing here schedules an event or perturbs
 // the (when,seq) replay; timelines are deque-owned (stable addresses) and
@@ -41,6 +39,7 @@
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/obs/obs.h"
 #include "src/obs/phase.h"
 #include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
@@ -107,6 +106,12 @@ class OpTimeline {
 // Null-safe phase switch: the stamping idiom at every handoff point.
 inline void SwitchOp(OpTimeline* op, Phase p, int64_t now_ns) {
   if (op != nullptr) op->Switch(p, now_ns);
+}
+
+// The ctx of an op a load driver timed: its timeline and the root span the
+// driver opened for it. Null-safe.
+inline Ctx CtxOf(OpTimeline* op) {
+  return {op != nullptr ? op->root_span() : 0, op};
 }
 
 // Owns every OpTimeline of one simulation run and aggregates the finished

@@ -4,11 +4,11 @@
 // A span is a named interval of *simulated* time attributed to a host, with
 // a parent span forming a causal chain: an application op ("kv.get") parents
 // the transport op ("prism.execute"), which parents the fabric flights
-// ("net.flight") and the server-side execution ("prism.chain"). Parent
-// propagation across event boundaries uses obs::Hub's current-span register
-// (see obs.h); the tracer itself is pure recording — it never schedules,
-// never reads the simulator, and therefore cannot perturb the (when,seq)
-// event replay (asserted by tests/obs_determinism_test.cc).
+// ("net.flight") and the server-side execution ("prism.chain"). Parents
+// travel in the op's obs::Ctx (see obs.h); the tracer itself is pure
+// recording — it never schedules, never reads the simulator, and therefore
+// cannot perturb the (when,seq) event replay (asserted by
+// tests/obs_determinism_test.cc).
 //
 // Output format: async "b"/"e" event pairs whose id is the *root* span of
 // the causal chain, so Perfetto renders each traced operation as one async
@@ -67,8 +67,7 @@ class Tracer {
     EmitComplete(name, cat, host, now_ns, now_ns, parent);
   }
 
-  // Parent of a still-open span (0 for unknown/closed) — used by Hub to
-  // restore the current-span register on span exit.
+  // Parent of a still-open span (0 for unknown/closed).
   SpanId ParentOf(SpanId id) const;
 
   // Causal root of a still-open span (0 for unknown/closed) — lets an op

@@ -31,14 +31,15 @@ class ReclaimClient {
   }
 
   // Queues (queue, buffer) for return; ships a batch when full. Fire and
-  // forget — reclamation is off the critical path by design.
-  void Free(uint32_t queue, rdma::Addr buffer) {
+  // forget — reclamation is off the critical path by design, so a batch
+  // the freeing op ships is parented to its span but never timed.
+  void Free(uint32_t queue, rdma::Addr buffer, obs::Ctx ctx = {}) {
     pending_.push_back({queue, buffer});
-    if (pending_.size() >= batch_size_) Flush();
+    if (pending_.size() >= batch_size_) Flush(ctx.Untimed());
   }
 
   // Ships any partial batch (benchmark teardown, periodic timers).
-  void Flush() {
+  void Flush(obs::Ctx ctx = {}) {
     if (pending_.empty()) return;
     auto batch = std::make_shared<std::vector<Entry>>(std::move(pending_));
     pending_.clear();
@@ -46,16 +47,20 @@ class ReclaimClient {
     const size_t payload = 12 * batch->size();  // (queue u32, addr u64) each
     net::Fabric* fabric = fabric_;
     PrismServer* server = server_;
-    fabric_->Send(self_, server_->host(), payload, [fabric, server, batch] {
-      // Server side: one daemon core slot per batch, then post-with-drain.
-      sim::Spawn([fabric, server, batch]() -> sim::Task<void> {
-        co_await fabric->Cores(server->host())
-            .Use(fabric->cost().rpc_handler);
-        for (const Entry& e : *batch) {
-          server->PostBuffer(e.queue, e.buffer);
-        }
-      });
-    });
+    fabric_->Send(
+        self_, server_->host(), payload,
+        [fabric, server, batch] {
+          // Server side: one daemon core slot per batch, then
+          // post-with-drain.
+          sim::Spawn([fabric, server, batch]() -> sim::Task<void> {
+            co_await fabric->Cores(server->host())
+                .Use(fabric->cost().rpc_handler);
+            for (const Entry& e : *batch) {
+              server->PostBuffer(e.queue, e.buffer);
+            }
+          });
+        },
+        nullptr, ctx);
     batches_sent_++;
   }
 

@@ -165,12 +165,12 @@ class PrismServer {
 
   // Executes the chain with deployment-specific timing; fills results[i]
   // for op i. The ops live in the server body's closure and the results in
-  // its frame; the body awaits this task, so both outlive it.
-  sim::Task<void> RunChain(std::span<const Op> chain, OpResult* results) {
-    // Entered synchronously from the request-delivery event; the register
-    // still holds the issuing client's prism.execute span.
+  // its frame; the body awaits this task, so both outlive it. `ctx` is the
+  // prism.execute op's (Reply::ctx()).
+  sim::Task<void> RunChain(std::span<const Op> chain, OpResult* results,
+                           obs::Ctx ctx) {
     const obs::SpanId span = fabric_->obs().StartSpan(
-        "prism.chain", "prism", host_, fabric_->sim()->Now());
+        "prism.chain", "prism", host_, fabric_->sim()->Now(), ctx.span);
     const net::CostModel& c = fabric_->cost();
     ++in_flight_;
     const uint64_t chain_id = next_chain_id_++;
@@ -193,7 +193,7 @@ class PrismServer {
         co_await sim::SleepFor(fabric_->sim(), c.bf_dispatch);
         break;
     }
-    ChainContext ctx;
+    ChainContext chain_ctx;
     for (size_t i = 0; i < chain.size(); ++i) {
       // Charge the op's cost first, then apply its effect in this event —
       // concurrent chains interleave between ops, never inside one. The
@@ -202,7 +202,7 @@ class PrismServer {
       const Op& op = chain[i];
       const AccessProfile p = executor_.Profile(op);
       co_await sim::SleepFor(fabric_->sim(), OpCost(op, p));
-      results[i] = executor_.ExecuteOne(op, ctx);
+      results[i] = executor_.ExecuteOne(op, chain_ctx);
       ops_executed_++;
       ops_metric_->Add();
       host_reads_metric_->Add(p.host_reads);
@@ -290,31 +290,35 @@ class PrismClient : public rdma::Exchange {
   // chains burn a (server or SmartNIC) core; the projected ASIC does not.
   // The chain rides in the server body's closure, inside the exchange's op
   // state, and its results in the body's frame.
-  sim::Task<Result<ChainResult>> Execute(PrismServer* server, Chain chain) {
+  sim::Task<Result<ChainResult>> Execute(PrismServer* server, Chain chain,
+                                         obs::Ctx ctx = {}) {
     const size_t req_bytes = EncodedChainSize(chain);
     return Run<Result<ChainResult>>(
         "prism.execute", server->host(), req_bytes, OnCpu(server),
         [server, chain = std::move(chain)](
             Reply<Result<ChainResult>> reply) -> sim::Task<void> {
           ChainResult results(chain.size());
-          co_await server->RunChain(chain, results.data());
+          co_await server->RunChain(chain, results.data(), reply.ctx());
           const size_t resp_bytes = ActualResponseSize(chain, results);
           reply(std::move(results), resp_bytes);
-        });
+        },
+        ctx);
   }
 
   // A one-op chain, held as the op itself: no chain or result vector.
-  sim::Task<Result<OpResult>> ExecuteOne(PrismServer* server, Op op) {
+  sim::Task<Result<OpResult>> ExecuteOne(PrismServer* server, Op op,
+                                         obs::Ctx ctx = {}) {
     const size_t req_bytes = EncodedChainSize({&op, 1});
     return Run<Result<OpResult>>(
         "prism.execute", server->host(), req_bytes, OnCpu(server),
         [server, op = std::move(op)](
             Reply<Result<OpResult>> reply) -> sim::Task<void> {
           OpResult result;
-          co_await server->RunChain({&op, 1}, &result);
+          co_await server->RunChain({&op, 1}, &result, reply.ctx());
           const size_t resp_bytes = ActualResponseSize({&op, 1}, {&result, 1});
           reply(std::move(result), resp_bytes);
-        });
+        },
+        ctx);
   }
 
  private:

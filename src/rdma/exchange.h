@@ -10,6 +10,11 @@
 // op state and the body's closure share one block from the thread's
 // coroutine-frame pool (sim::PoolAllocator).
 //
+// Every op takes its caller's obs::Ctx last; the default (empty) ctx is an
+// untimed op with a root span. The op state carries the op's own span and
+// the caller's timeline to the fabric and, through Reply, to the server
+// body, which parents its span to it.
+//
 // sim/task.h rule 1: the body is never a coroutine parameter. Run() moves it
 // into the op state and request delivery moves it on into the Spawn
 // callable, so its captures die with the server work, not with the op.
@@ -34,8 +39,7 @@ class Exchange {
   struct OpState {
     R result = R(Code::kInternal);  // decided before `done` is set
     std::coroutine_handle<> waiter;
-    obs::SpanId span = 0;
-    obs::OpTimeline* timeline = nullptr;  // phase timeline (null when untimed)
+    obs::Ctx ctx;  // this op's span and the caller's timeline
     size_t resp_bytes = 0;
     bool done = false;
     bool responded = false;
@@ -55,20 +59,22 @@ class Exchange {
     void operator()(R result, size_t bytes) const {
       if (!op->done) op->result = std::move(result);
       op->resp_bytes = bytes;
-      obs::SwitchOp(op->timeline, obs::Phase::kWire,
-                    ex->fabric_->sim()->Now());
-      ex->fabric_->obs().SetCurrentSpan(op->span);
-      ex->fabric_->obs().SetCurrentOp(op->timeline);
       sim::Simulator* eng = ex->fabric_->sim();
-      ex->fabric_->Send(server, ex->self_, bytes, [eng, op = op] {
-        // Delivered: the client's CQ poll or coalesced drain starts here.
-        obs::SwitchOp(op->timeline, obs::Phase::kBatchWait, eng->Now());
-        if (!op->done) {
-          op->responded = true;
-          Wake(eng, *op);
-        }
-      });
+      obs::SwitchOp(op->ctx.op, obs::Phase::kWire, eng->Now());
+      ex->fabric_->Send(
+          server, ex->self_, bytes,
+          [eng, op = op] {
+            // Delivered: the client's CQ poll or coalesced drain starts here.
+            obs::SwitchOp(op->ctx.op, obs::Phase::kBatchWait, eng->Now());
+            if (!op->done) {
+              op->responded = true;
+              Wake(eng, *op);
+            }
+          },
+          nullptr, op->ctx);
     }
+    // The server body's context: parent its spans to the op's span.
+    obs::Ctx ctx() const { return op->ctx; }
     Exchange* ex;
     std::shared_ptr<OpState<R>> op;
     net::HostId server;
@@ -96,11 +102,13 @@ class Exchange {
   // `(Reply<R>) -> sim::Task<void>`, runs on delivery. Lazy like any Task.
   template <typename R, typename Body>
   sim::Task<R> Run(std::string_view span, net::HostId server,
-                   size_t req_bytes, bool cpu_involved, Body body) {
+                   size_t req_bytes, bool cpu_involved, Body body,
+                   obs::Ctx ctx) {
     using State = WithBody<R, Body>;
     auto op = std::allocate_shared<State>(sim::PoolAllocator<State>(),
                                           std::move(body));
-    return Roundtrip(std::move(op), span, server, req_bytes, cpu_involved);
+    return Roundtrip(std::move(op), span, server, req_bytes, cpu_involved,
+                     ctx);
   }
 
  private:
@@ -122,19 +130,18 @@ class Exchange {
   template <typename R, typename Body>
   sim::Task<R> Roundtrip(std::shared_ptr<WithBody<R, Body>> op,
                          std::string_view span, net::HostId server,
-                         size_t req_bytes, bool cpu_involved) {
+                         size_t req_bytes, bool cpu_involved,
+                         obs::Ctx caller) {
     obs::Hub& hub = fabric_->obs();
     sim::Simulator* eng = fabric_->sim();
-    // Capture the current-op register before the first suspension point
-    // (the span-register discipline); the post path is batch_wait.
-    op->span = hub.StartSpan(span, category_, self_, eng->Now());
-    op->timeline = hub.current_op();
-    if (op->timeline != nullptr) {
-      if (op->timeline->root_span() == 0 && op->span != 0 &&
-          hub.tracer() != nullptr) {
-        op->timeline->set_root_span(hub.tracer()->RootOf(op->span));
+    op->ctx = {hub.StartSpan(span, category_, self_, eng->Now(), caller.span),
+               caller.op};
+    if (caller.op != nullptr) {
+      if (caller.op->root_span() == 0 && op->ctx.span != 0) {
+        caller.op->set_root_span(hub.tracer()->RootOf(op->ctx.span));
       }
-      op->timeline->Switch(obs::Phase::kBatchWait, eng->Now());
+      // The post path is batch_wait.
+      caller.op->Switch(obs::Phase::kBatchWait, eng->Now());
     }
     if (batcher_ != nullptr) {
       co_await batcher_->Post(&tally_);
@@ -146,23 +153,20 @@ class Exchange {
     tally_.messages++;
     tally_.bytes_out += req_bytes;
     if (cpu_involved) tally_.cpu_actions++;
-    obs::SwitchOp(op->timeline, obs::Phase::kWire, eng->Now());
-    hub.SetCurrentSpan(op->span);
-    hub.SetCurrentOp(op->timeline);
+    obs::SwitchOp(caller.op, obs::Phase::kWire, eng->Now());
     fabric_->Send(
         self_, server, req_bytes,
         [this, op, server, cpu_involved] {
-          fabric_->obs().SetCurrentSpan(op->span);
           // CPU-involved server time is responder; a NIC-resident server
           // (hardware verbs, the projected PRISM ASIC) stays on the wire.
           if (cpu_involved) {
-            obs::SwitchOp(op->timeline, obs::Phase::kResponder,
+            obs::SwitchOp(op->ctx.op, obs::Phase::kResponder,
                           fabric_->sim()->Now());
           }
           sim::Spawn([reply = Reply<R>{this, op, server},
                       body = std::move(op->body)] { return body(reply); });
         },
-        [eng, op] { Decide(eng, *op, Unavailable("host down")); });
+        [eng, op] { Decide(eng, *op, Unavailable("host down")); }, op->ctx);
     const sim::TimerId deadline = eng->Schedule(
         kDeadline, [eng, op] { Decide(eng, *op, TimedOut("op deadline")); });
     co_await Decided<R>{op.get()};
@@ -179,11 +183,8 @@ class Exchange {
       tally_.round_trips++;
       tally_.bytes_in += op->resp_bytes;
     }
-    obs::SwitchOp(op->timeline, obs::Phase::kApp, eng->Now());
-    // Restore the register before returning: the caller resumes
-    // synchronously from here, so its next op captures the right timeline.
-    hub.SetCurrentOp(op->timeline);
-    hub.FinishSpan(op->span, eng->Now());
+    obs::SwitchOp(caller.op, obs::Phase::kApp, eng->Now());
+    hub.FinishSpan(op->ctx.span, eng->Now());
     co_return std::move(op->result);
   }
 

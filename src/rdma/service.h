@@ -58,12 +58,11 @@ class RdmaService {
 
   // Charges the server-side datapath cost for one op: NIC pipeline + PCIe on
   // the hardware backend, ring DMA + a dedicated core on the software one.
-  // The caller performs the memory effect after this resumes.
-  sim::Task<void> ServerPath(sim::Duration memory_cost) {
-    // Entered synchronously from the request-delivery event; the register
-    // still holds the issuing client's verb span.
+  // The caller performs the memory effect after this resumes. `ctx` is the
+  // verb's (Reply::ctx()).
+  sim::Task<void> ServerPath(sim::Duration memory_cost, obs::Ctx ctx) {
     const obs::SpanId span = fabric_->obs().StartSpan(
-        "rdma.server", "rdma", host_, fabric_->sim()->Now());
+        "rdma.server", "rdma", host_, fabric_->sim()->Now(), ctx.span);
     const net::CostModel& c = fabric_->cost();
     if (backend_ == Backend::kHardwareNic) {
       co_await nic_pipeline_.Use(c.nic_process);
@@ -168,86 +167,69 @@ class RdmaClient : public Exchange {
       : Exchange(fabric, self, "rdma") {}
 
   sim::Task<Result<Bytes>> Read(RdmaService* svc, RKey rkey, Addr addr,
-                                uint64_t len) {
+                                uint64_t len, obs::Ctx ctx = {}) {
     return Run<Result<Bytes>>(
         "rdma.read", svc->host(), /*req_bytes=*/16, OnCpu(svc),
         [this, svc, rkey, addr,
          len](Reply<Result<Bytes>> reply) -> sim::Task<void> {
           co_await svc->AtomicGate(host());
-          co_await svc->ServerPath(cost().pcie_read_rtt);
+          co_await svc->ServerPath(cost().pcie_read_rtt, reply.ctx());
           Result<Bytes> r = Verbs::Read(svc->memory(), rkey, addr, len);
           const size_t n = r.ok() ? r.value().size() : 0;
           reply(std::move(r), n);
-        });
+        },
+        ctx);
   }
 
   // `data` is held by the server body, so a payload shared by several
   // WRITEs (a quorum round's) is one block, and a body that outlives its op
   // still stores from live bytes.
   sim::Task<Status> Write(RdmaService* svc, RKey rkey, Addr addr,
-                          SmallBytes data) {
+                          SmallBytes data, obs::Ctx ctx = {}) {
     const size_t req_bytes = 16 + data.size();
     return Run<Status>(
         "rdma.write", svc->host(), req_bytes, OnCpu(svc),
         [this, svc, rkey, addr,
          data = std::move(data)](Reply<Status> reply) -> sim::Task<void> {
           co_await svc->AtomicGate(host());
-          co_await svc->ServerPath(cost().pcie_write);
+          co_await svc->ServerPath(cost().pcie_write, reply.ctx());
           reply(Verbs::Write(svc->memory(), rkey, addr, data.view()),
                 /*bytes=*/0);
-        });
+        },
+        ctx);
   }
 
   sim::Task<Result<uint64_t>> CompareSwap(RdmaService* svc, RKey rkey,
                                           Addr addr, uint64_t compare,
-                                          uint64_t swap) {
+                                          uint64_t swap, obs::Ctx ctx = {}) {
     return Run<Result<uint64_t>>(
         "rdma.cas", svc->host(), /*req_bytes=*/32, OnCpu(svc),
         [this, svc, rkey, addr, compare,
          swap](Reply<Result<uint64_t>> reply) -> sim::Task<void> {
           co_await svc->AtomicBegin(host());
-          co_await svc->ServerPath(AtomicCost());
+          co_await svc->ServerPath(AtomicCost(), reply.ctx());
           Result<uint64_t> r =
               Verbs::CompareSwap(svc->memory(), rkey, addr, compare, swap);
           svc->AtomicLand(host());
           reply(std::move(r), /*bytes=*/8);
-        });
+        },
+        ctx);
   }
 
   sim::Task<Result<uint64_t>> FetchAdd(RdmaService* svc, RKey rkey, Addr addr,
-                                       uint64_t delta) {
+                                       uint64_t delta, obs::Ctx ctx = {}) {
     return Run<Result<uint64_t>>(
         "rdma.faa", svc->host(), /*req_bytes=*/24, OnCpu(svc),
         [this, svc, rkey, addr,
          delta](Reply<Result<uint64_t>> reply) -> sim::Task<void> {
           co_await svc->AtomicBegin(host());
-          co_await svc->ServerPath(AtomicCost());
+          co_await svc->ServerPath(AtomicCost(), reply.ctx());
           Result<uint64_t> r =
               Verbs::FetchAdd(svc->memory(), rkey, addr, delta);
           svc->AtomicLand(host());
           reply(std::move(r), /*bytes=*/8);
-        });
-  }
-
-  // Mellanox-style masked CAS (standard hardware feature, §3.3). Only tests
-  // call it; ABD-LOCK locks with the plain CompareSwap.
-  sim::Task<Result<CasOutcome>> MaskedCompareSwap(
-      RdmaService* svc, RKey rkey, Addr addr, SmallBytes data,
-      SmallBytes cmp_mask, SmallBytes swap_mask,
-      CasCompare mode = CasCompare::kEqual) {
-    const size_t req_bytes = 16 + 3 * data.size();
-    return Run<Result<CasOutcome>>(
-        "rdma.masked_cas", svc->host(), req_bytes, OnCpu(svc),
-        [this, svc, rkey, addr, mode, data = std::move(data),
-         cmp_mask = std::move(cmp_mask), swap_mask = std::move(swap_mask)](
-            Reply<Result<CasOutcome>> reply) -> sim::Task<void> {
-          co_await svc->AtomicBegin(host());
-          co_await svc->ServerPath(AtomicCost());
-          Result<CasOutcome> r = Verbs::MaskedCompareSwap(
-              svc->memory(), rkey, addr, data, cmp_mask, swap_mask, mode);
-          svc->AtomicLand(host());
-          reply(std::move(r), /*bytes=*/data.size());
-        });
+        },
+        ctx);
   }
 
  private:

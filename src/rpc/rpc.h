@@ -77,6 +77,7 @@ class RpcServer {
   // A handler is a coroutine taking the request and producing the response.
   // Handlers run on one of the server's dedicated cores; the constant
   // rpc_handler cost is charged on top of whatever the handler itself awaits.
+  // The request outlives the handler's frame, so it may keep the reference.
   using Handler = std::function<sim::Task<MessagePtr>(const Message&)>;
 
   RpcServer(net::Fabric* fabric, net::HostId host)
@@ -96,11 +97,11 @@ class RpcServer {
  private:
   friend class RpcClient;
 
-  sim::Task<MessagePtr> Serve(MethodId method, MessagePtr request) {
-    // Entered synchronously from the request-delivery event, so the hub's
-    // current-span register still holds the caller's rpc.call span.
+  // `ctx` is the rpc.call op's (Reply::ctx()).
+  sim::Task<MessagePtr> Serve(MethodId method, MessagePtr request,
+                              obs::Ctx ctx) {
     const obs::SpanId span = fabric_->obs().StartSpan(
-        "rpc.serve", "rpc", host_, fabric_->sim()->Now());
+        "rpc.serve", "rpc", host_, fabric_->sim()->Now(), ctx.span);
     const net::CostModel& c = fabric_->cost();
     co_await sim::SleepFor(fabric_->sim(), c.sw_ring_dma);
     sim::ServiceQueue& cores = fabric_->Cores(host_);
@@ -137,16 +138,19 @@ class RpcClient : public rdma::Exchange {
 
   // Every RPC burns a server core: delivery-to-response is responder time.
   sim::Task<Result<MessagePtr>> Call(RpcServer* server, MethodId method,
-                                     MessagePtr request_ptr) {
+                                     MessagePtr request_ptr,
+                                     obs::Ctx ctx = {}) {
     const size_t req_bytes = request_ptr->wire_bytes();
     return Run<Result<MessagePtr>>(
         "rpc.call", server->host(), req_bytes, /*cpu_involved=*/true,
         [server, method, request_ptr = std::move(request_ptr)](
             Reply<Result<MessagePtr>> reply) -> sim::Task<void> {
-          MessagePtr response = co_await server->Serve(method, request_ptr);
+          MessagePtr response =
+              co_await server->Serve(method, request_ptr, reply.ctx());
           const size_t resp_bytes = response ? response->wire_bytes() : 0;
           reply(std::move(response), resp_bytes);
-        });
+        },
+        ctx);
   }
 };
 

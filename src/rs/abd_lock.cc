@@ -39,12 +39,9 @@ AbdLockClient::AbdLockClient(net::Fabric* fabric, net::HostId self,
       rng_(rng_seed ^ client_id) {}
 
 sim::Task<Status> AbdLockClient::AcquireLocks(uint64_t block,
-                                              std::vector<bool>* locked) {
+                                              std::vector<bool>* locked,
+                                              obs::Ctx ctx) {
   const AbdLockOptions& opts = cluster_->options();
-  // Quorum waits and backoff suspend: each helper re-arms the timed-op
-  // register after them, so the next fan-out attributes to this op
-  // (DESIGN.md §5.9).
-  obs::OpTimeline* const op = fabric_->obs().current_op();
   locked->assign(static_cast<size_t>(cluster_->n()), false);
   for (int attempt = 0; attempt < opts.max_lock_attempts; ++attempt) {
     // Try every replica in parallel; CAS 0 -> client id. The lock phase
@@ -57,18 +54,17 @@ sim::Task<Status> AbdLockClient::AcquireLocks(uint64_t block,
     won.assign(static_cast<size_t>(cluster_->n()), false);
     for (int i = 0; i < cluster_->n(); ++i) {
       AbdLockReplica* replica = &cluster_->replica(i);
-      all.Spawn([this, replica, block,
-                 i](std::vector<bool>& acquired) -> sim::Task<bool> {
+      all.Spawn([this, replica, block, i,
+                 ctx](std::vector<bool>& acquired) -> sim::Task<bool> {
         auto old = co_await rdma_.CompareSwap(
             &replica->rdma(), replica->rkey(), replica->lock_addr(block), 0,
-            client_id_);
+            client_id_, ctx);
         round_trips_++;
         if (old.ok() && *old == 0) acquired[static_cast<size_t>(i)] = true;
         co_return true;  // every reply arrives; the state tallies the locks
       });
     }
     co_await all.Wait();
-    fabric_->obs().SetCurrentOp(op);
     int held = 0;
     for (bool b : won) held += b ? 1 : 0;
     if (held >= cluster_->quorum()) {
@@ -78,43 +74,40 @@ sim::Task<Status> AbdLockClient::AcquireLocks(uint64_t block,
     // Failed: release whatever we grabbed, back off, retry (§7.2 notes the
     // livelock risk this backoff mitigates).
     lock_conflicts_++;
-    co_await ReleaseLocks(block, won);
+    co_await ReleaseLocks(block, won, ctx);
     sim::Duration backoff = std::min<sim::Duration>(
         opts.backoff_cap,
         opts.backoff_base << std::min(attempt, 7));
     backoff += static_cast<sim::Duration>(
         rng_.NextBelow(static_cast<uint64_t>(backoff) / 2 + 1));
     co_await sim::SleepFor(fabric_->sim(), backoff);
-    fabric_->obs().SetCurrentOp(op);
   }
   co_return Aborted("could not acquire majority of locks");
 }
 
 sim::Task<void> AbdLockClient::ReleaseLocks(uint64_t block,
-                                            const std::vector<bool>& locked) {
+                                            const std::vector<bool>& locked,
+                                            obs::Ctx ctx) {
   int pending = 0;
   for (bool b : locked) pending += b ? 1 : 0;
-  obs::OpTimeline* const op = fabric_->obs().current_op();
   sim::FanOut<> releases(fabric_->sim(), pending, pending);
   for (int i = 0; i < cluster_->n(); ++i) {
     if (!locked[static_cast<size_t>(i)]) continue;
     AbdLockReplica* replica = &cluster_->replica(i);
-    releases.Spawn([this, replica, block]() -> sim::Task<bool> {
+    releases.Spawn([this, replica, block, ctx]() -> sim::Task<bool> {
       auto old = co_await rdma_.CompareSwap(&replica->rdma(), replica->rkey(),
                                             replica->lock_addr(block),
-                                            client_id_, 0);
+                                            client_id_, 0, ctx);
       round_trips_++;
       co_return old.ok();
     });
   }
   co_await releases.Wait();
-  fabric_->obs().SetCurrentOp(op);
 }
 
 sim::Task<Result<std::pair<Tag, Bytes>>> AbdLockClient::ReadLocked(
-    uint64_t block, const std::vector<bool>& locked) {
+    uint64_t block, const std::vector<bool>& locked, obs::Ctx ctx) {
   const uint64_t read_len = 8 + cluster_->options().block_size;
-  obs::OpTimeline* const op = fabric_->obs().current_op();
   int holders = 0;
   for (bool b : locked) holders += b ? 1 : 0;
   struct Shared {
@@ -126,10 +119,10 @@ sim::Task<Result<std::pair<Tag, Bytes>>> AbdLockClient::ReadLocked(
   for (int i = 0; i < cluster_->n(); ++i) {
     if (!locked[static_cast<size_t>(i)]) continue;
     AbdLockReplica* replica = &cluster_->replica(i);
-    reads.Spawn([this, replica, block,
-                 read_len](Shared& shared) -> sim::Task<bool> {
+    reads.Spawn([this, replica, block, read_len,
+                 ctx](Shared& shared) -> sim::Task<bool> {
       auto r = co_await rdma_.Read(&replica->rdma(), replica->rkey(),
-                                   replica->tag_addr(block), read_len);
+                                   replica->tag_addr(block), read_len, ctx);
       round_trips_++;
       if (!r.ok()) co_return false;
       Tag tag = Tag::FromPacked(LoadU64(r->data()));
@@ -142,7 +135,6 @@ sim::Task<Result<std::pair<Tag, Bytes>>> AbdLockClient::ReadLocked(
     });
   }
   const bool reached = co_await reads.Wait();
-  fabric_->obs().SetCurrentOp(op);
   if (!reached) {
     Result<std::pair<Tag, Bytes>> err = Unavailable("read: lost quorum");
     co_return err;
@@ -153,9 +145,8 @@ sim::Task<Result<std::pair<Tag, Bytes>>> AbdLockClient::ReadLocked(
 }
 
 sim::Task<Status> AbdLockClient::WriteLocked(
-    uint64_t block, const std::vector<bool>& locked, Tag tag,
-    ByteView value) {
-  obs::OpTimeline* const op = fabric_->obs().current_op();
+    uint64_t block, const std::vector<bool>& locked, Tag tag, ByteView value,
+    obs::Ctx ctx) {
   int holders = 0;
   for (bool b : locked) holders += b ? 1 : 0;
   sim::FanOut<> writes(fabric_->sim(), cluster_->quorum(), holders);
@@ -170,33 +161,34 @@ sim::Task<Status> AbdLockClient::WriteLocked(
   for (int i = 0; i < cluster_->n(); ++i) {
     if (!locked[static_cast<size_t>(i)]) continue;
     AbdLockReplica* replica = &cluster_->replica(i);
-    writes.Spawn([this, replica, block, payload]() -> sim::Task<bool> {
+    writes.Spawn([this, replica, block, payload, ctx]() -> sim::Task<bool> {
       // Holding the lock, the in-place write is safe. (ABD's tag check is
       // subsumed: only one writer can hold a majority at a time.)
       Status w = co_await rdma_.Write(&replica->rdma(), replica->rkey(),
-                                      replica->tag_addr(block), payload);
+                                      replica->tag_addr(block), payload, ctx);
       round_trips_++;
       co_return w.ok();
     });
   }
   const bool reached = co_await writes.Wait();
-  fabric_->obs().SetCurrentOp(op);
   if (!reached) co_return Unavailable("write: lost quorum");
   co_return OkStatus();
 }
 
 sim::Task<Result<Bytes>> AbdLockClient::Get(uint64_t block, Tag* out_tag) {
+  const obs::Ctx ctx = fabric_->obs().entry();
   std::vector<bool> locked;
-  Status lock_status = co_await AcquireLocks(block, &locked);
+  Status lock_status = co_await AcquireLocks(block, &locked, ctx);
   if (!lock_status.ok()) co_return lock_status;
-  auto read = co_await ReadLocked(block, locked);
+  auto read = co_await ReadLocked(block, locked, ctx);
   if (!read.ok()) {
-    co_await ReleaseLocks(block, locked);
+    co_await ReleaseLocks(block, locked, ctx);
     co_return read.status();
   }
   // Write-back so a majority stores the returned version.
-  Status wb = co_await WriteLocked(block, locked, read->first, read->second);
-  co_await ReleaseLocks(block, locked);
+  Status wb =
+      co_await WriteLocked(block, locked, read->first, read->second, ctx);
+  co_await ReleaseLocks(block, locked, ctx);
   if (!wb.ok()) co_return wb;
   if (out_tag != nullptr) *out_tag = read->first;
   co_return std::move(read->second);
@@ -207,17 +199,18 @@ sim::Task<Status> AbdLockClient::Put(uint64_t block, Bytes value,
   if (value.size() != cluster_->options().block_size) {
     co_return InvalidArgument("value must be exactly block_size");
   }
+  const obs::Ctx ctx = fabric_->obs().entry();
   std::vector<bool> locked;
-  Status lock_status = co_await AcquireLocks(block, &locked);
+  Status lock_status = co_await AcquireLocks(block, &locked, ctx);
   if (!lock_status.ok()) co_return lock_status;
-  auto read = co_await ReadLocked(block, locked);
+  auto read = co_await ReadLocked(block, locked, ctx);
   if (!read.ok()) {
-    co_await ReleaseLocks(block, locked);
+    co_await ReleaseLocks(block, locked, ctx);
     co_return read.status();
   }
   Tag tag{read->first.ts + 1, client_id_};
-  Status w = co_await WriteLocked(block, locked, tag, value);
-  co_await ReleaseLocks(block, locked);
+  Status w = co_await WriteLocked(block, locked, tag, value, ctx);
+  co_await ReleaseLocks(block, locked, ctx);
   if (!w.ok()) co_return w;
   if (out_tag != nullptr) *out_tag = tag;
   co_return OkStatus();
@@ -225,7 +218,7 @@ sim::Task<Status> AbdLockClient::Put(uint64_t block, Bytes value,
 
 sim::Task<Status> AbdLockClient::AcquireAndAbandon(uint64_t block) {
   std::vector<bool> locked;
-  Status s = co_await AcquireLocks(block, &locked);
+  Status s = co_await AcquireLocks(block, &locked, fabric_->obs().entry());
   co_return s;  // never released: simulates a client crash holding locks
 }
 

@@ -91,17 +91,21 @@ class AbdLockClient {
   sim::Task<Status> AcquireAndAbandon(uint64_t block);
 
  private:
+  // Every phase runs under its public op's ctx (src/obs/obs.h).
+
   // Acquires the block lock at a majority; fills `locked` (size n) with the
   // replicas we hold. Retries with exponential backoff.
-  sim::Task<Status> AcquireLocks(uint64_t block, std::vector<bool>* locked);
-  sim::Task<void> ReleaseLocks(uint64_t block, const std::vector<bool>& locked);
+  sim::Task<Status> AcquireLocks(uint64_t block, std::vector<bool>* locked,
+                                 obs::Ctx ctx);
+  sim::Task<void> ReleaseLocks(uint64_t block, const std::vector<bool>& locked,
+                               obs::Ctx ctx);
 
   // Reads ⟨tag,value⟩ from locked replicas; returns the max-tag pair.
   sim::Task<Result<std::pair<Tag, Bytes>>> ReadLocked(
-      uint64_t block, const std::vector<bool>& locked);
+      uint64_t block, const std::vector<bool>& locked, obs::Ctx ctx);
   sim::Task<Status> WriteLocked(uint64_t block,
                                 const std::vector<bool>& locked, Tag tag,
-                                ByteView value);
+                                ByteView value, obs::Ctx ctx);
 
   net::Fabric* fabric_;
   net::HostId self_;

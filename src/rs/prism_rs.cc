@@ -90,12 +90,9 @@ void PrismRsClient::FlushReclaim() {
 }
 
 sim::Task<PrismRsClient::ReadPhaseResult> PrismRsClient::ReadPhase(
-    uint64_t block) {
+    uint64_t block, obs::Ctx ctx) {
   const bool variable = cluster_->options().variable_block_size;
   const uint64_t read_len = 8 + cluster_->options().block_size;
-  // The quorum wait suspends: re-arm the timed-op register after it, so
-  // the next phase attributes to this op (DESIGN.md §5.9).
-  obs::OpTimeline* const op = fabric_->obs().current_op();
   struct Shared {
     Tag max_tag;
     Bytes max_value;
@@ -111,12 +108,13 @@ sim::Task<PrismRsClient::ReadPhaseResult> PrismRsClient::ReadPhase(
     // metadata element and return the [tag|value] buffer atomically. In
     // variable mode the pointer is a ⟨ptr,bound⟩ pair, so the READ is
     // bounded and returns exactly the stored length (§7.3 extension).
-    reads.Spawn([this, replica, block, read_len,
-                 variable](Shared& shared) -> sim::Task<bool> {
+    reads.Spawn([this, replica, block, read_len, variable,
+                 ctx](Shared& shared) -> sim::Task<bool> {
       Op read = Op::IndirectRead(replica->rkey(),
                                  replica->meta_addr(block) + 8, read_len,
                                  /*bounded=*/variable);
-      auto r = co_await prism_.ExecuteOne(&replica->prism(), std::move(read));
+      auto r = co_await prism_.ExecuteOne(&replica->prism(), std::move(read),
+                                          ctx);
       round_trips_++;
       if (!r.ok() || !r->status.ok() || r->data.size() < 8) co_return false;
       Tag tag = Tag::FromPacked(LoadU64(r->data.data()));
@@ -134,7 +132,6 @@ sim::Task<PrismRsClient::ReadPhaseResult> PrismRsClient::ReadPhase(
   }
   ReadPhaseResult out;
   const bool reached = co_await reads.Wait();
-  fabric_->obs().SetCurrentOp(op);
   if (!reached) {
     out.status = Unavailable("read phase: no quorum");
     co_return out;
@@ -151,14 +148,13 @@ sim::Task<PrismRsClient::ReadPhaseResult> PrismRsClient::ReadPhase(
 }
 
 sim::Task<Status> PrismRsClient::WritePhase(uint64_t block, Tag tag,
-                                            ByteView value) {
+                                            ByteView value, obs::Ctx ctx) {
   const bool variable = cluster_->options().variable_block_size;
   if (variable) {
     PRISM_CHECK_LE(value.size(), cluster_->options().block_size);
   } else {
     PRISM_CHECK_EQ(value.size(), cluster_->options().block_size);
   }
-  obs::OpTimeline* const op = fabric_->obs().current_op();
   sim::FanOut<> writes(fabric_->sim(), cluster_->quorum(), cluster_->n());
   // The buffer payload [tag | value], built once: every replica's ALLOCATE
   // shares it, and each chain's copy keeps it alive for a server body that
@@ -172,8 +168,8 @@ sim::Task<Status> PrismRsClient::WritePhase(uint64_t block, Tag tag,
   for (int i = 0; i < cluster_->n(); ++i) {
     PrismRsReplica* replica = &cluster_->replica(i);
     const rdma::Addr tmp = scratch_[i];
-    writes.Spawn([this, replica, block, tag, tmp, i, variable,
-                  payload]() -> sim::Task<bool> {
+    writes.Spawn([this, replica, block, tag, tmp, i, variable, payload,
+                  ctx]() -> sim::Task<bool> {
       // The §7.3 write chain. In variable mode the scratch holds 24 bytes
       // [tag' | addr' | bound'] — tag and bound written in one WRITE, the
       // ALLOCATE redirecting its address into the gap — and the CAS swaps
@@ -207,7 +203,8 @@ sim::Task<Status> PrismRsClient::WritePhase(uint64_t block, Tag tag,
       install.conditional = true;
       chain.push_back(std::move(install));
 
-      auto r = co_await prism_.Execute(&replica->prism(), std::move(chain));
+      auto r =
+          co_await prism_.Execute(&replica->prism(), std::move(chain), ctx);
       round_trips_++;
       if (!r.ok()) co_return false;
       const core::OpResult& alloc = (*r)[1];
@@ -223,29 +220,29 @@ sim::Task<Status> PrismRsClient::WritePhase(uint64_t block, Tag tag,
         const rdma::Addr old_addr = LoadU64(cas.data.data() + 8);
         if (old_tag != 0) {
           reclaim_[static_cast<size_t>(i)]->Free(replica->freelist(),
-                                                 old_addr);
+                                                 old_addr, ctx);
         }
       } else {
         // Replica already has a newer tag: our buffer is orphaned. The ABD
         // phase still counts as acknowledged.
         reclaim_[static_cast<size_t>(i)]->Free(replica->freelist(),
-                                               alloc.resolved_addr);
+                                               alloc.resolved_addr, ctx);
       }
       co_return true;
     });
   }
   const bool reached = co_await writes.Wait();
-  fabric_->obs().SetCurrentOp(op);
   if (!reached) co_return Unavailable("write phase: no quorum");
   co_return OkStatus();
 }
 
 sim::Task<Result<Bytes>> PrismRsClient::Get(uint64_t block, Tag* out_tag) {
+  const obs::Ctx ctx = fabric_->obs().entry();
   size_t hid = 0;
   if (history_ != nullptr) {
     hid = history_->Begin(client_id_, block, check::OpType::kRead);
   }
-  ReadPhaseResult read = co_await ReadPhase(block);
+  ReadPhaseResult read = co_await ReadPhase(block, ctx);
   if (!read.status.ok()) {
     // A failed GET returned nothing: it constrains no history.
     if (history_ != nullptr) history_->End(hid, check::Outcome::kFailed);
@@ -263,7 +260,7 @@ sim::Task<Result<Bytes>> PrismRsClient::Get(uint64_t block, Tag* out_tag) {
   }
   // Write-back phase: ensure f+1 replicas are at least as new as what we
   // are about to return (required for linearizability).
-  Status wb = co_await WritePhase(block, read.max_tag, read.max_value);
+  Status wb = co_await WritePhase(block, read.max_tag, read.max_value, ctx);
   if (!wb.ok()) {
     if (history_ != nullptr) history_->End(hid, check::Outcome::kFailed);
     co_return wb;
@@ -277,6 +274,7 @@ sim::Task<Result<Bytes>> PrismRsClient::Get(uint64_t block, Tag* out_tag) {
 
 sim::Task<Status> PrismRsClient::Put(uint64_t block, Bytes value,
                                      Tag* out_tag) {
+  const obs::Ctx ctx = fabric_->obs().entry();
   size_t hid = 0;
   if (history_ != nullptr) {
     hid = history_->Begin(client_id_, block, check::OpType::kWrite,
@@ -291,14 +289,14 @@ sim::Task<Status> PrismRsClient::Put(uint64_t block, Bytes value,
     if (history_ != nullptr) history_->End(hid, check::Outcome::kFailed);
     co_return InvalidArgument("value must be exactly block_size");
   }
-  ReadPhaseResult read = co_await ReadPhase(block);
+  ReadPhaseResult read = co_await ReadPhase(block, ctx);
   if (!read.status.ok()) {
     // The write phase never started: the value was definitely not installed.
     if (history_ != nullptr) history_->End(hid, check::Outcome::kFailed);
     co_return read.status;
   }
   Tag tag{read.max_tag.ts + 1, client_id_};
-  Status st = co_await WritePhase(block, tag, value);
+  Status st = co_await WritePhase(block, tag, value, ctx);
   if (!st.ok()) {
     // No quorum, but some replicas may have installed the value: a later
     // read may legally observe it (or not) — indeterminate.

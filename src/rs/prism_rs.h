@@ -155,10 +155,11 @@ class PrismRsClient {
     Bytes max_value;  // [value] only (tag stripped)
     bool unanimous = false;  // every quorum member returned max_tag
   };
-  sim::Task<ReadPhaseResult> ReadPhase(uint64_t block);
+  sim::Task<ReadPhaseResult> ReadPhase(uint64_t block, obs::Ctx ctx);
   // Propagates ⟨tag,value⟩ to replicas; resolves OK once f+1 acked.
   // `value` is read only before the first suspension.
-  sim::Task<Status> WritePhase(uint64_t block, Tag tag, ByteView value);
+  sim::Task<Status> WritePhase(uint64_t block, Tag tag, ByteView value,
+                              obs::Ctx ctx);
 
   net::Fabric* fabric_;
   net::HostId self_;

@@ -17,12 +17,6 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-Bytes Word(uint64_t w) {
-  Bytes b(8);
-  StoreU64(b.data(), w);
-  return b;
-}
-
 // Lease word: ⟨expiry µs << 16 | owner⟩.
 uint64_t PackLease(uint16_t owner, uint64_t expiry_us) {
   return (expiry_us << 16) | owner;
@@ -171,19 +165,18 @@ obs::TransportTally SyncClient::tally() const {
   return rdma_.tally() + prism_.tally();
 }
 
-sim::Task<void> SyncClient::Backoff(int attempt, obs::OpTimeline* op) {
+sim::Task<void> SyncClient::Backoff(int attempt, obs::Ctx ctx) {
   sim::Duration d = std::min<sim::Duration>(
       server_->options().backoff_cap,
       server_->options().backoff_base << std::min(attempt, 6));
   d += static_cast<sim::Duration>(
       rng_.NextBelow(static_cast<uint64_t>(d) / 2 + 1));
-  obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
+  obs::SwitchOp(ctx.op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
   co_await sim::SleepFor(fabric_->sim(), d);
-  obs::SwitchOp(op, obs::Phase::kApp, fabric_->sim()->Now());
+  obs::SwitchOp(ctx.op, obs::Phase::kApp, fabric_->sim()->Now());
 }
 
-sim::Task<Result<uint64_t>> SyncClient::LocateSlot(uint64_t key,
-                                                  obs::OpTimeline* op) {
+sim::Task<Result<uint64_t>> SyncClient::LocateSlot(uint64_t key, obs::Ctx ctx) {
   auto it = slot_cache_.find(key);
   if (it != slot_cache_.end()) co_return it->second;
   // Branch, don't ternary: co_await inside a conditional expression
@@ -191,24 +184,22 @@ sim::Task<Result<uint64_t>> SyncClient::LocateSlot(uint64_t key,
   // twice, corrupting the coroutine frame).
   Result<uint64_t> slot = NotFound("unprobed");
   if (scheme_ == SyncScheme::kPrismNative) {
-    slot = co_await ProbeChain(key, op);
+    slot = co_await ProbeChain(key, ctx);
   } else {
-    slot = co_await ProbeVerbs(key, op);
+    slot = co_await ProbeVerbs(key, ctx);
   }
   if (slot.ok()) slot_cache_[key] = *slot;
   co_return slot;
 }
 
-sim::Task<Result<uint64_t>> SyncClient::ProbeVerbs(uint64_t key,
-                                                   obs::OpTimeline* op) {
+sim::Task<Result<uint64_t>> SyncClient::ProbeVerbs(uint64_t key, obs::Ctx ctx) {
   const SyncOptions& opts = server_->options();
   const uint64_t home = server_->HashSlot(key);
   for (int p = 0; p < opts.max_probes; ++p) {
     const uint64_t slot = (home + p) & (opts.n_slots - 1);
     probe_rounds_++;
-    Arm(op);
     auto r = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
-                                 server_->slot_addr(slot) + kKeyOff, 8);
+                                 server_->slot_addr(slot) + kKeyOff, 8, ctx);
     round_trips_++;
     if (!r.ok()) co_return r.status();
     const uint64_t resident = LoadU64(r->data());
@@ -220,8 +211,7 @@ sim::Task<Result<uint64_t>> SyncClient::ProbeVerbs(uint64_t key,
 
 // PRISM probe: one chain READs every candidate key word of the linear-probe
 // window in a single round trip.
-sim::Task<Result<uint64_t>> SyncClient::ProbeChain(uint64_t key,
-                                                   obs::OpTimeline* op) {
+sim::Task<Result<uint64_t>> SyncClient::ProbeChain(uint64_t key, obs::Ctx ctx) {
   const SyncOptions& opts = server_->options();
   const uint64_t home = server_->HashSlot(key);
   core::Chain chain;
@@ -231,8 +221,7 @@ sim::Task<Result<uint64_t>> SyncClient::ProbeChain(uint64_t key,
                              server_->slot_addr(slot) + kKeyOff, 8));
   }
   probe_rounds_++;
-  Arm(op);
-  auto r = co_await prism_.Execute(&server_->prism(), std::move(chain));
+  auto r = co_await prism_.Execute(&server_->prism(), std::move(chain), ctx);
   round_trips_++;
   if (!r.ok()) co_return r.status();
   for (int p = 0; p < opts.max_probes; ++p) {
@@ -248,38 +237,35 @@ sim::Task<Result<uint64_t>> SyncClient::ProbeChain(uint64_t key,
 // ---- spinlock-word helpers ----
 
 sim::Task<Result<uint64_t>> SyncClient::AcquireSpin(rdma::Addr slot,
-                                                   obs::OpTimeline* op) {
+                                                   obs::Ctx ctx) {
   const SyncOptions& opts = server_->options();
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
     // The first CAS is the acquisition any scheme would pay (wire); every
     // retry is remote lock polling, so its whole round trip bills to
-    // sync_spin: stamp the phase and leave the verb un-armed.
-    if (attempt == 0) {
-      Arm(op);
-    } else {
-      obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
-      Arm(nullptr);
+    // sync_spin: stamp the phase and run the verb untimed.
+    obs::Ctx verb = ctx;
+    if (attempt > 0) {
+      obs::SwitchOp(ctx.op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
+      verb = ctx.Untimed();
     }
     auto old = co_await rdma_.CompareSwap(&server_->rdma(), server_->rkey(),
-                                          slot + kLockOff, 0, id_);
+                                          slot + kLockOff, 0, id_, verb);
     round_trips_++;
     if (old.ok() && *old == 0) co_return static_cast<uint64_t>(id_);
     if (old.ok()) lock_conflicts_++;
-    co_await Backoff(attempt, op);
+    co_await Backoff(attempt, ctx);
   }
   co_return Aborted("spinlock: could not acquire");
 }
 
-sim::Task<void> SyncClient::ReleaseSpin(rdma::Addr slot,
-                                        obs::OpTimeline* op) {
-  Arm(op);
+sim::Task<void> SyncClient::ReleaseSpin(rdma::Addr slot, obs::Ctx ctx) {
   (void)co_await rdma_.Write(&server_->rdma(), server_->rkey(),
-                             slot + kLockOff, Word(0));
+                             slot + kLockOff, SmallBytes::OfU64(0), ctx);
   round_trips_++;
 }
 
 sim::Task<Result<uint64_t>> SyncClient::AcquireLease(rdma::Addr slot,
-                                                     obs::OpTimeline* op) {
+                                                     obs::Ctx ctx) {
   const SyncOptions& opts = server_->options();
   const uint64_t term_us =
       static_cast<uint64_t>(opts.lease_term) / 1000;
@@ -289,14 +275,13 @@ sim::Task<Result<uint64_t>> SyncClient::AcquireLease(rdma::Addr slot,
     const uint64_t mine = PackLease(id_, now_us + term_us);
     // Same attribution rule as AcquireSpin: first attempt is wire, retries
     // (including their steal CASes) are lock polling billed to sync_spin.
-    if (attempt == 0) {
-      Arm(op);
-    } else {
-      obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
-      Arm(nullptr);
+    obs::Ctx verb = ctx;
+    if (attempt > 0) {
+      obs::SwitchOp(ctx.op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
+      verb = ctx.Untimed();
     }
     auto old = co_await rdma_.CompareSwap(&server_->rdma(), server_->rkey(),
-                                          slot + kLockOff, 0, mine);
+                                          slot + kLockOff, 0, mine, verb);
     round_trips_++;
     if (old.ok() && *old == 0) co_return mine;
     if (old.ok() && *old != 0) {
@@ -304,9 +289,9 @@ sim::Task<Result<uint64_t>> SyncClient::AcquireLease(rdma::Addr slot,
       if (fabric_->sim()->Now() > LeaseExpiryNs(seen)) {
         // Expired: steal with a CAS conditioned on the exact stale word, so
         // concurrent stealers can't both win.
-        if (attempt == 0) Arm(op);
         auto stolen = co_await rdma_.CompareSwap(
-            &server_->rdma(), server_->rkey(), slot + kLockOff, seen, mine);
+            &server_->rdma(), server_->rkey(), slot + kLockOff, seen, mine,
+            verb);
         round_trips_++;
         if (stolen.ok() && *stolen == seen) {
           lease_steals_++;
@@ -315,47 +300,45 @@ sim::Task<Result<uint64_t>> SyncClient::AcquireLease(rdma::Addr slot,
       }
       lock_conflicts_++;
     }
-    co_await Backoff(attempt, op);
+    co_await Backoff(attempt, ctx);
   }
   co_return Aborted("lease: could not acquire");
 }
 
 sim::Task<void> SyncClient::ReleaseLease(rdma::Addr slot, uint64_t lease_word,
-                                         obs::OpTimeline* op) {
+                                         obs::Ctx ctx) {
   // CAS, not WRITE: if the lease was stolen after expiry the release must
   // fail harmlessly instead of clobbering the successor's lease.
-  Arm(op);
   (void)co_await rdma_.CompareSwap(&server_->rdma(), server_->rkey(),
-                                   slot + kLockOff, lease_word, 0);
+                                   slot + kLockOff, lease_word, 0, ctx);
   round_trips_++;
 }
 
 // ---- per-scheme updates ----
 
 sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateLocked(
-    rdma::Addr slot, Bytes value, obs::OpTimeline* op) {
-  Status acq = (co_await AcquireSpin(slot, op)).status();
+    rdma::Addr slot, Bytes value, obs::Ctx ctx) {
+  Status acq = (co_await AcquireSpin(slot, ctx)).status();
   if (!acq.ok()) co_return UpdateOutcome{acq, Applied::kNo};
   if (critical_stall_ > 0) {
     co_await sim::SleepFor(fabric_->sim(), critical_stall_);
   }
-  Arm(op);
   Status s = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
-                                  slot + kValueOff, std::move(value));
+                                  slot + kValueOff, std::move(value), ctx);
   round_trips_++;
-  co_await ReleaseSpin(slot, op);
+  co_await ReleaseSpin(slot, ctx);
   if (s.ok()) co_return UpdateOutcome{OkStatus(), Applied::kYes};
   co_return UpdateOutcome{
       s, s.code() == Code::kUnavailable ? Applied::kNo : Applied::kMaybe};
 }
 
 sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateLease(
-    rdma::Addr slot, Bytes value, obs::OpTimeline* op) {
+    rdma::Addr slot, Bytes value, obs::Ctx ctx) {
   const SyncOptions& opts = server_->options();
   // A fencing abort is a failed attempt: release (if still ours) and retry
   // with a fresh lease.
   for (int round = 0; round < 4; ++round) {
-    auto lease = co_await AcquireLease(slot, op);
+    auto lease = co_await AcquireLease(slot, ctx);
     if (!lease.ok()) co_return UpdateOutcome{lease.status(), Applied::kNo};
     if (critical_stall_ > 0) {
       co_await sim::SleepFor(fabric_->sim(), critical_stall_);
@@ -366,14 +349,13 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateLease(
     if (fabric_->sim()->Now() + opts.lease_guard >=
         LeaseExpiryNs(*lease)) {
       fencing_aborts_++;
-      co_await ReleaseLease(slot, *lease, op);
+      co_await ReleaseLease(slot, *lease, ctx);
       continue;
     }
-    Arm(op);
     Status s = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
-                                    slot + kValueOff, value);
+                                    slot + kValueOff, value, ctx);
     round_trips_++;
-    co_await ReleaseLease(slot, *lease, op);
+    co_await ReleaseLease(slot, *lease, ctx);
     if (s.ok()) co_return UpdateOutcome{OkStatus(), Applied::kYes};
     co_return UpdateOutcome{
         s, s.code() == Code::kUnavailable ? Applied::kNo : Applied::kMaybe};
@@ -382,26 +364,24 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateLease(
 }
 
 sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateOptimistic(
-    rdma::Addr slot, Bytes value, obs::OpTimeline* op) {
+    rdma::Addr slot, Bytes value, obs::Ctx ctx) {
   const SyncOptions& opts = server_->options();
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
-    Arm(op);
     auto vr = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
-                                  slot + kVersionOff, 8);
+                                  slot + kVersionOff, 8, ctx);
     round_trips_++;
     if (!vr.ok()) {
-      co_await Backoff(attempt, op);
+      co_await Backoff(attempt, ctx);
       continue;
     }
     const uint64_t v = LoadU64(vr->data());
     if (v & 1) {  // writer in progress
       lock_conflicts_++;
-      co_await Backoff(attempt, op);
+      co_await Backoff(attempt, ctx);
       continue;
     }
-    Arm(op);
     auto cas = co_await rdma_.CompareSwap(&server_->rdma(), server_->rkey(),
-                                          slot + kVersionOff, v, v + 1);
+                                          slot + kVersionOff, v, v + 1, ctx);
     round_trips_++;
     if (!cas.ok()) {
       // The CAS may have landed (response lost): the slot could now be odd
@@ -410,23 +390,22 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateOptimistic(
     }
     if (*cas != v) {
       lock_conflicts_++;
-      co_await Backoff(attempt, op);
+      co_await Backoff(attempt, ctx);
       continue;
     }
     if (critical_stall_ > 0) {
       co_await sim::SleepFor(fabric_->sim(), critical_stall_);
     }
-    Arm(op);
     Status s = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
-                                    slot + kValueOff, std::move(value));
+                                    slot + kValueOff, std::move(value), ctx);
     round_trips_++;
     if (!s.ok()) {
       co_return UpdateOutcome{
           s, s.code() == Code::kUnavailable ? Applied::kNo : Applied::kMaybe};
     }
-    Arm(op);
     (void)co_await rdma_.Write(&server_->rdma(), server_->rkey(),
-                               slot + kVersionOff, Word(v + 2));
+                               slot + kVersionOff, SmallBytes::OfU64(v + 2),
+                               ctx);
     round_trips_++;
     co_return UpdateOutcome{OkStatus(), Applied::kYes};
   }
@@ -436,19 +415,20 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateOptimistic(
 // PRISM-native: lock + write + unlock fused into one conditional chain —
 // one round trip per attempt, vs the spinlock's three.
 sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdatePrism(
-    rdma::Addr slot, Bytes value, obs::OpTimeline* op) {
+    rdma::Addr slot, Bytes value, obs::Ctx ctx) {
   const SyncOptions& opts = server_->options();
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
     core::Chain chain;
     chain.push_back(Op::CompareSwapCas(
-        server_->rkey(), slot + kLockOff, /*compare=*/Word(0),
-        /*swap=*/Word(id_), Bytes(8, 0xff), Bytes(8, 0xff)));
+        server_->rkey(), slot + kLockOff, /*compare=*/SmallBytes::OfU64(0),
+        /*swap=*/SmallBytes::OfU64(id_), SmallBytes(8, 0xff),
+        SmallBytes(8, 0xff)));
     chain.push_back(
         Op::Write(server_->rkey(), slot + kValueOff, value).Conditional());
     chain.push_back(
-        Op::Write(server_->rkey(), slot + kLockOff, Word(0)).Conditional());
-    Arm(op);
-    auto r = co_await prism_.Execute(&server_->prism(), std::move(chain));
+        Op::Write(server_->rkey(), slot + kLockOff, SmallBytes::OfU64(0))
+            .Conditional());
+    auto r = co_await prism_.Execute(&server_->prism(), std::move(chain), ctx);
     round_trips_++;
     if (!r.ok()) co_return UpdateOutcome{r.status(), Applied::kMaybe};
     if ((*r)[0].Successful(OpCode::kCas)) {
@@ -458,7 +438,7 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdatePrism(
       co_return UpdateOutcome{(*r)[1].status, Applied::kMaybe};
     }
     lock_conflicts_++;
-    co_await Backoff(attempt, op);
+    co_await Backoff(attempt, ctx);
   }
   co_return UpdateOutcome{Aborted("prism: could not acquire"), Applied::kNo};
 }
@@ -469,8 +449,8 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdatePrism(
 // order; a bounded reordering that delays one half past the unlock lets the
 // next lock holder interleave with the torn write.
 sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateUnfenced(
-    rdma::Addr slot, Bytes value, obs::OpTimeline* op) {
-  Status acq = (co_await AcquireSpin(slot, op)).status();
+    rdma::Addr slot, Bytes value, obs::Ctx ctx) {
+  Status acq = (co_await AcquireSpin(slot, ctx)).status();
   if (!acq.ok()) co_return UpdateOutcome{acq, Applied::kNo};
   if (critical_stall_ > 0) {
     co_await sim::SleepFor(fabric_->sim(), critical_stall_);
@@ -481,29 +461,27 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateUnfenced(
   sim::FanOut<Pipelined> all(fabric_->sim(), 3, 3);
   const uint64_t lo = LoadU64(value.data());
   const uint64_t hi = LoadU64(value.data() + 8);
-  // The pipelined verbs run concurrently against ONE op timeline: each
-  // re-arms before posting, so phase attribution is last-stamp-wins here —
-  // the telescoping sum stays exact regardless.
-  all.Spawn([this, slot, lo, op](Pipelined& st) -> sim::Task<bool> {
-    Arm(op);
+  // The pipelined verbs run concurrently against ONE op timeline, so phase
+  // attribution is last-stamp-wins here — the telescoping sum stays exact
+  // regardless.
+  all.Spawn([this, slot, lo, ctx](Pipelined& st) -> sim::Task<bool> {
     st.lo = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
-                                 slot + kValueOff, Word(lo));
+                                 slot + kValueOff, SmallBytes::OfU64(lo), ctx);
     round_trips_++;
     co_return true;
   });
   co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
-  all.Spawn([this, slot, hi, op](Pipelined& st) -> sim::Task<bool> {
-    Arm(op);
+  all.Spawn([this, slot, hi, ctx](Pipelined& st) -> sim::Task<bool> {
     st.hi = co_await rdma_.Write(&server_->rdma(), server_->rkey(),
-                                 slot + kValueOff + 8, Word(hi));
+                                 slot + kValueOff + 8, SmallBytes::OfU64(hi),
+                                 ctx);
     round_trips_++;
     co_return true;
   });
   co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
-  all.Spawn([this, slot, op]() -> sim::Task<bool> {
-    Arm(op);
+  all.Spawn([this, slot, ctx]() -> sim::Task<bool> {
     (void)co_await rdma_.Write(&server_->rdma(), server_->rkey(),
-                               slot + kLockOff, Word(0));
+                               slot + kLockOff, SmallBytes::OfU64(0), ctx);
     round_trips_++;
     co_return true;
   });
@@ -520,68 +498,61 @@ sim::Task<SyncClient::UpdateOutcome> SyncClient::UpdateUnfenced(
 
 // ---- per-scheme reads ----
 
-sim::Task<Result<Bytes>> SyncClient::ReadLocked(rdma::Addr slot,
-                                                obs::OpTimeline* op) {
-  Status acq = (co_await AcquireSpin(slot, op)).status();
+sim::Task<Result<Bytes>> SyncClient::ReadLocked(rdma::Addr slot, obs::Ctx ctx) {
+  Status acq = (co_await AcquireSpin(slot, ctx)).status();
   if (!acq.ok()) co_return acq;
   if (critical_stall_ > 0) {
     co_await sim::SleepFor(fabric_->sim(), critical_stall_);
   }
-  Arm(op);
   auto r = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
-                               slot + kValueOff, kValueSize);
+                               slot + kValueOff, kValueSize, ctx);
   round_trips_++;
-  co_await ReleaseSpin(slot, op);
+  co_await ReleaseSpin(slot, ctx);
   co_return r;
 }
 
-sim::Task<Result<Bytes>> SyncClient::ReadLease(rdma::Addr slot,
-                                               obs::OpTimeline* op) {
-  auto lease = co_await AcquireLease(slot, op);
+sim::Task<Result<Bytes>> SyncClient::ReadLease(rdma::Addr slot, obs::Ctx ctx) {
+  auto lease = co_await AcquireLease(slot, ctx);
   if (!lease.ok()) co_return lease.status();
   if (critical_stall_ > 0) {
     co_await sim::SleepFor(fabric_->sim(), critical_stall_);
   }
-  Arm(op);
   auto r = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
-                               slot + kValueOff, kValueSize);
+                               slot + kValueOff, kValueSize, ctx);
   round_trips_++;
-  co_await ReleaseLease(slot, *lease, op);
+  co_await ReleaseLease(slot, *lease, ctx);
   co_return r;
 }
 
 sim::Task<Result<Bytes>> SyncClient::ReadOptimistic(rdma::Addr slot,
-                                                    obs::OpTimeline* op) {
+                                                    obs::Ctx ctx) {
   const SyncOptions& opts = server_->options();
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
-    Arm(op);
     auto v1r = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
-                                   slot + kVersionOff, 8);
+                                   slot + kVersionOff, 8, ctx);
     round_trips_++;
     if (!v1r.ok()) {
-      co_await Backoff(attempt, op);
+      co_await Backoff(attempt, ctx);
       continue;
     }
     const uint64_t v1 = LoadU64(v1r->data());
     if (v1 & 1) {
       optimistic_retries_++;
-      co_await Backoff(attempt, op);
+      co_await Backoff(attempt, ctx);
       continue;
     }
     if (critical_stall_ > 0) {
       co_await sim::SleepFor(fabric_->sim(), critical_stall_);
     }
-    Arm(op);
     auto val = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
-                                   slot + kValueOff, kValueSize);
+                                   slot + kValueOff, kValueSize, ctx);
     round_trips_++;
     if (!val.ok()) {
-      co_await Backoff(attempt, op);
+      co_await Backoff(attempt, ctx);
       continue;
     }
-    Arm(op);
     auto v2r = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
-                                   slot + kVersionOff, 8);
+                                   slot + kVersionOff, 8, ctx);
     round_trips_++;
     if (v2r.ok() && LoadU64(v2r->data()) == v1) co_return val;
     optimistic_retries_++;
@@ -589,20 +560,20 @@ sim::Task<Result<Bytes>> SyncClient::ReadOptimistic(rdma::Addr slot,
   co_return Aborted("optimistic: read validation kept failing");
 }
 
-sim::Task<Result<Bytes>> SyncClient::ReadPrism(rdma::Addr slot,
-                                               obs::OpTimeline* op) {
+sim::Task<Result<Bytes>> SyncClient::ReadPrism(rdma::Addr slot, obs::Ctx ctx) {
   const SyncOptions& opts = server_->options();
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
     core::Chain chain;
     chain.push_back(Op::CompareSwapCas(
-        server_->rkey(), slot + kLockOff, /*compare=*/Word(0),
-        /*swap=*/Word(id_), Bytes(8, 0xff), Bytes(8, 0xff)));
+        server_->rkey(), slot + kLockOff, /*compare=*/SmallBytes::OfU64(0),
+        /*swap=*/SmallBytes::OfU64(id_), SmallBytes(8, 0xff),
+        SmallBytes(8, 0xff)));
     chain.push_back(Op::Read(server_->rkey(), slot + kValueOff, kValueSize)
                         .Conditional());
     chain.push_back(
-        Op::Write(server_->rkey(), slot + kLockOff, Word(0)).Conditional());
-    Arm(op);
-    auto r = co_await prism_.Execute(&server_->prism(), std::move(chain));
+        Op::Write(server_->rkey(), slot + kLockOff, SmallBytes::OfU64(0))
+            .Conditional());
+    auto r = co_await prism_.Execute(&server_->prism(), std::move(chain), ctx);
     round_trips_++;
     if (!r.ok()) co_return r.status();
     if ((*r)[0].Successful(OpCode::kCas)) {
@@ -612,7 +583,7 @@ sim::Task<Result<Bytes>> SyncClient::ReadPrism(rdma::Addr slot,
       co_return (*r)[1].status;
     }
     lock_conflicts_++;
-    co_await Backoff(attempt, op);
+    co_await Backoff(attempt, ctx);
   }
   co_return Aborted("prism: could not acquire");
 }
@@ -627,7 +598,7 @@ sim::Task<Result<Bytes>> SyncClient::ReadPrism(rdma::Addr slot,
 // so a bounded reordering can slide them around it — and around a previous
 // holder's still-unfenced value writes — observing torn values.
 sim::Task<Result<Bytes>> SyncClient::ReadUnfenced(rdma::Addr slot,
-                                                  obs::OpTimeline* op) {
+                                                  obs::Ctx ctx) {
   const SyncOptions& opts = server_->options();
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
     struct Pipelined {
@@ -636,33 +607,30 @@ sim::Task<Result<Bytes>> SyncClient::ReadUnfenced(rdma::Addr slot,
       Result<Bytes> hi = Aborted("pending");
     };
     sim::FanOut<Pipelined> all(fabric_->sim(), 3, 3);
-    all.Spawn([this, slot, op](Pipelined& st) -> sim::Task<bool> {
-      Arm(op);
+    all.Spawn([this, slot, ctx](Pipelined& st) -> sim::Task<bool> {
       st.cas = co_await rdma_.CompareSwap(&server_->rdma(), server_->rkey(),
-                                          slot + kLockOff, 0, id_);
+                                          slot + kLockOff, 0, id_, ctx);
       round_trips_++;
       co_return true;
     });
     co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
-    all.Spawn([this, slot, op](Pipelined& st) -> sim::Task<bool> {
-      Arm(op);
+    all.Spawn([this, slot, ctx](Pipelined& st) -> sim::Task<bool> {
       st.lo = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
-                                  slot + kValueOff, 8);
+                                  slot + kValueOff, 8, ctx);
       round_trips_++;
       co_return true;
     });
     co_await sim::SleepFor(fabric_->sim(), sim::Nanos(80));
-    all.Spawn([this, slot, op](Pipelined& st) -> sim::Task<bool> {
-      Arm(op);
+    all.Spawn([this, slot, ctx](Pipelined& st) -> sim::Task<bool> {
       st.hi = co_await rdma_.Read(&server_->rdma(), server_->rkey(),
-                                  slot + kValueOff + 8, 8);
+                                  slot + kValueOff + 8, 8, ctx);
       round_trips_++;
       co_return true;
     });
     co_await all.Wait();
     const Pipelined& st = all.state();
     if (st.cas.ok() && *st.cas == 0) {
-      co_await ReleaseSpin(slot, op);
+      co_await ReleaseSpin(slot, ctx);
       if (st.lo.ok() && st.hi.ok()) {
         Bytes v(kValueSize);
         StoreU64(v.data(), LoadU64(st.lo->data()));
@@ -675,11 +643,11 @@ sim::Task<Result<Bytes>> SyncClient::ReadUnfenced(rdma::Addr slot,
     // Aggressive retry (part of the scheme's "optimization"): a short
     // jittered pause instead of the exponential backoff the fenced
     // schemes use. Still acquisition spin for attribution purposes.
-    obs::SwitchOp(op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
+    obs::SwitchOp(ctx.op, obs::Phase::kSyncSpin, fabric_->sim()->Now());
     co_await sim::SleepFor(
         fabric_->sim(),
         sim::Nanos(500 + static_cast<sim::Duration>(rng_.NextBelow(1500))));
-    obs::SwitchOp(op, obs::Phase::kApp, fabric_->sim()->Now());
+    obs::SwitchOp(ctx.op, obs::Phase::kApp, fabric_->sim()->Now());
   }
   co_return Aborted("unfenced: could not acquire");
 }
@@ -687,35 +655,33 @@ sim::Task<Result<Bytes>> SyncClient::ReadUnfenced(rdma::Addr slot,
 // ---- public ops with history recording ----
 
 sim::Task<Result<Bytes>> SyncClient::Read(uint64_t key) {
-  // Capture the timed-op register before the first suspension (same
-  // discipline as the span register); null when this op isn't timed.
-  obs::OpTimeline* const op = fabric_->obs().current_op();
+  const obs::Ctx ctx = fabric_->obs().entry();
   check::HistoryRecorder* h = history_;
   size_t hid = 0;
   if (h != nullptr) {
     hid = h->Begin(history_client_, key, check::OpType::kRead);
   }
   Result<Bytes> r = Aborted("unreachable");
-  auto slot = co_await LocateSlot(key, op);
+  auto slot = co_await LocateSlot(key, ctx);
   if (!slot.ok()) {
     r = slot.status();
   } else {
     const rdma::Addr addr = server_->slot_addr(*slot);
     switch (scheme_) {
       case SyncScheme::kSpinlock:
-        r = co_await ReadLocked(addr, op);
+        r = co_await ReadLocked(addr, ctx);
         break;
       case SyncScheme::kOptimistic:
-        r = co_await ReadOptimistic(addr, op);
+        r = co_await ReadOptimistic(addr, ctx);
         break;
       case SyncScheme::kLease:
-        r = co_await ReadLease(addr, op);
+        r = co_await ReadLease(addr, ctx);
         break;
       case SyncScheme::kPrismNative:
-        r = co_await ReadPrism(addr, op);
+        r = co_await ReadPrism(addr, ctx);
         break;
       case SyncScheme::kUnfencedBuggy:
-        r = co_await ReadUnfenced(addr, op);
+        r = co_await ReadUnfenced(addr, ctx);
         break;
     }
   }
@@ -732,7 +698,7 @@ sim::Task<Result<Bytes>> SyncClient::Read(uint64_t key) {
 
 sim::Task<Status> SyncClient::Update(uint64_t key, Bytes value) {
   PRISM_CHECK_EQ(value.size(), kValueSize);
-  obs::OpTimeline* const op = fabric_->obs().current_op();
+  const obs::Ctx ctx = fabric_->obs().entry();
   check::HistoryRecorder* h = history_;
   size_t hid = 0;
   if (h != nullptr) {
@@ -740,26 +706,26 @@ sim::Task<Status> SyncClient::Update(uint64_t key, Bytes value) {
                    check::IdOf(value));
   }
   UpdateOutcome out{Aborted("unreachable"), Applied::kNo};
-  auto slot = co_await LocateSlot(key, op);
+  auto slot = co_await LocateSlot(key, ctx);
   if (!slot.ok()) {
     out.status = slot.status();
   } else {
     const rdma::Addr addr = server_->slot_addr(*slot);
     switch (scheme_) {
       case SyncScheme::kSpinlock:
-        out = co_await UpdateLocked(addr, std::move(value), op);
+        out = co_await UpdateLocked(addr, std::move(value), ctx);
         break;
       case SyncScheme::kOptimistic:
-        out = co_await UpdateOptimistic(addr, std::move(value), op);
+        out = co_await UpdateOptimistic(addr, std::move(value), ctx);
         break;
       case SyncScheme::kLease:
-        out = co_await UpdateLease(addr, std::move(value), op);
+        out = co_await UpdateLease(addr, std::move(value), ctx);
         break;
       case SyncScheme::kPrismNative:
-        out = co_await UpdatePrism(addr, std::move(value), op);
+        out = co_await UpdatePrism(addr, std::move(value), ctx);
         break;
       case SyncScheme::kUnfencedBuggy:
-        out = co_await UpdateUnfenced(addr, std::move(value), op);
+        out = co_await UpdateUnfenced(addr, std::move(value), ctx);
         break;
     }
   }

@@ -205,48 +205,41 @@ class SyncClient {
   };
 
   // Latency attribution (src/obs/timeline.h): a sync op is a composite of
-  // many verbs/chains with suspensions between them, and the hub's
-  // current-op register only survives synchronous handoffs — so the op
-  // pointer captured at Read/Update entry is threaded explicitly and
-  // re-armed (Arm) immediately before every verb/chain call. Backoff and
-  // the unfenced scheme's jittered retry pause stamp Phase::kSyncSpin; the
-  // verbs themselves stamp batch_wait/wire/responder as usual. All of it is
-  // inert (null op) outside a timed workload.
-  void Arm(obs::OpTimeline* op) { fabric_->obs().SetCurrentOp(op); }
-
-  sim::Task<Result<uint64_t>> LocateSlot(uint64_t key, obs::OpTimeline* op);
-  sim::Task<Result<uint64_t>> ProbeVerbs(uint64_t key, obs::OpTimeline* op);
-  sim::Task<Result<uint64_t>> ProbeChain(uint64_t key, obs::OpTimeline* op);
+  // many verbs/chains with suspensions between them, so Read/Update take
+  // the op's ctx once at entry and every helper passes it to its verbs.
+  // Backoff and the unfenced scheme's jittered retry pause stamp
+  // Phase::kSyncSpin; the verbs themselves stamp batch_wait/wire/responder
+  // as usual. All of it is inert (null op) outside a timed workload.
+  sim::Task<Result<uint64_t>> LocateSlot(uint64_t key, obs::Ctx ctx);
+  sim::Task<Result<uint64_t>> ProbeVerbs(uint64_t key, obs::Ctx ctx);
+  sim::Task<Result<uint64_t>> ProbeChain(uint64_t key, obs::Ctx ctx);
 
   // Lock-word helpers (spinlock / buggy / lease).
-  sim::Task<Result<uint64_t>> AcquireSpin(rdma::Addr slot,
-                                          obs::OpTimeline* op);
+  sim::Task<Result<uint64_t>> AcquireSpin(rdma::Addr slot, obs::Ctx ctx);
   sim::Task<Result<uint64_t>> AcquireLease(rdma::Addr slot,
-                                           obs::OpTimeline* op);  // → lease
-  sim::Task<void> ReleaseSpin(rdma::Addr slot, obs::OpTimeline* op);
+                                           obs::Ctx ctx);  // → lease
+  sim::Task<void> ReleaseSpin(rdma::Addr slot, obs::Ctx ctx);
   sim::Task<void> ReleaseLease(rdma::Addr slot, uint64_t lease_word,
-                               obs::OpTimeline* op);
+                               obs::Ctx ctx);
 
   sim::Task<UpdateOutcome> UpdateLocked(rdma::Addr slot, Bytes value,
-                                        obs::OpTimeline* op);
+                                        obs::Ctx ctx);
   sim::Task<UpdateOutcome> UpdateLease(rdma::Addr slot, Bytes value,
-                                       obs::OpTimeline* op);
+                                       obs::Ctx ctx);
   sim::Task<UpdateOutcome> UpdateOptimistic(rdma::Addr slot, Bytes value,
-                                            obs::OpTimeline* op);
+                                            obs::Ctx ctx);
   sim::Task<UpdateOutcome> UpdatePrism(rdma::Addr slot, Bytes value,
-                                       obs::OpTimeline* op);
+                                       obs::Ctx ctx);
   sim::Task<UpdateOutcome> UpdateUnfenced(rdma::Addr slot, Bytes value,
-                                          obs::OpTimeline* op);
+                                          obs::Ctx ctx);
 
-  sim::Task<Result<Bytes>> ReadLocked(rdma::Addr slot, obs::OpTimeline* op);
-  sim::Task<Result<Bytes>> ReadLease(rdma::Addr slot, obs::OpTimeline* op);
-  sim::Task<Result<Bytes>> ReadOptimistic(rdma::Addr slot,
-                                          obs::OpTimeline* op);
-  sim::Task<Result<Bytes>> ReadPrism(rdma::Addr slot, obs::OpTimeline* op);
-  sim::Task<Result<Bytes>> ReadUnfenced(rdma::Addr slot,
-                                        obs::OpTimeline* op);
+  sim::Task<Result<Bytes>> ReadLocked(rdma::Addr slot, obs::Ctx ctx);
+  sim::Task<Result<Bytes>> ReadLease(rdma::Addr slot, obs::Ctx ctx);
+  sim::Task<Result<Bytes>> ReadOptimistic(rdma::Addr slot, obs::Ctx ctx);
+  sim::Task<Result<Bytes>> ReadPrism(rdma::Addr slot, obs::Ctx ctx);
+  sim::Task<Result<Bytes>> ReadUnfenced(rdma::Addr slot, obs::Ctx ctx);
 
-  sim::Task<void> Backoff(int attempt, obs::OpTimeline* op);
+  sim::Task<void> Backoff(int attempt, obs::Ctx ctx);
 
   net::Fabric* fabric_;
   net::HostId self_;

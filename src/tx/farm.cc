@@ -23,23 +23,17 @@ FarmShard::FarmShard(net::Fabric* fabric, net::HostId host, FarmOptions opts)
   rpc_ = std::make_unique<rpc::RpcServer>(fabric, host);
   rpc_->Register(kLockMethod,
                  [this](const rpc::Message& m) -> sim::Task<rpc::MessagePtr> {
-                   auto req = std::make_shared<LockRequest>(
-                       m.As<LockRequest>());
-                   auto resp = co_await HandleLock(req);
+                   auto resp = co_await HandleLock(m.As<LockRequest>());
                    co_return resp;
                  });
   rpc_->Register(kUpdateMethod,
                  [this](const rpc::Message& m) -> sim::Task<rpc::MessagePtr> {
-                   auto req = std::make_shared<UpdateRequest>(
-                       m.As<UpdateRequest>());
-                   auto resp = co_await HandleUpdate(req);
+                   auto resp = co_await HandleUpdate(m.As<UpdateRequest>());
                    co_return resp;
                  });
   rpc_->Register(kUnlockMethod,
                  [this](const rpc::Message& m) -> sim::Task<rpc::MessagePtr> {
-                   auto req = std::make_shared<UnlockRequest>(
-                       m.As<UnlockRequest>());
-                   auto resp = co_await HandleUnlock(req);
+                   auto resp = co_await HandleUnlock(m.As<UnlockRequest>());
                    co_return resp;
                  });
 }
@@ -55,46 +49,44 @@ Status FarmShard::LoadKey(uint64_t slot, uint64_t key, ByteView value) {
   return OkStatus();
 }
 
-sim::Task<rpc::MessagePtr> FarmShard::HandleLock(
-    std::shared_ptr<LockRequest> req) {
+sim::Task<rpc::MessagePtr> FarmShard::HandleLock(const LockRequest& req) {
   LockResponse out;
   out.ok = true;
   // Check all versions first, then lock — all within this handler event, so
   // the lock acquisition over the request's keys is atomic server-side.
   std::vector<rdma::Addr> objs;
-  for (size_t i = 0; i < req->slots.size(); ++i) {
-    const rdma::Addr obj = object_addr(req->slots[i]);
+  for (size_t i = 0; i < req.slots.size(); ++i) {
+    const rdma::Addr obj = object_addr(req.slots[i]);
     const uint64_t version = mem_->LoadWord(obj);
     if ((version & kLockBit) != 0 ||
-        version != req->expected_versions[i]) {
+        version != req.expected_versions[i]) {
       out.ok = false;
       break;
     }
     objs.push_back(obj);
   }
   if (out.ok) {
-    for (size_t i = 0; i < req->slots.size(); ++i) {
-      mem_->StoreWord(objs[i], req->expected_versions[i] | kLockBit);
-      lock_holder_[req->slots[i]] = req->client;
+    for (size_t i = 0; i < req.slots.size(); ++i) {
+      mem_->StoreWord(objs[i], req.expected_versions[i] | kLockBit);
+      lock_holder_[req.slots[i]] = req.client;
     }
   }
   co_return rpc::Message::Of(out, 8);
 }
 
-sim::Task<rpc::MessagePtr> FarmShard::HandleUpdate(
-    std::shared_ptr<UpdateRequest> req) {
+sim::Task<rpc::MessagePtr> FarmShard::HandleUpdate(const UpdateRequest& req) {
   LockResponse out;
   out.ok = true;
-  for (size_t i = 0; i < req->slots.size(); ++i) {
-    const uint64_t slot = req->slots[i];
-    PRISM_CHECK_EQ(lock_holder_[slot], req->client)
+  for (size_t i = 0; i < req.slots.size(); ++i) {
+    const uint64_t slot = req.slots[i];
+    PRISM_CHECK_EQ(lock_holder_[slot], req.client)
         << "update without holding the lock";
     const rdma::Addr obj = object_addr(slot);
     const uint64_t version = mem_->LoadWord(obj) & ~kLockBit;
     // In-place update while locked. The value write and the version bump
     // happen in separate events — execution-phase readers may observe the
     // torn state and must retry via the version check.
-    mem_->Store(obj + 16, req->values[i]);
+    mem_->Store(obj + 16, req.values[i]);
     co_await sim::Yield(fabric_->sim());
     mem_->StoreWord(obj, version + 1);  // bump + unlock
     lock_holder_[slot] = 0;
@@ -102,12 +94,11 @@ sim::Task<rpc::MessagePtr> FarmShard::HandleUpdate(
   co_return rpc::Message::Of(out, 8);
 }
 
-sim::Task<rpc::MessagePtr> FarmShard::HandleUnlock(
-    std::shared_ptr<UnlockRequest> req) {
+sim::Task<rpc::MessagePtr> FarmShard::HandleUnlock(const UnlockRequest& req) {
   LockResponse out;
   out.ok = true;
-  for (uint64_t slot : req->slots) {
-    if (lock_holder_[slot] != req->client) continue;
+  for (uint64_t slot : req.slots) {
+    if (lock_holder_[slot] != req.client) continue;
     const rdma::Addr obj = object_addr(slot);
     mem_->StoreWord(obj, mem_->LoadWord(obj) & ~kLockBit);
     lock_holder_[slot] = 0;
@@ -154,26 +145,22 @@ sim::Task<Result<Bytes>> FarmClient::Read(Transaction& txn, uint64_t key) {
   auto [shard_idx, slot] = cluster_->Locate(key);
   FarmShard& shard = cluster_->shard(shard_idx);
   const uint64_t obj_len = 16 + cluster_->options().value_size;
-  // The locked-object backoff suspends: re-arm the timed-op register after
-  // it (DESIGN.md §5.9).
-  obs::OpTimeline* const op = fabric_->obs().current_op();
   for (int attempt = 0; attempt < cluster_->options().max_read_retries;
        ++attempt) {
     // READ 1: the slot (object pointer) — as in Pilaf (§8.1).
     auto slot_read = co_await rdma_.Read(&shard.rdma(), shard.rkey(),
-                                         shard.slot_addr(slot), 16);
+                                         shard.slot_addr(slot), 16, txn.ctx);
     if (!slot_read.ok()) co_return slot_read.status();
     const rdma::Addr obj = LoadU64(slot_read->data());
     if (obj == 0) co_return NotFound("key not loaded");
     // READ 2: the object [version | key | value].
-    auto obj_read =
-        co_await rdma_.Read(&shard.rdma(), shard.rkey(), obj, obj_len);
+    auto obj_read = co_await rdma_.Read(&shard.rdma(), shard.rkey(), obj,
+                                        obj_len, txn.ctx);
     if (!obj_read.ok()) co_return obj_read.status();
     const uint64_t version = LoadU64(obj_read->data());
     if ((version & FarmShard::kLockBit) != 0) {
       // Locked by a committing writer: back off briefly and retry.
       co_await sim::SleepFor(fabric_->sim(), sim::Micros(2));
-      fabric_->obs().SetCurrentOp(op);
       continue;
     }
     if (LoadU64(obj_read->data() + 8) != key) {
@@ -237,7 +224,7 @@ sim::Task<Status> FarmClient::Commit(Transaction& txn) {
     const size_t wire = 24 + 16 * request.slots.size();
     rpc::MessagePtr msg = rpc::Message::Of(request, wire);
     auto resp = co_await rpc_.Call(&cluster_->shard(shard_idx).rpc(),
-                                   FarmShard::kLockMethod, msg);
+                                   FarmShard::kLockMethod, msg, txn.ctx);
     if (!resp.ok() || !(*resp)->As<FarmShard::LockResponse>().ok) {
       locked_ok = false;
       break;
@@ -251,7 +238,7 @@ sim::Task<Status> FarmClient::Commit(Transaction& txn) {
       rpc::MessagePtr msg =
           rpc::Message::Of(unlock, 16 + 8 * unlock.slots.size());
       (void)co_await rpc_.Call(&cluster_->shard(shard_idx).rpc(),
-                               FarmShard::kUnlockMethod, msg);
+                               FarmShard::kUnlockMethod, msg, txn.ctx);
     }
     aborts_++;
     co_return Aborted("lock phase failed");
@@ -269,14 +256,14 @@ sim::Task<Status> FarmClient::Commit(Transaction& txn) {
     auto [shard_idx, slot] = cluster_->Locate(r.key);
     FarmShard& shard = cluster_->shard(shard_idx);
     auto slot_read = co_await rdma_.Read(&shard.rdma(), shard.rkey(),
-                                         shard.slot_addr(slot), 16);
+                                         shard.slot_addr(slot), 16, txn.ctx);
     if (!slot_read.ok()) {
       valid = false;
       break;
     }
     const rdma::Addr obj = LoadU64(slot_read->data());
     auto version_read =
-        co_await rdma_.Read(&shard.rdma(), shard.rkey(), obj, 8);
+        co_await rdma_.Read(&shard.rdma(), shard.rkey(), obj, 8, txn.ctx);
     if (!version_read.ok()) {
       valid = false;
       break;
@@ -295,7 +282,7 @@ sim::Task<Status> FarmClient::Commit(Transaction& txn) {
       rpc::MessagePtr msg =
           rpc::Message::Of(unlock, 16 + 8 * unlock.slots.size());
       (void)co_await rpc_.Call(&cluster_->shard(shard_idx).rpc(),
-                               FarmShard::kUnlockMethod, msg);
+                               FarmShard::kUnlockMethod, msg, txn.ctx);
     }
     aborts_++;
     co_return Aborted("validation failed");
@@ -307,7 +294,7 @@ sim::Task<Status> FarmClient::Commit(Transaction& txn) {
     for (const auto& v : request.values) wire += 16 + v.size();
     rpc::MessagePtr msg = rpc::Message::Of(request, wire);
     auto resp = co_await rpc_.Call(&cluster_->shard(shard_idx).rpc(),
-                                   FarmShard::kUpdateMethod, msg);
+                                   FarmShard::kUpdateMethod, msg, txn.ctx);
     if (!resp.ok()) {
       aborts_++;
       co_return resp.status();

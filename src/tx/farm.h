@@ -79,9 +79,10 @@ class FarmShard {
   Status LoadKey(uint64_t slot, uint64_t key, ByteView value);
 
  private:
-  sim::Task<rpc::MessagePtr> HandleLock(std::shared_ptr<LockRequest> req);
-  sim::Task<rpc::MessagePtr> HandleUpdate(std::shared_ptr<UpdateRequest> req);
-  sim::Task<rpc::MessagePtr> HandleUnlock(std::shared_ptr<UnlockRequest> req);
+  // The handlers read the request in place (RpcServer::Handler).
+  sim::Task<rpc::MessagePtr> HandleLock(const LockRequest& req);
+  sim::Task<rpc::MessagePtr> HandleUpdate(const UpdateRequest& req);
+  sim::Task<rpc::MessagePtr> HandleUnlock(const UnlockRequest& req);
 
   FarmOptions opts_;
   net::Fabric* fabric_;
@@ -116,7 +117,11 @@ class FarmClient {
   FarmClient(net::Fabric* fabric, net::HostId self, FarmCluster* cluster,
              uint16_t client_id);
 
-  Transaction Begin() { return Transaction{}; }
+  Transaction Begin() {
+    Transaction txn;
+    txn.ctx = fabric_->obs().entry();
+    return txn;
+  }
 
   // Execution-phase read: two one-sided READs (slot, then object), retried
   // while the object is locked / its version changes.

@@ -127,7 +127,7 @@ sim::Task<Result<Bytes>> PrismTxClient::Read(Transaction& txn, uint64_t key) {
   chain.push_back(Op::Read(shard.rkey(), shard.c_addr(slot), 16));
   chain.push_back(Op::IndirectRead(shard.rkey(), shard.ptr_addr(slot),
                                    read_len));
-  auto r = co_await prism_.Execute(&shard.prism(), std::move(chain));
+  auto r = co_await prism_.Execute(&shard.prism(), std::move(chain), txn.ctx);
   if (!r.ok()) co_return r.status();
   const bool record = history_ != nullptr &&
                       txn.history_id != Transaction::kNoHistory;
@@ -165,12 +165,11 @@ void PrismTxClient::Write(Transaction& txn, uint64_t key, Bytes value) {
 }
 
 sim::Task<Status> PrismTxClient::AbortCleanup(
-    const std::vector<WritePrep>& preps, Timestamp ts) {
+    const std::vector<WritePrep>& preps, Timestamp ts, obs::Ctx ctx) {
   // §8.2: leave PR/PW conservatively high, but bump C for keys whose write
   // check passed, so concurrent readers are not blocked waiting on RC == PW.
   int pending = 0;
   for (const auto& p : preps) pending += p.valid ? 1 : 0;
-  obs::OpTimeline* const op = fabric_->obs().current_op();
   sim::FanOut<> bumps(fabric_->sim(), pending, pending);
   for (const auto& p : preps) {
     if (!p.valid) continue;
@@ -178,27 +177,25 @@ sim::Task<Status> PrismTxClient::AbortCleanup(
     PrismTxShard* shard = &cluster_->shard(shard_idx);
     const uint64_t key_slot = slot;
     const uint64_t packed = ts.Packed();
-    bumps.Spawn([this, shard, key_slot, packed]() -> sim::Task<bool> {
+    bumps.Spawn([this, shard, key_slot, packed, ctx]() -> sim::Task<bool> {
       // CAS_GT on the [C|addr] window, swapping only C.
       Op bump = Op::MaskedCas(shard->rkey(), shard->c_addr(key_slot),
                               SmallBytes::OfU64Pair(packed, 0),
                               FieldMask(16, 0, 8), FieldMask(16, 0, 8),
                               rdma::CasCompare::kGreater);
-      auto r = co_await prism_.ExecuteOne(&shard->prism(), std::move(bump));
+      auto r =
+          co_await prism_.ExecuteOne(&shard->prism(), std::move(bump), ctx);
       co_return r.ok();
     });
   }
   co_await bumps.Wait();
-  fabric_->obs().SetCurrentOp(op);
   co_return OkStatus();
 }
 
 sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
   PRISM_CHECK(txn.active);
   txn.active = false;
-  // Each phase's quorum wait suspends: re-arm the timed-op register after
-  // it, so the next phase attributes to this op (DESIGN.md §5.9).
-  obs::OpTimeline* const op = fabric_->obs().current_op();
+  const obs::Ctx ctx = txn.ctx;
   const bool record = history_ != nullptr &&
                       txn.history_id != Transaction::kNoHistory;
   if (record) {
@@ -246,8 +243,8 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
     PrismTxShard* shard = &cluster_->shard(shard_idx);
     const uint64_t rc = entry.rc;
     const uint64_t key_slot = slot;
-    checks.Spawn([this, shard, key_slot, rc,
-                  packed_ts](bool& valid) -> sim::Task<bool> {
+    checks.Spawn([this, shard, key_slot, rc, packed_ts,
+                  ctx](bool& valid) -> sim::Task<bool> {
       // Window [PR|PW] at pr_addr. Compare (RC|TS) > (PW|PR): PW (offset
       // 8) is most significant, so this is RC==PW && TS>PR (RC>PW cannot
       // happen). Swap PR := TS.
@@ -256,7 +253,8 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
                              FieldMask(16, 0, 16),   // compare both fields
                              FieldMask(16, 0, 8),    // swap PR only
                              rdma::CasCompare::kGreater);
-      auto r = co_await prism_.ExecuteOne(&shard->prism(), std::move(cas));
+      auto r =
+          co_await prism_.ExecuteOne(&shard->prism(), std::move(cas), ctx);
       if (!r.ok() || !r->status.ok()) {
         valid = false;
         co_return true;
@@ -271,7 +269,6 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
     });
   }
   co_await checks.Wait();
-  fabric_->obs().SetCurrentOp(op);
   if (!checks.state()) {
     aborts_++;
     // Validation failure precedes any install: no write is visible.
@@ -293,8 +290,8 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
     auto rmw_it = rmw_rc.find(txn.write_set[i].key);
     const bool is_rmw = rmw_it != rmw_rc.end();
     const uint64_t rc = is_rmw ? rmw_it->second : 0;
-    prepare.Spawn([this, shard, key_slot, packed_ts, i, is_rmw,
-                   rc](std::vector<WritePrep>& out) -> sim::Task<bool> {
+    prepare.Spawn([this, shard, key_slot, packed_ts, i, is_rmw, rc,
+                   ctx](std::vector<WritePrep>& out) -> sim::Task<bool> {
       Op cas;
       if (is_rmw) {
         // Combined read+write validation for a key both read and written:
@@ -320,7 +317,8 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
                             FieldMask(16, 8, 8),  // swap PW only
                             rdma::CasCompare::kGreater);
       }
-      auto r = co_await prism_.ExecuteOne(&shard->prism(), std::move(cas));
+      auto r =
+          co_await prism_.ExecuteOne(&shard->prism(), std::move(cas), ctx);
       if (r.ok() && r->status.ok() && r->cas_swapped) {
         out[i].pw_bumped = true;
         if (is_rmw) {
@@ -334,12 +332,11 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
     });
   }
   co_await prepare.Wait();
-  fabric_->obs().SetCurrentOp(op);
   bool all_valid = true;
   for (const auto& p : preps) all_valid = all_valid && p.valid;
   if (!all_valid) {
     aborts_++;
-    co_await AbortCleanup(preps, ts);
+    co_await AbortCleanup(preps, ts, ctx);
     // PR/PW/C bumps never expose a value: no write is visible.
     if (record) history_->EndTxn(txn.history_id, check::TxOutcome::kAborted);
     co_return Aborted("write validation failed");
@@ -366,7 +363,7 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
     std::memcpy(payload.mutable_data() + 16, w.value.data(), w.value.size());
     const uint64_t key_slot = slot;
     installs.Spawn([this, shard, key_slot, packed_ts, tmp, payload,
-                    reclaim_idx](bool& installed) -> sim::Task<bool> {
+                    reclaim_idx, ctx](bool& installed) -> sim::Task<bool> {
       Chain chain;
       chain.reserve(3);
       chain.push_back(
@@ -386,7 +383,8 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
       install.cas_mode = rdma::CasCompare::kGreater;
       install.conditional = true;
       chain.push_back(std::move(install));
-      auto r = co_await prism_.Execute(&shard->prism(), std::move(chain));
+      auto r =
+          co_await prism_.Execute(&shard->prism(), std::move(chain), ctx);
       if (!r.ok()) {
         installed = false;
         co_return true;
@@ -405,18 +403,17 @@ sim::Task<Status> PrismTxClient::Commit(Transaction& txn) {
         // buffer and ALLOCATE would starve once enough distinct keys had
         // been written.
         const rdma::Addr old_addr = LoadU64(cas.data.data() + 8);
-        reclaim_[reclaim_idx]->Free(shard->freelist(), old_addr);
+        reclaim_[reclaim_idx]->Free(shard->freelist(), old_addr, ctx);
       } else {
         // A committed writer with a higher TS already installed: our
         // write is absorbed (Thomas write rule) — still a commit.
-        reclaim_[reclaim_idx]->Free(shard->freelist(),
-                                    alloc.resolved_addr);
+        reclaim_[reclaim_idx]->Free(shard->freelist(), alloc.resolved_addr,
+                                    ctx);
       }
       co_return true;
     });
   }
   co_await installs.Wait();
-  fabric_->obs().SetCurrentOp(op);
   if (!installs.state()) {
     aborts_++;
     // Some install chains may have landed before the failure: the writes

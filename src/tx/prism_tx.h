@@ -130,6 +130,9 @@ class Transaction {
   std::vector<ReadEntry> read_set;
   std::vector<WriteEntry> write_set;
   bool active = true;
+  // The transaction is one op: Begin() takes its ctx, and its reads and
+  // commit run under it (src/obs/obs.h).
+  obs::Ctx ctx;
 
   // History-recording handle (see PrismTxClient::set_history).
   static constexpr size_t kNoHistory = static_cast<size_t>(-1);
@@ -143,6 +146,7 @@ class PrismTxClient {
 
   Transaction Begin() {
     Transaction txn;
+    txn.ctx = fabric_->obs().entry();
     if (history_ != nullptr) txn.history_id = history_->BeginTxn(client_id_);
     return txn;
   }
@@ -180,7 +184,7 @@ class PrismTxClient {
   };
 
   sim::Task<Status> AbortCleanup(const std::vector<WritePrep>& preps,
-                                 Timestamp ts);
+                                 Timestamp ts, obs::Ctx ctx);
 
   net::Fabric* fabric_;
   net::HostId self_;

@@ -91,9 +91,10 @@ class OpenLoopPool {
  public:
   // Executes one operation; `draw` is the client's 64-bit key-space draw
   // (deterministic per client). The callee owns transports and servers.
-  // `op` is the op's phase timeline (nullptr when attribution is off) — the
-  // callee re-arms the hub's current-op register with it before each
-  // transport call (retries included) and may stamp its own waits.
+  // `op` is the op's phase timeline (nullptr when attribution is off). The
+  // app op the callee calls first takes its ctx from the hub's entry
+  // register; a callee that suspends before calling another app op (a
+  // retry) re-arms it (src/obs/obs.h), and may stamp its own waits.
   using OpFn = std::function<sim::Task<void>(uint64_t draw, obs::OpTimeline* op)>;
 
   OpenLoopPool(sim::Simulator* sim, const ArrivalSpec& spec,
@@ -122,12 +123,12 @@ class OpenLoopPool {
 
   // Optional per-op phase attribution: every arrival gets an OpTimeline in
   // `store` (class indices resolved by name, so pools on many hosts can
-  // share one store) and workers arm `hub`'s current-op register around the
-  // op body. When the hub carries a tracer, each op also gets its own root
-  // span (named after its class, attributed to `host`) so traces render one
-  // async track per op and exemplars pin exactly their own span tree. Call
-  // before Start; nullptr (the default) keeps the pool timeline-free with
-  // zero per-op overhead.
+  // share one store) and workers hand each op its ctx through `hub`'s entry
+  // register (src/obs/obs.h). When the hub carries a tracer, each op also
+  // gets its own root span (named after its class, attributed to `host`)
+  // so traces render one async track per op and exemplars pin exactly
+  // their own span tree. Call before Start; nullptr (the default) keeps
+  // the pool timeline-free with zero per-op overhead.
   void set_timelines(obs::TimelineStore* store, obs::Hub* hub,
                      uint32_t host = 0) {
     PRISM_CHECK(!started_);
@@ -293,26 +294,24 @@ class OpenLoopPool {
       OpClass& cls = classes_[p.tag];
       obs::SpanId op_span = 0;
       if (p.op != nullptr) {
-        // Backlog wait ends here; the op body starts in kApp and the
-        // register is armed for the transport entry (no suspension between
-        // this write and fn's first capture — the span-register discipline).
+        // Backlog wait ends here; the op body starts in kApp and takes its
+        // ctx from the entry register, armed here with no suspension
+        // before fn's first read (src/obs/obs.h).
         p.op->Switch(obs::Phase::kApp, sim_->Now());
+        // Per-op root span: every verb the op issues becomes a descendant,
+        // so traces render one async track per op and the exemplar store
+        // pins exactly this op's tree.
+        op_span = hub_->StartSpan(cls.name, "app", obs_host_, sim_->Now(),
+                                  /*parent=*/0);
+        p.op->set_root_span(op_span);
         hub_->SetCurrentOp(p.op);
-        if (hub_->tracer() != nullptr) {
-          // Per-op root span, parent 0 regardless of the register: every
-          // verb the op issues becomes a descendant, so traces render one
-          // async track per op and the exemplar store pins exactly this
-          // op's tree rather than the worker's whole causal history.
-          op_span = hub_->tracer()->Begin(cls.name, "app", obs_host_,
-                                          sim_->Now(), /*parent=*/0);
-          hub_->SetCurrentSpan(op_span);
-          p.op->set_root_span(op_span);
-        }
+        hub_->SetCurrentSpan(op_span);
       }
       co_await cls.fn(p.draw, p.op);
       if (p.op != nullptr) {
-        if (op_span != 0) hub_->FinishSpan(op_span, sim_->Now());
         hub_->SetCurrentOp(nullptr);
+        hub_->SetCurrentSpan(0);
+        hub_->FinishSpan(op_span, sim_->Now());
         store_->FinishOp(p.op, sim_->Now());
       }
       // Latency from *arrival*: client-side backlog wait included.

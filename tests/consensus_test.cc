@@ -56,7 +56,7 @@ struct Rig {
   Result<uint64_t> Elect(int candidate) {
     Result<uint64_t> out = Unavailable("election never ran");
     sim::Spawn([&]() -> Task<void> {
-      out = co_await cluster->Failover(candidate, nullptr);
+      out = co_await cluster->Failover(candidate, {});
     });
     sim.Run();
     return out;
@@ -126,11 +126,11 @@ TEST(CommitProfileTest, PutAndGetCostTwoRoundTripsAtThreeReplicas) {
   Result<Bytes> got = Unavailable("never ran");
   sim::Spawn([&]() -> Task<void> {
     for (int i = 0; i < kOps; ++i) {
-      auto out = co_await session.PutOn(0, 7, MakeValue(1, 1, i), nullptr);
+      auto out = co_await session.PutOn(0, 7, MakeValue(1, 1, i), {});
       if (!out.status.ok()) put_status = out.status;
     }
     for (int i = 0; i < kOps; ++i) {
-      got = co_await session.GetOn(0, 7, nullptr);
+      got = co_await session.GetOn(0, 7, {});
     }
   });
   rig.sim.Run();
@@ -157,7 +157,7 @@ TEST(DeposedLeaderTest, RemoteNacksRejectThePutAndMarkDeposal) {
 
   Status first = Unavailable("never ran");
   sim::Spawn([&]() -> Task<void> {
-    auto out = co_await session.PutOn(0, 1, MakeValue(2, 1, 0), nullptr);
+    auto out = co_await session.PutOn(0, 1, MakeValue(2, 1, 0), {});
     first = out.status;
   });
   rig.sim.Run();
@@ -174,7 +174,7 @@ TEST(DeposedLeaderTest, RemoteNacksRejectThePutAndMarkDeposal) {
 
   ConsensusNode::PutOutcome out;
   sim::Spawn([&]() -> Task<void> {
-    out = co_await session.PutOn(0, 1, MakeValue(2, 1, 1), nullptr);
+    out = co_await session.PutOn(0, 1, MakeValue(2, 1, 1), {});
   });
   rig.sim.Run();
   // The deposed leader's write must NOT be acknowledged; it observed its
@@ -193,9 +193,9 @@ TEST(DeposedLeaderTest, RemoteNacksRejectThePutAndMarkDeposal) {
   Status usurper = Unavailable("never ran");
   Result<Bytes> read = Unavailable("never ran");
   sim::Spawn([&]() -> Task<void> {
-    auto o = co_await session.PutOn(1, 1, MakeValue(2, 9, 0), nullptr);
+    auto o = co_await session.PutOn(1, 1, MakeValue(2, 9, 0), {});
     usurper = o.status;
-    read = co_await session.GetOn(1, 1, nullptr);
+    read = co_await session.GetOn(1, 1, {});
   });
   rig.sim.Run();
   EXPECT_TRUE(usurper.ok()) << usurper;

@@ -56,7 +56,7 @@ namespace {
 
 using sim::Task;
 
-enum class Kind { kRead, kWrite, kCas, kFaa, kMaskedCas, kChain, kCall };
+enum class Kind { kRead, kWrite, kCas, kFaa, kChain, kCall };
 enum class Mode { kCompleted, kDropped, kTimedOut, kLate };
 
 struct Row {
@@ -82,7 +82,7 @@ constexpr rdma::Backend kSw = rdma::Backend::kSoftwareStack;
 constexpr core::Deployment kAnyDeployment = core::Deployment::kSoftware;
 
 // Request/response bytes: READ 16 / len; WRITE 16 + data / 0; CAS 32 / 8;
-// FAA 24 / 8; masked CAS 16 + 3 x width / width. The chain is WRITE 8 B +
+// FAA 24 / 8. The chain is WRITE 8 B +
 // READ 64 B: 2 + (28 + 8) + 28 out, (4) + (4 + 64) back. The RPC sends
 // 40 B and its handler answers 100 B.
 const Row kRows[] = {
@@ -94,8 +94,6 @@ const Row kRows[] = {
     {"CasSw", Kind::kCas, kSw, kAnyDeployment, 32, 8, true},
     {"FaaHw", Kind::kFaa, kHw, kAnyDeployment, 24, 8, false},
     {"FaaSw", Kind::kFaa, kSw, kAnyDeployment, 24, 8, true},
-    {"MaskedCasHw", Kind::kMaskedCas, kHw, kAnyDeployment, 40, 8, false},
-    {"MaskedCasSw", Kind::kMaskedCas, kSw, kAnyDeployment, 40, 8, true},
     {"ChainSoftware", Kind::kChain, kHw, core::Deployment::kSoftware, 66, 72,
      true},
     {"ChainHardwareProjected", Kind::kChain, kHw,
@@ -145,48 +143,41 @@ struct Env {
   rpc::RpcClient rpc;
 };
 
-// Issues the row's op and reduces its outcome to a status code.
-Task<Code> Issue(Env* env, const Row* row) {
+// Issues the row's op under `ctx` and reduces its outcome to a status code.
+Task<Code> Issue(Env* env, const Row* row, obs::Ctx ctx) {
   const rdma::RKey rkey = env->region.rkey;
   const rdma::Addr base = env->region.base;
   switch (row->kind) {
     case Kind::kRead: {
-      auto r = co_await env->rdma.Read(&env->rdma_svc, rkey, base, 64);
+      auto r = co_await env->rdma.Read(&env->rdma_svc, rkey, base, 64, ctx);
       co_return r.code();
     }
     case Kind::kWrite: {
       Bytes data(64, 0x5a);
       Status s = co_await env->rdma.Write(&env->rdma_svc, rkey, base,
-                                          std::move(data));
+                                          std::move(data), ctx);
       co_return s.code();
     }
     case Kind::kCas: {
-      auto r = co_await env->rdma.CompareSwap(&env->rdma_svc, rkey, base, 0, 1);
+      auto r =
+          co_await env->rdma.CompareSwap(&env->rdma_svc, rkey, base, 0, 1, ctx);
       co_return r.code();
     }
     case Kind::kFaa: {
-      auto r = co_await env->rdma.FetchAdd(&env->rdma_svc, rkey, base, 1);
-      co_return r.code();
-    }
-    case Kind::kMaskedCas: {
-      Bytes data(8, 0x01);
-      Bytes cmp_mask(8, 0x00);
-      Bytes swap_mask(8, 0xff);
-      auto r = co_await env->rdma.MaskedCompareSwap(
-          &env->rdma_svc, rkey, base, std::move(data), std::move(cmp_mask),
-          std::move(swap_mask));
+      auto r = co_await env->rdma.FetchAdd(&env->rdma_svc, rkey, base, 1, ctx);
       co_return r.code();
     }
     case Kind::kChain: {
       core::Chain chain;
       chain.push_back(core::Op::Write(rkey, base + 128, Bytes(8, 0x07)));
       chain.push_back(core::Op::Read(rkey, base, 64));
-      auto r = co_await env->prism.Execute(&env->prism_svc, std::move(chain));
+      auto r =
+          co_await env->prism.Execute(&env->prism_svc, std::move(chain), ctx);
       co_return r.code();
     }
     case Kind::kCall: {
       rpc::MessagePtr req = rpc::Message::Empty(40);
-      auto r = co_await env->rpc.Call(&env->rpc_svc, 1, req);
+      auto r = co_await env->rpc.Call(&env->rpc_svc, 1, req, ctx);
       co_return r.code();
     }
   }
@@ -218,8 +209,7 @@ TEST_P(ExchangeCharacterisationTest, StatusTallyAndPhases) {
   bool finished = false;
   sim::Spawn([&]() -> Task<void> {
     timeline->Switch(obs::Phase::kApp, env.sim.Now());
-    env.fabric.obs().SetCurrentOp(timeline);  // armed for the transport
-    const Code c = co_await Issue(&env, &row);
+    const Code c = co_await Issue(&env, &row, obs::Ctx{0, timeline});
     timeline->Finish(env.sim.Now());
     code = c;
     finished = true;
@@ -295,7 +285,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------- no deadline work outlives its op ----------
 
 // One row per client type: an RDMA read, a PRISM chain and an RPC call.
-const Row* const kOneRowPerClient[] = {&kRows[0], &kRows[10], &kRows[13]};
+const Row* const kOneRowPerClient[] = {&kRows[0], &kRows[8], &kRows[11]};
 
 TEST(ExchangeLifetimeTest, CompletedOpLeavesNothingPending) {
   for (const Row* row : kOneRowPerClient) {
@@ -305,7 +295,7 @@ TEST(ExchangeLifetimeTest, CompletedOpLeavesNothingPending) {
     bool idle_at_return = false;
     sim::TimePoint returned_at = -1;
     sim::Spawn([&]() -> Task<void> {
-      code = co_await Issue(&env, row);
+      code = co_await Issue(&env, row, {});
       idle_at_return = env.sim.idle();
       returned_at = env.sim.Now();
     });
@@ -331,7 +321,7 @@ TEST(ExchangeLifetimeTest, TimedOutOpIsDecidedExactlyAtItsDeadline) {
     Code code = Code::kInternal;
     sim::TimePoint returned_at = -1;
     sim::Spawn([&]() -> Task<void> {
-      code = co_await Issue(&env, row);
+      code = co_await Issue(&env, row, {});
       returned_at = env.sim.Now();
     });
     env.sim.Run();
@@ -358,7 +348,8 @@ class ProbeClient : public rdma::Exchange {
                          *state = reply.op;
                          reply(OkStatus(), 8);
                          co_return;
-                       });
+                       },
+                       {});
   }
 };
 
@@ -428,7 +419,7 @@ core::Chain RsWriteChain(const Env& env, const RsReplicaParts& parts,
 // before the request is even posted. The body still stores the payload:
 // the chain's copy in the body holds the shared block.
 TEST(ExchangeLifetimeTest, LateAllocateStoresFromItsSharedPayload) {
-  Env env(kRows[12]);  // ChainBlueField
+  Env env(kRows[10]);  // ChainBlueField
   env.fabric.mutable_cost().propagation = sim::Micros(5200);
   const RsReplicaParts parts(env);
   auto start_write = [&env, &parts] {
@@ -486,7 +477,7 @@ TEST(ExchangeAllocationTest, RdmaReadAllocatesOnlyItsPayload) {
 }
 
 TEST(ExchangeAllocationTest, OneOpPrismReadChainAllocatesOnlyItsData) {
-  Env env(kRows[10]);  // ChainSoftware
+  Env env(kRows[8]);  // ChainSoftware
   const uint64_t allocs = AllocsOfWarmedOp(&env.sim, [&env] {
     return env.prism.ExecuteOne(
         &env.prism_svc,
@@ -510,7 +501,7 @@ Task<Status> WriteAndRecycle(Env* env, const RsReplicaParts* parts,
 // The whole chain shares one payload block and keeps every operand, mask
 // and result inline: only the chain and result vectors are allocated.
 TEST(ExchangeAllocationTest, PrismRsWriteChainAllocatesOnlyItsVectors) {
-  Env env(kRows[10]);  // ChainSoftware
+  Env env(kRows[8]);  // ChainSoftware
   const RsReplicaParts parts(env);
   const SmallBytes payload(520, 0x3c);
   const uint64_t allocs = AllocsOfWarmedOp(&env.sim, [&] {
@@ -519,19 +510,8 @@ TEST(ExchangeAllocationTest, PrismRsWriteChainAllocatesOnlyItsVectors) {
   EXPECT_EQ(allocs, 2u);  // the chain and its results
 }
 
-TEST(ExchangeAllocationTest, RdmaMaskedCasAllocatesNothing) {
-  Env env(kRows[8]);  // MaskedCasHw
-  const uint64_t allocs = AllocsOfWarmedOp(&env.sim, [&env] {
-    return env.rdma.MaskedCompareSwap(
-        &env.rdma_svc, env.region.rkey, env.region.base,
-        SmallBytes::OfU64(1), FieldMask(8, 0, 8), FieldMask(8, 0, 8),
-        rdma::CasCompare::kGreater);
-  });
-  EXPECT_EQ(allocs, 0u);  // operands, masks and old value are all inline
-}
-
 TEST(ExchangeAllocationTest, RpcCallAllocatesOnlyItsMessages) {
-  Env env(kRows[13]);  // Call
+  Env env(kRows[11]);  // Call
   const uint64_t allocs = AllocsOfWarmedOp(&env.sim, [&env] {
     return env.rpc.Call(&env.rpc_svc, 1, rpc::Message::Empty(40));
   });

@@ -177,7 +177,7 @@ TEST_F(ObsDeterminismTest, ConsensusCommitIsTwoRoundTripsAtNThree) {
   sim::TaskTracker tracker;
   sim::Spawn(
       [&]() -> sim::Task<void> {
-        auto won = co_await cluster.Failover(0, nullptr);
+        auto won = co_await cluster.Failover(0, {});
         PRISM_CHECK(won.ok()) << won.status();
         // Let the election's heal chains finish so all three replicas are
         // granted (else a put would tally fewer than two remote chains).
@@ -186,11 +186,11 @@ TEST_F(ObsDeterminismTest, ConsensusCommitIsTwoRoundTripsAtNThree) {
         for (int i = 0; i < kOps; ++i) {
           auto put = co_await session.PutOn(0, 1 + (i % 2),
                                             consensus::MakeValue(5, 0, i),
-                                            nullptr);
+                                            {});
           PRISM_CHECK(put.status.ok()) << put.status;
         }
         for (int i = 0; i < kOps; ++i) {
-          auto got = co_await session.GetOn(0, 1 + (i % 2), nullptr);
+          auto got = co_await session.GetOn(0, 1 + (i % 2), {});
           PRISM_CHECK(got.ok()) << got.status();
         }
       },

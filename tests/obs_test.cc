@@ -275,10 +275,10 @@ TEST(ObsEndToEndTest, RpcCallSpanTreeAndTally) {
     co_return rpc::Message::Of(PingReq{7}, 64);
   });
   sim::Spawn([&]() -> Task<void> {
-    const SpanId op =
-        fabric.obs().StartSpan("app.ping", "app", client_host, sim.Now());
+    const SpanId op = fabric.obs().StartSpan("app.ping", "app", client_host,
+                                             sim.Now(), /*parent=*/0);
     rpc::MessagePtr msg = rpc::Message::Of(PingReq{1}, 32);
-    auto resp = co_await client.Call(&server, 1, msg);
+    auto resp = co_await client.Call(&server, 1, msg, Ctx{op, nullptr});
     EXPECT_TRUE(resp.ok());
     fabric.obs().FinishSpan(op, sim.Now());
   });

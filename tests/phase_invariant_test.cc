@@ -7,10 +7,10 @@
 //
 // for every operation, on every stack, under every interleaving — not
 // approximately, not within rounding, but as an integer identity. This file
-// drives all four application stacks (PRISM-KV, PRISM-RS, PRISM-TX, and the
-// one-sided synchronization suite) through an open-loop pool with phase
-// timelines attached, across a 20-seed sweep (plus Pilaf's GET path, which
-// suspends outside any transport), and checks the identity on
+// drives every application stack (PRISM-KV, Pilaf's GET path, PRISM-RS,
+// ABD-LOCK, PRISM-TX, FaRM, the one-sided synchronization suite and
+// consensus) through an open-loop pool with phase timelines attached,
+// across a 20-seed sweep, and checks the identity on
 // every recorded timeline plus the store-level aggregates that
 // tools/latency_report consumes:
 //
@@ -33,14 +33,17 @@
 
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
+#include "src/consensus/consensus.h"
 #include "src/kv/pilaf.h"
 #include "src/kv/prism_kv.h"
 #include "src/net/fabric.h"
 #include "src/obs/timeline.h"
 #include "src/obs/trace.h"
+#include "src/rs/abd_lock.h"
 #include "src/rs/prism_rs.h"
 #include "src/sim/simulator.h"
 #include "src/sync/sync.h"
+#include "src/tx/farm.h"
 #include "src/tx/prism_tx.h"
 #include "src/workload/open_loop.h"
 
@@ -214,10 +217,9 @@ TEST(PhaseInvariantTest, RsStack) {
   }
 }
 
-// Pilaf's GET suspends twice outside any transport, for its two CRC checks.
-// The client re-arms the op register after each, so an op's app time is
-// exactly those two checks. A stale register would hand the second READ to
-// whichever op armed it last, and this op would keep that READ's time as app.
+// Pilaf's GET suspends twice outside any transport, for its two CRC checks,
+// so an op's app time is exactly those two checks. A READ issued under any
+// other op's ctx would leave this op holding that READ's time as app.
 TEST(PhaseInvariantTest, PilafStack) {
   auto dense_key = [](uint64_t k) {
     std::string key(8, '\0');
@@ -312,8 +314,8 @@ TEST(PhaseInvariantTest, TxStack) {
 
 TEST(PhaseInvariantTest, SyncStack) {
   // The spinlock scheme is the one that stamps kSyncSpin on acquisition
-  // retries and de-arms the op register across retry verbs — the invariant
-  // must hold through that dance too.
+  // retries and runs its retry verbs untimed — the invariant must hold
+  // through that dance too.
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     struct SyncRig {
       std::unique_ptr<sync::SyncIndexServer> server;
@@ -349,6 +351,121 @@ TEST(PhaseInvariantTest, SyncStack) {
       return ch;
     });
     CheckPhaseInvariant(run, "sync seed=" + std::to_string(seed));
+  }
+}
+
+// ABD-LOCK: lock, read and write quorum rounds with backoff between lock
+// attempts, all under the op's one ctx.
+TEST(PhaseInvariantTest, AbdLockStack) {
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    struct AbdRig {
+      std::unique_ptr<rs::AbdLockCluster> cluster;
+      std::unique_ptr<rs::AbdLockClient> client;
+    };
+    auto rig = std::make_shared<AbdRig>();
+    RunResult run = RunStack(seed, [&](net::Fabric& fabric,
+                                       workload::OpenLoopPool& pool,
+                                       uint64_t s) {
+      rs::AbdLockOptions opts;
+      opts.n_blocks = 64;
+      rig->cluster = std::make_unique<rs::AbdLockCluster>(&fabric, 3, opts);
+      net::HostId ch = fabric.AddHost("abdc");
+      rig->client = std::make_unique<rs::AbdLockClient>(
+          &fabric, ch, rig->cluster.get(), /*client_id=*/1, 500 + s);
+      pool.AddClass("abd.get", 0.5,
+                    [rig](uint64_t d, obs::OpTimeline*) -> Task<void> {
+                      auto r = co_await rig->client->Get(d % 8);
+                      (void)r;  // kAborted: the pool's own ops contend
+                    });
+      pool.AddClass("abd.put", 0.5,
+                    [rig](uint64_t d, obs::OpTimeline*) -> Task<void> {
+                      Status s = co_await rig->client->Put(
+                          d % 8, Bytes(rig->cluster->options().block_size,
+                                       static_cast<uint8_t>(d % 4)));
+                      PRISM_CHECK(s.ok() || s.code() == Code::kAborted) << s;
+                    });
+      return ch;
+    });
+    CheckPhaseInvariant(run, "abd seed=" + std::to_string(seed));
+  }
+}
+
+// FaRM: two one-sided READs with a locked-object backoff, then lock,
+// validate and update rounds over RPC and READs.
+TEST(PhaseInvariantTest, FarmStack) {
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    struct FarmRig {
+      std::unique_ptr<tx::FarmCluster> cluster;
+      std::unique_ptr<tx::FarmClient> client;
+    };
+    auto rig = std::make_shared<FarmRig>();
+    RunResult run = RunStack(seed, [&](net::Fabric& fabric,
+                                       workload::OpenLoopPool& pool,
+                                       uint64_t) {
+      tx::FarmOptions opts;
+      opts.keys_per_shard = 64;
+      opts.value_size = 64;
+      rig->cluster = std::make_unique<tx::FarmCluster>(&fabric, 2, opts);
+      for (uint64_t k = 1; k <= 6; ++k) {
+        PRISM_CHECK(rig->cluster->LoadKey(k, Bytes(64, 0x11)).ok());
+      }
+      net::HostId ch = fabric.AddHost("farmc");
+      rig->client = std::make_unique<tx::FarmClient>(
+          &fabric, ch, rig->cluster.get(), /*client_id=*/1);
+      pool.AddClass("tx.txn", 1.0,
+                    [rig](uint64_t d, obs::OpTimeline*) -> Task<void> {
+                      auto txn = rig->client->Begin();
+                      auto r = co_await rig->client->Read(txn, 1 + d % 6);
+                      if (!r.ok()) co_return;
+                      rig->client->Write(txn, 1 + d % 6, Bytes(64, 0x22));
+                      Status s = co_await rig->client->Commit(txn);
+                      (void)s;  // aborts under contention are expected
+                    });
+      return ch;
+    });
+    CheckPhaseInvariant(run, "farm seed=" + std::to_string(seed));
+  }
+}
+
+// Consensus: the leader's mutex, commit and confirm fan-outs, and (for an
+// op that arrives before the warmup election ends) leader recovery.
+TEST(PhaseInvariantTest, ConsensusStack) {
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    struct ConsensusRig {
+      std::unique_ptr<consensus::ConsensusCluster> cluster;
+      std::unique_ptr<consensus::ConsensusClient> client;
+    };
+    auto rig = std::make_shared<ConsensusRig>();
+    RunResult run = RunStack(seed, [&](net::Fabric& fabric,
+                                       workload::OpenLoopPool& pool,
+                                       uint64_t s) {
+      std::vector<net::HostId> hosts;
+      for (int r = 0; r < 3; ++r) {
+        hosts.push_back(fabric.AddHost("cons-r" + std::to_string(r)));
+      }
+      rig->cluster = std::make_unique<consensus::ConsensusCluster>(
+          &fabric, hosts, consensus::ConsensusOptions{});
+      rig->client = std::make_unique<consensus::ConsensusClient>(
+          rig->cluster.get(), /*client_id=*/1, /*rng_seed=*/s);
+      sim::Spawn([rig]() -> Task<void> {
+        auto won = co_await rig->cluster->Failover(0, {});
+        PRISM_CHECK(won.ok()) << won.status();
+      });
+      pool.AddClass("cons.put", 0.5,
+                    [rig](uint64_t d, obs::OpTimeline*) -> Task<void> {
+                      Status st = co_await rig->client->Put(
+                          1 + d % 4,
+                          consensus::MakeValue(3, 1, static_cast<int>(d % 64)));
+                      PRISM_CHECK(st.ok()) << st;
+                    });
+      pool.AddClass("cons.get", 0.5,
+                    [rig](uint64_t d, obs::OpTimeline*) -> Task<void> {
+                      auto r = co_await rig->client->Get(1 + d % 4);
+                      (void)r;  // kNotFound before the key's first put
+                    });
+      return hosts[0];
+    });
+    CheckPhaseInvariant(run, "consensus seed=" + std::to_string(seed));
   }
 }
 
