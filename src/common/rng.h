@@ -7,11 +7,12 @@
 // The per-draw paths (NextU64, NextDouble and NextBelow's accept-first-draw
 // case) live here so the hot loops that call them, such as the open-loop
 // pool's slot fill and arrival driver, inline them and keep the state in
-// registers. Seeding, forking and NextBelow's rejection loop (entered by a
-// bound / 2^64 share of draws) stay out of line in rng.cc.
+// registers. Seeding, forking, jumping ahead and NextBelow's rejection loop
+// (entered by a bound / 2^64 share of draws) stay out of line in rng.cc.
 #ifndef PRISM_SRC_COMMON_RNG_H_
 #define PRISM_SRC_COMMON_RNG_H_
 
+#include <array>
 #include <cstdint>
 
 namespace prism {
@@ -61,6 +62,30 @@ class Rng {
 
   // Forks an independent stream (e.g. one per simulated client).
   Rng Fork();
+
+  // Moves the stream forward by exactly k NextU64 draws: afterwards it
+  // yields what it would have yielded after k NextU64 calls. It costs k & 255
+  // steps plus one 256-step Jump per set bit of k above bit 7 (rng.cc).
+  void Advance(uint64_t k);
+
+  // One xoshiro step is a linear map T on the 256 state bits over GF(2).
+  // Jump replaces the state s with q(T)·s for the polynomial q whose x^i
+  // coefficient is bit i % 64 of poly[i / 64] (the bit order of the xoshiro
+  // authors' jump() constants, which this applies as written).
+  using Poly = std::array<uint64_t, 4>;
+  void Jump(const Poly& poly);
+
+  // The raw state, for kernels that step several streams in lockstep (the
+  // open-loop slot fill); set_state(state()) leaves the stream unchanged.
+  Poly state() const { return {state_[0], state_[1], state_[2], state_[3]}; }
+  void set_state(const Poly& s) {
+    for (int i = 0; i < 4; ++i) state_[i] = s[i];
+  }
+
+  // The characteristic polynomial P of T, which has degree 256: its x^256
+  // term is implied and the rest is in Jump's bit order. P(T) = 0, so
+  // T^k = (x^k mod P)(T), which is what Advance applies.
+  static const Poly& CharPoly();
 
  private:
   static uint64_t Rotl(uint64_t x, int k) {

@@ -46,19 +46,33 @@ void AsyncEvent(JsonWriter& w, const char* ph, const SpanRecord& s,
 
 }  // namespace
 
-SpanId Tracer::Begin(std::string_view name, std::string_view cat,
-                     uint32_t host, int64_t now_ns, SpanId parent) {
+SpanRecord Tracer::Open(std::string_view name, std::string_view cat,
+                        uint32_t host, SpanId parent) {
   SpanRecord rec;
   rec.id = next_id_++;
   rec.parent = parent;
   rec.root = rec.id;
   if (parent != 0) {
-    auto it = open_.find(parent);
-    if (it != open_.end()) rec.root = it->second.root;
+    if (parent < rec.id && rec.id - parent <= roots_.size()) {
+      rec.root = roots_[(parent - 1) % cap_];
+    } else if (auto it = open_.find(parent); it != open_.end()) {
+      rec.root = it->second.root;
+    }
+  }
+  if (roots_.size() < cap_) {
+    roots_.push_back(rec.root);
+  } else if (cap_ != 0) {
+    roots_[(rec.id - 1) % cap_] = rec.root;
   }
   rec.name = std::string(name);
   rec.cat = std::string(cat);
   rec.host = host;
+  return rec;
+}
+
+SpanId Tracer::Begin(std::string_view name, std::string_view cat,
+                     uint32_t host, int64_t now_ns, SpanId parent) {
+  SpanRecord rec = Open(name, cat, host, parent);
   rec.start_ns = now_ns;
   const SpanId id = rec.id;
   open_.emplace(id, std::move(rec));
@@ -81,17 +95,7 @@ void Tracer::End(SpanId id, int64_t now_ns) {
 SpanId Tracer::EmitComplete(std::string_view name, std::string_view cat,
                             uint32_t host, int64_t start_ns, int64_t end_ns,
                             SpanId parent) {
-  SpanRecord rec;
-  rec.id = next_id_++;
-  rec.parent = parent;
-  rec.root = rec.id;
-  if (parent != 0) {
-    auto it = open_.find(parent);
-    if (it != open_.end()) rec.root = it->second.root;
-  }
-  rec.name = std::string(name);
-  rec.cat = std::string(cat);
-  rec.host = host;
+  SpanRecord rec = Open(name, cat, host, parent);
   rec.start_ns = start_ns;
   rec.end_ns = end_ns;
   const SpanId id = rec.id;

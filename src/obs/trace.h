@@ -93,7 +93,16 @@ class Tracer {
  private:
   JsonWriter ChromeJson(const std::vector<std::string>& host_names) const;
 
+  // A new span's record: its id, and its parent's root as its own.
+  SpanRecord Open(std::string_view name, std::string_view cat, uint32_t host,
+                  SpanId parent);
+
   SpanId next_id_ = 1;
+  // The root of each of the last cap_ spans begun, at (id - 1) % cap_ (ids
+  // are dense), kept after the span ends: work a finished op leaves behind,
+  // such as a quorum straggler's late flight, still joins the op's tree. A
+  // parent older than that window resolves through open_ alone.
+  std::vector<SpanId> roots_;
   std::map<SpanId, SpanRecord> open_;
   std::deque<SpanRecord> done_;  // completion order
   size_t cap_;

@@ -1,7 +1,6 @@
 #include "src/tx/farm.h"
 
 #include <algorithm>
-#include <map>
 
 namespace prism::tx {
 
@@ -191,66 +190,77 @@ sim::Task<Status> FarmClient::Commit(Transaction& txn) {
     co_return OkStatus();
   }
 
-  // Version expected for each write key: from the read set if read, else it
-  // must be fetched — YCSB-T RMW transactions always read before writing,
-  // so require it (mirrors FaRM's object-buffer model).
-  std::map<uint64_t, uint64_t> read_versions;
-  for (const auto& r : txn.read_set) read_versions[r.key] = r.rc;
-
-  // Group write keys by shard for the lock / update RPCs.
-  std::map<int, FarmShard::LockRequest> lock_reqs;
-  std::map<int, FarmShard::UpdateRequest> update_reqs;
-  for (const auto& w : txn.write_set) {
-    auto it = read_versions.find(w.key);
-    if (it == read_versions.end()) {
+  // One target per write key, in ascending shard order and, within a shard,
+  // in write-set order: the order of the lock, unlock and update RPCs and of
+  // the slots in each. A key's expected version comes from the read set (its
+  // last read): YCSB-T RMW transactions always read before writing, so
+  // require it (mirrors FaRM's object-buffer model).
+  struct Target {
+    int shard;
+    uint64_t slot;
+    uint64_t version;
+    Transaction::WriteEntry* write;
+  };
+  std::vector<Target> targets;
+  targets.reserve(txn.write_set.size());
+  for (Transaction::WriteEntry& w : txn.write_set) {
+    auto r = std::find_if(
+        txn.read_set.rbegin(), txn.read_set.rend(),
+        [&w](const Transaction::ReadEntry& e) { return e.key == w.key; });
+    if (r == txn.read_set.rend()) {
       aborts_++;
       co_return FailedPrecondition("blind writes unsupported: read first");
     }
     auto [shard_idx, slot] = cluster_->Locate(w.key);
-    auto& lock_request = lock_reqs[shard_idx];
-    lock_request.slots.push_back(slot);
-    lock_request.expected_versions.push_back(it->second);
-    lock_request.client = client_id_;
-    auto& update_request = update_reqs[shard_idx];
-    update_request.slots.push_back(slot);
-    update_request.values.push_back(w.value);
-    update_request.client = client_id_;
+    const Target t{shard_idx, slot, r->rc, &w};
+    // After every target of the same shard: write-set order within it.
+    targets.insert(std::upper_bound(targets.begin(), targets.end(), t,
+                                    [](const Target& a, const Target& b) {
+                                      return a.shard < b.shard;
+                                    }),
+                   t);
   }
+  // One shard's targets are the run [first, run_end(first)).
+  auto run_end = [&targets](size_t first) {
+    size_t last = first;
+    const int shard = targets[first].shard;
+    while (last < targets.size() && targets[last].shard == shard) ++last;
+    return last;
+  };
+  auto slots_of = [&targets](size_t first, size_t last) {
+    std::vector<uint64_t> slots;
+    slots.reserve(last - first);
+    for (size_t i = first; i < last; ++i) slots.push_back(targets[i].slot);
+    return slots;
+  };
 
   // ---- phase 1: LOCK (RPC per shard with write keys) ----
-  bool locked_ok = true;
-  std::vector<int> locked_shards;
-  for (auto& [shard_idx, request] : lock_reqs) {
+  // targets[0, locked) belong to the shards locked so far.
+  size_t locked = 0;
+  while (locked < targets.size()) {
+    const size_t last = run_end(locked);
+    FarmShard::LockRequest request{slots_of(locked, last), {}, client_id_};
+    request.expected_versions.reserve(last - locked);
+    for (size_t i = locked; i < last; ++i) {
+      request.expected_versions.push_back(targets[i].version);
+    }
     const size_t wire = 24 + 16 * request.slots.size();
-    rpc::MessagePtr msg = rpc::Message::Of(request, wire);
-    auto resp = co_await rpc_.Call(&cluster_->shard(shard_idx).rpc(),
-                                   FarmShard::kLockMethod, msg, txn.ctx);
-    if (!resp.ok() || !(*resp)->As<FarmShard::LockResponse>().ok) {
-      locked_ok = false;
-      break;
-    }
-    locked_shards.push_back(shard_idx);
+    rpc::MessagePtr msg = rpc::Message::Of(std::move(request), wire);
+    FarmShard& shard = cluster_->shard(targets[locked].shard);
+    auto resp = co_await rpc_.Call(&shard.rpc(), FarmShard::kLockMethod, msg,
+                                   txn.ctx);
+    if (!resp.ok() || !(*resp)->As<FarmShard::LockResponse>().ok) break;
+    locked = last;
   }
-  if (!locked_ok) {
-    // Unlock whatever we locked, then abort.
-    for (int shard_idx : locked_shards) {
-      FarmShard::UnlockRequest unlock{lock_reqs[shard_idx].slots, client_id_};
-      rpc::MessagePtr msg =
-          rpc::Message::Of(unlock, 16 + 8 * unlock.slots.size());
-      (void)co_await rpc_.Call(&cluster_->shard(shard_idx).rpc(),
-                               FarmShard::kUnlockMethod, msg, txn.ctx);
-    }
-    aborts_++;
-    co_return Aborted("lock phase failed");
-  }
+  const char* failed = locked < targets.size() ? "lock phase failed" : nullptr;
 
   // ---- phase 2: VALIDATE ----
   // §8.1: "they reread all objects in the read set to verify that they have
   // not been concurrently modified" — one one-sided READ per read-set key,
   // including keys we just locked (whose versions must match modulo our own
   // lock bit).
-  bool valid = true;
-  for (const auto& r : txn.read_set) {
+  for (size_t k = 0; failed == nullptr && k < txn.read_set.size(); ++k) {
+    const Transaction::ReadEntry& r = txn.read_set[k];
     bool is_written = false;
     for (const auto& w : txn.write_set) is_written |= (w.key == r.key);
     auto [shard_idx, slot] = cluster_->Locate(r.key);
@@ -258,47 +268,60 @@ sim::Task<Status> FarmClient::Commit(Transaction& txn) {
     auto slot_read = co_await rdma_.Read(&shard.rdma(), shard.rkey(),
                                          shard.slot_addr(slot), 16, txn.ctx);
     if (!slot_read.ok()) {
-      valid = false;
+      failed = "validation failed";
       break;
     }
     const rdma::Addr obj = LoadU64(slot_read->data());
     auto version_read =
         co_await rdma_.Read(&shard.rdma(), shard.rkey(), obj, 8, txn.ctx);
     if (!version_read.ok()) {
-      valid = false;
+      failed = "validation failed";
       break;
     }
     const uint64_t version = LoadU64(version_read->data());
     const uint64_t expected =
         is_written ? (r.rc | FarmShard::kLockBit) : r.rc;
     if (version != expected) {
-      valid = false;  // changed (or locked by someone else) since we read it
-      break;
+      // Changed (or locked by someone else) since we read it.
+      failed = "validation failed";
     }
   }
-  if (!valid) {
-    for (int shard_idx : locked_shards) {
-      FarmShard::UnlockRequest unlock{lock_reqs[shard_idx].slots, client_id_};
-      rpc::MessagePtr msg =
-          rpc::Message::Of(unlock, 16 + 8 * unlock.slots.size());
-      (void)co_await rpc_.Call(&cluster_->shard(shard_idx).rpc(),
-                               FarmShard::kUnlockMethod, msg, txn.ctx);
+  if (failed != nullptr) {
+    // Unlock whatever we locked, then abort.
+    for (size_t first = 0; first < locked;) {
+      const size_t last = run_end(first);
+      FarmShard::UnlockRequest request{slots_of(first, last), client_id_};
+      const size_t wire = 16 + 8 * request.slots.size();
+      rpc::MessagePtr msg = rpc::Message::Of(std::move(request), wire);
+      FarmShard& shard = cluster_->shard(targets[first].shard);
+      (void)co_await rpc_.Call(&shard.rpc(), FarmShard::kUnlockMethod, msg,
+                               txn.ctx);
+      first = last;
     }
     aborts_++;
-    co_return Aborted("validation failed");
+    co_return Aborted(failed);
   }
 
   // ---- phase 3: UPDATE + UNLOCK (RPC per shard) ----
-  for (auto& [shard_idx, request] : update_reqs) {
+  // The transaction is spent: its values move into the requests.
+  for (size_t first = 0; first < targets.size();) {
+    const size_t last = run_end(first);
+    FarmShard::UpdateRequest request{slots_of(first, last), {}, client_id_};
+    request.values.reserve(last - first);
     size_t wire = 24;
-    for (const auto& v : request.values) wire += 16 + v.size();
-    rpc::MessagePtr msg = rpc::Message::Of(request, wire);
-    auto resp = co_await rpc_.Call(&cluster_->shard(shard_idx).rpc(),
-                                   FarmShard::kUpdateMethod, msg, txn.ctx);
+    for (size_t i = first; i < last; ++i) {
+      wire += 16 + targets[i].write->value.size();
+      request.values.push_back(std::move(targets[i].write->value));
+    }
+    rpc::MessagePtr msg = rpc::Message::Of(std::move(request), wire);
+    FarmShard& shard = cluster_->shard(targets[first].shard);
+    auto resp = co_await rpc_.Call(&shard.rpc(), FarmShard::kUpdateMethod, msg,
+                                   txn.ctx);
     if (!resp.ok()) {
       aborts_++;
       co_return resp.status();
     }
+    first = last;
   }
   commits_++;
   co_return OkStatus();

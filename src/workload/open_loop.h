@@ -11,9 +11,12 @@
 //    histogram handle). One flat array holds the whole population;
 //    per-client memory is sizeof(ClientSlot) regardless of load
 //    (CI-guarded at ≤64 B/client in fig_overload --guard). Start fills it
-//    in one pass: the array is allocated uninitialized, and each slot is
-//    written once from a register-resident copy of the init rng, its class
-//    picked by a branch-free scan of the cumulative weights.
+//    in one pass over the array, allocated uninitialized: each slot takes
+//    two draws off the init rng (its key-space cursor, then its class pick
+//    by a scan of the cumulative weights). With AVX2, four contiguous
+//    quarters fill at once from four copies of that rng, each jumped ahead
+//    to its quarter's first draw (Rng::Advance), so every slot and the
+//    rng's end state equal the one-stream fill's (open_loop.cc, DESIGN.md).
 //
 //  * A single arrival-driver coroutine pulls inter-arrival gaps from an
 //    ArrivalProcess and stamps each arrival onto a uniformly chosen slot.
@@ -50,6 +53,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,6 +83,22 @@ struct ClientSlot {
 static_assert(sizeof(ClientSlot) == 16,
               "ClientSlot must stay compact: the ≤64 B/client guard in "
               "fig_overload budgets 16 B of slot + allocator/backlog slack");
+
+namespace internal {
+
+enum class FillPath { kLanes, kScalar };
+
+// Writes slots[0, n) from `rng`, two draws per slot, and leaves `rng` 2n
+// draws on. `weights` are the class weights in AddClass order. kLanes runs
+// the four-lane AVX2 fill when the CPU has AVX2 and the scalar loop
+// otherwise; kScalar forces the scalar loop, the reference that tests
+// compare the lanes with byte for byte.
+void FillSlots(ClientSlot* slots, uint64_t n, std::span<const double> weights,
+               Rng* rng, FillPath path = FillPath::kLanes);
+// Whether kLanes runs the AVX2 lanes on this CPU.
+bool HasAvx2Fill();
+
+}  // namespace internal
 
 struct PoolOptions {
   // Worker coroutines per pool: bounds live frames and the op concurrency
@@ -225,30 +245,14 @@ class OpenLoopPool {
     return z ^ (z >> 31);
   }
 
-  // Writes every slot once. The class pick is the cumulative subtraction of
-  // the weights in AddClass order: the first `pick < 0` wins, and class 0
-  // wins when rounding leaves none. It is computed without a branch, which
-  // a 50/50 mix would mispredict on about every other client.
   void FillClients() {
     clients_ = std::make_unique_for_overwrite<ClientSlot[]>(n_clients_);
-    double total_w = 0;
-    for (const OpClass& c : classes_) total_w += c.weight;
-    Rng rng = init_rng_;
-    for (uint64_t i = 0; i < n_clients_; ++i) {
-      const uint64_t cursor = rng.NextU64();
-      double pick = rng.NextDouble() * total_w;
-      uint32_t tag = 0;
-      bool found = false;
-      for (size_t c = 0; c < classes_.size(); ++c) {
-        pick -= classes_[c].weight;
-        const bool hit = (pick < 0) & !found;
-        tag += static_cast<uint32_t>(hit) * static_cast<uint32_t>(c);
-        found |= hit;
-      }
-      clients_[i] = ClientSlot{cursor, 0, 0, static_cast<uint8_t>(tag),
-                               static_cast<uint8_t>(tag)};
+    double weights[256] = {};  // AddClass admits at most 256 classes
+    for (size_t c = 0; c < classes_.size(); ++c) {
+      weights[c] = classes_[c].weight;
     }
-    init_rng_ = rng;
+    internal::FillSlots(clients_.get(), n_clients_,
+                        std::span(weights, classes_.size()), &init_rng_);
   }
 
   uint32_t PickClient() {

@@ -326,6 +326,154 @@ TEST(RngTest, GoldenStream) {
   EXPECT_EQ(rng.NextU64(), 0x5ed8bda43ac81995ull);
 }
 
+// Advance(k) must land exactly where k NextU64 calls land.
+void ExpectAdvanceMatchesSteps(uint64_t seed, uint64_t k) {
+  Rng stepped(seed);
+  for (uint64_t i = 0; i < k; ++i) stepped.NextU64();
+  Rng jumped(seed);
+  jumped.Advance(k);
+  EXPECT_EQ(jumped.state(), stepped.state()) << "seed " << seed << " k " << k;
+  EXPECT_EQ(jumped.NextU64(), stepped.NextU64())
+      << "seed " << seed << " k " << k;
+}
+
+TEST(RngTest, AdvanceEqualsRepeatedDraws) {
+  for (uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{255},
+                     uint64_t{256}, uint64_t{257}, (uint64_t{1} << 20) + 7}) {
+    ExpectAdvanceMatchesSteps(2021, k);
+    ExpectAdvanceMatchesSteps(7, k);
+  }
+}
+
+// T^k as a 256 x 256 matrix over GF(2), by square-and-multiply on the
+// matrix of one step: a reference for distances too long to step that
+// shares nothing with Advance's polynomial arithmetic. Row r is a bit mask
+// over state bits (word c / 64, bit c % 64).
+struct Gf2Matrix {
+  Rng::Poly row[256] = {};
+
+  static Gf2Matrix Step() {
+    Gf2Matrix m;
+    for (int c = 0; c < 256; ++c) {
+      Rng::Poly unit{};
+      unit[c / 64] = uint64_t{1} << (c % 64);
+      Rng rng;
+      rng.set_state(unit);
+      rng.NextU64();
+      const Rng::Poly col = rng.state();
+      for (int r = 0; r < 256; ++r) {
+        if ((col[r / 64] >> (r % 64)) & 1) m.row[r][c / 64] |= unit[c / 64];
+      }
+    }
+    return m;
+  }
+  static Gf2Matrix Identity() {
+    Gf2Matrix m;
+    for (int r = 0; r < 256; ++r) m.row[r][r / 64] = uint64_t{1} << (r % 64);
+    return m;
+  }
+  Gf2Matrix operator*(const Gf2Matrix& b) const {
+    Gf2Matrix out;
+    for (int r = 0; r < 256; ++r) {
+      for (int c = 0; c < 256; ++c) {
+        if ((row[r][c / 64] >> (c % 64)) & 1) {
+          for (int w = 0; w < 4; ++w) out.row[r][w] ^= b.row[c][w];
+        }
+      }
+    }
+    return out;
+  }
+  Rng::Poly Apply(const Rng::Poly& s) const {
+    Rng::Poly out{};
+    for (int r = 0; r < 256; ++r) {
+      int parity = 0;
+      for (int w = 0; w < 4; ++w) {
+        parity ^= __builtin_parityll(row[r][w] & s[w]);
+      }
+      out[r / 64] |= uint64_t(parity) << (r % 64);
+    }
+    return out;
+  }
+};
+
+TEST(RngTest, AdvanceRandomDistancesMatchMatrixPower) {
+  Rng pick(99);
+  for (int trial = 0; trial < 3; ++trial) {
+    const uint64_t k = pick.NextBelow(uint64_t{1} << 40);
+    Gf2Matrix power = Gf2Matrix::Identity();
+    Gf2Matrix base = Gf2Matrix::Step();
+    for (uint64_t e = k; e != 0; e >>= 1) {
+      if (e & 1) power = power * base;
+      if (e > 1) base = base * base;
+    }
+    Rng jumped(trial + 1);
+    const Rng::Poly start = jumped.state();
+    jumped.Advance(k);
+    EXPECT_EQ(jumped.state(), power.Apply(start)) << "k " << k;
+  }
+}
+
+// The xoshiro256 authors' jump() constant is x^(2^128) mod P in Jump's bit
+// order; it must move the state by T^(2^128).
+TEST(RngTest, JumpAppliesTheReferenceJumpConstant) {
+  const Rng::Poly kJump128 = {0x180ec6d33cfd0abaull, 0xd5a61266f0c9392cull,
+                              0xa9582618e03fc9aaull, 0x39abdc4529b1661cull};
+  Gf2Matrix power = Gf2Matrix::Step();
+  for (int i = 0; i < 128; ++i) power = power * power;
+  Rng jumped(2021);
+  const Rng::Poly start = jumped.state();
+  jumped.Jump(kJump128);
+  EXPECT_EQ(jumped.state(), power.Apply(start));
+}
+
+TEST(RngTest, AdvanceComposes) {
+  Rng pick(31);
+  for (int trial = 0; trial < 16; ++trial) {
+    const uint64_t a = pick.NextBelow(uint64_t{1} << 40);
+    const uint64_t b = pick.NextBelow(uint64_t{1} << 40);
+    Rng twice(trial), once(trial);
+    twice.Advance(a);
+    twice.Advance(b);
+    once.Advance(a + b);
+    EXPECT_EQ(twice.state(), once.state()) << a << " + " << b;
+  }
+  // The top bit of k takes the last table entry.
+  Rng twice(3), once(3);
+  twice.Advance(uint64_t{1} << 62);
+  twice.Advance(uint64_t{1} << 62);
+  once.Advance(uint64_t{1} << 63);
+  EXPECT_EQ(twice.state(), once.state());
+}
+
+// The characteristic polynomial P annihilates the state map (Cayley–
+// Hamilton): jumping by P's low 256 coefficients equals 256 steps, since
+// T^256 = p(T). With degree 256 and a primitive minimal polynomial, only P
+// passes this.
+TEST(RngTest, CharPolyAnnihilatesTheStateMap) {
+  const Rng::Poly& p = Rng::CharPoly();
+  EXPECT_NE(p, (Rng::Poly{}));
+  EXPECT_EQ(p[0] & 1, 1u) << "T is invertible, so P(0) = 1";
+  for (uint64_t seed : {1, 2, 2021}) {
+    Rng stepped(seed), jumped(seed);
+    for (int i = 0; i < 256; ++i) stepped.NextU64();
+    jumped.Jump(p);
+    EXPECT_EQ(jumped.state(), stepped.state()) << "seed " << seed;
+  }
+}
+
+// Jump applies a polynomial in the bit order of the xoshiro authors' jump()
+// constants: x^1 is one step, x^255 is 255 steps.
+TEST(RngTest, JumpByMonomialSteps) {
+  for (int e : {0, 1, 63, 64, 200, 255}) {
+    Rng::Poly mono{};
+    mono[e / 64] = uint64_t{1} << (e % 64);
+    Rng stepped(11), jumped(11);
+    for (int i = 0; i < e; ++i) stepped.NextU64();
+    jumped.Jump(mono);
+    EXPECT_EQ(jumped.state(), stepped.state()) << "x^" << e;
+  }
+}
+
 TEST(HistogramTest, EmptySummary) {
   LatencyHistogram h;
   auto s = h.Summarize();

@@ -160,6 +160,49 @@ TEST(TracerTest, ParentOfClosedOrUnknownSpanIsZero) {
   EXPECT_EQ(t.ParentOf(0), 0u);
 }
 
+// Work a finished op leaves behind (a quorum straggler's late flight) is
+// parented to a span that has already ended; it must still join that
+// span's tree, so CollectTree and the Perfetto track include it.
+TEST(TracerTest, ChildOfClosedSpanKeepsItsRoot) {
+  Tracer t;
+  const SpanId op = t.Begin("rs.put", "app", 0, 0);
+  const SpanId verb = t.Begin("prism.execute", "prism", 0, 5, op);
+  t.End(verb, 10);
+  t.End(op, 20);
+  const SpanId late = t.Begin("prism.execute", "prism", 0, 30, verb);
+  const SpanId flight = t.EmitComplete("net.flight", "net", 1, 31, 40, late);
+  t.End(late, 45);
+  std::vector<SpanRecord> tree;
+  t.CollectTree(op, &tree);
+  ASSERT_EQ(tree.size(), 4u);
+  for (const SpanRecord& s : tree) EXPECT_EQ(s.root, op) << s.name;
+  EXPECT_EQ(tree[2].id, flight);
+  EXPECT_EQ(tree[3].id, late);
+  // One Perfetto track: every async event carries the op's id.
+  const Json doc = ParseJson(t.ToChromeJson());
+  for (const Json& ev : doc.Arr("traceEvents")) {
+    if (ev.Str("ph") != "M") EXPECT_EQ(ev.Str("id"), "0x1") << ev.Str("name");
+  }
+}
+
+// Roots are kept for the last `cap` spans begun; a parent further back
+// than that, and closed, no longer resolves, and its child roots itself.
+TEST(TracerTest, ClosedParentRootsAreKeptForTheLastCapSpans) {
+  Tracer t(/*max_finished_spans=*/2);
+  const SpanId op = t.Begin("op", "app", 0, 0);
+  const SpanId a = t.Begin("a", "rdma", 0, 1, op);
+  t.End(a, 2);
+  t.End(op, 3);
+  const SpanId b = t.EmitComplete("b", "net", 0, 4, 5, a);  // a: 1 back
+  const SpanId c = t.EmitComplete("c", "net", 0, 6, 7, a);  // 2 back
+  const SpanId d = t.EmitComplete("d", "net", 0, 8, 9, a);  // 3 back
+  std::map<SpanId, SpanId> root_of;
+  for (const SpanRecord& s : t.finished()) root_of[s.id] = s.root;
+  EXPECT_EQ(root_of.count(b), 0u);  // evicted by the cap of 2
+  EXPECT_EQ(root_of[c], op);
+  EXPECT_EQ(root_of[d], d);
+}
+
 TEST(TracerTest, CapDropsOldestFinishedSpans) {
   Tracer t(/*max_finished_spans=*/4);
   for (int i = 0; i < 10; ++i) {

@@ -11,6 +11,8 @@
 //    interval. Work the op leaves behind (a quorum straggler's reclamation
 //    flight) may start after the op ends, but only once its own parent has
 //    ended too;
+//  * its recorded root is that op, so Perfetto draws it on the op's track
+//    and the op's exemplar tree includes it, left-behind work too;
 //  * where clients issue from their pool's host (every stack but
 //    consensus, whose chains issue from the leader's host), a span the app
 //    op parents directly runs on the op's own host.
@@ -102,7 +104,7 @@ void CheckCell(const std::string& what, bool clients_on_pool_host,
     std::string example;
   };
   uint64_t ops = 0, spans = 0;
-  Offenders roots, foreign, outside, off_host;
+  Offenders roots, foreign, outside, misrooted, off_host;
   auto note = [](Offenders* o, const obs::SpanRecord& s) {
     if (o->count++ == 0) {
       o->example = s.name + " on host " + std::to_string(s.host);
@@ -124,6 +126,7 @@ void CheckCell(const std::string& what, bool clients_on_pool_host,
       note(&foreign, s);
       continue;
     }
+    if (s.root != op->id) note(&misrooted, s);
     const bool left_behind = by_id[s.parent]->end_ns <= s.start_ns;
     if (s.start_ns < op->start_ns ||
         (s.start_ns > op->end_ns && !left_behind)) {
@@ -143,6 +146,9 @@ void CheckCell(const std::string& what, bool clients_on_pool_host,
   EXPECT_EQ(outside.count, 0u) << what << ": spans that start outside "
                                << "their op's interval, e.g. "
                                << outside.example;
+  EXPECT_EQ(misrooted.count, 0u) << what << ": spans whose recorded root "
+                                 << "is not their op, e.g. "
+                                 << misrooted.example;
   EXPECT_EQ(off_host.count, 0u) << what << ": op children on another "
                                 << "client host, e.g. " << off_host.example;
 }

@@ -1,7 +1,9 @@
 // Tests for the workload generators and measurement harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -348,6 +350,7 @@ TEST(OpenLoopPoolTest, BacklogQueueingShowsUpInLatency) {
 struct PinnedRun {
   uint64_t digest = 0xcbf29ce484222325ull;
   uint64_t ops = 0;
+  uint64_t slot_digest = 0xcbf29ce484222325ull;  // every slot, after the run
   std::vector<uint64_t> clients_per_class;
   size_t peak_backlog = 0;
 };
@@ -379,7 +382,12 @@ PinnedRun RunPinnedPool(const std::vector<double>& weights, uint64_t n_clients,
   EXPECT_EQ(run.ops, pool.arrivals());
   run.clients_per_class.assign(weights.size(), 0);
   for (uint64_t i = 0; i < pool.n_clients(); ++i) {
-    run.clients_per_class[pool.client(i).tag]++;
+    const ClientSlot& slot = pool.client(i);
+    run.clients_per_class[slot.tag]++;
+    for (uint64_t word :
+         {slot.rng, uint64_t{slot.tag}, uint64_t{slot.issued}}) {
+      run.slot_digest = (run.slot_digest ^ word) * 0x100000001b3ull;
+    }
   }
   run.peak_backlog = pool.peak_backlog();
   return run;
@@ -404,6 +412,72 @@ TEST(OpenLoopPoolTest, DrawsAndClassesArePinned) {
   EXPECT_EQ(backlog.ops, 1987u);
   EXPECT_EQ(backlog.digest, 0xe53a3b9e56c83e04ull);
   EXPECT_EQ(backlog.clients_per_class, (std::vector<uint64_t>{8, 8}));
+}
+
+// A large pool, pinned the same way. Its four fill lanes start 50 000 draws
+// apart, so each lane's start is reached by table jumps rather than steps;
+// every slot's cursor and class, and the ops' draws, must still be what the
+// one-stream fill wrote.
+TEST(OpenLoopPoolTest, LargePoolDrawsAndClassesArePinned) {
+  PinnedRun big = RunPinnedPool({0.25, 0.6, 0.15}, 100003, 64, 1e6,
+                                sim::Micros(2), 29);
+  EXPECT_EQ(big.ops, 1013u);
+  EXPECT_EQ(big.digest, 0x4b1fa4186fcb200full);
+  EXPECT_EQ(big.slot_digest, 0xb41ce4631083d59eull);
+  EXPECT_EQ(big.clients_per_class,
+            (std::vector<uint64_t>{24995, 60054, 14954}));
+}
+
+// Runs FillSlots down `path` on a fresh array and rng.
+struct Filled {
+  std::vector<ClientSlot> slots;
+  Rng rng;
+};
+Filled FillWith(uint64_t n, const std::vector<double>& weights, uint64_t seed,
+                internal::FillPath path) {
+  Filled f{std::vector<ClientSlot>(n), Rng(seed)};
+  internal::FillSlots(f.slots.data(), n, weights, &f.rng, path);
+  return f;
+}
+
+// The four-lane AVX2 fill writes the scalar fill's bytes and leaves the rng
+// where the scalar fill does, for every tail length (n mod 4) and for pools
+// smaller than one slot per lane.
+TEST(OpenLoopPoolTest, LaneFillMatchesScalarFill) {
+  if (!internal::HasAvx2Fill()) GTEST_SKIP() << "no AVX2 on this CPU";
+  std::vector<double> many;
+  for (int c = 0; c < 256; ++c) many.push_back(1.0 + (c * 37 % 11) * 0.3);
+  const std::vector<std::vector<double>> mixes = {
+      {2.5}, {0.3, 0.7}, {0.1, 0.2, 0.7}, many};
+  for (const std::vector<double>& weights : mixes) {
+    for (uint64_t n : {1, 3, 4, 5, 4095, 4097, 95325}) {
+      const uint64_t seed = n * 131 + weights.size();
+      const Filled scalar =
+          FillWith(n, weights, seed, internal::FillPath::kScalar);
+      const Filled lanes =
+          FillWith(n, weights, seed, internal::FillPath::kLanes);
+      ASSERT_EQ(std::memcmp(scalar.slots.data(), lanes.slots.data(),
+                            n * sizeof(ClientSlot)),
+                0)
+          << "n " << n << ", " << weights.size() << " classes";
+      EXPECT_EQ(scalar.rng.state(), lanes.rng.state())
+          << "n " << n << ", " << weights.size() << " classes";
+      // And the scalar fill took exactly two draws per slot.
+      Rng two_per_slot(seed);
+      two_per_slot.Advance(2 * n);
+      EXPECT_EQ(scalar.rng.state(), two_per_slot.state());
+    }
+  }
+  // Every class is picked somewhere in the 256-class mix.
+  const Filled wide = FillWith(95325, many, 3, internal::FillPath::kLanes);
+  std::vector<bool> seen(256);
+  for (const ClientSlot& s : wide.slots) {
+    EXPECT_EQ(s.tag, s.hist);
+    EXPECT_EQ(s.issued, 0u);
+    EXPECT_EQ(s.outstanding, 0u);
+    seen[s.tag] = true;
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 256);
 }
 
 TEST(OpenLoopPoolTest, ClientIndexBeyondU32Dies) {
