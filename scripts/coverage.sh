@@ -31,9 +31,10 @@ while [[ $# -gt 0 ]]; do
 done
 
 BUILD=build-cov
-# The test binaries whose runs exercise src/check/ + src/explore/.
+# The test binaries whose runs exercise src/check/ + src/explore/
+# (stack_cell_test runs every row of the stack table, the baselines too).
 TARGETS=(explore_test chaos_test sim_test harness_test sync_test
-         consensus_test)
+         consensus_test stack_cell_test)
 
 echo "==> coverage: configure + build ($BUILD/)"
 cmake --preset coverage >/dev/null

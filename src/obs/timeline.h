@@ -16,7 +16,7 @@
 //
 // Every nanosecond between Start and Finish lands in exactly one phase no
 // matter which Switch calls fire, so sum(phase_ns) == end - start *exactly*
-// (property-checked in tests/phase_invariant_test.cc). A stale stamp (e.g. a
+// (property-checked in tests/stack_cell_test.cc). A stale stamp (e.g. a
 // retransmit timer firing after the op already finished by timeout) is a
 // no-op thanks to the done flag; misattribution between phases under
 // concurrency is possible in principle but the total never drifts.

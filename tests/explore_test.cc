@@ -61,6 +61,17 @@ TEST(WorkloadTest, NamesRoundTrip) {
   EXPECT_FALSE(WorkloadFromName("nonesuch", &scratch));
 }
 
+// UniqueValue encodes the client in one byte and the op in two, after an
+// 8-byte seed: anything wider would silently alias another op's value.
+TEST(WorkloadTest, UniqueValueRejectsWhatItCannotEncode) {
+  EXPECT_EQ(UniqueValue(11, 7, 255, 65535).size(), 11u);
+  EXPECT_DEATH(UniqueValue(10, 7, 1, 1), "too short");
+  EXPECT_DEATH(UniqueValue(32, 7, 256, 1), "client 256");
+  EXPECT_DEATH(UniqueValue(32, 7, -1, 1), "client -1");
+  EXPECT_DEATH(UniqueValue(32, 7, 1, 65536), "op 65536");
+  EXPECT_DEATH(UniqueValue(32, 7, 1, -1), "op -1");
+}
+
 TEST(WorkloadTest, IdentityHookMatchesProductionEngine) {
   // The hooked lane with an identity pick is the production (when, seq)
   // order: same executed-event count, same recorded history, same fault

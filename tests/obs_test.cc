@@ -181,7 +181,9 @@ TEST(TracerTest, ChildOfClosedSpanKeepsItsRoot) {
   // One Perfetto track: every async event carries the op's id.
   const Json doc = ParseJson(t.ToChromeJson());
   for (const Json& ev : doc.Arr("traceEvents")) {
-    if (ev.Str("ph") != "M") EXPECT_EQ(ev.Str("id"), "0x1") << ev.Str("name");
+    if (ev.Str("ph") != "M") {
+      EXPECT_EQ(ev.Str("id"), "0x1") << ev.Str("name");
+    }
   }
 }
 
